@@ -1,6 +1,6 @@
-"""Parallel solving engines: configuration portfolios and bulk batches.
+"""Parallel solving engines: configuration portfolios, batches, groups.
 
-Two entry points, both exposed at the top level of :mod:`repro`:
+Three entry points, all exposed at the top level of :mod:`repro`:
 
 * :class:`PortfolioSolver` — race diverse
   :class:`~repro.solver.config.SolverConfig` presets on one formula in
@@ -14,21 +14,23 @@ Two entry points, both exposed at the top level of :mod:`repro`:
 * :func:`solve_grouped` — solve *groups* of related queries, each group
   streamed through one incremental :class:`~repro.session.SolverSession`
   in its worker (learned clauses, activities, and cached answers carry
-  across the group's steps), with the same supervision and
-  trusted-results gating as the batch engine.
+  across the group's steps).
 
-Both build on cooperative primitives of the sequential engine
+All three build on cooperative primitives of the sequential engine
 (:meth:`Solver.interrupt`, the ``on_progress`` callback) rather than a
 separate search implementation, so every configuration, budget, and
 result shape of the sequential API carries over unchanged.
 
-Both engines are *supervised* through :mod:`repro.reliability`: a
-:class:`~repro.reliability.RetryPolicy` relaunches crashed, stalled, or
-corrupted workers with fresh seeds and exponential backoff; heartbeat
-watchdogs catch wedged workers; ``RLIMIT_AS`` ceilings keep memory
-bounded; and the trusted-results gate (``verification="sat"``/
-``"full"``) model-checks SAT answers and RUP-checks UNSAT proofs in the
-parent before any answer is returned.  See ``docs/ROBUSTNESS.md``.
+One :class:`JobPool` supervises every engine — the three above and the
+solver service: a portfolio lane, a batch instance, a group and a
+service request are each one job on it.  Supervision comes from
+:mod:`repro.reliability`: a :class:`~repro.reliability.RetryPolicy`
+relaunches crashed, stalled, or corrupted workers with fresh seeds and
+exponential backoff; heartbeat watchdogs catch wedged workers;
+``RLIMIT_AS`` ceilings keep memory bounded; and the trusted-results
+gate (``verification="sat"``/``"full"``) model-checks SAT answers and
+RUP-checks UNSAT proofs in the parent before any answer is returned.
+See ``docs/ROBUSTNESS.md``.
 
 Portfolio lanes can additionally *cooperate* through the validated
 clause bus of :mod:`repro.parallel.sharing`

@@ -8,26 +8,27 @@ horizon — and every group runs through one
 learned-clause retention, activity carry-over, and answer cache pay off
 within the group while independent groups still run concurrently.
 
-The supervision contract matches the rest of the parallel layer:
-workers post exactly one ``((group, attempt), payload)`` tuple, crashes
-and silent exits are detected by process liveness, injected faults
-(:class:`~repro.reliability.FaultPlan`, keyed by group index and
-attempt) exercise every degradation branch, answers pass the
-trusted-results gate in the *parent* (each step's model is checked
-against the clauses accumulated up to that step), and failures are
-relaunched under a :class:`~repro.reliability.RetryPolicy` before the
-group degrades to per-step UNKNOWN results.
+A group is one job of its own kind on the supervised
+:class:`~repro.parallel.pool.JobPool`: its worker entry runs the
+session steps and posts one result per step, and its parent-side check
+verifies each step against the clauses accumulated up to that step.
+Everything else is the pool's — liveness and heartbeat watchdogs, the
+hard ``timeout`` (``"time budget"``), fault plans keyed by group index
+and attempt, and relaunches under a
+:class:`~repro.reliability.RetryPolicy` before the group degrades to
+per-step UNKNOWN results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import time
 from dataclasses import dataclass, field
 
 from repro.cnf.formula import CnfFormula
-from repro.parallel.worker import drain_results, strip_for_worker
+from repro.parallel.pool import Job, JobPool
+from repro.parallel.worker import strip_for_worker
 from repro.reliability.faults import (
     FAULT_CORRUPT,
     FAULT_STALL,
@@ -35,8 +36,6 @@ from repro.reliability.faults import (
     corrupt_result,
     execute_entry_fault,
 )
-from repro.reliability.guards import StallClock, crash_reason
-from repro.reliability.retry import as_retry_policy
 from repro.reliability.verify import VerificationError, check_result_shape, verify_result
 from repro.solver.config import (
     VERIFICATION_LEVELS,
@@ -46,9 +45,6 @@ from repro.solver.config import (
     config_by_name,
 )
 from repro.solver.result import SolveResult, SolveStatus
-
-#: Polling period of the supervision loop, seconds.
-_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -100,22 +96,28 @@ def solve_group_in_worker(
     steps,
     config,
     limits,
+    cancel_event,
     results,
+    heartbeat=None,
     attempt: int = 0,
     fault=None,
+    *_solve_only,
     retain_max_lbd=None,
-    heartbeat=None,
 ) -> None:
     """Process entry: run one group's steps through one session.
 
     Posts ``(tag, [SolveResult, ...])`` — one result per step — or
-    ``(tag, None)`` when the session raised.  Fault semantics mirror
-    :func:`repro.parallel.worker.solve_in_worker`: entry faults fire
-    before the session is built, ``corrupt`` swaps the last step's
-    answer for a verifiable lie, ``stall`` computes everything and then
-    goes silent.  ``heartbeat`` (a shared ``multiprocessing.Value('d')``)
-    is stamped at the solver's progress cadence and between steps for
-    the parent's stall watchdog.
+    ``(tag, None)`` when the session raised.  The positional layout is
+    :func:`repro.parallel.worker.solve_in_worker`'s, so the pool
+    launches both kinds alike; ``cancel_event`` and the trailing
+    solve-only arguments (memory ceiling, checkpoint, telemetry,
+    sharing, stop event, trace context) are accepted and unused.  Fault
+    semantics mirror the solve kind's: entry faults fire before the
+    session is built, ``corrupt`` swaps the last step's answer for a
+    verifiable lie, ``stall`` computes everything and then goes silent.
+    ``heartbeat`` (the pool's shared monotonic timestamp) is stamped at
+    the solver's progress cadence and between steps for the parent's
+    stall watchdog.
     """
     try:
         if fault is None:
@@ -223,7 +225,8 @@ def solve_grouped(
         fault_plan: deterministic fault injection keyed by (group,
             attempt).
         timeout: per-group wall-clock limit across all attempts,
-            enforced by the parent (the hard backstop).
+            enforced by the parent (the hard backstop); a group cut off
+            by it degrades with ``"time budget"``.
         stall_seconds: heartbeat watchdog window — a worker that is
             alive but posts no heartbeat (stamped at the solver's
             progress cadence and between steps) for this long is
@@ -232,14 +235,14 @@ def solve_grouped(
         retain_max_lbd: session glue bound override (None = session
             default).
         trace: optional parent-side :class:`TraceSink` receiving
-            ``worker_fault`` / ``worker_retry`` events.
+            ``worker_fault`` / ``worker_retry`` events (a retry's event
+            is emitted when it launches).
     """
     started = time.perf_counter()
     if config is None:
         config = berkmin_config()
     elif isinstance(config, str):
         config = config_by_name(config)
-    policy = as_retry_policy(retry)
     if verification is None:
         verification = config.verification
     if verification not in VERIFICATION_LEVELS:
@@ -256,143 +259,63 @@ def solve_grouped(
         raise ValueError("jobs must be >= 1")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(normalized)))
 
     limits = {
         "max_conflicts": max_conflicts,
         "max_decisions": max_decisions,
         "max_seconds": max_seconds,
     }
-    context = multiprocessing.get_context()
-    results_queue = context.Queue()
-    outcomes = [GroupOutcome() for _ in normalized]
-    attempts = [0] * len(normalized)
-    deadlines: dict[int, float] = {}
-    not_before: dict[int, float] = {}
-    pending = list(range(len(normalized)))
-    active: dict[int, tuple] = {}  # group -> (process, attempt, StallClock)
-    retries = 0
-
-    def fail(group: int, reason: str) -> None:
-        nonlocal retries
-        attempt = active.pop(group)[1] if group in active else attempts[group] - 1
-        will_retry = policy.allows(attempts[group]) and (
-            group not in deadlines or time.monotonic() < deadlines[group]
-        )
-        if trace is not None:
-            trace.emit(
-                {
-                    "type": "worker_fault",
-                    "lane": group,
-                    "attempt": attempt,
-                    "reason": reason,
-                    "will_retry": will_retry,
-                }
+    pool = JobPool(
+        max(1, min(jobs, len(normalized))),
+        retry=retry,
+        verification=verification,
+        stall_seconds=stall_seconds,
+        fault_plan=fault_plan,
+        trace=trace,
+    )
+    submitted = [
+        pool.submit(
+            Job(
+                job_id=index,
+                formula=steps,
+                config=worker_config,
+                limits=limits,
+                budget=timeout,
+                worker=functools.partial(
+                    solve_group_in_worker, retain_max_lbd=retain_max_lbd
+                ),
+                check=functools.partial(_verify_group, steps, level=verification),
             )
-        if will_retry:
-            retries += 1
-            not_before[group] = time.monotonic() + policy.delay(attempts[group])
-            if trace is not None:
-                trace.emit(
-                    {"type": "worker_retry", "lane": group, "attempt": attempts[group]}
-                )
-            pending.append(group)
-            return
-        outcome = outcomes[group]
-        outcome.attempts = attempts[group]
-        outcome.degraded = True
-        outcome.failure = reason
-        outcome.results = [
+        )
+        for index, steps in enumerate(normalized)
+    ]
+    try:
+        while not pool.idle:
+            pool.poll()
+    finally:
+        pool.close()
+    return GroupedResult(
+        groups=[_outcome(job, config.name) for job in submitted],
+        wall_seconds=time.perf_counter() - started,
+        retries=pool.retries,
+    )
+
+
+def _outcome(job: Job, config_name: str) -> GroupOutcome:
+    """The group's step results, or UNKNOWN placeholders once it failed."""
+    if isinstance(job.result, list):
+        return GroupOutcome(results=job.result, attempts=job.attempts)
+    reason = job.result.limit_reason
+    return GroupOutcome(
+        results=[
             SolveResult(
                 status=SolveStatus.UNKNOWN,
                 limit_reason=reason,
-                config_name=config.name,
+                config_name=config_name,
             )
-            for _ in normalized[group]
-        ]
-
-    def finish(group: int, payload) -> None:
-        active.pop(group, None)
-        if payload is None:
-            fail(group, "worker crashed")
-            return
-        defect = _verify_group(normalized[group], payload, verification)
-        if defect is not None:
-            fail(group, defect)
-            return
-        outcome = outcomes[group]
-        outcome.attempts = attempts[group]
-        outcome.results = payload
-
-    def launch(group: int) -> None:
-        attempt = attempts[group]
-        attempts[group] += 1
-        if group not in deadlines and timeout is not None:
-            deadlines[group] = time.monotonic() + timeout
-        fault = fault_plan.lookup(group, attempt) if fault_plan else None
-        now = time.monotonic()
-        heartbeat = context.Value("d", now) if stall_seconds is not None else None
-        process = context.Process(
-            target=solve_group_in_worker,
-            args=(
-                (group, attempt),
-                normalized[group],
-                policy.config_for_attempt(worker_config, attempt),
-                limits,
-                results_queue,
-                attempt,
-                fault,
-                retain_max_lbd,
-                heartbeat,
-            ),
-            daemon=True,
-        )
-        process.start()
-        active[group] = (process, attempt, StallClock(now, heartbeat))
-
-    collected: dict = {}
-    while pending or active:
-        now = time.monotonic()
-        while pending and len(active) < jobs:
-            # Respect backoff delays without blocking other launches.
-            ready = [g for g in pending if not_before.get(g, 0.0) <= now]
-            if not ready:
-                break
-            group = ready[0]
-            pending.remove(group)
-            launch(group)
-        drain_results(results_queue, collected, timeout=_POLL_SECONDS)
-        for tag in list(collected):
-            payload = collected.pop(tag)
-            group, attempt = tag
-            if group in active and active[group][1] == attempt:
-                finish(group, payload)
-            # else: a late post from a terminated attempt — discard.
-        for group in list(active):
-            process, _attempt, clock = active[group]
-            deadline = deadlines.get(group)
-            if deadline is not None and time.monotonic() > deadline:
-                process.terminate()
-                process.join()
-                fail(group, "group timeout")
-                continue
-            if process.is_alive() and clock.stalled_for(time.monotonic(), stall_seconds):
-                process.terminate()
-                process.join()
-                fail(group, "stalled (no heartbeat)")
-                continue
-            if not process.is_alive():
-                # One last sweep: the result may have been posted between
-                # our drain and the liveness check.
-                drain_results(results_queue, collected)
-                tag = (group, active[group][1])
-                if tag in collected:
-                    finish(group, collected.pop(tag))
-                else:
-                    fail(group, crash_reason(process.exitcode))
-
-    return GroupedResult(
-        groups=outcomes,
-        wall_seconds=time.perf_counter() - started,
-        retries=retries,
+            for _ in job.formula
+        ],
+        attempts=job.attempts,
+        degraded=True,
+        failure=reason,
     )

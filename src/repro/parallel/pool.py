@@ -1,21 +1,28 @@
-"""The supervised worker pool: streaming job supervision over processes.
+"""The supervised worker pool: the one supervision loop of the package.
 
-:class:`JobPool` is the supervision loop that used to live inside
-:func:`~repro.parallel.batch.solve_batch`, extracted so it can serve
-*streams* of work as well as fixed batches.  A job can be submitted at
-any time (the solver service feeds the pool from live network traffic);
-the pool launches each job's attempts into one of ``size`` slots as a
-fresh worker process, watches heartbeats and deadlines, relaunches
-failed attempts under a :class:`~repro.reliability.RetryPolicy`
-(warm-resuming from checkpoints when a checkpoint path is attached),
-verifies answers through the trusted-results gate, and finalizes every
-job with exactly one :class:`~repro.solver.result.SolveResult` — never
-an exception, never a hang.
+:class:`JobPool` is the only code that starts, watches, retries and
+verifies worker processes.  :func:`~repro.parallel.batch.solve_batch`
+submits one job per instance, :class:`~repro.parallel.PortfolioSolver`
+one job per lane, :func:`~repro.parallel.solve_grouped` one job per
+group, and the solver service one job per request.  A job can be
+submitted at any time; the pool launches each job's attempts into one
+of ``size`` slots as a fresh worker process, watches heartbeats and
+deadlines, relaunches failed attempts under a
+:class:`~repro.reliability.RetryPolicy` (warm-resuming from checkpoints
+when a checkpoint path is attached), checks answers in the parent, and
+finalizes every job with exactly one result — never an exception,
+never a hang.
+
+A job's *kind* is its worker entry and its parent-side check.  The
+default kind solves ``job.formula`` with
+:func:`~repro.parallel.worker.solve_in_worker` and passes the answer
+through the trusted-results gate; a kind may bring its own entry and
+check (a grouped session posts one result per step and is checked step
+by step).
 
 Worker recycling is by construction: every attempt runs in a fresh
 process, so a crashed, wedged, or memory-leaking worker dies with its
-attempt and can never poison the next job.  The health checks are the
-ones the batch engine already trusted:
+attempt and can never poison the next job.  The health checks:
 
 * **liveness** — a dead process with an empty pipe is a crash
   (``crash_reason`` decodes the exitcode);
@@ -27,9 +34,16 @@ ones the batch engine already trusted:
   is finalized without ever launching (work is cancelled, not
   orphaned).
 
+Two controls act on one running job from outside: :meth:`JobPool.preempt`
+asks it to stop and relaunches it without spending retry budget (the
+portfolio's adaptive relaunch), and :meth:`JobPool.fail` terminates it
+as a retryable fault (the portfolio's quarantine).  With a
+:class:`~repro.parallel.sharing.ClauseBus` attached, the pool also
+routes shared clauses between its jobs.
+
 The pool is synchronous and poll-driven: call :meth:`poll` from any
-loop (the batch engine's while-loop, the asyncio server's pump task)
-and completion callbacks run inside that call, in the caller's thread.
+loop (the engines' while-loops, the asyncio server's pump task) and
+completion callbacks run inside that call, in the caller's thread.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from dataclasses import dataclass, field
 
 from repro.checkpoint.snapshot import checkpoint_conflicts
 from repro.cnf.formula import CnfFormula
-from repro.parallel.sharing import route_shares
+from repro.parallel.sharing import IMPORT_QUEUE_CAPACITY, route_shares
 from repro.parallel.worker import drain_results, route_telemetry, solve_in_worker
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guards import StallClock, crash_reason
@@ -55,9 +69,6 @@ from repro.solver.result import AttemptRecord, SolveResult, SolveStatus
 
 #: Blocking window of one poll() tick, seconds.
 POLL_SECONDS = 0.02
-#: Extra wall-clock slack granted on top of a cooperative ``max_seconds``
-#: budget before the parent terminates a worker outright.
-DEFAULT_GRACE_SECONDS = 2.0
 #: Minimum remaining budget (seconds) worth launching a retry into.
 MIN_RETRY_BUDGET = 0.05
 #: Reason string used for jobs whose deadline expired before launch; the
@@ -73,6 +84,8 @@ class Job:
     """One unit of pool work across all its supervised attempts."""
 
     job_id: int
+    #: The worker's input: the formula to solve for the default kind; a
+    #: kind with its own ``worker`` receives it verbatim (a group's steps).
     formula: CnfFormula
     #: Worker-ready configuration for attempt 0 (already stripped via
     #: :func:`~repro.parallel.worker.strip_for_worker`); retries reseed
@@ -103,6 +116,18 @@ class Job:
     #: supervision events and shipped to workers, which echo it in
     #: telemetry rows — the span layer's cross-process thread.
     trace_context: dict | None = None
+    #: Process entry of this job's kind, called with the positional
+    #: arguments of :func:`~repro.parallel.worker.solve_in_worker`
+    #: (None = that function).
+    worker: object | None = None
+    #: Parent-side check of a custom kind's payload, replacing the
+    #: trusted-results gate: ``fn(payload)`` returns a failure reason,
+    #: or None when the payload is sound.
+    check: object | None = None
+    #: Event handed to every attempt as its stop signal; the pool sets it
+    #: in :meth:`JobPool.preempt`.  None: a preempted attempt can only be
+    #: terminated.
+    stop: object | None = None
 
     # -- supervision bookkeeping (pool-owned) --------------------------
     attempts: int = 0
@@ -110,6 +135,9 @@ class Job:
     first_launch: float | None = None
     kill_at: float | None = None  # materialized hard deadline
     not_before: float = 0.0  # backoff gate for the next launch
+    #: Preempted launches, which do not count against the retry budget.
+    free_attempts: int = 0
+    #: The final answer: a SolveResult, or a custom kind's checked payload.
     result: SolveResult | None = None
     #: Parent-side verification wall time of the final answer (pool-owned;
     #: the service records it as the request's ``verify`` span).
@@ -129,6 +157,10 @@ class _Active:
     attempt: int
     config: SolverConfig
     resumed_from: int | None = None
+    #: Why :meth:`JobPool.preempt` is reclaiming this attempt.
+    preempted: str | None = None
+    #: When a preempted worker that has not yielded is terminated.
+    terminate_at: float | None = None
 
 
 class JobPool:
@@ -156,6 +188,9 @@ class JobPool:
         on_launch: optional ``fn(job, attempt, resumed_from)`` observer
             of every attempt launch — the service's span layer uses it
             to close the queue span and open the attempt span.
+        bus: optional :class:`~repro.parallel.sharing.ClauseBus` whose
+            lanes are the job ids: workers export glue clauses to it and
+            import the validated ones through a per-job queue.
     """
 
     def __init__(
@@ -173,7 +208,7 @@ class JobPool:
         telemetry_seconds: float | None = None,
         on_fault=None,
         on_launch=None,
-        context=None,
+        bus=None,
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -189,7 +224,8 @@ class JobPool:
         self.telemetry_seconds = telemetry_seconds
         self.on_fault = on_fault
         self.on_launch = on_launch
-        self.context = context if context is not None else multiprocessing.get_context()
+        self.bus = bus
+        self.context = multiprocessing.get_context()
         self.results_queue = self.context.Queue()
         #: Shared cooperative-cancel flag: set during a drain, every
         #: live (and later-launched) worker interrupts at its next
@@ -199,6 +235,7 @@ class JobPool:
         self.active: dict[int, _Active] = {}
         self.jobs: dict[int, Job] = {}
         self._collected: dict = {}
+        self._import_queues: dict[int, object] = {}  # per job, with a bus
         self.retries = 0
         self.draining = False
         self._closed = False
@@ -246,8 +283,9 @@ class JobPool:
         for job in list(self.pending):
             # Expired while queued: cancel without ever launching.  This
             # sweep runs even when every slot is busy — a saturated pool
-            # must not delay the promised prompt "deadline" reply.
-            deadline = self._effective_deadline(job, now)
+            # must not delay the promised prompt "deadline" reply.  (A
+            # budget only materializes as kill_at at first launch.)
+            deadline = job.kill_at if job.kill_at is not None else job.deadline
             if deadline is not None and now >= deadline:
                 self.pending.remove(job)
                 self._finalize(
@@ -268,11 +306,11 @@ class JobPool:
                 self._launch(job)
         drain_results(self.results_queue, self._collected, timeout=timeout)
         route_telemetry(self._collected, self.monitor)
-        # Pool jobs never share clauses, but a worker config copied from
-        # a sharing portfolio could still post share-tagged frames; sweep
-        # them (busless: popped and dropped) so the long-running server
-        # cannot accumulate tags nothing will ever claim.
-        route_shares(self._collected, None)
+        # Without a bus, share-tagged frames are popped and dropped, so
+        # the long-running server cannot accumulate tags nothing claims.
+        route_shares(self._collected, self.bus)
+        if self.bus is not None:
+            self.bus.pump()
         now = time.monotonic()
         for job_id, entry in list(self.active.items()):
             job = self.jobs[job_id]
@@ -310,6 +348,14 @@ class JobPool:
                     job, entry, "stalled (no heartbeat)", now,
                     retryable=True, finished=finished,
                 )
+            elif entry.terminate_at is not None and now > entry.terminate_at:
+                # The preempted worker ignored its stop event past the
+                # grace window: terminate is the backstop, and the
+                # relaunch still rides free.
+                entry.process.terminate()
+                entry.process.join(timeout=1.0)
+                del self.active[job_id]
+                self._requeue_preempted(job, entry, now)
         # Purge stale result payloads: a terminated (budget/stall) or
         # already-finalized attempt may still post to the queue, and
         # nothing will ever consume its tag.  Only the current attempt
@@ -394,27 +440,75 @@ class JobPool:
             )
         return finished
 
-    def close(self) -> None:
-        """Release the queue and terminate any stragglers (idempotent)."""
+    def close(self, grace_seconds: float = 0.0) -> None:
+        """Release the queues and stop any stragglers (idempotent).
+
+        With ``grace_seconds``, running workers are first cancelled
+        cooperatively and given that long to exit (the portfolio's
+        losers once a winner is in); whatever is still alive is then
+        terminated.
+        """
         if self._closed:
             return
         self._closed = True
+        if grace_seconds > 0 and self.active:
+            self.cancel_event.set()
+            stop = time.monotonic() + grace_seconds
+            while time.monotonic() < stop and any(
+                entry.process.is_alive() for entry in self.active.values()
+            ):
+                # Keep reading (and dropping) what the workers post: one
+                # cannot exit before its queue has flushed into the pipe.
+                drain_results(self.results_queue, {}, timeout=POLL_SECONDS)
         for entry in self.active.values():
-            entry.process.terminate()
+            if entry.process.is_alive():
+                entry.process.terminate()
             entry.process.join(timeout=1.0)
         self.active.clear()
-        self.results_queue.close()
-        self.results_queue.cancel_join_thread()
+        for queue in (self.results_queue, *self._import_queues.values()):
+            queue.close()
+            queue.cancel_join_thread()
 
     # ------------------------------------------------------------------
-    # Internals (the batch engine's supervision bones)
+    # Controls on one running job
     # ------------------------------------------------------------------
-    def _effective_deadline(self, job: Job, now: float) -> float | None:
-        """The job's hard deadline as visible *before* its first launch."""
-        if job.kill_at is not None:
-            return job.kill_at
-        return job.deadline  # a budget only materializes at first launch
+    def preempt(self, job_id: int, reason: str, grace_seconds: float) -> int:
+        """Stop one running job and relaunch it without spending retry budget.
 
+        Sets the job's ``stop`` event, so the worker interrupts at its
+        next progress tick and posts an UNKNOWN; a worker still running
+        ``grace_seconds`` later is terminated.  Either way the attempt
+        is recorded with ``reason`` and the job is queued again at once
+        (with whatever ``job.config`` says by then).  A definite answer
+        posted meanwhile still finishes the job.  Returns the preempted
+        attempt's index.
+        """
+        entry = self.active[job_id]
+        entry.preempted = reason
+        entry.terminate_at = time.monotonic() + grace_seconds
+        stop = self.jobs[job_id].stop
+        if stop is not None:
+            stop.set()
+        return entry.attempt
+
+    def fail(self, job_id: int, reason: str, detail: str | None = None) -> None:
+        """Terminate one running job's attempt as a retryable fault.
+
+        The attempt is recorded with ``reason`` and the retry policy
+        decides whether the job gets another launch or is finalized as
+        degraded (the portfolio's quarantine of a Byzantine lane).
+        """
+        entry = self.active.pop(job_id)
+        entry.process.terminate()
+        entry.process.join(timeout=1.0)
+        self._fail(
+            self.jobs[job_id], entry, reason, time.monotonic(),
+            retryable=True, finished=[], detail=detail,
+        )
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     def _launch(self, job: Job) -> None:
         now = time.monotonic()
         if job.first_launch is None:
@@ -441,10 +535,19 @@ class JobPool:
         resumed_from = None
         if job.checkpoint_path is not None:
             resumed_from = checkpoint_conflicts(
-                job.checkpoint_path, require_proof=job.config.proof_logging
+                job.checkpoint_path, require_proof=attempt_config.proof_logging
             )
+        import_queue = None
+        if self.bus is not None:
+            import_queue = self._import_queues.get(job.job_id)
+            if import_queue is None:
+                import_queue = self.context.Queue(IMPORT_QUEUE_CAPACITY)
+                self._import_queues[job.job_id] = import_queue
+            self.bus.attach(job.job_id, attempt, import_queue)
+        if job.stop is not None:
+            job.stop.clear()
         process = self.context.Process(
-            target=solve_in_worker,
+            target=job.worker or solve_in_worker,
             args=(
                 (job.job_id, attempt),
                 job.formula,
@@ -459,9 +562,9 @@ class JobPool:
                 job.checkpoint_path,
                 self.checkpoint_interval,
                 self.telemetry_seconds,
-                None,  # share_max_lbd: pool jobs never share clauses
-                None,  # import_queue
-                None,  # lane_stop
+                self.bus.max_lbd if self.bus is not None else None,
+                import_queue,
+                job.stop,
                 job.trace_context,
             ),
             daemon=True,
@@ -515,7 +618,7 @@ class JobPool:
             retryable
             and time_left
             and not self.draining
-            and self.policy.allows(job.attempts)
+            and self.policy.allows(job.attempts - job.free_attempts)
         )
         if self.trace is not None:
             event = {
@@ -565,36 +668,57 @@ class JobPool:
             )
             return
         verify_started = time.perf_counter()
+        detail = None
         try:
-            shape = check_result_shape(payload)
-            if shape is not None:
-                raise VerificationError(shape)
-            verified = (
-                verify_result(job.formula, payload, self.verification)
-                if self.verification != VERIFY_OFF
-                else None
-            )
-            if self.verification != VERIFY_OFF:
-                job.verify_seconds = time.perf_counter() - verify_started
+            if job.check is not None:
+                reason = job.check(payload)
+            else:
+                reason = check_result_shape(payload)
+                if reason is not None:
+                    raise VerificationError(reason)
+                payload.verified = (
+                    verify_result(job.formula, payload, self.verification)
+                    if self.verification != VERIFY_OFF
+                    else None
+                )
         except VerificationError as error:
+            reason, detail = "corrupted result", str(error)
+        if reason is not None:
             self._fail(
-                job, entry, "corrupted result", now,
-                retryable=True, finished=finished, detail=str(error),
+                job, entry, reason, now,
+                retryable=True, finished=finished, detail=detail,
             )
             return
-        payload.verified = verified
+        if self.verification != VERIFY_OFF:
+            job.verify_seconds = time.perf_counter() - verify_started
+        if entry.preempted is not None and payload.is_unknown:
+            # The worker yielded to preempt(); a definite answer would
+            # have beaten the reclaim, so only the UNKNOWN lands here.
+            self._requeue_preempted(job, entry, now)
+            return
         self._record(job, entry, "ok", now)
-        payload.attempts = list(job.history)
+        status = None
+        if isinstance(payload, SolveResult):
+            payload.attempts = list(job.history)
+            status = payload.status.name
         if self.monitor is not None:
             self.monitor.lane_state(
-                job.job_id, "done",
-                detail=payload.status.name, attempt=entry.attempt,
+                job.job_id, "done", detail=status, attempt=entry.attempt
             )
         self._finalize(job, payload, finished)
+
+    def _requeue_preempted(self, job: Job, entry: _Active, now) -> None:
+        """Queue a preempted job again at once, outside the retry budget."""
+        self._record(job, entry, entry.preempted, now)
+        job.free_attempts += 1
+        job.not_before = now
+        self.pending.append(job)
 
     def _finalize(self, job: Job, result: SolveResult, finished: list) -> None:
         job.result = result
         finished.append(job)
+        if self.bus is not None:
+            self.bus.detach(job.job_id)
         # Finalized jobs leave the pool's index immediately: a long-
         # running server submits an unbounded stream, and each Job pins
         # its formula, history, and the caller's reply closure.  Callers

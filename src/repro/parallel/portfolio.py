@@ -10,11 +10,12 @@ and return the first definite SAT/UNSAT answer.  Losers are cancelled
 cooperatively through the :meth:`Solver.interrupt` progress hook, with
 ``terminate`` as the backstop for unresponsive workers.
 
-The race is *supervised*: each lane (one configuration) is watched for
-crashes, signal deaths, heartbeat stalls, and — when verification is on
-— corrupted answers, and is relaunched with a fresh seed under the
-active :class:`~repro.reliability.RetryPolicy` while the other lanes
-keep racing.  A winner only leaves the race after it passes the
+The race is *supervised*: each lane (one configuration) is one job on a
+:class:`~repro.parallel.pool.JobPool`, which watches it for crashes,
+signal deaths, heartbeat stalls, and — when verification is on —
+corrupted answers, and relaunches it with a fresh seed under the active
+:class:`~repro.reliability.RetryPolicy` while the other lanes keep
+racing.  A winner only leaves the race after it passes the
 trusted-results gate.
 
 Usage::
@@ -29,53 +30,34 @@ Usage::
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
-from repro.checkpoint.snapshot import checkpoint_conflicts
 from repro.cnf.formula import CnfFormula
+from repro.observability.dashboard import MultiMonitor
+from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.sharing import (
     DEFAULT_QUARANTINE_THRESHOLD,
     DEFAULT_VERIFY_FRACTION,
-    IMPORT_QUEUE_CAPACITY,
     AdaptiveLaneManager,
     ClauseBus,
-    route_shares,
 )
-from repro.parallel.worker import (
-    drain_results,
-    route_telemetry,
-    solve_in_worker,
-    strip_for_worker,
-)
+from repro.parallel.worker import strip_for_worker
 from repro.reliability.faults import FaultPlan
-from repro.reliability.guards import StallClock, crash_reason
 from repro.reliability.retry import RetryPolicy, as_retry_policy
-from repro.reliability.verify import (
-    VerificationError,
-    check_result_shape,
-    verify_result,
-)
 from repro.solver.config import (
     VERIFICATION_LEVELS,
-    VERIFY_OFF,
     SolverConfig,
     config_by_name,
 )
-from repro.solver.result import AttemptRecord, SolveResult, SolveStatus
+from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import aggregate_stats
 
-#: How long the parent waits between queue polls while workers run.
-_POLL_SECONDS = 0.02
 #: How long a cancelled loser gets to exit cooperatively before being
 #: terminated.
 DEFAULT_GRACE_SECONDS = 1.0
-#: Minimum remaining budget (seconds) worth launching a retry into.
-_MIN_RETRY_BUDGET = 0.05
 
 #: Preset rotation used by :func:`default_portfolio`: orthogonal
 #: decision/database strategies first (the configurations the paper
@@ -108,43 +90,6 @@ def default_portfolio(size: int = 4, base_seed: int = 0) -> list[SolverConfig]:
         config_by_name(PORTFOLIO_PRESETS[i % len(PORTFOLIO_PRESETS)], seed=base_seed + i)
         for i in range(size)
     ]
-
-
-@dataclass
-class _Lane:
-    """One portfolio member (a configuration) across its attempts."""
-
-    index: int
-    config: SolverConfig
-    attempts: int = 0  # launches so far (== next 0-based attempt index)
-    history: list[AttemptRecord] = field(default_factory=list)
-    not_before: float = 0.0  # backoff gate for the next launch
-    #: An honest (budget-exhausted) UNKNOWN this lane reported.
-    result: SolveResult | None = None
-    #: Terminal failure reason once the lane is out of retries.
-    failure: str | None = None
-    #: Why the supervisor is reclaiming the running attempt
-    #: ("adapt:<mutation>"), consumed when the worker yields.
-    preempt: str | None = None
-    #: Launches that do not count against the retry budget (adaptive
-    #: relaunches: the lane did nothing wrong, the *bandit* changed it).
-    free_attempts: int = 0
-
-
-@dataclass
-class _Active:
-    """One running worker process and its watchdog state."""
-
-    process: multiprocessing.Process
-    clock: StallClock
-    attempt: int
-    config: SolverConfig
-    #: Conflict count inherited from a checkpoint at launch (None = cold).
-    resumed_from: int | None = None
-    #: Per-lane preemption event (quarantine / adaptive reclaim).
-    stop: object | None = None
-    #: When the supervisor asked this attempt to stop (grace backstop).
-    preempted_at: float | None = None
 
 
 class PortfolioSolver:
@@ -296,18 +241,19 @@ class PortfolioSolver:
         carrying the merged stats of every member that reported back and
         the concatenated attempt history of all lanes — the race never
         raises because one worker was lost.
+
+        Each lane is one job on a :class:`~repro.parallel.pool.JobPool`
+        sharing one race deadline; this method only adds what a race
+        needs on top of the pool: first-answer-wins, quarantine of
+        Byzantine sharers, and the bandit's adaptive relaunches.
         """
         if not isinstance(formula, CnfFormula):
             formula = CnfFormula(formula)
-        policy = self.retry
-        verification = self.verification
         monitor = self.monitor
-        trace = self.trace
-
         worker_configs = [
-            strip_for_worker(config, verification) for config in self.configs
+            strip_for_worker(config, self.verification) for config in self.configs
         ]
-        base_limits = {
+        limits = {
             "assumptions": tuple(assumptions),
             "max_conflicts": max_conflicts,
             "max_decisions": max_decisions,
@@ -316,380 +262,101 @@ class PortfolioSolver:
         }
         if self.checkpoint_dir is not None:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
-        context = multiprocessing.get_context()
-        cancel = context.Event()
-        results_queue = context.Queue()
-        lanes = [_Lane(index, config) for index, config in enumerate(worker_configs)]
-        bus: ClauseBus | None = None
-        import_queues: list = [None] * len(lanes)
-        if self.share and len(lanes) > 1:
+        bus = None
+        if self.share and len(worker_configs) > 1:
             bus = ClauseBus(
                 formula,
-                len(lanes),
+                len(worker_configs),
                 max_lbd=self.share_max_lbd,
                 verify_fraction=self.share_verify_fraction,
                 quarantine_threshold=self.quarantine_threshold,
                 rng=random.Random(10007 + self.configs[0].seed),
-                trace=trace,
+                trace=self.trace,
             )
-            import_queues = [context.Queue(IMPORT_QUEUE_CAPACITY) for _ in lanes]
-        adapt_mgr = AdaptiveLaneManager() if self.adapt and len(lanes) > 1 else None
-        lane_restarts_total = 0
-        if monitor is not None:
-            monitor.fleet_started(
-                len(lanes), labels=[config.name for config in worker_configs]
-            )
-        pending: list[_Lane] = list(lanes)
-        active: dict[int, _Active] = {}
-        collected: dict = {}
+        adapt = (
+            AdaptiveLaneManager() if self.adapt and len(worker_configs) > 1 else None
+        )
+        observers = [watcher for watcher in (monitor, adapt) if watcher is not None]
+        pool = JobPool(
+            self.jobs,
+            retry=self.retry,
+            verification=self.verification,
+            stall_seconds=self.stall_seconds,
+            max_memory_mb=self.max_memory_mb,
+            fault_plan=self.fault_plan,
+            checkpoint_interval=self.checkpoint_interval,
+            monitor=MultiMonitor(*observers) if observers else None,
+            trace=self.trace,
+            telemetry_seconds=self.telemetry_seconds if observers else None,
+            bus=bus,
+        )
         deadline = (
             None
             if max_seconds is None
             else time.monotonic() + max_seconds + self.grace_seconds
         )
+        lanes = [
+            pool.submit(
+                Job(
+                    job_id=index,
+                    formula=formula,
+                    config=config,
+                    limits=limits,
+                    deadline=deadline,
+                    checkpoint_path=(
+                        os.path.join(self.checkpoint_dir, f"lane-{index:02d}.ckpt")
+                        if self.checkpoint_dir is not None
+                        else None
+                    ),
+                    stop=pool.context.Event() if adapt is not None else None,
+                )
+            )
+            for index, config in enumerate(worker_configs)
+        ]
+        if monitor is not None:
+            monitor.fleet_started(
+                len(lanes), labels=[config.name for config in worker_configs]
+            )
         started = time.perf_counter()
-        timed_out = False
-        retries_total = 0
         champion: SolveResult | None = None
-        champion_lane: _Lane | None = None
-
-        def launch(lane: _Lane) -> None:
-            now = time.monotonic()
-            attempt = lane.attempts
-            attempt_config = policy.config_for_attempt(lane.config, attempt)
-            limits = dict(base_limits)
-            if deadline is not None and limits["max_seconds"] is not None:
-                # Retries solve inside whatever wall-clock budget remains.
-                remaining = deadline - now
-                limits["max_seconds"] = max(min(limits["max_seconds"], remaining), 0.01)
-            heartbeat = context.Value("d", now)
-            fault = self.fault_plan.lookup(lane.index, attempt) if self.fault_plan else None
-            checkpoint_path = None
-            resumed_from = None
-            if self.checkpoint_dir is not None:
-                checkpoint_path = os.path.join(
-                    self.checkpoint_dir, f"lane-{lane.index:02d}.ckpt"
-                )
-                resumed_from = checkpoint_conflicts(
-                    checkpoint_path, require_proof=attempt_config.proof_logging
-                )
-            stop = context.Event() if (bus is not None or adapt_mgr is not None) else None
-            if bus is not None:
-                bus.attach(lane.index, attempt, import_queues[lane.index])
-            if adapt_mgr is not None:
-                adapt_mgr.record_launch(lane.index, now)
-            process = context.Process(
-                target=solve_in_worker,
-                args=(
-                    (lane.index, attempt),
-                    formula,
-                    attempt_config,
-                    limits,
-                    cancel,
-                    results_queue,
-                    heartbeat,
-                    attempt,
-                    fault,
-                    self.max_memory_mb,
-                    checkpoint_path,
-                    self.checkpoint_interval,
-                    self.telemetry_seconds
-                    if (monitor is not None or adapt_mgr is not None)
-                    else None,
-                    self.share_max_lbd if bus is not None else None,
-                    import_queues[lane.index],
-                    stop,
-                ),
-                daemon=True,
-            )
-            process.start()
-            if attempt and trace is not None:
-                event = {
-                    "type": "worker_retry",
-                    "lane": lane.index,
-                    "attempt": attempt,
-                }
-                if resumed_from is not None:
-                    event["resumed_from_conflicts"] = resumed_from
-                trace.emit(event)
-            if monitor is not None:
-                state = "resumed" if attempt and resumed_from is not None else "running"
-                monitor.lane_state(lane.index, state, attempt=attempt)
-            active[lane.index] = _Active(
-                process,
-                StallClock(now, heartbeat),
-                attempt,
-                attempt_config,
-                resumed_from=resumed_from,
-                stop=stop,
-            )
-            lane.attempts += 1
-
-        def record(lane, entry, outcome, now, detail=None) -> None:
-            lane.history.append(
-                AttemptRecord(
-                    attempt=entry.attempt,
-                    config_name=entry.config.name,
-                    seed=entry.config.seed,
-                    outcome=outcome,
-                    wall_seconds=now - entry.clock.launch,
-                    detail=detail,
-                    resumed_from_conflicts=entry.resumed_from,
-                )
-            )
-
-        def fail(lane, entry, reason, now, *, retryable=True, detail=None) -> None:
-            nonlocal retries_total
-            lane.preempt = None  # a real fault supersedes a pending reclaim
-            record(lane, entry, reason, now, detail)
-            time_left = deadline is None or deadline - now > _MIN_RETRY_BUDGET
-            retrying = (
-                retryable
-                and time_left
-                and policy.allows(lane.attempts - lane.free_attempts)
-            )
-            if trace is not None:
-                trace.emit(
-                    {
-                        "type": "worker_fault",
-                        "lane": lane.index,
-                        "attempt": entry.attempt,
-                        "reason": reason,
-                        "will_retry": retrying,
-                    }
-                )
-            if retrying:
-                retries_total += 1
-                lane.not_before = now + policy.delay(lane.attempts)
-                pending.append(lane)
-                if monitor is not None:
-                    monitor.lane_state(
-                        lane.index, "retrying", detail=reason, attempt=entry.attempt
-                    )
-            else:
-                lane.failure = reason
-                if bus is not None:
-                    bus.detach(lane.index)
-                if monitor is not None:
-                    monitor.lane_state(
-                        lane.index, "degraded", detail=reason, attempt=entry.attempt
-                    )
-
-        def finish(lane, entry, payload, now) -> None:
-            nonlocal champion, champion_lane
-            if payload is None:
-                # The worker's solve raised and posted a None payload.
-                fail(
-                    lane, entry, "worker crashed", now,
-                    detail="worker raised an exception",
-                )
-                return
-            try:
-                shape = check_result_shape(payload)
-                if shape is not None:
-                    raise VerificationError(shape)
-                verified = (
-                    verify_result(formula, payload, verification)
-                    if verification != VERIFY_OFF
-                    else None
-                )
-            except VerificationError as error:
-                fail(lane, entry, "corrupted result", now, detail=str(error))
-                return
-            payload.verified = verified
-            if payload.is_unknown and lane.preempt is not None:
-                # The supervisor reclaimed this attempt (adaptive
-                # preemption) and the worker yielded an interrupted
-                # UNKNOWN: relaunch under the mutated configuration
-                # without burning retry budget — the lane did nothing
-                # wrong.  A definite answer beats a pending reclaim, so
-                # only the UNKNOWN path lands here.
-                reason = lane.preempt
-                lane.preempt = None
-                lane.free_attempts += 1
-                record(lane, entry, reason, now)
-                lane.not_before = now
-                pending.append(lane)
-                return
-            record(lane, entry, "ok", now)
-            if monitor is not None:
-                monitor.lane_state(
-                    lane.index, "done",
-                    detail=payload.status.name, attempt=entry.attempt,
-                )
-            if payload.is_unknown:
-                # An honest budget-exhausted answer: the lane is done but
-                # contributes its stats to a synthesized UNKNOWN.
-                lane.result = payload
-                if bus is not None:
-                    bus.detach(lane.index)
-            elif champion is None:
-                champion = payload
-                champion_lane = lane
-
+        lane_restarts = 0
         try:
-            while champion is None and (active or pending):
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    timed_out = True
-                    break
-                for lane in list(pending):
-                    if len(active) >= self.jobs:
-                        break
-                    if lane.not_before <= now:
-                        pending.remove(lane)
-                        launch(lane)
-                drain_results(results_queue, collected, timeout=_POLL_SECONDS)
-                route_telemetry(
-                    collected,
-                    monitor,
-                    observer=adapt_mgr.observe if adapt_mgr is not None else None,
+            while champion is None and not pool.idle:
+                champion = next(
+                    (job.result for job in pool.poll() if not job.result.is_unknown),
+                    None,
                 )
-                now = time.monotonic()
-                if bus is not None:
-                    route_shares(collected, bus)
-                    bus.pump()
-                    for index in bus.poisoned_lanes():
-                        # Hard rejections over threshold: Byzantine
-                        # evidence.  Mute + purge fleet-wide, then hand
-                        # the lane to the normal fault path — the retry
-                        # policy decides whether it gets another life.
-                        lane = lanes[index]
-                        state = bus.mark_quarantined(index)
-                        lane_restarts_total += 1
-                        entry = active.get(index)
-                        attempt = entry.attempt if entry is not None else lane.attempts - 1
-                        if trace is not None:
-                            trace.emit(
-                                {
-                                    "type": "lane_quarantine",
-                                    "lane": index,
-                                    "attempt": attempt,
-                                    "rejections": state.hard_rejections,
-                                    "exported": state.exported,
-                                    "reason": "hard share rejections over threshold",
-                                }
-                            )
-                        if monitor is not None:
-                            monitor.lane_state(
-                                index,
-                                "quarantined",
-                                detail=f"{state.hard_rejections} hard share rejections",
-                                attempt=attempt,
-                            )
-                        if entry is not None:
-                            entry.process.terminate()
-                            entry.process.join(timeout=1.0)
-                            del active[index]
-                            fail(
-                                lane,
-                                entry,
-                                "quarantined (byzantine clause sharing)",
-                                now,
-                                detail=f"{state.hard_rejections} hard rejections "
-                                f"across {state.exported} accepted exports",
-                            )
-                if adapt_mgr is not None:
-                    candidates = [
-                        index
-                        for index, entry in active.items()
-                        if lanes[index].preempt is None
-                        and entry.preempted_at is None
-                        and (bus is None or not bus.lanes[index].quarantined)
-                    ]
-                    victim = adapt_mgr.pick_victim(now, candidates)
-                    if victim is not None:
-                        lane = lanes[victim]
-                        entry = active[victim]
-                        mutated, label = adapt_mgr.mutate(victim, lane.config)
-                        lane.config = mutated
-                        lane.preempt = f"adapt:{label}"
-                        lane_restarts_total += 1
-                        entry.preempted_at = now
-                        if entry.stop is not None:
-                            entry.stop.set()
-                        if trace is not None:
-                            trace.emit(
-                                {
-                                    "type": "lane_adapt",
-                                    "lane": victim,
-                                    "attempt": entry.attempt,
-                                    "mutation": label,
-                                }
-                            )
-                        if monitor is not None:
-                            monitor.lane_state(
-                                victim, "adapted", detail=label, attempt=entry.attempt
-                            )
-                now = time.monotonic()
-                for index, entry in list(active.items()):
-                    lane = lanes[index]
-                    tag = (index, entry.attempt)
-                    if tag in collected:
-                        entry.process.join()
-                        del active[index]
-                        finish(lane, entry, collected.pop(tag), now)
-                    elif not entry.process.is_alive():
-                        # Dead without a visible result: its payload may
-                        # still be in the pipe; give it one bounded drain
-                        # before declaring the worker crashed.
-                        entry.process.join()
-                        drain_results(results_queue, collected, timeout=0.2)
-                        del active[index]
-                        if tag in collected:
-                            finish(lane, entry, collected.pop(tag), now)
-                        else:
-                            fail(lane, entry, crash_reason(entry.process.exitcode), now)
-                    elif entry.clock.stalled_for(now, self.stall_seconds):
-                        entry.process.terminate()
-                        entry.process.join(timeout=1.0)
-                        del active[index]
-                        fail(lane, entry, "stalled (no heartbeat)", now)
-                    elif (
-                        entry.preempted_at is not None
-                        and now - entry.preempted_at > self.grace_seconds
-                    ):
-                        # The reclaimed worker ignored its stop event
-                        # past the grace window; terminate is the
-                        # backstop, and the relaunch still rides free.
-                        entry.process.terminate()
-                        entry.process.join(timeout=1.0)
-                        del active[index]
-                        reason = lane.preempt or "preempted"
-                        lane.preempt = None
-                        lane.free_attempts += 1
-                        record(lane, entry, reason, now)
-                        lane.not_before = now
-                        pending.append(lane)
+                if champion is None and bus is not None:
+                    lane_restarts += self._quarantine(pool, bus, lanes)
+                if champion is None and adapt is not None:
+                    lane_restarts += self._adapt(pool, adapt, lanes)
         finally:
-            cancel.set()
-            for entry in active.values():
-                entry.process.join(timeout=self.grace_seconds)
-                if entry.process.is_alive():
-                    entry.process.terminate()
-                    entry.process.join(timeout=1.0)
-            results_queue.close()
-            results_queue.cancel_join_thread()
-            for import_queue in import_queues:
-                if import_queue is not None:
-                    import_queue.close()
-                    import_queue.cancel_join_thread()
+            pool.close(self.grace_seconds)
 
         elapsed = time.perf_counter() - started
+        retries = pool.retries
         if champion is not None:
             champion.wall_seconds = elapsed
-            champion.attempts = list(champion_lane.history)
-            champion.stats.worker_retries += retries_total
-            champion.stats.lane_restarts += lane_restarts_total
+            champion.stats.worker_retries += retries
+            champion.stats.lane_restarts += lane_restarts
             if monitor is not None:
                 monitor.fleet_finished(
                     f"{champion.status.name} by {champion.config_name} "
-                    f"in {elapsed:.3f}s ({retries_total} retries)"
+                    f"in {elapsed:.3f}s ({retries} retries)"
                 )
             return champion
-        reported = [lane.result for lane in lanes if lane.result is not None]
-        failures = sorted({lane.failure for lane in lanes if lane.failure})
-        if timed_out:
+        # Honest (budget-exhausted) UNKNOWNs contribute their stats; the
+        # pool finalizes a lane past its retries as a degraded UNKNOWN,
+        # and the race deadline as "time budget" / "deadline expired".
+        results = [job.result for job in lanes]
+        expired = any(result.limit_reason == DEADLINE_EXPIRED for result in results)
+        failures = sorted({result.limit_reason for result in results if result.degraded})
+        reported = [
+            result
+            for result in results
+            if not result.degraded and result.limit_reason != DEADLINE_EXPIRED
+        ]
+        if expired or "time budget" in failures:
             reason = "time budget"
         elif reported:
             reasons = sorted(
@@ -702,9 +369,9 @@ class PortfolioSolver:
         else:
             reason = "worker crashed"
         stats = aggregate_stats(result.stats for result in reported)
-        stats.worker_retries += retries_total
-        stats.lane_restarts += lane_restarts_total
-        history = [record for lane in lanes for record in lane.history]
+        stats.worker_retries += retries
+        stats.lane_restarts += lane_restarts
+        history = [record for job in lanes for record in job.history]
         if monitor is not None:
             monitor.fleet_finished(f"UNKNOWN ({reason}) in {elapsed:.3f}s")
         return SolveResult(
@@ -715,3 +382,72 @@ class PortfolioSolver:
             wall_seconds=elapsed,
             attempts=history or None,
         )
+
+    def _quarantine(self, pool: JobPool, bus: ClauseBus, lanes: list[Job]) -> int:
+        """Quarantine every lane over the bus's hard-rejection threshold.
+
+        Hard rejections are Byzantine evidence: the lane is muted and
+        purged fleet-wide, then failed through the pool, whose retry
+        policy decides whether it gets another life.  Returns the number
+        of lanes quarantined.
+        """
+        poisoned = bus.poisoned_lanes()
+        for index in poisoned:
+            state = bus.mark_quarantined(index)
+            entry = pool.active.get(index)
+            attempt = entry.attempt if entry is not None else lanes[index].attempts - 1
+            if self.trace is not None:
+                self.trace.emit(
+                    {
+                        "type": "lane_quarantine",
+                        "lane": index,
+                        "attempt": attempt,
+                        "rejections": state.hard_rejections,
+                        "exported": state.exported,
+                        "reason": "hard share rejections over threshold",
+                    }
+                )
+            if self.monitor is not None:
+                self.monitor.lane_state(
+                    index,
+                    "quarantined",
+                    detail=f"{state.hard_rejections} hard share rejections",
+                    attempt=attempt,
+                )
+            if entry is not None:
+                pool.fail(
+                    index,
+                    "quarantined (byzantine clause sharing)",
+                    detail=f"{state.hard_rejections} hard rejections "
+                    f"across {state.exported} accepted exports",
+                )
+        return len(poisoned)
+
+    def _adapt(self, pool: JobPool, adapt: AdaptiveLaneManager, lanes: list[Job]) -> int:
+        """Preempt the bandit's clearly-losing lane under a mutated config.
+
+        The relaunch spends no retry budget (the lane did nothing wrong)
+        and warm-resumes from the lane's checkpoint where one is valid.
+        Returns 1 when a lane was preempted this tick, else 0.
+        """
+        candidates = [
+            index for index, entry in pool.active.items() if entry.preempted is None
+        ]
+        victim = adapt.pick_victim(time.monotonic(), candidates)
+        if victim is None:
+            return 0
+        job = lanes[victim]
+        job.config, label = adapt.mutate(victim, job.config)
+        attempt = pool.preempt(victim, f"adapt:{label}", self.grace_seconds)
+        if self.trace is not None:
+            self.trace.emit(
+                {
+                    "type": "lane_adapt",
+                    "lane": victim,
+                    "attempt": attempt,
+                    "mutation": label,
+                }
+            )
+        if self.monitor is not None:
+            self.monitor.lane_state(victim, "adapted", detail=label, attempt=attempt)
+        return 1

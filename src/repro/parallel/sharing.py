@@ -54,10 +54,12 @@ from __future__ import annotations
 
 import math
 import struct
+import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.observability.dashboard import FleetMonitor
 from repro.solver.config import (
     DECISION_GLOBAL,
     DECISION_VSIDS,
@@ -261,10 +263,11 @@ class ClauseBus:
     """Parent-side hub: validate, spot-check, dedup, fan out, attribute.
 
     The bus owns all fleet-level sharing state.  Workers talk to it only
-    through queue frames; the supervising loop calls :meth:`offer` /
-    :meth:`notice` (via :func:`route_shares`), :meth:`pump` once per
-    tick, and :meth:`poisoned_lanes` to learn which lanes crossed the
-    quarantine threshold.
+    through queue frames; the :class:`~repro.parallel.pool.JobPool` it
+    is attached to calls :meth:`offer` / :meth:`notice` (via
+    :func:`route_shares`) and :meth:`pump` once per tick, and the
+    portfolio calls :meth:`poisoned_lanes` to learn which lanes crossed
+    the quarantine threshold.
     """
 
     def __init__(
@@ -555,10 +558,10 @@ def route_shares(collected: dict, bus: ClauseBus | None) -> int:
 
     Mirrors :func:`~repro.parallel.worker.route_telemetry`: sharing
     rides the result queue under 4-tuple tags, and this sweep keeps the
-    supervising loops' "every remaining tag is a result" invariant
-    intact.  With no bus the entries are still popped (and dropped), so
-    stray frames can never wedge a non-sharing supervisor.  Returns the
-    number of entries routed.
+    pool's "every remaining tag is a result" invariant intact.  With no
+    bus the entries are still popped (and dropped), so stray frames can
+    never wedge a non-sharing supervisor.  Returns the number of entries
+    routed.
     """
     routed = 0
     for tag in [key for key in collected if isinstance(key, tuple) and len(key) == 4]:
@@ -625,8 +628,12 @@ def mutate_config(config: SolverConfig, step: int) -> tuple[SolverConfig, str]:
     )
 
 
-class AdaptiveLaneManager:
+class AdaptiveLaneManager(FleetMonitor):
     """UCB-style bandit that preempts the losing lane and mutates it.
+
+    It reads the fleet as a :class:`~repro.observability.FleetMonitor`:
+    every launch (``running``/``resumed``) restarts the lane's sample
+    window, and every telemetry row is a reward sample.
 
     Rewards are per-telemetry-row throughput samples
     (``log1p(props/s) + log1p(conflicts/s)``, so a lane stuck at zero
@@ -669,9 +676,15 @@ class AdaptiveLaneManager:
     def observe(self, lane: int, row: dict) -> None:
         self._rewards.setdefault(lane, []).append(self.reward(row))
 
+    lane_telemetry = observe
+
     def record_launch(self, lane: int, now: float) -> None:
         self._launched_at[lane] = now
         self._rewards[lane] = []
+
+    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
+        if state in ("running", "resumed"):
+            self.record_launch(lane, time.monotonic())
 
     def scores(self, lanes) -> dict[int, tuple[float, float]]:
         """(mean, ucb) per candidate lane with enough samples."""

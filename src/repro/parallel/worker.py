@@ -6,11 +6,12 @@ narrow: a worker posts **exactly one** ``(tag, payload)`` tuple on the
 result queue — a :class:`~repro.solver.result.SolveResult` on success,
 ``None`` when the solve raised — or dies without posting anything (a
 hard crash), which the parent detects by watching process liveness.
-That contract is what lets :class:`~repro.parallel.PortfolioSolver` and
-:func:`~repro.parallel.solve_batch` degrade gracefully instead of
-hanging on a lost worker.  Supervising parents use ``(index, attempt)``
-tuples as tags so a late post from a terminated attempt can never be
-mistaken for its retry's answer.
+That contract is what lets :class:`~repro.parallel.pool.JobPool` — the
+one parent, supervising the portfolio, the batch, grouped sessions and
+the solver service alike — degrade gracefully instead of hanging on a
+lost worker.  The pool tags results with ``(job, attempt)`` tuples so a
+late post from a terminated attempt can never be mistaken for its
+retry's answer.
 
 The reliability layer hooks in here, at process entry:
 
@@ -317,16 +318,16 @@ def drain_results(results_queue, collected: dict, timeout: float = 0.0) -> None:
         block = 0.0
 
 
-def route_telemetry(collected: dict, monitor=None, observer=None) -> int:
+def route_telemetry(collected: dict, monitor=None) -> int:
     """Pop telemetry rows out of a drained ``collected`` dict.
 
     Telemetry rides the result queue under 3-tuple
     ``("telemetry", lane, attempt)`` tags; answers never use those, so
-    this sweep is what keeps the supervising loops' "every tag is a
-    result" invariant intact.  Each popped row is forwarded to
-    ``monitor.lane_telemetry(lane, row)`` when a monitor is given, and
-    to ``observer(lane, row)`` when one is given (the adaptive lane
-    manager's feed).  Returns the number of rows routed.
+    this sweep is what keeps the pool's "every tag is a result"
+    invariant intact.  Each popped row is forwarded to
+    ``monitor.lane_telemetry(lane, row)`` when a monitor is given (the
+    adaptive lane manager reads the fleet as one).  Returns the number
+    of rows routed.
     """
     routed = 0
     for tag in [key for key in collected if isinstance(key, tuple) and len(key) == 3]:
@@ -334,9 +335,6 @@ def route_telemetry(collected: dict, monitor=None, observer=None) -> int:
             continue
         row = collected.pop(tag)
         routed += 1
-        if row is not None:
-            if monitor is not None:
-                monitor.lane_telemetry(tag[1], row)
-            if observer is not None:
-                observer(tag[1], row)
+        if row is not None and monitor is not None:
+            monitor.lane_telemetry(tag[1], row)
     return routed

@@ -1102,20 +1102,6 @@ class Solver:
                 attached += 1
         return attached
 
-    def _restore_learned_clause(
-        self, ordered: list[int], activity: int, birth: int, protected: bool, lbd: int
-    ) -> None:
-        """Install one snapshot row as a learned clause (restore path).
-
-        ``ordered`` already surfaces two watchable literals first; the
-        caller handles any unit enqueue / conflict that follows.
-        """
-        clause = Clause(ordered, learned=True, birth=birth, lbd=lbd)
-        clause.activity = activity
-        clause.protected = protected
-        self.learned.append(clause)
-        self.attach_clause(clause)
-
     def _learned_snapshot_rows(self) -> list[tuple[list[int], int, int, bool]]:
         """``(encoded_literals, activity, birth, protected)`` rows for capture."""
         return [

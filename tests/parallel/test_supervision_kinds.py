@@ -1,0 +1,210 @@
+"""Supervision behaviours shared by every engine that launches workers.
+
+Portfolio lanes and grouped sessions run as job kinds on the same
+supervised pool as the batch engine.  These tests pin the behaviours
+that are specific to those kinds: warm resume of a killed lane, the
+free (budget-neutral) adaptive relaunch with terminate as its backstop,
+a hard group timeout that degrades only its own group, and the
+portfolio CLI's SIGTERM cleanup.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
+
+from repro.generators import pigeonhole_formula
+from repro.parallel import PortfolioSolver, solve_grouped
+from repro.parallel.sharing import AdaptiveLaneManager
+from repro.reliability import FaultPlan, FaultSpec, RetryPolicy
+from repro.reliability.retry import NO_RETRY
+from repro.solver.config import config_by_name
+from repro.solver.result import SolveStatus
+
+pytestmark = pytest.mark.fault_injection
+
+FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.01)
+
+CHAIN_GROUP = [
+    ([[1, 2], [-1, -2]], [1]),
+    ([[2, 3], [-2, -3]], [1, -3]),
+    ([], [1, 3]),
+]
+SHRINK_GROUP = [
+    ([[1, 2]], []),
+    ([[-1]], []),
+    ([[-2]], []),
+]
+
+
+def _two_lanes():
+    return [config_by_name("berkmin", seed=1), config_by_name("chaff", seed=2)]
+
+
+def _pick_lane_zero_once(monkeypatch):
+    """Make the bandit preempt lane 0 the first time it is a candidate."""
+    picked: list[int] = []
+
+    def pick_victim(self, now, lanes):
+        if not picked and 0 in lanes:
+            picked.append(0)
+            return 0
+        return None
+
+    monkeypatch.setattr(AdaptiveLaneManager, "pick_victim", pick_victim)
+    return picked
+
+
+def test_killed_lane_warm_resumes_from_its_checkpoint(tmp_path):
+    portfolio = PortfolioSolver(
+        ["berkmin"],
+        retry=FAST_RETRY,
+        verification="full",
+        checkpoint_dir=tmp_path,
+        checkpoint_interval=100,
+        fault_plan=FaultPlan(
+            specs=(FaultSpec("signal", worker=0, attempt=0, after_conflicts=300),)
+        ),
+    )
+    result = portfolio.solve(pigeonhole_formula(6))
+    assert result.status is SolveStatus.UNSAT
+    assert result.verified == "proof"
+    assert result.attempts[0].outcome.startswith("worker crashed")
+    assert result.attempts[1].resumed_from_conflicts >= 100
+    assert result.stats.worker_retries == 1
+
+
+def test_adaptive_relaunch_spends_no_retry_budget(monkeypatch):
+    picked = _pick_lane_zero_once(monkeypatch)
+    portfolio = PortfolioSolver(
+        _two_lanes(),
+        jobs=2,
+        retry=NO_RETRY,
+        adapt=True,
+        verification="full",
+        fault_plan=FaultPlan.single("hang", worker=1, seconds=60.0),
+    )
+    result = portfolio.solve(pigeonhole_formula(6))
+    assert picked == [0]
+    assert result.status is SolveStatus.UNSAT
+    assert result.verified == "proof"
+    assert result.attempts[0].outcome.startswith("adapt:")
+    assert result.attempts[-1].outcome == "ok"
+    assert result.stats.lane_restarts == 1
+    assert result.stats.worker_retries == 0
+
+
+def test_preempted_lane_that_ignores_its_stop_event_is_terminated(monkeypatch):
+    picked = _pick_lane_zero_once(monkeypatch)
+    plan = FaultPlan(
+        specs=(
+            FaultSpec("hang", worker=0, attempt=0, seconds=60.0),
+            FaultSpec("hang", worker=1, attempt=0, seconds=60.0),
+        )
+    )
+    portfolio = PortfolioSolver(
+        _two_lanes(),
+        jobs=2,
+        retry=NO_RETRY,
+        adapt=True,
+        grace_seconds=0.5,
+        verification="full",
+        fault_plan=plan,
+    )
+    started = time.monotonic()
+    result = portfolio.solve(pigeonhole_formula(5))
+    assert picked == [0]
+    assert result.status is SolveStatus.UNSAT
+    assert result.verified == "proof"
+    first = result.attempts[0]
+    assert first.outcome.startswith("adapt:")
+    assert first.wall_seconds >= 0.5
+    assert result.attempts[-1].outcome == "ok"
+    assert result.stats.worker_retries == 0
+    assert result.stats.lane_restarts == 1
+    assert time.monotonic() - started < 30.0
+
+
+def test_grouped_hard_timeout_degrades_only_the_hung_group():
+    grouped = solve_grouped(
+        [CHAIN_GROUP, SHRINK_GROUP],
+        jobs=2,
+        verification="sat",
+        timeout=1.0,
+        fault_plan=FaultPlan.single("hang", worker=0, seconds=30.0),
+    )
+    victim, survivor = grouped.groups
+    assert victim.degraded
+    assert victim.failure
+    assert len(victim.results) == len(CHAIN_GROUP)
+    assert all(result.status is SolveStatus.UNKNOWN for result in victim.results)
+    assert not survivor.degraded
+    assert [result.status for result in survivor.results] == [
+        SolveStatus.SAT, SolveStatus.SAT, SolveStatus.UNSAT,
+    ]
+    assert grouped.retries == 0
+
+
+def _children(pid: int) -> list[int]:
+    """Live child processes of ``pid`` (scanned from /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # fields[0] is the state, fields[1] the parent pid.
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_portfolio_cli_sigterm_cleans_up_every_worker(tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "hole10.cnf"
+    assert main(["generate", "hole", "--size", "10", "-o", str(path)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "solve", str(path),
+         "--portfolio", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        stop = time.monotonic() + 30.0
+        workers: list[int] = []
+        while len(workers) < 2:
+            assert proc.poll() is None, "the portfolio finished before SIGTERM"
+            assert time.monotonic() < stop, "workers never started"
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        stdout, _ = proc.communicate(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143
+    assert "terminated (SIGTERM)" in stdout
+    assert not [pid for pid in workers if _alive(pid)]
