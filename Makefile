@@ -35,9 +35,10 @@ bench:
 bench-portfolio:
 	$(PYTHON) -m pytest benchmarks/bench_portfolio.py --benchmark-only
 
-# The BCP perf harness: times the split binary-implication engine against
-# the watched-literal reference on the pinned suite and writes the repo's
-# perf-trajectory data point (see docs/BENCHMARKS.md "Performance").
+# The BCP perf harness: times the engine on the pinned suite (props/s,
+# conflicts/s, decisions/s per instance), checks every preset against the
+# DPLL baseline, and writes the repo's perf-trajectory data point (see
+# docs/BENCHMARKS.md "Performance").
 bench-bcp:
 	$(PYTHON) -m repro.cli bench --out BENCH_2.json
 

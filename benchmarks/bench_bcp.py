@@ -1,33 +1,29 @@
-"""BCP bench — split binary-implication engine vs the watched-literal
-reference, one pytest-benchmark case per (instance, engine) pair.
+"""BCP bench — one pytest-benchmark case per pinned quick-suite instance.
 
 ``make bench-bcp`` runs the aggregate CLI harness instead
-(``repro-sat bench --out BENCH_2.json``, the source of the repo-root
+(``repro-sat bench --out BENCH_N.json``, the source of the repo-root
 ``BENCH_*.json`` trajectory); this module is for drilling into single
 instances with pytest-benchmark's statistics:
 ``pytest benchmarks/bench_bcp.py --benchmark-only``.
 
 Every case records conflict/decision/propagation counts in
-``extra_info`` — the engines must produce identical counts (the
-differential tests and the CLI harness enforce it; here the numbers are
-captured so a timing diff can be read next to its search-trace
-fingerprint).
+``extra_info``, so a timing diff can be read next to its search-trace
+fingerprint (the counts are deterministic for a pinned instance).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import MODES, bench_suite
+from repro.bench import bench_suite
 from repro.solver.config import config_by_name
 from repro.solver.solver import Solver
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("instance", bench_suite("quick"), ids=lambda i: i.name)
-def test_bcp_engine(benchmark, instance, mode):
+def test_bcp_engine(benchmark, instance):
     formula = instance.build()
-    config = config_by_name("berkmin", propagation=mode)
+    config = config_by_name("berkmin")
 
     def run():
         return Solver(formula, config=config).solve()
@@ -35,7 +31,6 @@ def test_bcp_engine(benchmark, instance, mode):
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     stats = result.stats
     benchmark.extra_info["instance"] = instance.name
-    benchmark.extra_info["engine"] = mode
     benchmark.extra_info["status"] = result.status.value
     benchmark.extra_info["conflicts"] = stats.conflicts
     benchmark.extra_info["decisions"] = stats.decisions

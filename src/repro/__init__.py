@@ -34,7 +34,6 @@ Quickstart::
 """
 
 from repro.cnf import (
-    Clause,
     CnfFormula,
     parse_dimacs,
     parse_dimacs_file,
@@ -109,7 +108,6 @@ __all__ = [
     "AnswerCache",
     "AsyncSolverClient",
     "BatchResult",
-    "Clause",
     "CnfFormula",
     "FaultPlan",
     "FaultSpec",

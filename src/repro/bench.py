@@ -1,26 +1,18 @@
 """The BCP performance harness behind ``repro-sat bench``.
 
 Runs a pinned, seeded suite of generator instances (pigeonhole, random
-3-SAT at the phase-transition ratio, parity/XOR systems, n-queens) under
-all three propagation engines — the split binary-implication layer
-(``propagation="split"``, the default), the watched-literal reference
-path (``propagation="general"``, the pre-split implementation style),
-and the flat-buffer arena engine with inprocessing
-(``propagation="arena"``) — and reports wall time plus
-propagations/conflicts/decisions per second for each.
+3-SAT at the phase-transition ratio, parity/XOR systems, n-queens) and
+reports wall time plus propagations/conflicts/decisions per second for
+each.
 
-The harness doubles as a correctness gate: for every instance and for
-every paper configuration in the agreement stage it asserts that all
-engines return the same status and valid models (``solve(verify=True)``
-raises on a bad model), and that split and general produce *identical*
-conflict/decision/propagation counts — those two engines are designed to
-propagate in the same order, so any drift is a bug, reported as
-:class:`BenchAgreementError`.  The arena engine's counts legitimately
-differ (inprocessing rewrites the formula mid-search); its gate is
-answer-level, and its aggregate props/s must beat split by
-:data:`ARENA_SPEEDUP_TARGET`.
+The harness doubles as a correctness gate: every SAT model is verified
+(``solve(verify=True)`` raises on a bad model), and the agreement stage
+solves two small pinned instances under every paper configuration and
+checks each status against the independent DPLL baseline
+(:mod:`repro.baselines.dpll`); a mismatch is a solver bug, reported as
+:class:`BenchAgreementError`.
 
-``repro-sat bench --out BENCH_7.json`` writes the JSON report at the
+``repro-sat bench --out BENCH_N.json`` writes the JSON report at the
 repo root; see docs/BENCHMARKS.md for the schema and how to compare
 reports across PRs.
 """
@@ -35,6 +27,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.baselines.dpll import DpllSolver
 from repro.cnf.formula import CnfFormula
 from repro.generators import (
     pigeonhole_formula,
@@ -47,18 +40,8 @@ from repro.generators import (
 from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
-#: The propagation engines compared by every bench run.
-MODES = ("split", "general", "arena")
-
-#: The engine pair whose trajectories must be *identical* (split is the
-#: reference implementation of the same propagation order).
-_LOCKSTEP_MODES = ("split", "general")
-
 #: Schema version of the BENCH_*.json reports.
-SCHEMA = "bcp-bench/2"
-
-#: Acceptance floor for the arena engine's aggregate props/s vs split.
-ARENA_SPEEDUP_TARGET = 3.0
+SCHEMA = "bcp-bench/3"
 
 #: Schema version of the session-bench reports (``bench --session``).
 SESSION_SCHEMA = "session-bench/1"
@@ -75,7 +58,7 @@ SHARING_SPEEDUP_TARGET = 1.3
 
 
 class BenchAgreementError(AssertionError):
-    """The two propagation engines disagreed — a solver bug, not a perf issue."""
+    """An answer disagreed with its oracle — a solver bug, not a perf issue."""
 
 
 def _git_sha() -> str | None:
@@ -164,16 +147,12 @@ def bench_suite(scale: str = "default") -> tuple[BenchInstance, ...]:
         raise ValueError(f"unknown bench scale {scale!r}; known: {known}") from None
 
 
-def _solve_timed(formula: CnfFormula, config_name: str, mode: str) -> tuple:
+def _solve_timed(formula: CnfFormula, config_name: str) -> tuple:
     """Fresh solver, one timed solve with model verification on."""
-    solver = Solver(formula, config=config_by_name(config_name, propagation=mode))
+    solver = Solver(formula, config=config_by_name(config_name))
     started = time.perf_counter()
     result = solver.solve()
     return result, time.perf_counter() - started
-
-
-def _counts(result) -> tuple[int, int, int]:
-    return (result.stats.conflicts, result.stats.decisions, result.stats.propagations)
 
 
 def run_instance(
@@ -181,101 +160,56 @@ def run_instance(
     config_name: str = "berkmin",
     repeats: int = 2,
 ) -> dict:
-    """Bench one instance under both engines; raise on any disagreement.
+    """Bench one instance: search counts and per-second rates.
 
-    Each engine runs ``repeats`` times on a fresh solver; the minimum
+    The instance runs ``repeats`` times on a fresh solver; the minimum
     wall time is reported (timing noise only ever inflates a
-    measurement).  Counts are deterministic across repeats, so the
-    last run's statistics stand for all of them.
+    measurement).  Counts are deterministic across repeats, so the last
+    run's statistics stand for all of them.
     """
     formula = instance.build()
-    rows: dict[str, dict] = {}
-    statuses: dict[str, str] = {}
-    counts: dict[str, tuple[int, int, int]] = {}
-    for mode in MODES:
-        best_wall = None
-        result = None
-        for _ in range(max(1, repeats)):
-            result, wall = _solve_timed(formula, config_name, mode)
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        statuses[mode] = result.status.value
-        counts[mode] = _counts(result)
-        conflicts, decisions, propagations = counts[mode]
-        rows[mode] = {
-            "wall_seconds": round(best_wall, 6),
-            "propagations": propagations,
-            "propagations_per_second": round(propagations / best_wall, 1),
-            "conflicts_per_second": round(conflicts / best_wall, 1),
-            "decisions_per_second": round(decisions / best_wall, 1),
-        }
-    if len(set(statuses.values())) != 1:
-        raise BenchAgreementError(
-            f"{instance.name}: statuses diverged: "
-            + ", ".join(f"{mode} says {status}" for mode, status in statuses.items())
-        )
-    # split and general walk the same trajectory literal for literal;
-    # the arena engine answers identically (status + verified model,
-    # checked above by solve(verify=True)) but its counts legitimately
-    # differ — inprocessing rewrites the formula mid-search.
-    if counts["split"] != counts["general"]:
-        raise BenchAgreementError(
-            f"{instance.name}: (conflicts, decisions, propagations) diverged: "
-            f"split {counts['split']} vs general {counts['general']}"
-        )
-    conflicts, decisions, propagations = counts["split"]
-    speedup = rows["general"]["wall_seconds"] / max(rows["split"]["wall_seconds"], 1e-9)
-    arena_speedup = rows["split"]["wall_seconds"] / max(
-        rows["arena"]["wall_seconds"], 1e-9
-    )
+    best_wall = None
+    result = None
+    for _ in range(max(1, repeats)):
+        result, wall = _solve_timed(formula, config_name)
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+    stats = result.stats
     return {
         "name": instance.name,
         "family": instance.family,
-        "status": statuses["split"],
-        "conflicts": conflicts,
-        "decisions": decisions,
-        "propagations": propagations,
-        "split": rows["split"],
-        "general": rows["general"],
-        "arena": rows["arena"],
-        "speedup": round(speedup, 3),
-        "arena_speedup": round(arena_speedup, 3),
+        "status": result.status.value,
+        "conflicts": stats.conflicts,
+        "decisions": stats.decisions,
+        "propagations": stats.propagations,
+        "wall_seconds": round(best_wall, 6),
+        "propagations_per_second": round(stats.propagations / best_wall, 1),
+        "conflicts_per_second": round(stats.conflicts / best_wall, 1),
+        "decisions_per_second": round(stats.decisions / best_wall, 1),
     }
 
 
 def check_config_agreement(config_names=None) -> dict:
-    """Solve small pinned instances under every paper configuration once
-    per engine; assert identical statuses everywhere and identical
-    trajectory counts for the lockstep split/general pair (the arena
-    engine's counts legitimately differ — see :func:`run_instance`)."""
+    """Solve small pinned instances under every paper configuration and
+    check each status against the independent DPLL baseline."""
     names = sorted(config_names or CONFIG_FACTORIES)
     checked = 0
     for instance in _AGREEMENT_INSTANCES:
         formula = instance.build()
+        expected = "SAT" if DpllSolver(formula).solve().satisfiable else "UNSAT"
         for name in names:
-            outcomes = {}
-            statuses = {}
-            for mode in MODES:
-                result, _ = _solve_timed(formula, name, mode)
-                statuses[mode] = result.status.value
-                outcomes[mode] = (result.status.value, *_counts(result))
-            if outcomes["split"] != outcomes["general"]:
+            result, _ = _solve_timed(formula, name)
+            if result.status.value != expected:
                 raise BenchAgreementError(
                     f"config {name!r} on {instance.name}: "
-                    f"split {outcomes['split']} vs general {outcomes['general']}"
-                )
-            if statuses["arena"] != statuses["split"]:
-                raise BenchAgreementError(
-                    f"config {name!r} on {instance.name}: "
-                    f"arena says {statuses['arena']}, split says {statuses['split']}"
+                    f"solver says {result.status.value}, DPLL says {expected}"
                 )
             checked += 1
     return {
         "configs_checked": names,
         "instances": [instance.name for instance in _AGREEMENT_INSTANCES],
         "pairs_checked": checked,
-        "identical_counts": True,  # split vs general
-        "statuses_match": True,  # all three engines
+        "statuses_match_oracle": True,  # every status equals DPLL's
         "models_verified": True,  # solve(verify=True) raises on a bad model
     }
 
@@ -291,21 +225,8 @@ def run_bcp_bench(
         run_instance(instance, config_name=config_name, repeats=repeats)
         for instance in bench_suite(scale)
     ]
-    totals = {}
-    pps = {}
-    for mode in MODES:
-        wall = sum(row[mode]["wall_seconds"] for row in instances)
-        props = sum(row[mode]["propagations"] for row in instances)
-        totals[mode] = {"wall_seconds": round(wall, 6), "propagations": props}
-        pps[mode] = props / max(wall, 1e-9)
-
-    def _geomean(key: str) -> float:
-        product = 1.0
-        for row in instances:
-            product *= row[key]
-        return product ** (1.0 / len(instances))
-
-    arena_vs_split = pps["arena"] / max(pps["split"], 1e-9)
+    wall = sum(row["wall_seconds"] for row in instances)
+    props = sum(row["propagations"] for row in instances)
     report = {
         "schema": SCHEMA,
         "scale": scale,
@@ -318,20 +239,9 @@ def run_bcp_bench(
         "metrics_interval": config_by_name(config_name).metrics_interval,
         "instances": instances,
         "aggregate": {
-            "split_wall_seconds": totals["split"]["wall_seconds"],
-            "general_wall_seconds": totals["general"]["wall_seconds"],
-            "arena_wall_seconds": totals["arena"]["wall_seconds"],
-            "split_propagations_per_second": round(pps["split"], 1),
-            "general_propagations_per_second": round(pps["general"], 1),
-            "arena_propagations_per_second": round(pps["arena"], 1),
-            "propagations_per_second_speedup": round(
-                pps["split"] / max(pps["general"], 1e-9), 3
-            ),
-            "geometric_mean_speedup": round(_geomean("speedup"), 3),
-            "arena_vs_split_speedup": round(arena_vs_split, 3),
-            "arena_geometric_mean_speedup": round(_geomean("arena_speedup"), 3),
-            "arena_speedup_target": ARENA_SPEEDUP_TARGET,
-            "arena_meets_target": arena_vs_split >= ARENA_SPEEDUP_TARGET,
+            "wall_seconds": round(wall, 6),
+            "propagations": props,
+            "propagations_per_second": round(props / max(wall, 1e-9), 1),
         },
     }
     if agreement:
@@ -355,34 +265,27 @@ def format_table(report: dict) -> str:
     lines = [
         f"BCP bench — scale={report['scale']} config={report['config']} "
         f"repeats={report['repeats']}",
-        f"{'instance':<16} {'status':<7} {'props':>9} "
-        f"{'general s':>10} {'split s':>9} {'arena s':>9} {'arena x':>8}",
+        f"{'instance':<16} {'status':<7} {'props':>9} {'wall s':>8} "
+        f"{'props/s':>10} {'confl/s':>9} {'dec/s':>9}",
     ]
     for row in report["instances"]:
         lines.append(
             f"{row['name']:<16} {row['status']:<7} {row['propagations']:>9} "
-            f"{row['general']['wall_seconds']:>10.3f} "
-            f"{row['split']['wall_seconds']:>9.3f} "
-            f"{row['arena']['wall_seconds']:>9.3f} "
-            f"{row['arena_speedup']:>7.2f}x"
+            f"{row['wall_seconds']:>8.3f} "
+            f"{row['propagations_per_second']:>10,.0f} "
+            f"{row['conflicts_per_second']:>9,.0f} "
+            f"{row['decisions_per_second']:>9,.0f}"
         )
     aggregate = report["aggregate"]
     lines.append(
-        f"aggregate: general {aggregate['general_propagations_per_second']:,.0f} "
-        f"-> split {aggregate['split_propagations_per_second']:,.0f} "
-        f"-> arena {aggregate['arena_propagations_per_second']:,.0f} props/s"
-    )
-    verdict = "meets" if aggregate["arena_meets_target"] else "BELOW"
-    lines.append(
-        f"arena vs split: {aggregate['arena_vs_split_speedup']:.2f}x props/s "
-        f"(wall geomean {aggregate['arena_geometric_mean_speedup']:.2f}x; "
-        f"{verdict} the {aggregate['arena_speedup_target']:.1f}x target)"
+        f"aggregate: {aggregate['propagations_per_second']:,.0f} props/s "
+        f"over {aggregate['wall_seconds']:.3f}s"
     )
     if "agreement" in report:
         agreement = report["agreement"]
         lines.append(
             f"agreement: {agreement['pairs_checked']} config x instance pairs, "
-            "statuses identical across engines, split/general counts in lockstep"
+            "every status matches the DPLL baseline"
         )
     return "\n".join(lines)
 
@@ -485,7 +388,6 @@ def run_session_case(
     case: SessionBenchCase,
     config_name: str = "berkmin",
     rounds: int = 2,
-    propagation: str | None = None,
 ) -> dict:
     """Bench one depth sweep: incremental session vs fresh one-shot solves.
 
@@ -505,7 +407,6 @@ def run_session_case(
 
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    overrides = {} if propagation is None else {"propagation": propagation}
     circuit = counter_circuit(case.bits, case.target, with_enable=case.with_enable)
     steps = _bmc_steps(circuit, case.max_depth)
     depths = range(case.max_depth + 1)
@@ -520,7 +421,7 @@ def run_session_case(
         for depth in depths:
             started = time.perf_counter()
             result = solve_formula(
-                oneshot_formulas[depth], config=config_by_name(config_name, **overrides)
+                oneshot_formulas[depth], config=config_by_name(config_name)
             )
             oneshot_wall += time.perf_counter() - started
             if round_index == 0:
@@ -534,7 +435,7 @@ def run_session_case(
     retained = 0
     for round_index in range(rounds):
         with SolverSession(
-            config=config_by_name(config_name, **overrides), cache=cache
+            config=config_by_name(config_name), cache=cache
         ) as session:
             for depth in depths:
                 new_clauses, activation = steps[depth]
@@ -594,7 +495,6 @@ def run_session_bench(
     scale: str = "default",
     config_name: str = "berkmin",
     rounds: int = 2,
-    propagation: str | None = None,
 ) -> dict:
     """Run the incremental-session harness; return the JSON-ready report.
 
@@ -604,9 +504,7 @@ def run_session_bench(
     the agreement gate passed.
     """
     cases = [
-        run_session_case(
-            case, config_name=config_name, rounds=rounds, propagation=propagation
-        )
+        run_session_case(case, config_name=config_name, rounds=rounds)
         for case in session_bench_suite(scale)
     ]
     session_wall = sum(row["session"]["wall_seconds"] for row in cases)
@@ -679,9 +577,9 @@ def format_session_table(report: dict) -> str:
 #: lane management exists for.  Planted-SAT runtimes are heavy-tailed
 #: in the seed, so a pinned portfolio sometimes commits half its CPU
 #: to an unlucky trajectory; the isolated arm pays the full price of
-#: that draw, while the adaptive arm's bandit notices the reference
-#: lane losing, relaunches it on the fast engine with a fresh seed,
-#: and the re-roll races the unlucky original.  On a time-sliced
+#: that draw, while the adaptive arm's bandit notices the losing lane,
+#: relaunches it on a mutated configuration with a fresh seed, and the
+#: re-roll races the unlucky original.  On a time-sliced
 #: single-CPU host the fleet's wall clock is roughly (live lanes x
 #: champion CPU time), so the speedup measured here is reduced /
 #: better-spent total work, not parallel hardware.
@@ -724,11 +622,9 @@ _PORTFOLIO_SUITES: dict[str, tuple[BenchInstance, ...]] = {
     ),
 }
 
-#: Lane configurations of the benched fleet: the aggressive arena lane
-#: hedged by the conservative reference-engine lane (the belt-and-
-#: suspenders pairing docs/ROBUSTNESS.md recommends), both seeded and
-#: deterministic.
-_PORTFOLIO_LANES = (("berkmin", 1, "arena"), ("berkmin", 3, "general"))
+#: Lane configurations of the benched fleet: ``(preset, seed)`` pairs,
+#: two seeds of BerkMin, so the lanes differ only in tie-breaking.
+_PORTFOLIO_LANES = (("berkmin", 1), ("berkmin", 3))
 
 #: Wall-clock cap per portfolio solve; a hang fails the run loudly.
 _PORTFOLIO_MAX_SECONDS = 300.0
@@ -747,8 +643,7 @@ def portfolio_bench_suite(scale: str = "default") -> tuple[BenchInstance, ...]:
 
 def _lane_configs():
     return [
-        config_by_name(name, seed=seed, propagation=engine)
-        for name, seed, engine in _PORTFOLIO_LANES
+        config_by_name(name, seed=seed) for name, seed in _PORTFOLIO_LANES
     ]
 
 
@@ -839,7 +734,7 @@ def run_portfolio_bench(scale: str = "default", repeats: int = 2) -> dict:
         "schema": PORTFOLIO_SCHEMA,
         "scale": scale,
         "lanes": [
-            f"{name}({engine},seed={seed})" for name, seed, engine in _PORTFOLIO_LANES
+            f"{name}(seed={seed})" for name, seed in _PORTFOLIO_LANES
         ],
         "repeats": repeats,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -895,12 +790,10 @@ def profile_bcp(
     holes: int = 7,
     config_name: str = "berkmin",
     top: int = 20,
-    propagation: str | None = None,
 ) -> str:
     """cProfile one pinned pigeonhole solve; return the top-N cumulative report."""
     formula = pigeonhole_formula(holes)
-    overrides = {} if propagation is None else {"propagation": propagation}
-    solver = Solver(formula, config=config_by_name(config_name, **overrides))
+    solver = Solver(formula, config=config_by_name(config_name))
     profiler = cProfile.Profile()
     profiler.enable()
     solver.solve()

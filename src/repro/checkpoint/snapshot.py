@@ -15,6 +15,8 @@ than restart it:
   it restores the solver's branch-polarity memory);
 * the database-aging state (``old_threshold``, ``birth_counter``);
 * the RNG state, so tie-breaking continues the interrupted trajectory;
+* the inprocessed clause database (live original clauses and the
+  eliminated-variable stack);
 * the full :class:`~repro.solver.stats.SolverStats` snapshot (captured
   and restored by dataclass-field introspection, so new counters ride
   along automatically);
@@ -138,12 +140,11 @@ class SolverSnapshot:
     #: :attr:`learned` (0 = never measured).  Checkpoints written before
     #: LBD tracking restore as all zeros.
     learned_lbd: list[int] = field(default_factory=list)
-    #: Arena-engine extras (``None`` for the object engines): the live
-    #: post-inprocessing original database and the eliminated-variable
-    #: stack for model reconstruction.  An object engine restoring an
-    #: arena snapshot ignores this field — the pristine formula implies
-    #: every clause here, so the resume stays sound, just cold on the
-    #: inprocessing work.
+    #: The live post-inprocessing original database and the
+    #: eliminated-variable stack for model reconstruction.  ``None`` in
+    #: checkpoints written without it; those restore over the pristine
+    #: formula, which implies every clause the payload would carry, so
+    #: the resume stays sound, just cold on the inprocessing work.
     arena: dict | None = None
 
     @property
@@ -305,30 +306,25 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
         probe.setstate(_as_rng_state(snapshot.rng_state))
     except (TypeError, ValueError) as error:
         return _cold_start(f"undecodable RNG state ({error})")
-    install_arena = solver.is_arena and snapshot.arena is not None
+    install_arena = snapshot.arena is not None
     if install_arena:
         defect = _validate_arena_payload(snapshot.arena, maximum_literal)
         if defect is not None:
             return _cold_start(defect)
 
-    # ---- arena database ----------------------------------------------
+    # ---- inprocessed database ----------------------------------------
     # The snapshot's database may differ from the pristine formula's
     # (inprocessing eliminated variables and swapped in resolvents);
-    # swap it in before any clause-dependent work below.  An object
-    # engine restoring an arena snapshot skips this — the pristine
-    # formula implies every snapshot clause, so it merely redoes the
-    # inprocessing work.
+    # swap it in before any clause-dependent work below.
     if install_arena:
         solver._install_arena_state(snapshot.arena)
 
     # ---- heuristic memory --------------------------------------------
     # Slice-assign in place: the order heap (and anything else holding a
-    # reference to these vectors) keeps seeing the live data.  The arena
-    # engine stores activities as ``array('d')``, which only accepts
-    # slices of its own kind.
-    _assign_in_place(solver.var_activity, snapshot.var_activity)
-    _assign_in_place(solver.lit_activity, snapshot.lit_activity)
-    _assign_in_place(solver.vsids, snapshot.vsids)
+    # reference to these vectors) keeps seeing the live data.
+    solver.var_activity[:] = array("d", snapshot.var_activity)
+    solver.lit_activity[:] = array("d", snapshot.lit_activity)
+    solver.vsids[:] = array("d", snapshot.vsids)
     solver.old_threshold = snapshot.old_threshold
     solver.birth_counter = snapshot.birth_counter
     solver.rng.setstate(_as_rng_state(snapshot.rng_state))
@@ -377,7 +373,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
         lbds = [0] * len(snapshot.learned)
     for position, (literals, activity, birth, protected) in enumerate(snapshot.learned):
         ordered = list(literals)
-        # attach_clause watches positions 0 and 1; under the restored
+        # Records watch positions 0 and 1; under the restored
         # level-0 assignments those must not both be false unless the
         # clause genuinely is unit/satisfied, so surface two non-false
         # literals first (the clause's literal *set* is preserved — no
@@ -420,14 +416,6 @@ def _as_rng_state(state):
     if isinstance(state, (list, tuple)):
         return tuple(_as_rng_state(item) for item in state)
     return state
-
-
-def _assign_in_place(target, values) -> None:
-    """``target[:] = values`` for lists and ``array`` vectors alike."""
-    if isinstance(target, array):
-        target[:] = array(target.typecode, values)
-    else:
-        target[:] = values
 
 
 def _validate_arena_payload(payload, maximum_literal: int) -> str | None:

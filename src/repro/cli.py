@@ -94,7 +94,6 @@ from repro.cnf.dimacs import DimacsError, parse_dimacs_file, write_dimacs_file
 from repro.proof import check_rup_proof
 from repro.solver.config import (
     CONFIG_FACTORIES,
-    PROPAGATION_MODES,
     VERIFICATION_LEVELS,
     VERIFY_FULL,
     VERIFY_OFF,
@@ -135,26 +134,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_propagation_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared engine-selection flag (solve / batch / bench)."""
-    parser.add_argument(
-        "--propagation",
-        default=None,
-        choices=PROPAGATION_MODES,
-        help="propagation engine override: 'split' (binary-implication "
-        "fast path, the default), 'general' (watched-literal "
-        "reference), or 'arena' (flat-buffer engine with "
-        "inprocessing); default: whatever --config specifies",
-    )
-
-
-def _propagation_overrides(args: argparse.Namespace) -> dict:
-    """config_by_name overrides for --propagation (empty when unset)."""
-    if getattr(args, "propagation", None) is None:
-        return {}
-    return {"propagation": args.propagation}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -171,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(CONFIG_FACTORIES),
         help="solver configuration (default: berkmin)",
     )
-    _add_propagation_flag(solve)
     solve.add_argument("--max-conflicts", type=int, default=None)
     solve.add_argument("--max-seconds", type=float, default=None)
     solve.add_argument("--seed", type=int, default=0)
@@ -278,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(CONFIG_FACTORIES),
         help="solver configuration for every file (default: berkmin)",
     )
-    _add_propagation_flag(batch)
     batch.add_argument("--jobs", type=int, default=None, help="concurrent workers")
     batch.add_argument("--max-conflicts", type=int, default=None)
     batch.add_argument("--max-seconds", type=float, default=None)
@@ -415,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the pinned BCP perf suite (general vs split vs arena "
-        "propagation)",
+        help="run the pinned BCP perf suite (props/s, conflicts/s, "
+        "decisions/s per instance)",
     )
     bench.add_argument(
         "--out",
@@ -439,13 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=2,
-        help="timed runs per engine per instance; minimum wall time is kept",
+        help="timed runs per instance; minimum wall time is kept",
     )
-    _add_propagation_flag(bench)
     bench.add_argument(
         "--no-agreement",
         action="store_true",
-        help="skip the all-configs cross-engine agreement stage",
+        help="skip the all-configs agreement stage against the DPLL baseline",
     )
     bench.add_argument(
         "--profile",
@@ -771,7 +747,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ),
         trace=trace,
         metrics_interval=args.metrics_interval if args.metrics_out else 0,
-        **_propagation_overrides(args),
     )
     solver = Solver(solve_target, config=config)
     writer = None
@@ -931,9 +906,7 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
         verification = VERIFY_FULL
     configs = default_portfolio(jobs, base_seed=args.seed)
     # --config pins the first member so the named preset always races.
-    configs[0] = config_by_name(
-        args.config, seed=args.seed, **_propagation_overrides(args)
-    )
+    configs[0] = config_by_name(args.config, seed=args.seed)
     trace = _open_trace(args)
     monitor, recorder = _open_monitor(args)
     portfolio = PortfolioSolver(
@@ -1003,9 +976,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("c --jobs must be >= 1", file=sys.stderr)
         return 2
     formulas = [parse_dimacs_file(path) for path in args.files]
-    config = config_by_name(
-        args.config, seed=args.seed, **_propagation_overrides(args)
-    )
+    config = config_by_name(args.config, seed=args.seed)
     verification = args.verify
     if args.proof and verification is None:
         verification = VERIFY_FULL
@@ -1275,11 +1246,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.profile:
         print(
-            bench_module.profile_bcp(
-                holes=args.holes,
-                config_name=args.config,
-                propagation=args.propagation,
-            )
+            bench_module.profile_bcp(holes=args.holes, config_name=args.config)
         )
         return 0
     if args.session:
@@ -1288,7 +1255,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 scale=args.scale,
                 config_name=args.config,
                 rounds=args.rounds,
-                propagation=args.propagation,
             )
         except bench_module.BenchAgreementError as error:
             print(f"SESSION DISAGREEMENT: {error}", file=sys.stderr)
@@ -1310,8 +1276,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.out:
             bench_module.write_report(report, args.out)
             print(f"report written to {args.out}")
-        # Like the arena gate: the 1.3x sharing target is calibrated on
-        # the default suite; quick runs are agreement smoke only.
+        # The 1.3x sharing target is calibrated on the default suite;
+        # quick runs are agreement smoke only.
         if args.scale != "quick" and not report["aggregate"]["meets_target"]:
             return 1
         return 0
@@ -1323,16 +1289,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             agreement=not args.no_agreement,
         )
     except bench_module.BenchAgreementError as error:
-        print(f"ENGINE DISAGREEMENT: {error}", file=sys.stderr)
+        print(f"ORACLE DISAGREEMENT: {error}", file=sys.stderr)
         return 1
     print(bench_module.format_table(report))
     if args.out:
         bench_module.write_report(report, args.out)
         print(f"report written to {args.out}")
-    # The 3x arena-vs-split target is calibrated on the default suite;
-    # quick runs are agreement smoke checks and never gate on speed.
-    if args.scale != "quick" and not report["aggregate"]["arena_meets_target"]:
-        return 1
     return 0
 
 

@@ -1,4 +1,4 @@
-"""CNF substrate: literals, clauses, formulas, DIMACS I/O and preprocessing.
+"""CNF substrate: literals, formulas, DIMACS I/O and preprocessing.
 
 This package provides the propositional-logic foundation shared by the
 CDCL solver (:mod:`repro.solver`), the circuit encoders
@@ -12,12 +12,11 @@ Two literal representations are used throughout the project:
   ints, exactly as in a ``.cnf`` file).
 * **Encoded literals** — nonnegative integers ``2*v`` (positive) and
   ``2*v + 1`` (negative).  The solver uses this internally so literals
-  can index dense lists (watch lists, activity tables).
+  can index dense arrays (watch chains, activity tables).
 
 Conversion helpers live in :mod:`repro.cnf.literals`.
 """
 
-from repro.cnf.clause import Clause
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
 from repro.cnf.elimination import PreprocessResult, preprocess, subsumption_reduce
 from repro.cnf.formula import CnfFormula
@@ -32,7 +31,6 @@ from repro.cnf.shuffle import shuffle_formula
 from repro.cnf.simplify import SimplifyResult, simplify_formula
 
 __all__ = [
-    "Clause",
     "CnfFormula",
     "PreprocessResult",
     "SimplifyResult",

@@ -29,7 +29,8 @@ attempt and can never poison the next job.  The health checks:
 * **heartbeat** — a live process silent for ``stall_seconds`` is
   wedged and is terminated;
 * **deadline** — a job past its wall-clock budget is terminated and
-  finalized as an honest ``UNKNOWN ("time budget")``; budgets shrink
+  finalized as an honest ``UNKNOWN ("time budget")``, and so is an
+  answer whose parent-side proof check runs past it; budgets shrink
   across retries, and a job whose deadline expires while still queued
   is finalized without ever launching (work is cancelled, not
   orphaned).
@@ -56,6 +57,7 @@ from repro.checkpoint.snapshot import checkpoint_conflicts
 from repro.cnf.formula import CnfFormula
 from repro.parallel.sharing import IMPORT_QUEUE_CAPACITY, route_shares
 from repro.parallel.worker import drain_results, route_telemetry, solve_in_worker
+from repro.proof import ProofCheckTimeout
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guards import StallClock, crash_reason
 from repro.reliability.retry import RetryPolicy, as_retry_policy
@@ -676,13 +678,24 @@ class JobPool:
                 reason = check_result_shape(payload)
                 if reason is not None:
                     raise VerificationError(reason)
+                deadline = job.kill_at if job.kill_at is not None else job.deadline
                 payload.verified = (
-                    verify_result(job.formula, payload, self.verification)
+                    verify_result(
+                        job.formula, payload, self.verification, deadline=deadline
+                    )
                     if self.verification != VERIFY_OFF
                     else None
                 )
         except VerificationError as error:
             reason, detail = "corrupted result", str(error)
+        except ProofCheckTimeout as error:
+            # The job's time ran out while its proof was being checked:
+            # the answer is unverified, so it cannot leave as definite.
+            self._fail(
+                job, entry, "time budget", time.monotonic(),
+                retryable=False, finished=finished, detail=str(error),
+            )
+            return
         if reason is not None:
             self._fail(
                 job, entry, reason, now,

@@ -61,13 +61,10 @@ DEFAULT_GRACE_SECONDS = 1.0
 
 #: Preset rotation used by :func:`default_portfolio`: orthogonal
 #: decision/database strategies first (the configurations the paper
-#: found to behave most differently), then the arena engine (a different
-#: propagation/inprocessing lane entirely), then phase-selection
-#: variants.
+#: found to behave most differently), then phase-selection variants.
 PORTFOLIO_PRESETS = (
     "berkmin",
     "chaff",
-    "arena",
     "berkmin561",
     "less_sensitivity",
     "limited_keeping",

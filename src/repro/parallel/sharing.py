@@ -46,8 +46,8 @@ trusted-results gate still verifies the winner independently.
 bandit over the worker telemetry time-series (props/s, conflict rate):
 when one lane's optimistic score falls clearly below the fleet, it is
 preempted at the next progress tick and relaunched with a mutated
-configuration (restart policy / branching variant / propagation
-engine), warm-resuming from its checkpoint where one is still valid.
+configuration (branching variant / restart policy), warm-resuming
+from its checkpoint where one is still valid.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ from repro.observability.dashboard import FleetMonitor
 from repro.solver.config import (
     DECISION_GLOBAL,
     DECISION_VSIDS,
-    PROPAGATION_ARENA,
-    PROPAGATION_SPLIT,
     RESTART_GEOMETRIC,
     RESTART_LUBY,
     SolverConfig,
@@ -585,14 +583,10 @@ def route_shares(collected: dict, bus: ClauseBus | None) -> int:
 # Adaptive lane management (UCB bandit over telemetry)
 # ======================================================================
 #: Mutation menu: one orthogonal knob per relaunch.  Ordered by
-#: expected impact — the propagation engine dominates raw throughput
-#: (the arena engine clears 3x the reference path, docs/BENCHMARKS.md),
-#: then the branching variant, then the restart policy.  A lane whose
-#: current config already matches an entry walks past it, so the menu
-#: degrades gracefully for lanes that are already on the fast engine.
+#: expected impact — the branching variant, then the restart policy.
+#: A lane whose current config already matches an entry walks past it,
+#: so the menu degrades gracefully for lanes already on a variant.
 MUTATIONS: tuple[tuple[str, dict], ...] = (
-    ("engine=arena", {"propagation": PROPAGATION_ARENA}),
-    ("engine=split", {"propagation": PROPAGATION_SPLIT}),
     ("branching=vsids", {"decision_strategy": DECISION_VSIDS}),
     ("branching=global", {"decision_strategy": DECISION_GLOBAL}),
     ("restarts=luby", {"restart_strategy": RESTART_LUBY}),
@@ -730,7 +724,7 @@ class AdaptiveLaneManager(FleetMonitor):
 
         Every lane starts at the top of the impact-ordered menu — a
         losing lane's first relaunch always tries the biggest lever
-        (the propagation engine) before the finer heuristics.  Seed
+        (the branching variant) before the restart policy.  Seed
         strides keep relaunched lanes diverse even when two victims
         land on the same mutation.
         """

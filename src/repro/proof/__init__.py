@@ -9,6 +9,6 @@ reverse-unit-propagation criterion and that the trace ends with the
 empty clause.
 """
 
-from repro.proof.rup import ProofError, check_rup_proof
+from repro.proof.rup import ProofCheckTimeout, ProofError, check_rup_proof
 
-__all__ = ["ProofError", "check_rup_proof"]
+__all__ = ["ProofCheckTimeout", "ProofError", "check_rup_proof"]

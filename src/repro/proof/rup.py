@@ -13,6 +13,7 @@ correct, not fast.  Tests apply it to small and medium UNSAT instances.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Sequence
 
 from repro.cnf.formula import CnfFormula
@@ -22,11 +23,19 @@ class ProofError(ValueError):
     """Raised when a proof step fails verification."""
 
 
+class ProofCheckTimeout(TimeoutError):
+    """Raised when the check's deadline passes before it finishes.
+
+    The proof is then neither accepted nor rejected.
+    """
+
+
 def check_rup_proof(
     formula: CnfFormula,
     proof: Sequence[tuple[str, list[int]]],
     *,
     require_empty_clause: bool = True,
+    deadline: float | None = None,
 ) -> bool:
     """Verify a DRUP trace against ``formula``.
 
@@ -34,12 +43,18 @@ def check_rup_proof(
     deletions in DIMACS literals, in solver order.  Every addition must
     be RUP with respect to the clauses currently in the database;
     deletions must name present clauses.  Returns True on success and
-    raises :class:`ProofError` otherwise.
+    raises :class:`ProofError` otherwise.  ``deadline``, a
+    ``time.monotonic()`` instant, bounds the check: once it passes,
+    :class:`ProofCheckTimeout` is raised before the next step.
     """
     database: list[list[int]] = [list(clause) for clause in formula.clauses]
     empty_seen = any(not clause for clause in database)
 
     for step_number, (kind, clause) in enumerate(proof):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise ProofCheckTimeout(
+                f"deadline passed at proof step {step_number} of {len(proof)}"
+            )
         if kind == "a":
             if not _is_rup(database, clause):
                 raise ProofError(

@@ -27,7 +27,7 @@ clean (retry-free) cold start with a correct verified answer; a
 ``kill-resume`` round SIGKILLs a worker mid-search and demands that the
 supervised retry warm-resumes from the last checkpoint and still
 produces the correct verified answer.  Arena rounds run the
-array-native engine with inprocessing forced on every restart and
+solver with inprocessing forced on every restart and
 crash, signal, or corrupt the victim *after* bounded variable
 elimination has rewritten the clause database — or disable the C
 kernels entirely (``pure-fallback``) — and demand the same trusted,
@@ -285,10 +285,10 @@ def _checkpoint_round(pool, corruption, policy, stall_seconds, rng, report, defe
 
 
 def _arena_round(pool, mode, policy, stall_seconds, rng, report, defects) -> int:
-    """One audit round against the arena engine with inprocessing live.
+    """One audit round against the solver with inprocessing live.
 
     Solves a pinned hard instance (hole-6) plus a random pool instance
-    under the ``arena`` configuration with ``inprocess_interval=1``, so
+    under the ``berkmin`` configuration with ``inprocess_interval=1``, so
     bounded variable elimination and arena compaction genuinely run
     during the search.  Mid-search crash/signal faults land after the
     first inprocessing pass; the supervised retry must still produce
@@ -317,7 +317,7 @@ def _arena_round(pool, mode, policy, stall_seconds, rng, report, defects) -> int
     else:
         plan = None
     config = config_by_name(
-        "arena", seed=rng.randrange(1 << 16), inprocess_interval=1
+        "berkmin", seed=rng.randrange(1 << 16), inprocess_interval=1
     )
     pure_before = os.environ.get("REPRO_SAT_PURE")
     if mode == "pure-fallback":
@@ -574,8 +574,8 @@ def run_audit(
     trace=None,
 ) -> AuditReport:
     """Fuzz the supervised engines — batch, portfolio, the checkpoint
-    subsystem, the grouped incremental sessions, the arena engine, and
-    the solver service — under random fault plans; verify every answer.
+    subsystem, the grouped incremental sessions, inprocessing-heavy
+    solves, and the solver service — under random fault plans; verify every answer.
 
     Each round injects at most one fault (possibly none) into one
     worker of one engine and demands definite, correct, verified

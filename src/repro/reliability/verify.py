@@ -56,6 +56,8 @@ def verify_result(
     formula: CnfFormula,
     result: SolveResult,
     level: str = VERIFY_FULL,
+    *,
+    deadline: float | None = None,
 ) -> str | None:
     """Check ``result`` against ``formula``; return what was verified.
 
@@ -67,7 +69,10 @@ def verify_result(
 
     UNSAT-under-assumptions answers carry no standalone refutation of
     the formula, so they pass the gate unchecked (their ``core`` is the
-    caller's to validate).
+    caller's to validate).  ``deadline`` (a ``time.monotonic()``
+    instant) bounds the proof check; past it,
+    :class:`~repro.proof.ProofCheckTimeout` propagates — the answer is
+    then neither verified nor refuted.
     """
     if level not in VERIFICATION_LEVELS:
         raise ValueError(
@@ -98,7 +103,7 @@ def verify_result(
                 "(enable proof_logging or verification='full')"
             )
         try:
-            check_rup_proof(formula, result.proof)
+            check_rup_proof(formula, result.proof, deadline=deadline)
         except ProofError as error:
             raise VerificationError(f"proof check failed: {error}") from error
         return "proof"

@@ -252,12 +252,10 @@ class SolverSession:
     def _retain(self) -> tuple[int, int]:
         """Filter the learned stack by glue; returns ``(kept, dropped)``.
 
-        Delegates to the engine's
-        :meth:`~repro.solver.solver.Solver.retain_learned_by_lbd` seam,
-        which mirrors :func:`repro.solver.database.reduce_database`'s
-        contract (level 0, DRUP-logged deletions, structures rebuilt) on
-        whatever representation the engine uses — Clause objects or flat
-        arena records.
+        Delegates to
+        :meth:`~repro.solver.solver.Solver.retain_learned_by_lbd`, which
+        keeps database reduction's contract: level 0, DRUP-logged
+        deletions, watch structures rebuilt.
         """
         return self.solver.retain_learned_by_lbd(self.retain_max_lbd)
 

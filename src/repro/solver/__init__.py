@@ -11,6 +11,7 @@ Public surface:
 * :class:`SolveResult` / :class:`SolveStatus` / :class:`SolverStats`.
 """
 
+from repro.solver._kernel import load_arena_kernel
 from repro.solver.config import (
     CONFIG_FACTORIES,
     SolverConfig,
@@ -36,6 +37,11 @@ from repro.solver.restart import RestartScheduler, luby
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.solver import Solver, SolverInternalError, solve_formula
 from repro.solver.stats import SolverStats, aggregate_stats
+
+# Load (building once if needed) the compiled kernels at import, so
+# worker processes forked later inherit the loaded library instead of
+# each paying for it on its first solve.
+load_arena_kernel()
 
 __all__ = [
     "CONFIG_FACTORIES",

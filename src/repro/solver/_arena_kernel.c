@@ -1,4 +1,4 @@
-/* BCP kernel over the flat clause arena (see repro/solver/arena.py).
+/* Kernels over the flat clause arena (see repro/solver/solver.py).
  *
  * The arena is one int32 buffer of clause records:
  *

@@ -1,17 +1,17 @@
-"""Build-on-demand loader for the arena BCP kernel.
+"""Build-on-demand loader for the solver's C kernels.
 
-The arena engine's propagation loop has a C twin
-(``_arena_kernel.c``) that runs over the very same ``array('i')``
-buffers — same record layout, same watch chains, same circular
-replacement scan — so a solve produces an identical trajectory whether
-or not the kernel is available.  This module compiles it once per
+The engine's propagation, analysis, backtracking and top-clause loops
+have C twins (``_arena_kernel.c``) that run over the very same
+``array('i')`` buffers — same record layout, same watch chains, same
+circular replacement scan — so a solve produces an identical trajectory
+whether or not the kernels are available.  This module compiles it once per
 source revision with the system C compiler into a cached shared object
 and hands back a ``ctypes`` entry point.
 
 Loading is strictly best-effort: no compiler, a failed compile, a
 read-only cache directory, or ``REPRO_SAT_PURE=1`` in the environment
-all yield ``None``, and :class:`~repro.solver.arena.ArenaSolver` falls
-back to the pure-Python walk.  Nothing outside this module may assume
+all yield ``None``, and :class:`~repro.solver.solver.Solver` falls back
+to its pure-Python loops.  Nothing outside this module may assume
 the kernel exists.
 """
 
@@ -96,10 +96,12 @@ def _build_and_load():
 
 
 def load_arena_kernel():
-    """The compiled ``arena_propagate`` entry point, or ``None``.
+    """The compiled :class:`ArenaKernel` entry points, or ``None``.
 
-    The result is cached per process; the disable flag is re-read every
-    call so tests can flip ``REPRO_SAT_PURE`` without reloading.
+    The result is cached per process (``repro.solver`` loads it once at
+    import, so forked workers inherit the loaded library); the disable
+    flag is re-read every call so each solver honours the current
+    ``REPRO_SAT_PURE``.
     """
     global _cached
     if kernel_disabled():

@@ -57,21 +57,12 @@ VERIFY_SAT = "sat"
 VERIFY_FULL = "full"
 VERIFICATION_LEVELS = (VERIFY_OFF, VERIFY_SAT, VERIFY_FULL)
 
-# Propagation engines ------------------------------------------------------
-# "split" drains binary clauses from flat per-literal implication arrays
-# before running the two-watch loop on longer clauses (the fast path);
-# "general" routes every clause through the watch lists, with binaries
-# pinned at the front so both engines propagate in the same order — the
-# reference the differential tests and `repro-sat bench` compare against.
-# "arena" stores every clause in one flat integer buffer (header words +
-# literals) with blocker-literal watch pairs and runs bounded variable
-# elimination plus arena compaction between restarts; it must agree with
-# the other engines on *answers* but follows its own search trajectory
-# (see docs/BENCHMARKS.md, "Arena engine").
-PROPAGATION_SPLIT = "split"
-PROPAGATION_GENERAL = "general"
+# Propagation engine --------------------------------------------------------
+# The one engine stores every clause in one flat integer buffer (header
+# words + literals) with blocker-literal watch pairs and runs bounded
+# variable elimination plus arena compaction between restarts (see
+# repro.solver.solver).  It is the only accepted ``propagation`` value.
 PROPAGATION_ARENA = "arena"
-PROPAGATION_MODES = (PROPAGATION_SPLIT, PROPAGATION_GENERAL, PROPAGATION_ARENA)
 
 
 @dataclass
@@ -81,7 +72,11 @@ class SolverConfig:
     The defaults are BerkMin's (paper Section 8 gives the database
     constants explicitly; aging and restart constants are stated as
     mechanisms, with values chosen here to be in the range the
-    2002 solvers used and exercised by the ablation benches).
+    2002 solvers used and exercised by the ablation benches).  Beyond
+    the paper, every preset also runs NiVER inprocessing every four
+    restarts and keeps clauses with LBD <= 3 at every reduction;
+    ``glue_keep_max_lbd=0, inprocess_interval=0`` restores the pure
+    Section 8 policy.
     """
 
     name: str = "berkmin"
@@ -132,19 +127,11 @@ class SolverConfig:
     mark_every_n_restarts: int = 0
 
     # -- propagation engine ------------------------------------------------
-    # Which BCP implementation drives the search.  "split" (the default)
-    # and "general" produce identical decisions, conflicts and answers;
-    # "general" is the watched-literal reference kept for differential
-    # testing and benchmarking.  "arena" is the flat-buffer engine with
-    # in-search inprocessing: same answers, its own trajectory (see
-    # docs/BENCHMARKS.md).
-    propagation: str = PROPAGATION_SPLIT
+    # Kept for configs written against earlier engines: "arena" is the
+    # only accepted value, and Solver rejects anything else.
+    propagation: str = PROPAGATION_ARENA
 
-    # -- arena engine / inprocessing ---------------------------------------
-    # The fields below are read only when ``propagation == "arena"``; the
-    # object engines carry them inertly (so configs strip/pickle across
-    # process boundaries without losing them).
-    #
+    # -- inprocessing and the clause arena ----------------------------------
     # Restarts between inprocessing passes (bounded variable elimination
     # at decision level 0); 0 disables inprocessing entirely.
     inprocess_interval: int = 4
@@ -157,10 +144,11 @@ class SolverConfig:
     # Compact the clause arena once at least this fraction of its words
     # is dead (clauses deleted by reduction, retention or elimination).
     arena_gc_fraction: float = 0.25
-    # LBD-aware retention fused into the arena's database reduction:
-    # measured-glue clauses with LBD <= this bound always survive a
-    # reduce, regardless of the age/activity policy verdict.  0 disables
-    # the glue override (pure paper policy).
+    # LBD-aware retention fused into database reduction: measured-glue
+    # clauses with LBD <= this bound always survive a reduce, regardless
+    # of the age/activity policy verdict.  0 disables the glue override;
+    # with ``inprocess_interval=0`` too, reduction is the paper's pure
+    # Section 8 policy.
     glue_keep_max_lbd: int = 3
 
     # -- cooperative clause sharing (see repro.parallel.sharing) -----------
@@ -384,20 +372,6 @@ def berkmin561_config(**overrides) -> SolverConfig:
     return SolverConfig(name="berkmin561", global_selection="heap").with_overrides(**overrides)
 
 
-def arena_config(**overrides) -> SolverConfig:
-    """BerkMin heuristics on the flat-buffer arena engine with inprocessing.
-
-    Same decision/phase/database heuristics as :func:`berkmin_config`,
-    executed by the ``propagation="arena"`` engine: one flat integer
-    clause buffer, blocker-literal watches, bounded variable elimination
-    between restarts, and arena compaction.  Answers agree with the
-    object engines; trajectories (and therefore counts) differ.
-    """
-    return SolverConfig(name="arena", propagation=PROPAGATION_ARENA).with_overrides(
-        **overrides
-    )
-
-
 def random_decision_config(**overrides) -> SolverConfig:
     """A sanity-check baseline: random variable, random phase."""
     return SolverConfig(
@@ -422,7 +396,6 @@ CONFIG_FACTORIES = {
     "berkmin561": berkmin561_config,
     "random_decision": random_decision_config,
     "wide_window": wide_window_config,
-    "arena": arena_config,
 }
 
 

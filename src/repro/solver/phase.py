@@ -1,64 +1,27 @@
 """Branch (phase) selection heuristics — Section 7 of the paper.
 
-Once a branching *variable* is chosen, these functions decide which of
-its two assignments to explore first, returning the encoded literal to
-enqueue (the literal made *true* by the decision).
+Once a branching *variable* is chosen, the phase heuristic decides
+which of its two assignments to explore first, returning the encoded
+literal to enqueue (the literal made *true* by the decision).
 
-Two situations arise, and the paper treats them differently:
-
-* **Top-clause decisions** (some conflict clause is unsatisfied): BerkMin
-  picks the branch that *symmetrizes* the clause database — it explores
-  first the assignment whose refutation would produce conflict clauses
-  containing the less-active literal of the variable, counterbalancing
-  the asymmetry restarts introduce.  Table 4's alternatives (sat_top,
-  unsat_top, take_0, take_1, take_rand) are implemented alongside.
-* **Formula-level decisions** (every conflict clause satisfied): BerkMin
-  maximizes expected BCP power through the ``nb_two`` cost function — a
-  count of binary clauses in the literal's neighbourhood — and falsifies
-  the literal with the larger value.
+The paper treats two situations differently.  Top-clause decisions
+(some conflict clause is unsatisfied) *symmetrize* the database; they
+read the clause record, so they live with the engine as
+:meth:`repro.solver.solver.Solver._top_clause_literal`.  Formula-level
+decisions (every conflict clause satisfied), implemented here, maximize
+expected BCP power through the ``nb_two`` cost function — a count of
+binary clauses in the literal's neighbourhood — and falsify the literal
+with the larger value.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cnf.clause import Clause
 from repro.solver import config as cfg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.solver.solver import Solver
-
-
-def top_clause_literal(solver: "Solver", variable: int, clause: Clause) -> int:
-    """Choose the first branch for a decision made on the current top clause."""
-    heuristic = solver.config.top_clause_phase
-    positive = 2 * variable
-    negative = positive + 1
-
-    if heuristic == cfg.PHASE_SYMMETRIZE:
-        positive_activity = solver.lit_activity[positive]
-        negative_activity = solver.lit_activity[negative]
-        if positive_activity < negative_activity:
-            # Branch x = 0 first: conflict clauses deduced there contain the
-            # positive literal, raising its lagging lit_activity.
-            return negative
-        if negative_activity < positive_activity:
-            return positive
-        return solver.rng.choice((positive, negative))
-
-    if heuristic in (cfg.PHASE_SAT_TOP, cfg.PHASE_UNSAT_TOP):
-        literal_in_clause = next(q for q in clause.literals if q >> 1 == variable)
-        if heuristic == cfg.PHASE_SAT_TOP:
-            return literal_in_clause
-        return literal_in_clause ^ 1
-
-    if heuristic == cfg.PHASE_TAKE_0:
-        return negative
-    if heuristic == cfg.PHASE_TAKE_1:
-        return positive
-    if heuristic == cfg.PHASE_TAKE_RAND:
-        return solver.rng.choice((positive, negative))
-    raise ValueError(f"unknown top-clause phase heuristic {heuristic!r}")
 
 
 def formula_literal(solver: "Solver", variable: int) -> int:

@@ -9,13 +9,6 @@ management.  Every BerkMin novelty and every ablation the paper
 evaluates is selected through :class:`repro.solver.config.SolverConfig`;
 the engine itself is heuristic-agnostic.
 
-Propagation is split by clause length: binary clauses live in flat
-per-literal implication arrays (:attr:`Solver.binary_implications`) and
-are drained by a tight loop with no clause-object traversal, while
-clauses of three or more literals go through the two-watch scheme.  See
-the "Boolean constraint propagation" section below and
-``docs/BENCHMARKS.md`` for the layer's design and measured effect.
-
 Usage::
 
     from repro import CnfFormula, Solver, berkmin_config
@@ -27,40 +20,98 @@ Usage::
 
 The solver is incremental: clauses may be added between ``solve`` calls
 and assumptions passed per call, MiniSat-style.
+
+Clause storage
+--------------
+Every clause — original or learned — lives in one contiguous list of
+ints, the *arena* (the MiniSat-lineage layout); a clause is identified
+by its *ref*, the index of its header:
+
+.. code-block:: text
+
+    arena[ref + 0]   size          number of literals
+    arena[ref + 1]   flags         bit 0 learned, bit 1 protected,
+                                   bit 2 dead, bits >= 3 the LBD stamp
+    arena[ref + 2]   act_idx       index into clause_act / clause_birth
+    arena[ref + 3]   scan          saved watch-replacement scan offset
+                                   (circular search resumes here)
+    arena[ref + 4]   next0, blk0   watch slot 0: next node in the chain
+    arena[ref + 6]   next1, blk1   and cached blocker; same for slot 1
+    arena[ref + 8 .. ref + 8 + size]   encoded literals
+                                   (slots 0 and 1 watch positions 0, 1)
+
+The arena is a real ``array('i')`` — a contiguous int32 buffer — and so
+are the per-variable assignment vectors, which lets the propagation,
+analysis and backtracking loops run either as pure Python or through the
+compiled kernels of :mod:`repro.solver._kernel` over the *same memory*.
+Watch lists are linked chains threaded through the records themselves:
+``watch_head[q]`` holds the first node (``(ref << 1) | slot``, ``-1``
+ends a chain), so attaching is O(1), nothing reallocates during search,
+and a record deleted by reduction is unlinked lazily the next time a
+walk passes it.  Each watch slot caches a *blocker* literal: when the
+blocker is already true the record body is never touched.  The
+replacement scan is circular, resuming at ``arena[ref + 3]`` — long
+learned clauses carry a mostly-false prefix after backtracking, and
+restarting the scan at the front every visit made the walk quadratic.
+
+Reasons live in an ``array('i')`` slot per variable: ``-1`` for
+decisions and level-0 units, the implying record's ref for everything
+else — so conflict analysis never loads a clause object.  The implied
+literal of a reason is *not* normalized to position 0 (that would
+re-thread watch chains); analysis skips it by variable instead.
+
+Deletion never moves memory: a clause dies by setting its dead flag and
+its words are reclaimed later by :meth:`Solver._maybe_collect`, which
+compacts the arena once at least ``config.arena_gc_fraction`` of it is
+dead and rebuilds the watch structures over the moved refs.
+
+Inprocessing
+------------
+Between restarts the engine runs bounded variable elimination (the
+NiVER rule of :mod:`repro.cnf.elimination`) every
+``config.inprocess_interval`` restarts.  Eliminated variables keep their
+original clauses on a stack for model reconstruction; a later clause or
+assumption that mentions one restores it transitively ("restore on
+touch").  All DRUP obligations are preserved: resolvents are logged as
+additions (single-step resolvents are always RUP), learned clauses swept
+by elimination are logged as deletions, and the original clauses an
+elimination removes are *not* deleted from the proof — the checker's
+database stays a superset, which keeps every later inference checkable
+and makes restoration free.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections.abc import Iterable, Sequence
 
-from repro.cnf.clause import Clause
+from repro.cnf.elimination import _resolvents
 from repro.cnf.formula import CnfFormula
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
 from repro.cnf.simplify import clean_clause
+from repro.solver import config as cfg
+from repro.solver._kernel import load_arena_kernel
 from repro.solver.config import (
     PROPAGATION_ARENA,
-    PROPAGATION_GENERAL,
-    PROPAGATION_SPLIT,
     VERIFICATION_LEVELS,
     VERIFY_FULL,
-    VERIFY_OFF,
     SolverConfig,
     berkmin_config,
 )
-from repro.solver.database import _rebuild_structures, reduce_database
-from repro.solver.decision import choose_decision
 from repro.solver.heap import VariableOrderHeap
+from repro.solver.phase import formula_literal
 from repro.solver.restart import RestartScheduler
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import SolverStats
 
-#: Type of an entry in :attr:`Solver.reasons`.  ``None`` marks a decision
-#: or assumption; a :class:`Clause` is the implying clause of a long
-#: propagation; a plain ``int`` is the compact binary reason: the *other*
-#: (falsified) literal of the binary clause that implied the assignment.
-Reason = Clause | int | None
+#: Header layout (see module docstring).
+_HDR = 8
+_LEARNED = 1
+_PROTECTED = 2
+_DEAD = 4
+_LBD_SHIFT = 3
 
 
 class SolverInternalError(RuntimeError):
@@ -70,67 +121,73 @@ class SolverInternalError(RuntimeError):
 class Solver:
     """A configurable CDCL SAT solver reproducing BerkMin and its ablations."""
 
-    #: True on the flat-buffer subclass; layers that must branch on the
-    #: engine (checkpointing, sessions) test this instead of importing
-    #: the subclass.
-    is_arena = False
-
-    def __new__(cls, formula=None, config=None):
-        # ``Solver(formula, config=arena_config())`` transparently builds
-        # the arena engine, so every existing call site — workers,
-        # sessions, the portfolio, checkpoint resume — gets the engine
-        # the configuration names without knowing the subclass exists.
-        if (
-            cls is Solver
-            and config is not None
-            and config.propagation == PROPAGATION_ARENA
-        ):
-            from repro.solver.arena import ArenaSolver
-
-            return super().__new__(ArenaSolver)
-        return super().__new__(cls)
-
     def __init__(
         self,
         formula: CnfFormula | None = None,
         config: SolverConfig | None = None,
     ) -> None:
         self.config = config or berkmin_config()
+        if self.config.propagation != PROPAGATION_ARENA:
+            raise ValueError(
+                f"propagation mode {self.config.propagation!r} was removed; "
+                f"the flat-buffer engine ({PROPAGATION_ARENA!r}) is the only one"
+            )
+        if self.config.verification not in VERIFICATION_LEVELS:
+            raise ValueError(
+                f"unknown verification level {self.config.verification!r}; "
+                f"expected one of {', '.join(VERIFICATION_LEVELS)}"
+            )
         self.rng = random.Random(self.config.seed)
         self.stats = SolverStats()
 
+        # Every buffer the kernels touch is a typed array, not a list:
+        # int32 for assignments, trail, reasons (-1 = no reason), marks
+        # and the learned-ref stack; float64 for the activity vectors.
         self.num_variables = 0
         # Per-variable state; index 0 is unused so variables index directly.
-        self.assigns: list[int] = [UNASSIGNED]
-        self.levels: list[int] = [0]
-        self.reasons: list[Reason] = [None]
-        self.var_activity: list[int] = [0]
+        self.assigns = array("i", [UNASSIGNED])
+        self.levels = array("i", [0])
+        self.reasons = array("i", [-1])
+        self.var_activity = array("d", [0])
+        self._seen = array("i", [0])
         # Per-literal state, indexed by encoded literal (size 2 * (vars + 1)).
-        self.watches: list[list[Clause]] = [[], []]
         # lit_value[q] is the truth value of encoded literal q — the same
         # TRUE/FALSE/UNASSIGNED encoding as ``assigns`` but resolved per
-        # literal, so the BCP hot loop tests truth with one index and no
-        # parity xor.  Kept in lockstep with ``assigns`` by the enqueue and
-        # backtrack primitives.
-        self.lit_value: list[int] = [UNASSIGNED, UNASSIGNED]
-        self.lit_activity: list[int] = [0, 0]
-        self.vsids: list[int] = [0, 0]
+        # literal, so BCP tests truth with one index and no parity xor.
+        self.lit_value = array("i", [UNASSIGNED, UNASSIGNED])
+        self.lit_activity = array("d", [0, 0])
+        self.vsids = array("d", [0, 0])
+        # watch_head[q] heads literal q's chain of watch nodes
+        # ((ref << 1) | slot); the chain links live inside the records.
+        self.watch_head = array("i", [-1, -1])
+        # binary_implications[q] lists the partners of q in binary
+        # clauses — the occurrence index behind the nb_two phase
+        # heuristic (binary records propagate through the chains).
         self.binary_count: list[int] = [0, 0]
-        # binary_implications[q] lists the literals implied true the moment
-        # q becomes false — one flat int array per literal, the single
-        # source of truth for binary clauses (it doubles as the occurrence
-        # index behind the nb_two phase heuristic).
         self.binary_implications: list[list[int]] = [[], []]
 
-        self.trail: list[int] = []  # encoded literals in assignment order
+        self.trail = array("i")  # encoded literals in assignment order
         self.trail_limits: list[int] = []  # trail index at each decision level
         self.qhead = 0  # propagation frontier within the trail
 
-        self.clauses: list[Clause] = []  # original clauses
-        self.learned: list[Clause] = []  # conflict-clause stack, oldest first
+        self.arena = array("i")
+        self.arena_dead = 0  # dead words awaiting collection
+        self.clause_act = array("d")
+        self.clause_birth: list[int] = []
+        self.clauses: list[int] = []  # refs of the live original records
+        self.learned = array("i")  # conflict-clause stack (refs), oldest first
         self.search_cursor = -1  # where the top-clause scan resumes
         self.birth_counter = 0
         self.old_threshold = self.config.old_activity_threshold
+
+        # Variable-elimination bookkeeping.  ``_eliminated`` stacks
+        # ``(variable, original DIMACS clauses)`` in elimination order for
+        # model reconstruction; ``_eliminated_mark`` is the per-variable
+        # membership test; ``_frozen`` holds the current call's assumption
+        # variables (never eliminated).
+        self._eliminated: list[tuple[int, list[list[int]]]] = []
+        self._eliminated_mark: list[bool] = [False]
+        self._frozen: frozenset[int] = frozenset()
 
         # BerkMin561 "strategy 3": heap-based most-active-variable lookup.
         self.order_heap: VariableOrderHeap | None = (
@@ -139,28 +196,20 @@ class Solver:
             else None
         )
 
-        propagation = self.config.propagation
-        if propagation == PROPAGATION_SPLIT:
-            self._propagate = self._propagate_split
-        elif propagation == PROPAGATION_GENERAL:
-            self._propagate = self._propagate_general
-        elif propagation == PROPAGATION_ARENA and self.is_arena:
-            self._propagate = self._propagate_arena
-        else:
-            raise ValueError(
-                f"unknown propagation mode {propagation!r}; "
-                f"expected {PROPAGATION_SPLIT!r}, {PROPAGATION_GENERAL!r} "
-                f"or {PROPAGATION_ARENA!r}"
-            )
-        # True when binary clauses must also sit in the watch lists
-        # (the "general" reference mode); attach_clause consults this.
-        self._binary_in_watches = propagation == PROPAGATION_GENERAL
-
-        if self.config.verification not in VERIFICATION_LEVELS:
-            raise ValueError(
-                f"unknown verification level {self.config.verification!r}; "
-                f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-            )
+        # The compiled kernels (None -> pure-Python fallbacks, identical
+        # semantics) and their call scratch: a BCP work queue of
+        # literals, conflict-analysis output buffers, and the shared
+        # out-params word pair.  ``REPRO_SAT_PURE`` is read per solver.
+        kernel = load_arena_kernel()
+        self._kernel = kernel.propagate if kernel else None
+        self._kernel_analyze = kernel.analyze if kernel else None
+        self._kernel_top = kernel.top_unsat if kernel else None
+        self._kernel_backtrack = kernel.backtrack if kernel else None
+        self._kernel_best = kernel.best_var if kernel else None
+        self._kernel_out = array("i", (0, 0))
+        self._scratch = array("i")
+        self._learnt_out = array("i")
+        self._clear_out = array("i")
 
         self.ok = True  # False once the formula is refuted outright
         self._interrupted = False  # set by interrupt(), honoured in solve()
@@ -179,16 +228,15 @@ class Solver:
         self._proof_level0_logged = 0
         # Pristine copies of every added clause, for model verification.
         self._pristine: list[list[int]] = []
-        self._seen: list[bool] = [False]
-        # Scratch buffers reused by _analyze so the per-conflict hot path
-        # allocates nothing.  Their contents are only valid inside one
-        # _analyze call; _record_learned copies what it keeps.
+        # Scratch buffers reused by the pure-Python analysis so the
+        # per-conflict hot path allocates nothing.  Their contents are
+        # only valid inside one _analyze call.
         self._learnt_buffer: list[int] = []
         self._to_clear_buffer: list[int] = []
 
         # Observability.  ``trace`` is the structured event sink (None =
-        # disabled; every emission site guards on it, and the BCP loops
-        # never consult it).  The decision heuristics stamp
+        # disabled; every emission site guards on it, and the BCP loop
+        # never consults it).  The decision heuristics stamp
         # ``last_decision_source`` / ``last_skin_distance`` — only when
         # tracing is on — for the decision event emitted by solve().
         self.trace = self.config.trace
@@ -216,38 +264,91 @@ class Solver:
         if formula is not None:
             self.add_formula(formula)
 
-    @property
-    def binary_occurrences(self) -> list[list[int]]:
-        """Backwards-compatible alias for :attr:`binary_implications`.
+    # ==================================================================
+    # Record primitives
+    # ==================================================================
+    def _push_record(
+        self, literals: list[int], learned: bool, lbd: int = 0, birth: int | None = None
+    ) -> int:
+        """Append one clause record; returns its ref.
 
-        The per-literal lists serve two readings: the literals *implied*
-        when the index literal becomes false (propagation), and the
-        partners the index literal *occurs with* in binary clauses
-        (the nb_two phase heuristic).  Same data either way.
+        Learned records draw (and advance) ``birth_counter`` unless an
+        explicit ``birth`` is supplied (the snapshot-restore path, where
+        the counter is restored separately).
         """
-        return self.binary_implications
+        arena = self.arena
+        ref = len(arena)
+        arena.append(len(literals))
+        arena.append((lbd << _LBD_SHIFT) | (_LEARNED if learned else 0))
+        arena.append(len(self.clause_act))
+        arena.append(2)  # circular scan starts past the watched pair
+        arena.extend((-1, 0, -1, 0))  # watch nodes, linked by _attach_ref
+        arena.extend(literals)
+        self.clause_act.append(0)
+        if learned and birth is None:
+            birth = self.birth_counter
+            self.birth_counter += 1
+        self.clause_birth.append(birth or 0)
+        return ref
+
+    def _attach_ref(self, ref: int) -> None:
+        """Index one record for propagation.
+
+        Links both watch slots at the head of their literals' chains,
+        each blocker seeded with the companion watch.  Binary records
+        propagate through the chains like everything else, but also
+        feed the flat implication arrays the phase heuristics score
+        with (``nb_two`` / ``formula_literal``).
+        """
+        arena = self.arena
+        base = ref + _HDR
+        first = arena[base]
+        second = arena[base + 1]
+        if arena[ref] == 2:
+            self.binary_count[first] += 1
+            self.binary_implications[first].append(second)
+            self.binary_count[second] += 1
+            self.binary_implications[second].append(first)
+        head = self.watch_head
+        arena[ref + 4] = head[first]
+        arena[ref + 5] = second
+        head[first] = ref << 1
+        arena[ref + 6] = head[second]
+        arena[ref + 7] = first
+        head[second] = (ref << 1) | 1
+
+    def _kill_ref(self, ref: int) -> None:
+        """Mark one record dead; its words are reclaimed at the next GC."""
+        self.arena[ref + 1] |= _DEAD
+        self.arena_dead += self.arena[ref] + _HDR
+
+    def _ref_literals(self, ref: int) -> list[int]:
+        base = ref + _HDR
+        return self.arena[base : base + self.arena[ref]].tolist()
 
     # ==================================================================
     # Clause loading
     # ==================================================================
     def ensure_variables(self, count: int) -> None:
         """Grow all per-variable and per-literal tables to hold ``count`` vars."""
+        watch_head = self.watch_head
         while self.num_variables < count:
             self.num_variables += 1
             self.assigns.append(UNASSIGNED)
             self.levels.append(0)
-            self.reasons.append(None)
+            self.reasons.append(-1)
             self.var_activity.append(0)
-            self._seen.append(False)
+            self._seen.append(0)
+            self._eliminated_mark.append(False)
             if self.order_heap is not None:
                 self.order_heap.push(self.num_variables)
             for _ in range(2):
-                self.watches.append([])
                 self.lit_value.append(UNASSIGNED)
                 self.lit_activity.append(0)
                 self.vsids.append(0)
                 self.binary_count.append(0)
                 self.binary_implications.append([])
+                watch_head.append(-1)
 
     def add_formula(self, formula: CnfFormula) -> bool:
         """Load every clause of ``formula``; returns False if refuted outright."""
@@ -273,12 +374,19 @@ class Solver:
         if cleaned is None:  # tautology
             return self.ok
         self.ensure_variables(max((abs(lit) for lit in cleaned), default=0))
-        encoded = [encode_literal(lit) for lit in cleaned]
+        # Restore on touch: a new clause naming an eliminated variable
+        # brings that variable (and, transitively, any eliminated
+        # variable its stored clauses mention) back into the search.
+        for literal in cleaned:
+            if self._eliminated_mark[abs(literal)]:
+                self._restore_variable(abs(literal))
+        if not self.ok:
+            return False
 
         # Reduce against permanent (level-0) assignments.
         remaining: list[int] = []
-        for literal in encoded:
-            value = self._value(literal)
+        for literal in (encode_literal(lit) for lit in cleaned):
+            value = self.lit_value[literal]
             if value == TRUE:
                 return self.ok  # already satisfied forever
             if value == UNASSIGNED:
@@ -292,37 +400,13 @@ class Solver:
         if len(remaining) == 1:
             self._enqueue(remaining[0], None)
             return self.ok
-        clause = Clause(remaining)
-        self.clauses.append(clause)
-        self.attach_clause(clause)
+        ref = self._push_record(remaining, learned=False)
+        self.clauses.append(ref)
+        self._attach_ref(ref)
         self.stats.peak_clauses = max(
             self.stats.peak_clauses, len(self.clauses) + len(self.learned)
         )
         return self.ok
-
-    def attach_clause(self, clause: Clause) -> None:
-        """Index the clause for propagation.
-
-        Binary clauses go into the flat implication arrays; clauses of
-        three or more literals watch their first two positions.  Under
-        the ``"general"`` reference mode binary clauses are *additionally*
-        kept at the front of each watch list, so the watch walk meets
-        them in exactly the order the split path drains the implication
-        arrays (the insert is O(list) but runs only at attach time).
-        """
-        literals = clause.literals
-        if len(literals) == 2:
-            first, second = literals
-            self.binary_count[first] += 1
-            self.binary_implications[first].append(second)
-            self.binary_count[second] += 1
-            self.binary_implications[second].append(first)
-            if self._binary_in_watches:
-                self.watches[first].insert(self.binary_count[first] - 1, clause)
-                self.watches[second].insert(self.binary_count[second] - 1, clause)
-        else:
-            self.watches[literals[0]].append(clause)
-            self.watches[literals[1]].append(clause)
 
     # ==================================================================
     # Assignment primitives
@@ -339,20 +423,19 @@ class Solver:
         """Public: current value of a DIMACS literal."""
         return self._value(encode_literal(dimacs_literal))
 
-    def _enqueue(self, literal: int, reason: Reason) -> None:
+    def _enqueue(self, literal: int, reason: int | None) -> None:
         """Assign ``literal`` true at the current level.
 
-        ``reason`` is ``None`` for decisions and assumptions, the
-        implying :class:`Clause` for long propagations, or a compact int
-        — the falsified partner literal — for binary implications (the
-        conceptual reason clause is then ``(literal OR reason)``).
+        ``reason`` is ``None`` for decisions and assumptions, or the ref
+        of the implying record; the reasons vector stores ``-1`` for
+        "no reason" because the kernels index it as int32.
         """
         variable = literal >> 1
         self.assigns[variable] = (literal & 1) ^ 1
         self.lit_value[literal] = TRUE
         self.lit_value[literal ^ 1] = FALSE
         self.levels[variable] = len(self.trail_limits)
-        self.reasons[variable] = reason
+        self.reasons[variable] = -1 if reason is None else reason
         self.trail.append(literal)
         if reason is not None:
             self.stats.propagations += 1
@@ -360,36 +443,47 @@ class Solver:
     def reason_literals(self, variable: int) -> list[int] | None:
         """The reason clause of ``variable`` as a literal list, implied first.
 
-        Reconstructs the two-literal view of compact binary reasons;
-        returns ``None`` for decisions and assumptions.  Only meaningful
+        Returns ``None`` for decisions and assumptions.  Only meaningful
         while ``variable`` is assigned.
         """
         reason = self.reasons[variable]
-        if reason is None:
+        if reason < 0:
             return None
-        if type(reason) is int:
-            implied = (variable << 1) | (self.assigns[variable] ^ 1)
-            return [implied, reason]
-        return list(reason.literals)
+        literals = self._ref_literals(reason)
+        implied = (variable << 1) | (self.assigns[variable] ^ 1)
+        position = literals.index(implied)
+        if position:  # contract: the implied literal leads
+            literals[0], literals[position] = literals[position], literals[0]
+        return literals
 
     def _backtrack(self, target_level: int) -> None:
         """Undo every assignment above ``target_level``."""
         if self.current_level() <= target_level:
             return
         limit = self.trail_limits[target_level]
-        assigns = self.assigns
-        lit_value = self.lit_value
-        reasons = self.reasons
         heap = self.order_heap
-        for index in range(len(self.trail) - 1, limit - 1, -1):
-            literal = self.trail[index]
-            variable = literal >> 1
-            assigns[variable] = UNASSIGNED
-            lit_value[literal] = UNASSIGNED
-            lit_value[literal ^ 1] = UNASSIGNED
-            reasons[variable] = None
-            if heap is not None:
-                heap.push(variable)
+        if self._kernel_backtrack is not None and heap is None:
+            self._kernel_backtrack(
+                self.trail.buffer_info()[0],
+                limit,
+                len(self.trail),
+                self.assigns.buffer_info()[0],
+                self.lit_value.buffer_info()[0],
+                self.reasons.buffer_info()[0],
+            )
+        else:
+            assigns = self.assigns
+            lit_value = self.lit_value
+            reasons = self.reasons
+            for index in range(len(self.trail) - 1, limit - 1, -1):
+                literal = self.trail[index]
+                variable = literal >> 1
+                assigns[variable] = UNASSIGNED
+                lit_value[literal] = UNASSIGNED
+                lit_value[literal ^ 1] = UNASSIGNED
+                reasons[variable] = -1
+                if heap is not None:
+                    heap.push(variable)
         del self.trail[limit:]
         del self.trail_limits[target_level:]
         self.qhead = limit
@@ -399,277 +493,193 @@ class Solver:
     # ==================================================================
     # Boolean constraint propagation
     # ==================================================================
-    # Two implementations with identical observable behaviour — same
-    # enqueue order, same conflicts, same learnt clauses — selected by
-    # ``config.propagation`` in ``__init__``:
-    #
-    # * ``"split"`` (default): binary clauses are drained from the flat
-    #   implication arrays first — a tight loop over plain ints with no
-    #   clause objects, no watch compaction and no literal swaps — then
-    #   the two-watch walk handles clauses of length >= 3.
-    # * ``"general"``: every clause goes through the watch lists, with
-    #   binary clauses pinned (read-only) at the front of each list so
-    #   the propagation order matches the split path literal for
-    #   literal.  This is the reference the differential tests and the
-    #   bench harness compare against.
-    #
-    # Both paths report a binary conflict as a fresh two-literal Clause
-    # view rather than the attached object: conflict analysis only reads
-    # the literals, and the attached clause (if learned) stays eligible
-    # for the activity policies through the reasons it produces.
-    def _propagate_split(self) -> Clause | None:
-        """Propagate to fixpoint; return the conflicting clause, if any."""
+    def _propagate(self) -> int | None:
+        """Propagate to fixpoint over the watch chains.
+
+        Returns ``None`` at fixpoint or the conflicting record's ref
+        (callers only test ``is not None``; ref 0 is a valid conflict
+        value).  Dispatches to the compiled kernel when one loaded; the
+        pure-Python walk below implements the identical semantics over
+        the identical buffers, so the trajectory does not depend on
+        which one ran.
+        """
         trail = self.trail
+        if self._kernel is not None:
+            if self.qhead == len(trail):
+                return None
+            scratch = self._scratch
+            capacity = self.num_variables + 8
+            if len(scratch) < capacity:
+                scratch = self._scratch = array("i", bytes(4 * capacity))
+            out = self._kernel_out
+            implied = self._kernel(
+                self.arena.buffer_info()[0],
+                self.watch_head.buffer_info()[0],
+                self.lit_value.buffer_info()[0],
+                self.assigns.buffer_info()[0],
+                self.levels.buffer_info()[0],
+                self.reasons.buffer_info()[0],
+                trail.buffer_info()[0],
+                self.qhead,
+                len(trail),
+                scratch.buffer_info()[0],
+                len(self.trail_limits),
+                out.buffer_info()[0],
+            )
+            if implied:
+                trail.extend(scratch[:implied])
+            self.stats.propagations += implied
+            self.qhead = len(trail)
+            conflict = out[0]
+            return conflict if conflict >= 0 else None
+
         levels = self.levels
         reasons = self.reasons
         assigns = self.assigns
-        watches = self.watches
-        implications = self.binary_implications
+        watch_head = self.watch_head
         lit_value = self.lit_value
+        arena = self.arena
         level = len(self.trail_limits)  # constant: decisions happen outside
         propagations = 0
         qhead = self.qhead
         trail_append = trail.append
         while qhead < len(trail):
-            propagated = trail[qhead]
+            false_literal = trail[qhead] ^ 1
             qhead += 1
-            false_literal = propagated ^ 1
-            # Phase 1: binary implications — flat ints, no clause objects.
-            for other in implications[false_literal]:
-                value = lit_value[other]
-                if value < 0:  # unassigned: imply it
-                    variable = other >> 1
-                    assigns[variable] = (other & 1) ^ 1
-                    lit_value[other] = TRUE
-                    lit_value[other ^ 1] = FALSE
-                    levels[variable] = level
-                    reasons[variable] = false_literal
-                    trail_append(other)
-                    propagations += 1
-                elif not value:  # FALSE: binary conflict
+            prev = -1  # -1: the predecessor field is watch_head itself
+            node = watch_head[false_literal]
+            while node != -1:
+                ref = node >> 1
+                next_field = ref + 4 + 2 * (node & 1)
+                next_node = arena[next_field]
+                if lit_value[arena[next_field + 1]] == 1:
+                    # Blocker true: satisfied, record body untouched.
+                    prev = next_field
+                    node = next_node
+                    continue
+                if arena[ref + 1] & _DEAD:
+                    # Deleted record: unlink lazily in passing.
+                    if prev < 0:
+                        watch_head[false_literal] = next_node
+                    else:
+                        arena[prev] = next_node
+                    node = next_node
+                    continue
+                base = ref + _HDR
+                other = arena[base + 1 - (node & 1)]  # the companion watch
+                other_value = lit_value[other]
+                if other_value == 1:  # satisfied: refresh the blocker
+                    arena[next_field + 1] = other
+                    prev = next_field
+                    node = next_node
+                    continue
+                # Circular replacement search from the saved offset.
+                end = base + arena[ref]
+                saved = base + arena[ref + 3]
+                scan = saved
+                found = -1
+                while scan < end:
+                    if lit_value[arena[scan]] != 0:  # TRUE/UNASSIGNED
+                        found = scan
+                        break
+                    scan += 1
+                if found < 0:
+                    scan = base + 2
+                    while scan < saved:
+                        if lit_value[arena[scan]] != 0:
+                            found = scan
+                            break
+                        scan += 1
+                if found >= 0:
+                    # Move this watch slot to the replacement literal.
+                    candidate = arena[found]
+                    arena[found] = false_literal
+                    arena[base + (node & 1)] = candidate
+                    arena[ref + 3] = found - base
+                    if prev < 0:
+                        watch_head[false_literal] = next_node
+                    else:
+                        arena[prev] = next_node
+                    arena[next_field] = watch_head[candidate]
+                    arena[next_field + 1] = other
+                    watch_head[candidate] = node
+                    node = next_node
+                    continue
+                if other_value == 0:  # companion false too: conflict
                     self.qhead = len(trail)
                     self.stats.propagations += propagations
-                    return Clause((other, false_literal))
-            # Phase 2: clauses of length >= 3 via the two-watch scheme.
-            watch_list = watches[false_literal]
-            keep = 0
-            index = 0
-            length = len(watch_list)
-            while index < length:
-                clause = watch_list[index]
-                index += 1
-                literals = clause.literals
-                # Normalize: the falsified watch sits at position 1.
-                if literals[0] == false_literal:
-                    literals[0], literals[1] = literals[1], literals[0]
-                first = literals[0]
-                first_value = lit_value[first]
-                if first_value == 1:  # TRUE: clause satisfied
-                    watch_list[keep] = clause
-                    keep += 1
-                    continue
-                for scan in range(2, len(literals)):
-                    candidate = literals[scan]
-                    if lit_value[candidate]:  # TRUE or UNASSIGNED: new watch
-                        literals[1], literals[scan] = literals[scan], literals[1]
-                        watches[candidate].append(clause)
-                        break
-                else:
-                    # No replacement: the clause is unit or conflicting.
-                    watch_list[keep] = clause
-                    keep += 1
-                    if not first_value:  # first is FALSE: conflict
-                        while index < length:
-                            watch_list[keep] = watch_list[index]
-                            keep += 1
-                            index += 1
-                        del watch_list[keep:]
-                        self.qhead = len(trail)
-                        self.stats.propagations += propagations
-                        return clause
-                    variable = first >> 1
-                    assigns[variable] = (first & 1) ^ 1
-                    lit_value[first] = TRUE
-                    lit_value[first ^ 1] = FALSE
-                    levels[variable] = level
-                    reasons[variable] = clause
-                    trail_append(first)
-                    propagations += 1
-            del watch_list[keep:]
+                    return ref
+                # Unit: imply the companion watch.
+                variable = other >> 1
+                assigns[variable] = (other & 1) ^ 1
+                lit_value[other] = TRUE
+                lit_value[other ^ 1] = FALSE
+                levels[variable] = level
+                reasons[variable] = ref
+                trail_append(other)
+                propagations += 1
+                arena[next_field + 1] = other
+                prev = next_field
+                node = next_node
         self.qhead = qhead
         self.stats.propagations += propagations
-        return None
-
-    def _propagate_general(self) -> Clause | None:
-        """Reference BCP: every clause via the watch lists, binaries first.
-
-        This keeps the pre-split implementation style — per-iteration
-        ``self.qhead`` bookkeeping, truth tests against ``assigns`` with
-        the parity xor, enqueues through :meth:`_enqueue` — so bench runs
-        against it measure what the split engine (and its hot-loop
-        tuning) buys.  The one departure from the historical loop is
-        required for order alignment: the binary prefix of each watch
-        list is walked read-only with compact int reasons, because
-        swapping binary literals or compacting them away would perturb
-        decision tie-breaking and learnt clauses relative to the split
-        path.
-        """
-        trail = self.trail
-        assigns = self.assigns
-        watches = self.watches
-        binary_count = self.binary_count
-        while self.qhead < len(trail):
-            propagated = trail[self.qhead]
-            self.qhead += 1
-            false_literal = propagated ^ 1
-            watch_list = watches[false_literal]
-            # Binary prefix: no swaps, no compaction, compact int reasons.
-            boundary = binary_count[false_literal]
-            for index in range(boundary):
-                literals = watch_list[index].literals
-                other = literals[1] if literals[0] == false_literal else literals[0]
-                value = assigns[other >> 1]
-                if value < 0:
-                    self._enqueue(other, false_literal)
-                elif value ^ (other & 1) == FALSE:
-                    self.qhead = len(trail)
-                    return Clause((other, false_literal))
-            # Long suffix: the classic two-watch walk, compacting only
-            # past the binary prefix.
-            keep = boundary
-            index = boundary
-            length = len(watch_list)
-            while index < length:
-                clause = watch_list[index]
-                index += 1
-                literals = clause.literals
-                # Normalize: the falsified watch sits at position 1.
-                if literals[0] == false_literal:
-                    literals[0], literals[1] = literals[1], literals[0]
-                first = literals[0]
-                first_value = assigns[first >> 1]
-                if first_value >= 0 and first_value ^ (first & 1) == TRUE:
-                    watch_list[keep] = clause
-                    keep += 1
-                    continue
-                for scan in range(2, len(literals)):
-                    candidate = literals[scan]
-                    value = assigns[candidate >> 1]
-                    if value < 0 or value ^ (candidate & 1) == TRUE:
-                        literals[1], literals[scan] = literals[scan], literals[1]
-                        watches[candidate].append(clause)
-                        break
-                else:
-                    # No replacement: the clause is unit or conflicting.
-                    watch_list[keep] = clause
-                    keep += 1
-                    if first_value >= 0:  # first is FALSE: conflict
-                        while index < length:
-                            watch_list[keep] = watch_list[index]
-                            keep += 1
-                            index += 1
-                        del watch_list[keep:]
-                        self.qhead = len(trail)
-                        return clause
-                    self._enqueue(first, clause)
-            del watch_list[keep:]
         return None
 
     # ==================================================================
     # Conflict analysis (first UIP, Section 2)
     # ==================================================================
-    def _analyze(self, conflict: Clause) -> tuple[list[int], int]:
+    def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """Derive the first-UIP conflict clause and the backjump level.
 
         Also performs all activity bookkeeping: ``clause_activity`` on
-        every *responsible* clause, ``var_activity`` per the configured
-        sensitivity rule (Section 4), ``lit_activity`` on the literals of
-        the deduced conflict clause (Section 7), and the Chaff literal
-        counters.
-
-        Reasons come in two shapes (see :attr:`reasons`): a
-        :class:`Clause`, whose position 0 holds the implied literal, or a
-        compact int ``q`` standing for the binary clause ``(asserting OR
-        q)``.  The returned list is a reused scratch buffer — callers
-        must copy what they keep (``_record_learned`` does).
+        every *responsible* learned clause, ``var_activity`` per the
+        configured sensitivity rule (Section 4), ``lit_activity`` on the
+        literals of the deduced conflict clause (Section 7), and the
+        Chaff literal counters.  The resolution walk runs in the C
+        kernel when one loaded (and no order heap needs per-bump
+        updates), else in :meth:`_analyze_resolve`.
         """
         config = self.config
         seen = self._seen
         levels = self.levels
         trail = self.trail
-        reasons = self.reasons
         current_level = len(self.trail_limits)
         var_activity = self.var_activity
-
-        learnt = self._learnt_buffer
-        learnt.clear()
-        learnt.append(0)  # position 0 reserved for the asserting literal
-        to_clear = self._to_clear_buffer
-        to_clear.clear()
         bump_responsible = config.bump_responsible_clauses
         heap = self.order_heap
 
-        clause: Reason = conflict
-        unresolved = 0
-        index = len(trail) - 1
-        asserting = -1
-
-        while True:
-            if clause is None:
+        if self._kernel_analyze is not None and heap is None:
+            # Kernel path: the resolution walk (and responsible-clause
+            # bumps) run in C; marks stay set for _minimize below.
+            capacity = self.num_variables + 2
+            learnt_out = self._learnt_out
+            if len(learnt_out) < capacity:
+                learnt_out = self._learnt_out = array("i", bytes(4 * capacity))
+                self._clear_out = array("i", bytes(4 * capacity))
+            clear_out = self._clear_out
+            out = self._kernel_out
+            failed = self._kernel_analyze(
+                self.arena.buffer_info()[0],
+                trail.buffer_info()[0],
+                len(trail),
+                self.reasons.buffer_info()[0],
+                levels.buffer_info()[0],
+                seen.buffer_info()[0],
+                var_activity.buffer_info()[0],
+                self.clause_act.buffer_info()[0],
+                conflict,
+                current_level,
+                1 if bump_responsible else 0,
+                learnt_out.buffer_info()[0],
+                clear_out.buffer_info()[0],
+                out.buffer_info()[0],
+            )
+            if failed:
                 raise SolverInternalError("missing reason during conflict analysis")
-            if type(clause) is int:
-                # Compact binary reason: the clause is (asserting OR other),
-                # and ``asserting`` (position 0) is skipped as usual.
-                other = clause
-                if bump_responsible:
-                    bumped = asserting >> 1
-                    var_activity[bumped] += 1
-                    if heap is not None:
-                        heap.update(bumped)
-                    bumped = other >> 1
-                    var_activity[bumped] += 1
-                    if heap is not None:
-                        heap.update(bumped)
-                variable = other >> 1
-                if not seen[variable] and levels[variable] > 0:
-                    seen[variable] = True
-                    to_clear.append(variable)
-                    if levels[variable] >= current_level:
-                        unresolved += 1
-                    else:
-                        learnt.append(other)
-            else:
-                if clause.learned:
-                    clause.activity += 1
-                clause_literals = clause.literals
-                if bump_responsible:
-                    for literal in clause_literals:
-                        bumped = literal >> 1
-                        var_activity[bumped] += 1
-                        if heap is not None:
-                            heap.update(bumped)
-                start = 0 if asserting == -1 else 1
-                for position in range(start, len(clause_literals)):
-                    literal = clause_literals[position]
-                    variable = literal >> 1
-                    if not seen[variable] and levels[variable] > 0:
-                        seen[variable] = True
-                        to_clear.append(variable)
-                        if levels[variable] >= current_level:
-                            unresolved += 1
-                        else:
-                            learnt.append(literal)
-            while not seen[trail[index] >> 1]:
-                index -= 1
-            asserting = trail[index]
-            variable = asserting >> 1
-            clause = reasons[variable]
-            seen[variable] = False
-            unresolved -= 1
-            index -= 1
-            if unresolved == 0:
-                break
-        learnt[0] = asserting ^ 1
+            learnt = learnt_out[: out[0]].tolist()
+            to_clear = clear_out[: out[1]].tolist()
+        else:
+            learnt, to_clear = self._analyze_resolve(conflict, current_level)
 
         if config.clause_minimization and len(learnt) > 2:
             learnt = self._minimize(learnt)
@@ -701,31 +711,97 @@ class Solver:
             seen[variable] = False
         return learnt, backtrack_level
 
+    def _analyze_resolve(self, conflict: int, current_level: int):
+        """Pure-Python twin of the kernel's first-UIP resolution walk.
+
+        Returns ``(learnt, to_clear)`` with every variable in
+        ``to_clear`` still marked in ``_seen`` (exactly the kernel's
+        contract); :meth:`_analyze` owns the shared tail.  The
+        resolved-upon literal is skipped by variable comparison rather
+        than by position (watch chains forbid moving it to slot 0).
+        """
+        seen = self._seen
+        levels = self.levels
+        trail = self.trail
+        reasons = self.reasons
+        arena = self.arena
+        clause_act = self.clause_act
+        var_activity = self.var_activity
+        bump_responsible = self.config.bump_responsible_clauses
+        heap = self.order_heap
+
+        learnt = self._learnt_buffer
+        learnt.clear()
+        learnt.append(0)  # position 0 reserved for the asserting literal
+        to_clear = self._to_clear_buffer
+        to_clear.clear()
+
+        clause = conflict
+        unresolved = 0
+        index = len(trail) - 1
+        resolved_variable = -1  # first iteration: every literal participates
+
+        while True:
+            if clause < 0:
+                raise SolverInternalError("missing reason during conflict analysis")
+            ref = clause
+            if arena[ref + 1] & _LEARNED:
+                clause_act[arena[ref + 2]] += 1
+            base = ref + _HDR
+            end = base + arena[ref]
+            if bump_responsible:
+                for position in range(base, end):
+                    bumped = arena[position] >> 1
+                    var_activity[bumped] += 1
+                    if heap is not None:
+                        heap.update(bumped)
+            for position in range(base, end):
+                literal = arena[position]
+                variable = literal >> 1
+                if variable == resolved_variable:
+                    continue  # the literal this resolution removes
+                if not seen[variable] and levels[variable] > 0:
+                    seen[variable] = True
+                    to_clear.append(variable)
+                    if levels[variable] >= current_level:
+                        unresolved += 1
+                    else:
+                        learnt.append(literal)
+            while not seen[trail[index] >> 1]:
+                index -= 1
+            asserting = trail[index]
+            variable = asserting >> 1
+            resolved_variable = variable
+            clause = reasons[variable]
+            seen[variable] = False
+            unresolved -= 1
+            index -= 1
+            if unresolved == 0:
+                break
+        learnt[0] = asserting ^ 1
+        return learnt, to_clear
+
     def _minimize(self, learnt: list[int]) -> list[int]:
         """Self-subsumption minimization (extension; off by default).
 
         A non-asserting literal is redundant when every literal of its
         reason clause is already in the learnt clause (or at level 0).
         Requires the ``seen`` flags of the learnt literals, which
-        :meth:`_analyze` has not cleared yet at the call site.  Compact
-        binary reasons contribute a single antecedent literal.
+        :meth:`_analyze` has not cleared yet at the call site.
         """
         seen = self._seen
         levels = self.levels
+        arena = self.arena
         minimized = [learnt[0]]
         for literal in learnt[1:]:
-            reason = self.reasons[literal >> 1]
-            if reason is None:
+            ref = self.reasons[literal >> 1]
+            if ref < 0:
                 minimized.append(literal)
                 continue
-            if type(reason) is int:
-                variable = reason >> 1
-                if not seen[variable] and levels[variable] > 0:
-                    minimized.append(literal)
-                continue
+            base = ref + _HDR
             redundant = True
-            for other in reason.literals:
-                variable = other >> 1
+            for position in range(base, base + arena[ref]):
+                variable = arena[position] >> 1
                 if variable == literal >> 1:
                     continue
                 if not seen[variable] and levels[variable] > 0:
@@ -736,14 +812,14 @@ class Solver:
         return minimized
 
     # ==================================================================
-    # Learning, restarts, aging
+    # Learning and aging
     # ==================================================================
     def _record_learned(self, learnt: list[int], lbd: int = 0) -> None:
         """Push the conflict clause and assert its first literal.
 
         ``lbd`` is the literal-block distance measured at conflict time
         (before backtracking erased the levels); it is stamped on the
-        clause so quality-based retention can filter by glue later.
+        record so quality-based retention can filter by glue later.
         """
         self.stats.learned_total += 1
         self.log_proof_add(learnt)
@@ -751,30 +827,20 @@ class Solver:
             self.stats.learned_units += 1
             self._enqueue(learnt[0], None)
         else:
-            clause = Clause(learnt, learned=True, birth=self.birth_counter, lbd=lbd)
-            self.birth_counter += 1
-            self.learned.append(clause)
-            self.attach_clause(clause)
-            self._enqueue(learnt[0], clause)
+            ref = self._push_record(list(learnt), learned=True, lbd=lbd)
+            self.learned.append(ref)
+            self._attach_ref(ref)
+            self._enqueue(learnt[0], ref)
         self.search_cursor = len(self.learned) - 1
         self.stats.peak_clauses = max(
             self.stats.peak_clauses, len(self.clauses) + len(self.learned)
         )
 
-    def _choose(self) -> int | None:
-        """The next decision literal (``None`` = all assigned): hook point.
-
-        The base engines dispatch to the Section 5/6 strategies in
-        :mod:`repro.solver.decision`; the arena engine overrides this
-        with its flat-buffer reimplementation of the same strategies.
-        """
-        return choose_decision(self)
-
     def _decay_activities(self) -> None:
         """Age all activity counters (Chaff's aging, adopted by BerkMin).
 
         Mutates in place: the order heap (and any other holder of the
-        lists) keeps its reference.  Integer division preserves relative
+        vectors) keeps its reference.  Integer division preserves relative
         order but can create new ties, so the heap is reheapified.
         """
         divisor = self.config.activity_decay_divisor
@@ -789,13 +855,269 @@ class Solver:
         if self.order_heap is not None:
             self.order_heap.rebuild(list(self.order_heap.heap))
 
+    # ==================================================================
+    # Decisions (Sections 5 and 6) and top-clause phases (Section 7)
+    # ==================================================================
+    # Each strategy returns the encoded literal to decide next, or
+    # ``None`` when every (non-eliminated) variable is assigned:
+    #
+    # * berkmin — the paper's contribution: the most active free variable
+    #   of the *current top clause* (the unsatisfied conflict clause
+    #   closest to the top of the chronological stack), falling back to
+    #   the global choice when every conflict clause is satisfied;
+    # * global — the Table 2 "less_mobility" ablation: always the
+    #   globally most active free variable (activities still BerkMin's);
+    # * vsids — the Chaff baseline: the free literal with the highest
+    #   counter is set true;
+    # * random — uniform random variable and phase.
+    def _choose(self) -> int | None:
+        """The next decision literal per ``config.decision_strategy``."""
+        strategy = self.config.decision_strategy
+        if strategy == cfg.DECISION_BERKMIN:
+            return self._berkmin_decision()
+        if strategy == cfg.DECISION_GLOBAL:
+            return self._global_decision()
+        if strategy == cfg.DECISION_VSIDS:
+            return self._vsids_decision()
+        if strategy == cfg.DECISION_RANDOM:
+            return self._random_decision()
+        raise ValueError(f"unknown decision strategy {strategy!r}")
+
+    def _next_unsat(self, index: int) -> int:
+        """Topmost learned-stack index <= ``index`` whose record is not
+        satisfied, or -1 (kernel scan when available)."""
+        learned = self.learned
+        if self._kernel_top is not None:
+            if index < 0:
+                return -1
+            return self._kernel_top(
+                self.arena.buffer_info()[0],
+                learned.buffer_info()[0],
+                index,
+                self.lit_value.buffer_info()[0],
+            )
+        lit_value = self.lit_value
+        arena = self.arena
+        while index >= 0:
+            ref = learned[index]
+            base = ref + _HDR
+            satisfied = False
+            for position in range(base, base + arena[ref]):
+                if lit_value[arena[position]] == 1:
+                    satisfied = True
+                    break
+            if not satisfied:
+                return index
+            index -= 1
+        return -1
+
+    def _berkmin_decision(self) -> int | None:
+        """Branch on the current top clause; fall back to the global choice.
+
+        The search for the top clause starts at ``search_cursor`` rather
+        than the true top of the stack: between two consecutive
+        decisions (no backtracking in between) clauses only *gain*
+        satisfied literals, so anything above the cursor is still
+        satisfied.  The cursor is reset to the top whenever assignments
+        are undone or a new clause is pushed.  The *recorded*
+        skin-effect distance (Table 3) is always measured from the true
+        top.  With ``top_clause_window > 1`` (the Remark 2 extension)
+        the most active free variable across that many unsatisfied top
+        clauses wins; phase is decided on the topmost clause holding it.
+        """
+        learned = self.learned
+        top = len(learned) - 1
+        index = min(self.search_cursor, top)
+        window = self.config.top_clause_window
+        collected: list[int] = []  # unsatisfied refs, topmost first
+        while index >= 0:
+            index = self._next_unsat(index)
+            if index < 0:
+                break
+            if not collected:
+                self.search_cursor = index
+                self.stats.top_clause_decisions += 1
+                self.stats.record_skin_distance(top - index)
+                if self.trace is not None:
+                    self.last_decision_source = "top_clause"
+                    self.last_skin_distance = top - index
+            collected.append(learned[index])
+            if len(collected) >= window:
+                break
+            index -= 1
+        if not collected:
+            self.search_cursor = -1
+            return self._global_decision()
+
+        arena = self.arena
+        assigns = self.assigns
+        activity = self.var_activity
+        best_variable = -1
+        best_ref = -1
+        best_score = -1
+        if self._kernel_best is not None:
+            arena_ptr = arena.buffer_info()[0]
+            assigns_ptr = assigns.buffer_info()[0]
+            activity_ptr = activity.buffer_info()[0]
+            for ref in collected:
+                candidate = self._kernel_best(arena_ptr, ref, assigns_ptr, activity_ptr)
+                if candidate >= 0 and activity[candidate] > best_score:
+                    best_score = activity[candidate]
+                    best_variable = candidate
+                    best_ref = ref
+        else:
+            for ref in collected:
+                base = ref + _HDR
+                for position in range(base, base + arena[ref]):
+                    variable = arena[position] >> 1
+                    if assigns[variable] == UNASSIGNED and activity[variable] > best_score:
+                        best_score = activity[variable]
+                        best_variable = variable
+                        best_ref = ref
+        if best_variable < 0:
+            raise AssertionError(
+                "unsatisfied, non-conflicting clause must have a free variable"
+            )
+        return self._top_clause_literal(best_variable, best_ref)
+
+    def _global_decision(self) -> int | None:
+        """Globally most active free variable, phase by ``formula_phase``."""
+        variable = self._most_active_free()
+        if variable is None:
+            return None
+        self.stats.formula_decisions += 1
+        if self.trace is not None:
+            self.last_decision_source = "global"
+            self.last_skin_distance = None
+        return formula_literal(self, variable)
+
+    def _top_clause_literal(self, variable: int, ref: int) -> int:
+        """The first branch of a decision on the top clause ``ref`` (Section 7).
+
+        BerkMin *symmetrizes* the database: it explores first the
+        assignment whose refutation would produce conflict clauses
+        containing the less active literal of the variable.  Table 4's
+        alternatives (sat_top, unsat_top, take_0, take_1, take_rand) are
+        selected by ``config.top_clause_phase``.
+        """
+        heuristic = self.config.top_clause_phase
+        positive = 2 * variable
+        negative = positive + 1
+
+        if heuristic == cfg.PHASE_SYMMETRIZE:
+            positive_activity = self.lit_activity[positive]
+            negative_activity = self.lit_activity[negative]
+            if positive_activity < negative_activity:
+                # Branch x = 0 first: conflict clauses deduced there contain
+                # the positive literal, raising its lagging lit_activity.
+                return negative
+            if negative_activity < positive_activity:
+                return positive
+            return self.rng.choice((positive, negative))
+
+        if heuristic in (cfg.PHASE_SAT_TOP, cfg.PHASE_UNSAT_TOP):
+            arena = self.arena
+            base = ref + _HDR
+            literal_in_clause = next(
+                arena[position]
+                for position in range(base, base + arena[ref])
+                if arena[position] >> 1 == variable
+            )
+            if heuristic == cfg.PHASE_SAT_TOP:
+                return literal_in_clause
+            return literal_in_clause ^ 1
+
+        if heuristic == cfg.PHASE_TAKE_0:
+            return negative
+        if heuristic == cfg.PHASE_TAKE_1:
+            return positive
+        if heuristic == cfg.PHASE_TAKE_RAND:
+            return self.rng.choice((positive, negative))
+        raise ValueError(f"unknown top-clause phase heuristic {heuristic!r}")
+
+    def _most_active_free(self) -> int | None:
+        """Most active unassigned, non-eliminated variable.
+
+        The paper's experiments used the naive linear scan (Remark 1);
+        with ``global_selection = "heap"`` the indexed heap pops assigned
+        variables lazily (they re-enter on backtracking) and returns the
+        same variable the scan would (ties break toward smaller indices).
+        """
+        heap = self.order_heap
+        assigns = self.assigns
+        eliminated = self._eliminated_mark
+        if heap is not None:
+            while len(heap):
+                variable = heap.pop()
+                if assigns[variable] == UNASSIGNED and not eliminated[variable]:
+                    return variable
+            return None
+        activity = self.var_activity
+        best_variable = None
+        best_score = -1
+        for variable in range(1, self.num_variables + 1):
+            if (
+                assigns[variable] == UNASSIGNED
+                and not eliminated[variable]
+                and activity[variable] > best_score
+            ):
+                best_score = activity[variable]
+                best_variable = variable
+        return best_variable
+
+    def _vsids_decision(self) -> int | None:
+        """Chaff-style decision: free literal with the highest counter, set true."""
+        assigns = self.assigns
+        counters = self.vsids
+        eliminated = self._eliminated_mark
+        best_literal = -1
+        best_score = -1
+        for variable in range(1, self.num_variables + 1):
+            if assigns[variable] != UNASSIGNED or eliminated[variable]:
+                continue
+            positive = 2 * variable
+            if counters[positive] > best_score:
+                best_score = counters[positive]
+                best_literal = positive
+            if counters[positive + 1] > best_score:
+                best_score = counters[positive + 1]
+                best_literal = positive + 1
+        if best_literal < 0:
+            return None
+        self.stats.formula_decisions += 1
+        if self.trace is not None:
+            self.last_decision_source = "vsids"
+            self.last_skin_distance = None
+        return best_literal
+
+    def _random_decision(self) -> int | None:
+        """Uniform random free variable, uniform random phase."""
+        assigns = self.assigns
+        eliminated = self._eliminated_mark
+        free = [
+            variable
+            for variable in range(1, self.num_variables + 1)
+            if assigns[variable] == UNASSIGNED and not eliminated[variable]
+        ]
+        if not free:
+            return None
+        self.stats.formula_decisions += 1
+        if self.trace is not None:
+            self.last_decision_source = "random"
+            self.last_skin_distance = None
+        variable = self.rng.choice(free)
+        return 2 * variable + self.rng.randint(0, 1)
+
+    # ==================================================================
+    # Restarts: database reduction (Section 8), inprocessing, GC
+    # ==================================================================
     def _restart(self) -> bool:
-        """Abandon the search tree; reduce the database; return ``self.ok``."""
+        """Abandon the search tree; reduce and inprocess; return ``self.ok``."""
         self.stats.restarts += 1
         self._backtrack(0)
         mark_every = self.config.mark_every_n_restarts
         if mark_every and self.stats.restarts % mark_every == 0 and self.learned:
-            self.learned[-1].protected = True
+            self.arena[self.learned[-1] + 1] |= _PROTECTED
         # Bring level 0 to fixpoint before reducing: a unit conflict clause
         # learned just before the restart may not have propagated yet.
         conflict = self._propagate()
@@ -803,8 +1125,459 @@ class Solver:
             self.ok = False
             self.log_proof_add([])
             return False
-        reduce_database(self)
-        return True
+        self._reduce_database()
+        interval = self.config.inprocess_interval
+        if interval > 0 and self.stats.restarts % interval == 0 and self.ok:
+            self._inprocess()
+            if not self.ok:
+                return False
+        self._maybe_collect()
+        return self.ok
+
+    def _reduce_database(self) -> None:
+        """One database reduction, run at decision level 0 by every restart.
+
+        In order: policy-based deletion of learned clauses
+        (:meth:`_apply_deletion_policy`); "automatic" removal via
+        retained assignments — every clause satisfied at level 0 is
+        removed and level-0-false literals are stripped from the
+        survivors, the paper's memory-compaction step; and a rebuild of
+        the watch chains and binary implication arrays from the
+        surviving refs.
+        """
+        if self.current_level() != 0:
+            raise AssertionError("database reduction requires decision level 0")
+        self.stats.db_reductions += 1
+
+        learned_before = len(self.learned)
+        kept, breakdown = self._apply_deletion_policy()
+        deleted = learned_before - len(kept)
+        self.stats.learned_deleted += deleted
+
+        if self.trace is not None:
+            self.trace.emit(
+                {
+                    "type": "reduce",
+                    "conflicts": self.stats.conflicts,
+                    "learned_before": learned_before,
+                    "kept": len(kept),
+                    "dropped": deleted,
+                    **breakdown,
+                }
+            )
+
+        # Level-0 assignments are permanent: their reason clauses are never
+        # consulted again (conflict analysis skips level-0 variables), and
+        # the clauses themselves are satisfied and about to be removed.
+        for literal in self.trail:
+            self.reasons[literal >> 1] = -1
+        self.clauses = self._simplify_refs(self.clauses)
+        self.learned = array("i", self._simplify_refs(kept))
+        self._rebuild_from_refs()
+        self.search_cursor = len(self.learned) - 1
+
+    def _apply_deletion_policy(self) -> tuple[list[int], dict[str, int]]:
+        """Select which learned records survive, per ``config.db_management``.
+
+        * ``berkmin`` — the stack is split into *young* clauses (distance
+          from the top less than ``young_fraction`` — 15/16 — of the
+          stack size) and *old* ones.  A young clause survives if it is
+          short (``length <= 42``) or active (``clause_activity > 7``);
+          an old clause survives if ``length <= 8`` or its activity
+          exceeds a threshold that starts at 60 and grows with every
+          reduction, so clauses that went passive eventually disappear.
+        * ``limited_keeping`` — GRASP's policy: drop every learned clause
+          longer than a fixed threshold, regardless of age or activity.
+        * ``keep_all`` — delete nothing.
+
+        Under every policy the topmost clause (the paper's partial
+        anti-looping fix) and every protected clause (the complete fix,
+        ``mark_every_n_restarts``) survive, and so does any clause whose
+        measured LBD is at most ``config.glue_keep_max_lbd`` — low-glue
+        clauses keep propagating (0 disables this override, leaving the
+        pure paper policy).  Returns ``(kept, breakdown)``: the surviving
+        refs plus the young/old keep/drop counts for the reduce trace
+        event (only the BerkMin policy has an age split).
+        """
+        policy = self.config.db_management
+        learned = self.learned
+        arena = self.arena
+        glue_limit = self.config.glue_keep_max_lbd
+        breakdown = {"young_kept": 0, "young_dropped": 0, "old_kept": 0, "old_dropped": 0}
+        if policy == cfg.DB_KEEP_ALL or not learned:
+            breakdown["young_kept"] = len(learned)
+            return list(learned), breakdown
+
+        def is_glue(flags: int) -> bool:
+            lbd = flags >> _LBD_SHIFT
+            return 0 < lbd <= glue_limit
+
+        if policy == cfg.DB_LIMITED_KEEPING:
+            length_limit = self.config.limited_keeping_length
+            kept = []
+            for index, ref in enumerate(learned):
+                flags = arena[ref + 1]
+                topmost = index == len(learned) - 1
+                if (
+                    topmost
+                    or flags & _PROTECTED
+                    or arena[ref] <= length_limit
+                    or is_glue(flags)
+                ):
+                    kept.append(ref)
+                    breakdown["young_kept"] += 1
+                else:
+                    self.log_proof_delete(ref)
+                    self._kill_ref(ref)
+                    breakdown["young_dropped"] += 1
+            return kept, breakdown
+
+        if policy == cfg.DB_BERKMIN:
+            config = self.config
+            clause_act = self.clause_act
+            stack_size = len(learned)
+            young_span = config.young_fraction * stack_size
+            kept = []
+            for index, ref in enumerate(learned):
+                flags = arena[ref + 1]
+                size = arena[ref]
+                activity = clause_act[arena[ref + 2]]
+                distance_from_top = stack_size - 1 - index
+                young = distance_from_top < young_span
+                if young:
+                    survives = (
+                        size <= config.young_length_limit
+                        or activity > config.young_activity_limit
+                    )
+                else:
+                    survives = (
+                        size <= config.old_length_limit
+                        or activity > self.old_threshold
+                    )
+                topmost = index == stack_size - 1
+                if survives or topmost or flags & _PROTECTED or is_glue(flags):
+                    kept.append(ref)
+                    breakdown["young_kept" if young else "old_kept"] += 1
+                else:
+                    self.log_proof_delete(ref)
+                    self._kill_ref(ref)
+                    breakdown["young_dropped" if young else "old_dropped"] += 1
+            # Raise the old-clause activity bar so clauses that stop
+            # participating in conflicts are eventually dropped.
+            self.old_threshold += config.old_threshold_increment
+            return kept, breakdown
+
+        raise ValueError(f"unknown database-management policy {policy!r}")
+
+    def _simplify_refs(self, refs: list[int]) -> list[int]:
+        """Drop satisfied records, strip false literals in place (level 0)."""
+        assigns = self.assigns
+        arena = self.arena
+        survivors: list[int] = []
+        for ref in refs:
+            base = ref + _HDR
+            size = arena[ref]
+            satisfied = False
+            has_false = False
+            for position in range(base, base + size):
+                literal = arena[position]
+                value = assigns[literal >> 1]
+                if value == UNASSIGNED:
+                    continue
+                if value ^ (literal & 1) == TRUE:
+                    satisfied = True
+                    break
+                has_false = True
+            if satisfied:
+                self.log_proof_delete(ref)
+                self._kill_ref(ref)
+                continue
+            if has_false:
+                stripped = [
+                    arena[position]
+                    for position in range(base, base + size)
+                    if assigns[arena[position] >> 1] == UNASSIGNED
+                ]
+                if len(stripped) < 2:
+                    # BCP at level 0 ran to fixpoint before the reduction, so
+                    # a non-satisfied clause must retain >= 2 free literals.
+                    raise AssertionError("level-0 simplification produced a short clause")
+                # Strengthening is add-then-delete in DRUP terms.
+                self.log_proof_add(stripped)
+                self.log_proof_delete(ref)
+                for offset, literal in enumerate(stripped):
+                    arena[base + offset] = literal
+                arena[ref] = len(stripped)
+                arena[ref + 3] = 2  # the shrunken record invalidates the scan offset
+                self.arena_dead += size - len(stripped)
+            survivors.append(ref)
+        return survivors
+
+    def _rebuild_from_refs(self) -> None:
+        """Recompute the watch chains and binary arrays from the ref lists.
+
+        Rebuilding (rather than patching) keeps the binary indexes exact
+        under any deletion policy: a dropped learned binary, or a longer
+        clause strengthened to binary by level-0 stripping, ends up with
+        exactly the entries :meth:`_attach_ref` gives it.
+        """
+        size = 2 * (self.num_variables + 1)
+        self.watch_head = array("i", [-1]) * size
+        self.binary_count = [0] * size
+        self.binary_implications = [[] for _ in range(size)]
+        for ref in self.clauses:
+            self._attach_ref(ref)
+        for ref in self.learned:
+            self._attach_ref(ref)
+
+    def _maybe_collect(self) -> int:
+        """Compact the arena when at least ``arena_gc_fraction`` is dead."""
+        arena = self.arena
+        if not arena or self.current_level() != 0:
+            return 0
+        if self.arena_dead < self.config.arena_gc_fraction * len(arena):
+            return 0
+        # Level-0 reasons are never consulted again; clearing them means
+        # the ref lists are the only ref holders during the move.
+        for literal in self.trail:
+            self.reasons[literal >> 1] = -1
+        return self._collect()
+
+    def _collect(self) -> int:
+        old = self.arena
+        old_act = self.clause_act
+        old_birth = self.clause_birth
+        new = array("i")
+        new_act: list[int] = []
+        new_birth: list[int] = []
+
+        def move(refs: list[int]) -> list[int]:
+            moved = []
+            for ref in refs:
+                size = old[ref]
+                new_ref = len(new)
+                act_idx = old[ref + 2]
+                # Whole-record copy: literals keep their order, so the
+                # saved scan offset stays valid; the watch-node words are
+                # garbage until _rebuild_from_refs relinks every chain.
+                new.extend(old[ref : ref + _HDR + size])
+                new[new_ref + 2] = len(new_act)
+                new_act.append(old_act[act_idx])
+                new_birth.append(old_birth[act_idx])
+                moved.append(new_ref)
+            return moved
+
+        self.clauses = move(self.clauses)
+        self.learned = array("i", move(self.learned))
+        freed = len(old) - len(new)
+        self.arena = new
+        self.clause_act = array("d", new_act)
+        self.clause_birth = new_birth
+        self.arena_dead = 0
+        self.stats.arena_collections += 1
+        self.stats.arena_freed_words += freed
+        self._rebuild_from_refs()
+        self.search_cursor = len(self.learned) - 1
+        return freed
+
+    # ==================================================================
+    # Inprocessing: bounded variable elimination between restarts
+    # ==================================================================
+    def _inprocess(self) -> None:
+        """One bounded-variable-elimination pass at decision level 0.
+
+        Candidates are unassigned, non-frozen variables with at most
+        ``config.inprocess_occurrence_limit`` occurrences in the original
+        database; each is eliminated iff its non-tautological resolvents
+        do not outnumber its clauses by more than
+        ``config.inprocess_max_growth`` (the NiVER rule).  Learned
+        clauses that mention an eliminated variable are deleted (always
+        sound, and required so search never re-constrains the variable).
+        DRUP: every resolvent is logged as an addition (single resolution
+        steps are RUP); the replaced original clauses are *not* logged as
+        deletions, keeping the checker's database a superset.
+        """
+        started = time.perf_counter()
+        arena = self.arena
+        assigns = self.assigns
+        limit = self.config.inprocess_occurrence_limit
+        max_growth = self.config.inprocess_max_growth
+        frozen = self._frozen
+        conflicted = False
+
+        # Occurrence index over the live original records.
+        occurrences: dict[int, list[int]] = {}
+        for ref in self.clauses:
+            base = ref + _HDR
+            for position in range(base, base + arena[ref]):
+                occurrences.setdefault(arena[position] >> 1, []).append(ref)
+
+        candidates = sorted(
+            (
+                variable
+                for variable, refs in occurrences.items()
+                if len(refs) <= limit
+                and assigns[variable] == UNASSIGNED
+                and variable not in frozen
+                and not self._eliminated_mark[variable]
+            ),
+            key=lambda variable: (len(occurrences[variable]), variable),
+        )
+
+        eliminated_now: list[int] = []
+        for variable in candidates:
+            if conflicted:
+                break
+            if assigns[variable] != UNASSIGNED:
+                continue  # assigned by a unit resolvent earlier in the pass
+            live = [
+                ref
+                for ref in occurrences.get(variable, ())
+                if not (arena[ref + 1] & _DEAD)
+            ]
+            if not live or len(live) > limit:
+                continue
+            positive: list[list[int]] = []
+            negative: list[list[int]] = []
+            for ref in live:
+                dimacs = [decode_literal(lit) for lit in self._ref_literals(ref)]
+                if variable in dimacs:
+                    positive.append(dimacs)
+                else:
+                    negative.append(dimacs)
+            resolvents = _resolvents(positive, negative, variable)
+            if resolvents is None:
+                # Impossible while every stored record has >= 2 literals
+                # (an empty resolvent needs two opposing unit clauses).
+                raise SolverInternalError("empty resolvent from non-unit clauses")
+            if len(resolvents) > len(live) + max_growth:
+                continue
+
+            # Commit the elimination before inserting resolvents so the
+            # stored clauses survive even if a unit resolvent refutes the
+            # formula mid-pass.
+            for ref in live:
+                self._kill_ref(ref)
+            eliminated_now.append(variable)
+            self._eliminated.append((variable, positive + negative))
+            self._eliminated_mark[variable] = True
+            for resolvent in resolvents:
+                encoded = [encode_literal(lit) for lit in resolvent]
+                self.log_proof_add(encoded)
+                if len(encoded) == 1:
+                    literal = encoded[0]
+                    value = self.lit_value[literal]
+                    if value == UNASSIGNED:
+                        self._enqueue(literal, None)
+                    elif value != TRUE:
+                        # Contradicts an earlier level-0 unit: refuted.
+                        self.ok = False
+                        self.log_proof_add([])
+                        conflicted = True
+                        break
+                else:
+                    ref = self._push_record(encoded, learned=False)
+                    self.clauses.append(ref)
+                    for lit in resolvent:
+                        occurrences.setdefault(abs(lit), []).append(ref)
+
+        if eliminated_now:
+            # Sweep learned clauses that mention an eliminated variable.
+            gone = set(eliminated_now)
+            kept_learned: list[int] = []
+            swept = 0
+            for ref in self.learned:
+                base = ref + _HDR
+                touches = any(
+                    (arena[position] >> 1) in gone
+                    for position in range(base, base + arena[ref])
+                )
+                if touches:
+                    self.log_proof_delete(ref)
+                    self._kill_ref(ref)
+                    swept += 1
+                else:
+                    kept_learned.append(ref)
+            self.stats.learned_deleted += swept
+            self.learned = array("i", kept_learned)
+            self.clauses = [
+                ref for ref in self.clauses if not (arena[ref + 1] & _DEAD)
+            ]
+            self._rebuild_from_refs()
+            self.search_cursor = len(self.learned) - 1
+            if not conflicted:
+                conflict = self._propagate()
+                if conflict is not None:
+                    self.ok = False
+                    self.log_proof_add([])
+            self.stats.eliminated_variables += len(eliminated_now)
+
+        self.stats.inprocess_passes += 1
+        freed = self._maybe_collect()
+        if self.trace is not None:
+            self.trace.emit(
+                {
+                    "type": "inprocess",
+                    "conflicts": self.stats.conflicts,
+                    "eliminated": len(eliminated_now),
+                    "freed_words": freed,
+                    "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
+                }
+            )
+
+    def _restore_variable(self, variable: int) -> None:
+        """Un-eliminate ``variable`` (and transitively its dependencies).
+
+        Re-adds the stored original clauses, reduced against the current
+        level-0 assignments.  Unstripped re-adds need no proof action
+        (the clauses were never deleted from the DRUP database); a
+        stripped re-add is logged as an addition, which is RUP via the
+        level-0 units.
+        """
+        worklist = [variable]
+        while worklist:
+            target = worklist.pop()
+            if not self._eliminated_mark[target]:
+                continue
+            position = next(
+                index
+                for index in range(len(self._eliminated) - 1, -1, -1)
+                if self._eliminated[index][0] == target
+            )
+            _, stored = self._eliminated.pop(position)
+            self._eliminated_mark[target] = False
+            if self.order_heap is not None:
+                self.order_heap.push(target)
+            for clause in stored:
+                # Stored clauses may mention variables eliminated later.
+                for literal in clause:
+                    if self._eliminated_mark[abs(literal)]:
+                        worklist.append(abs(literal))
+                encoded = [encode_literal(lit) for lit in clause]
+                remaining: list[int] = []
+                satisfied = False
+                for literal in encoded:
+                    value = self.lit_value[literal]
+                    if value == TRUE:
+                        satisfied = True
+                        break
+                    if value == UNASSIGNED:
+                        remaining.append(literal)
+                if satisfied:
+                    continue
+                if not remaining:
+                    self.ok = False
+                    self.log_proof_add([])
+                    return
+                if len(remaining) < len(encoded):
+                    self.log_proof_add(remaining)
+                if len(remaining) == 1:
+                    self._enqueue(remaining[0], None)
+                    continue
+                ref = self._push_record(remaining, learned=False)
+                self.clauses.append(ref)
+                self._attach_ref(ref)
+
 
     # ==================================================================
     # Proof logging
@@ -814,11 +1587,13 @@ class Solver:
         if self.proof is not None:
             self.proof.append(("a", [decode_literal(lit) for lit in encoded_literals]))
 
-    def log_proof_delete(self, clause: Clause) -> None:
-        """Record a clause deletion in the DRUP trace (no-op when logging is off)."""
+    def log_proof_delete(self, ref: int) -> None:
+        """Record the deletion of record ``ref`` (no-op when logging is off)."""
         if self.proof is not None:
             self._flush_level0_proof_units()
-            self.proof.append(("d", clause.to_dimacs()))
+            self.proof.append(
+                ("d", [decode_literal(lit) for lit in self._ref_literals(ref)])
+            )
 
     def _flush_level0_proof_units(self) -> None:
         """Log unlogged level-0 assignments as unit additions.
@@ -865,10 +1640,11 @@ class Solver:
         """Capture the resumable search state as a :class:`SolverSnapshot`.
 
         The snapshot holds the learned-clause stack, all activity
-        counters, the level-0 trail, the RNG state, the statistics, and
-        the proof trace (when logging) — everything a fresh solver on
-        the same formula needs to continue this search instead of
-        restarting it.  Safe to call mid-search from ``on_progress``.
+        counters, the level-0 trail, the RNG state, the statistics, the
+        inprocessed database, and the proof trace (when logging) —
+        everything a fresh solver on the same formula needs to continue
+        this search instead of restarting it.  Safe to call mid-search
+        from ``on_progress``.
         """
         from repro.checkpoint.snapshot import capture_snapshot
 
@@ -897,23 +1673,99 @@ class Solver:
                 return False
         return restore_snapshot(self, snapshot)
 
+    def _learned_snapshot_rows(self) -> list[tuple[list[int], int, int, bool]]:
+        """``(encoded_literals, activity, birth, protected)`` rows for capture."""
+        arena = self.arena
+        return [
+            (
+                self._ref_literals(ref),
+                int(self.clause_act[arena[ref + 2]]),
+                self.clause_birth[arena[ref + 2]],
+                bool(arena[ref + 1] & _PROTECTED),
+            )
+            for ref in self.learned
+        ]
+
+    def _learned_lbds(self) -> list[int]:
+        """Per-clause LBD stamps, parallel to :meth:`_learned_snapshot_rows`."""
+        return [self.arena[ref + 1] >> _LBD_SHIFT for ref in self.learned]
+
+    def _arena_snapshot_payload(self) -> dict:
+        """The inprocessed database: active originals + elimination stack.
+
+        The snapshot's learned rows cover the learned stack; this payload
+        carries what a fresh solver cannot rebuild from the pristine
+        formula alone — which original clauses are currently live (some
+        were replaced by resolvents) and the eliminated-variable stack
+        for model reconstruction.
+        """
+        return {
+            "active": [self._ref_literals(ref) for ref in self.clauses],
+            "eliminated": [
+                [variable, [list(clause) for clause in stored]]
+                for variable, stored in self._eliminated
+            ],
+        }
+
+    def _install_arena_state(self, payload: dict) -> None:
+        """Swap in a snapshot's active database (restore-time hook).
+
+        Called after formula load and validation, before the trail is
+        replayed: the records built from the pristine formula are
+        replaced wholesale by the snapshot's post-inprocessing database.
+        Level-0 assignments (from unit clauses) are untouched.
+        """
+        size = 2 * (self.num_variables + 1)
+        self.arena = array("i")
+        self.arena_dead = 0
+        self.clause_act = array("d")
+        self.clause_birth = []
+        self.clauses = []
+        self.learned = array("i")
+        self.watch_head = array("i", [-1]) * size
+        self.binary_count = [0] * size
+        self.binary_implications = [[] for _ in range(size)]
+        for literals in payload["active"]:
+            ref = self._push_record([int(lit) for lit in literals], learned=False)
+            self.clauses.append(ref)
+            self._attach_ref(ref)
+        self._eliminated = [
+            (int(variable), [[int(lit) for lit in clause] for clause in stored])
+            for variable, stored in payload["eliminated"]
+        ]
+        for variable, _ in self._eliminated:
+            self._eliminated_mark[variable] = True
+        self.search_cursor = -1
+
+    def _restore_learned_clause(
+        self, ordered: list[int], activity: int, birth: int, protected: bool, lbd: int
+    ) -> None:
+        """Re-attach one learned clause during snapshot restore.
+
+        ``ordered`` already surfaces two non-false literals first (the
+        restore loop's watch-ordering contract).
+        """
+        ref = self._push_record(list(ordered), learned=True, lbd=lbd, birth=birth)
+        arena = self.arena
+        if protected:
+            arena[ref + 1] |= _PROTECTED
+        self.clause_act[arena[ref + 2]] = activity
+        self.learned.append(ref)
+        self._attach_ref(ref)
+
     # ==================================================================
-    # Engine-neutral learned-clause views
+    # Learned-clause views for the session layer
     # ==================================================================
-    # The session and checkpoint layers manage learned clauses without
-    # knowing how the engine stores them (Clause objects here, flat
-    # arena records in the subclass).  These methods are the seam: the
-    # arena engine overrides each of them.
     def retain_learned_by_lbd(self, limit: int | None) -> tuple[int, int]:
         """Filter the learned stack by glue; returns ``(kept, dropped)``.
 
         The session layer's between-call retention pass: clauses whose
         measured LBD exceeds ``limit`` are deleted (DRUP-logged), except
-        the topmost and ``protected`` clauses (the paper's anti-looping
+        the topmost and protected clauses (the paper's anti-looping
         rules) and clauses with LBD 0 ("never measured").  ``limit is
         None`` keeps everything.  Runs at decision level 0, clears the
-        never-consulted-again level-0 reasons, and rebuilds the
-        watch/binary structures when anything was dropped.
+        never-consulted-again level-0 reasons, and rebuilds the watch
+        structures when anything was dropped.
         """
         if not self.ok:
             return (len(self.learned), 0)
@@ -922,49 +1774,58 @@ class Solver:
         learned = self.learned
         if not learned:
             return (0, 0)
+        arena = self.arena
         top = len(learned) - 1
-        kept: list[Clause] = []
+        kept: list[int] = []
         dropped = 0
-        for index, clause in enumerate(learned):
+        for index, ref in enumerate(learned):
+            flags = arena[ref + 1]
             keep = (
                 limit is None
                 or index == top
-                or clause.protected
-                or clause.lbd <= limit  # lbd == 0 ("never measured") keeps
+                or flags & _PROTECTED
+                or (flags >> _LBD_SHIFT) <= limit  # lbd 0 ("never measured") keeps
             )
             if keep:
-                kept.append(clause)
+                kept.append(ref)
             else:
-                self.log_proof_delete(clause)
+                self.log_proof_delete(ref)
+                self._kill_ref(ref)
                 dropped += 1
         if dropped:
             self.stats.learned_deleted += dropped
             for literal in self.trail:
-                self.reasons[literal >> 1] = None
-            self.learned = kept
-            _rebuild_structures(self)
+                self.reasons[literal >> 1] = -1
+            self.learned = array("i", kept)
+            self._rebuild_from_refs()
             self.search_cursor = len(self.learned) - 1
+            self._maybe_collect()
         self.stats.retained_clauses += len(kept)
         return (len(kept), dropped)
 
     def iter_learned_lemmas(self):
         """Yield ``(dimacs_literal_tuple, lbd)`` for every learned clause."""
-        for clause in self.learned:
-            yield (tuple(clause.to_dimacs()), clause.lbd)
+        arena = self.arena
+        for ref in self.learned:
+            yield (
+                tuple(decode_literal(lit) for lit in self._ref_literals(ref)),
+                arena[ref + 1] >> _LBD_SHIFT,
+            )
 
     def inject_lemma(self, dimacs_literals, lbd: int) -> bool:
         """Attach one imported lemma as a learned clause (level 0 only).
 
         Returns False — without attaching — when the lemma is too short,
-        mentions unknown variables, or touches a level-0 assignment.
-        The caller is responsible for proof-soundness (the session layer
-        skips injection entirely under proof logging).
+        mentions unknown or eliminated variables, or touches a level-0
+        assignment.  The caller is responsible for proof-soundness (the
+        session layer skips injection entirely under proof logging).
         """
         if len(dimacs_literals) < 2:
             return False
         encoded = []
         for literal in dimacs_literals:
-            if abs(literal) > self.num_variables:
+            variable = abs(literal)
+            if variable > self.num_variables or self._eliminated_mark[variable]:
                 return False
             code = encode_literal(literal)
             if self.lit_value[code] != UNASSIGNED:
@@ -972,10 +1833,9 @@ class Solver:
                 # satisfied or would need strengthening — not worth it.
                 return False
             encoded.append(code)
-        clause = Clause(encoded, learned=True, birth=self.birth_counter, lbd=lbd)
-        self.birth_counter += 1
-        self.learned.append(clause)
-        self.attach_clause(clause)
+        ref = self._push_record(encoded, learned=True, lbd=lbd)
+        self.learned.append(ref)
+        self._attach_ref(ref)
         return True
 
     # ==================================================================
@@ -989,15 +1849,18 @@ class Solver:
         fact is the most valuable share of all).  Severity "hard" marks
         defects an honest exporter on the same formula can never produce
         (Byzantine evidence); "benign" marks importer-local conditions —
-        a level-0 assignment this lane has already made — that say
-        nothing about the sender.  The arena engine extends this with
-        its eliminated-variable gate.
+        a level-0 assignment this lane has already made, or a variable
+        this lane's NiVER pass eliminated (the exporter's inprocessing
+        ran on a different schedule) — that say nothing about the sender.
         """
         if not dimacs_literals:
             return ("short-clause", "hard")
         for literal in dimacs_literals:
-            if abs(literal) > self.num_variables:
+            variable = abs(literal)
+            if variable > self.num_variables:
                 return ("out-of-range", "hard")
+            if self._eliminated_mark[variable]:
+                return ("eliminated-variable", "benign")
             if self.lit_value[encode_literal(literal)] != UNASSIGNED:
                 return ("assigned-literal", "benign")
         return None
@@ -1031,7 +1894,7 @@ class Solver:
         Runs at settled level-0 points of the search (after restarts and
         unit-learnt backjumps).  Each candidate is re-validated end
         to end: frame decode + CRC (the parent's check does not cover
-        the second queue hop), the engine gate, a tautology check, then
+        the second queue hop), the lemma gate, a tautology check, then
         the RUP probe.  Rejections are reported back to the supervisor
         for attribution and dropped without mutating solver state.  A
         probe miss is merely inconclusive — the clause may be sound but
@@ -1102,36 +1965,6 @@ class Solver:
                 attached += 1
         return attached
 
-    def _learned_snapshot_rows(self) -> list[tuple[list[int], int, int, bool]]:
-        """``(encoded_literals, activity, birth, protected)`` rows for capture."""
-        return [
-            (list(clause.literals), clause.activity, clause.birth, clause.protected)
-            for clause in self.learned
-        ]
-
-    def _learned_lbds(self) -> list[int]:
-        """Per-clause LBD stamps, parallel to :meth:`_learned_snapshot_rows`."""
-        return [clause.lbd for clause in self.learned]
-
-    def _arena_snapshot_payload(self) -> dict | None:
-        """Arena-specific snapshot state; ``None`` for the object engines."""
-        return None
-
-    def _restore_learned_clause(
-        self, ordered: list[int], activity: int, birth: int, protected: bool, lbd: int
-    ) -> None:
-        """Re-attach one learned clause during snapshot restore.
-
-        ``ordered`` already surfaces two non-false literals first (the
-        restore loop's watch-ordering contract); this hook only creates
-        and indexes the engine's representation.
-        """
-        clause = Clause(ordered, learned=True, birth=birth, lbd=lbd)
-        clause.activity = activity
-        clause.protected = protected
-        self.learned.append(clause)
-        self.attach_clause(clause)
-
     # ==================================================================
     # Main loop
     # ==================================================================
@@ -1185,8 +2018,25 @@ class Solver:
         base_decisions = stats.decisions
         self._in_solve = True
         self._num_assumptions = len(assumptions)
+        self._frozen = frozenset()
         trace = self.trace
         try:
+            if assumptions:
+                # Assumption variables must stay in the search: restore
+                # any that inprocessing eliminated, and freeze them for
+                # this call.
+                frozen = set()
+                for literal in assumptions:
+                    variable = abs(int(literal))
+                    if variable:
+                        frozen.add(variable)
+                        if (
+                            variable <= self.num_variables
+                            and self._eliminated_mark[variable]
+                        ):
+                            self._backtrack(0)
+                            self._restore_variable(variable)
+                self._frozen = frozenset(frozen)
             if trace is not None:
                 trace.emit(
                     {
@@ -1373,6 +2223,7 @@ class Solver:
             self._in_solve = False
             stats.solve_time_seconds += time.perf_counter() - start_time
 
+
     def _failed_assumption_core(self, failed_literal: int) -> list[int]:
         """A subset of the assumptions that already contradicts the formula.
 
@@ -1390,24 +2241,25 @@ class Solver:
         seen = [False] * (self.num_variables + 1)
         seen[variable] = True
         levels = self.levels
+        arena = self.arena
         for index in range(len(self.trail) - 1, -1, -1):
             literal = self.trail[index]
             trail_variable = literal >> 1
             if not seen[trail_variable]:
                 continue
             seen[trail_variable] = False
-            reason = self.reasons[trail_variable]
-            if reason is None:
+            ref = self.reasons[trail_variable]
+            if ref < 0:
                 if levels[trail_variable] > 0:
                     core.append(decode_literal(literal))
-            elif type(reason) is int:
-                # Compact binary reason: the single antecedent literal.
-                if levels[reason >> 1] > 0:
-                    seen[reason >> 1] = True
-            else:
-                for antecedent in reason.literals[1:]:
-                    if levels[antecedent >> 1] > 0:
-                        seen[antecedent >> 1] = True
+                continue
+            base = ref + _HDR
+            for position in range(base, base + arena[ref]):
+                antecedent = arena[position]
+                if antecedent >> 1 == trail_variable:
+                    continue
+                if levels[antecedent >> 1] > 0:
+                    seen[antecedent >> 1] = True
         return core
 
     # ==================================================================
@@ -1454,10 +2306,38 @@ class Solver:
         )
 
     def _extract_model(self) -> dict[int, bool]:
-        return {
+        """The assignment, extended over eliminated variables.
+
+        Reverse elimination order, standard argument: once every
+        resolvent is satisfied, at most one polarity of a variable's
+        stored clauses can still need it (same algorithm as
+        :meth:`repro.cnf.elimination.PreprocessResult.extend_model`).
+        """
+        model = {
             variable: self.assigns[variable] == TRUE
             for variable in range(1, self.num_variables + 1)
         }
+        for variable, stored in reversed(self._eliminated):
+            value = None
+            for clause in stored:
+                clause_satisfied = False
+                for literal in clause:
+                    other = abs(literal)
+                    if other == variable:
+                        continue
+                    if model.get(other, False) == (literal > 0):
+                        clause_satisfied = True
+                        break
+                if clause_satisfied:
+                    continue
+                needed = any(literal == variable for literal in clause)
+                if value is not None and value != needed:
+                    raise SolverInternalError(
+                        "inconsistent eliminated-variable reconstruction"
+                    )
+                value = needed
+            model[variable] = bool(value) if value is not None else False
+        return model
 
     def _verify_model(self, model: dict[int, bool]) -> None:
         """Check the model against every clause ever added (pristine copies)."""

@@ -82,10 +82,10 @@ class SolverStats:
     shared_rejected: int = 0
     lane_restarts: int = 0
 
-    # Arena engine (see repro.solver.arena): inprocessing passes run
-    # between restarts, variables removed by bounded elimination, arena
-    # compactions performed, and the total words they reclaimed.  Zero
-    # for the object engines.
+    # Inprocessing and the clause arena (see repro.solver.solver):
+    # inprocessing passes run between restarts, variables removed by
+    # bounded elimination, arena compactions performed, and the total
+    # words they reclaimed.
     inprocess_passes: int = 0
     eliminated_variables: int = 0
     arena_collections: int = 0

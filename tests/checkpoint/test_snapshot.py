@@ -70,12 +70,12 @@ def test_resume_restores_heuristic_state():
     snapshot = capture_snapshot(solver)
     fresh = Solver(pigeonhole_formula(5), config_by_name("berkmin"))
     assert fresh.resume(snapshot) is True
-    assert fresh.var_activity == snapshot.var_activity
-    assert fresh.lit_activity == snapshot.lit_activity
-    assert fresh.vsids == snapshot.vsids
+    assert list(fresh.var_activity) == snapshot.var_activity
+    assert list(fresh.lit_activity) == snapshot.lit_activity
+    assert list(fresh.vsids) == snapshot.vsids
     assert fresh.birth_counter == snapshot.birth_counter
     assert fresh.rng.getstate() == tuple(snapshot.rng_state)
-    assert [sorted(clause.literals) for clause in fresh.learned] == [
+    assert [sorted(fresh._ref_literals(ref)) for ref in fresh.learned] == [
         sorted(literals) for literals, _, _, _ in snapshot.learned
     ]
 

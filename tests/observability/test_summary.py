@@ -170,7 +170,7 @@ def test_summary_surfaces_arena_inprocessing(tmp_path):
     path = tmp_path / "arena.jsonl"
     with JsonlTraceSink(path) as sink:
         config = config_by_name(
-            "arena", trace=sink, restart_interval=20, inprocess_interval=1
+            "berkmin", trace=sink, restart_interval=20, inprocess_interval=1
         )
         solver = Solver(pigeonhole_formula(6), config).solve()
     summary = summarize_trace(path)

@@ -227,7 +227,7 @@ def test_trace_events_are_json_serializable(hole5_trace):
 def test_arena_inprocess_events_are_schema_valid_and_counted():
     sink = RingBufferSink(8192)
     config = config_by_name(
-        "arena", restart_interval=20, inprocess_interval=1, trace=sink
+        "berkmin", restart_interval=20, inprocess_interval=1, trace=sink
     )
     solver = Solver(pigeonhole_formula(6), config=config)
     result = solver.solve()

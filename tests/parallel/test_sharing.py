@@ -1,9 +1,9 @@
 """Validated clause sharing: frame codec, bus, import gate, quarantine.
 
 The import-validation tests drive `Solver._import_shared` directly with
-a fake share client, across all three propagation engines — a rejected
-frame must leave the solver bit-for-bit untouched and the rejection
-must be attributed to the emitting lane with the right severity.
+a fake share client — a rejected frame must leave the solver
+bit-for-bit untouched and the rejection must be attributed to the
+emitting lane with the right severity.
 """
 
 import queue
@@ -31,8 +31,6 @@ from repro.reliability.faults import FAULT_CORRUPT_SHARE
 from repro.solver.config import berkmin_config, config_by_name
 from repro.solver.result import SolveStatus
 from repro.solver.solver import TRUE, Solver
-
-ENGINES = ("split", "general", "arena")
 
 
 # ----------------------------------------------------------------- codec
@@ -200,10 +198,9 @@ class FakeShare:
         return False
 
 
-def _gate_solver(engine):
+def _gate_solver():
     formula = planted_ksat(12, 40, 3, seed=5)
-    solver = Solver(formula, config=berkmin_config(propagation=engine, seed=3))
-    return solver
+    return Solver(formula, config=berkmin_config(seed=3))
 
 
 def _snapshot(solver):
@@ -214,7 +211,6 @@ def _snapshot(solver):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "frame,reason,severity",
     [
@@ -227,8 +223,8 @@ def _snapshot(solver):
         (encode_share_frame(1, 0, 2, (1, -1)), "tautology", SEVERITY_HARD),
     ],
 )
-def test_import_gate_rejects_without_mutation(engine, frame, reason, severity):
-    solver = _gate_solver(engine)
+def test_import_gate_rejects_without_mutation(frame, reason, severity):
+    solver = _gate_solver()
     share = FakeShare([(1, frame)])
     solver.share = share
     before = _snapshot(solver)
@@ -239,14 +235,13 @@ def test_import_gate_rejects_without_mutation(engine, frame, reason, severity):
     assert solver.stats.shared_rejected == 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_import_gate_attaches_rup_unit(engine):
+def test_import_gate_attaches_rup_unit():
     # (1 2) and (1 -2) make the unit clause (1) RUP: asserting -1 forces
     # both 2 and -2.  The import must attach it at level 0 and propagate.
     from repro.cnf.formula import CnfFormula
 
     formula = CnfFormula(num_variables=3, clauses=[[1, 2], [1, -2], [2, 3]])
-    solver = Solver(formula, config=berkmin_config(propagation=engine, seed=3))
+    solver = Solver(formula, config=berkmin_config(seed=3))
     share = FakeShare([(1, encode_share_frame(1, 0, 1, (1,)))])
     solver.share = share
     attached = solver._import_shared()
@@ -257,7 +252,7 @@ def test_import_gate_attaches_rup_unit(engine):
 
 
 def test_import_gate_arena_eliminated_variable_is_benign():
-    solver = _gate_solver("arena")
+    solver = _gate_solver()
     solver._eliminated_mark[2] = True
     share = FakeShare([(1, encode_share_frame(1, 0, 2, (2, 3)))])
     solver.share = share
@@ -267,14 +262,11 @@ def test_import_gate_arena_eliminated_variable_is_benign():
     assert share.rejects == [(1, "eliminated-variable", SEVERITY_BENIGN)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_import_gate_parks_unproven_then_gives_up(engine):
+def test_import_gate_parks_unproven_then_gives_up():
     # queens(4) implies nothing about (1 2): the RUP probe stays
     # inconclusive, so the clause parks for _PARKING_TTL rounds and is
     # then rejected benignly — never hard.
-    solver = Solver(
-        queens_formula(4), config=berkmin_config(propagation=engine, seed=3)
-    )
+    solver = Solver(queens_formula(4), config=berkmin_config(seed=3))
     share = FakeShare([(1, encode_share_frame(1, 0, 2, (1, 2)))])
     solver.share = share
     for round_index in range(Solver._PARKING_TTL - 1):
@@ -286,22 +278,22 @@ def test_import_gate_parks_unproven_then_gives_up(engine):
 
 
 # ------------------------------------------------------------ adaptation
-def test_mutate_config_tries_the_engine_lever_first():
+def test_mutate_config_tries_the_branching_lever_first():
     config = config_by_name("berkmin", seed=11)
     mutated, label = mutate_config(config, 0)
-    assert label == "engine=arena"
-    assert mutated.propagation == "arena"
+    assert label == "branching=vsids"
+    assert mutated.decision_strategy == "vsids"
     assert mutated.seed != config.seed
     assert mutated.name.startswith("berkmin+")
 
 
 def test_mutate_config_walks_past_no_op_mutations():
-    # A lane already on the arena engine skips engine=arena and lands
+    # A lane already on VSIDS branching skips branching=vsids and lands
     # on the next entry that actually changes the config.
-    config = config_by_name("berkmin", seed=11, propagation="arena")
+    config = config_by_name("chaff", seed=11)
     mutated, label = mutate_config(config, 0)
-    assert label == "engine=split"
-    assert mutated.propagation == "split"
+    assert label == "branching=global"
+    assert mutated.decision_strategy == "global"
 
 
 def test_adaptive_manager_preempts_clear_loser_only():

@@ -1,7 +1,7 @@
 """Differential gate: sharing-on vs sharing-off portfolio agreement.
 
 Clause sharing must never change an answer — only how fast it arrives.
-Both arms run the same 50-formula mixed pool used by the arena
+Both arms run the same 50-formula mixed pool used by the oracle
 differential gate, under the full trusted-results verification the
 portfolio applies to winners: SAT models are checked against the
 original formula and UNSAT proofs are RUP-checked, so an unsound
@@ -106,13 +106,13 @@ def test_sharing_on_and_off_agree_across_the_pool():
 def test_sharing_admits_imports_on_a_longer_instance():
     """A run long enough for parked imports to clear their RUP probe.
 
-    The hedged arena+reference fleet on this planted draw reliably
-    admits dozens of imports (the portfolio bench's quick instance),
-    and the winner still verifies under the full trusted-results gate.
+    The two-seed BerkMin fleet on this planted draw admits imports (it
+    is the portfolio bench's quick instance), and the winner still
+    verifies under the full trusted-results gate.
     """
     configs = [
-        config_by_name("berkmin", seed=1, propagation="arena"),
-        config_by_name("berkmin", seed=3, propagation="general"),
+        config_by_name("berkmin", seed=1),
+        config_by_name("berkmin", seed=3),
     ]
     portfolio = PortfolioSolver(configs, jobs=2, verification="full", share=True)
     result = portfolio.solve(planted_ksat(200, 900, 3, seed=1), max_seconds=120.0)

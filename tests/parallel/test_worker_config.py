@@ -3,7 +3,7 @@
 Every field added to :class:`SolverConfig` must cross the worker
 boundary verbatim unless :func:`strip_for_worker` names it explicitly —
 the stripping is a ``dataclasses.replace`` copy, so new fields (the
-arena/inprocessing knobs being the motivating case) ride along without
+inprocessing knobs being the motivating case) ride along without
 anyone remembering to update the parallel layer.  These tests enforce
 that by *introspection* over the dataclass fields, so they fail the
 moment someone reintroduces a hand-maintained field list.
@@ -26,7 +26,7 @@ from repro.solver.config import (
     VERIFY_FULL,
     VERIFY_SAT,
     SolverConfig,
-    arena_config,
+    berkmin_config,
     config_by_name,
 )
 
@@ -37,7 +37,7 @@ _STRIPPABLE = {"proof_logging", "trace", "metrics_interval"}
 
 
 def test_strip_for_worker_touches_only_the_documented_fields():
-    config = arena_config(
+    config = berkmin_config(
         seed=7,
         inprocess_interval=2,
         inprocess_occurrence_limit=14,
@@ -60,13 +60,13 @@ def test_strip_for_worker_touches_only_the_documented_fields():
 
 
 def test_strip_for_worker_is_identity_when_nothing_applies():
-    config = arena_config(proof_logging=True)
+    config = berkmin_config(proof_logging=True)
     assert strip_for_worker(config, VERIFY_SAT) is config
 
 
 def test_stripped_config_pickles_with_arena_fields_intact():
     config = config_by_name(
-        "arena", seed=3, inprocess_interval=8, arena_gc_fraction=0.5
+        "berkmin", seed=3, inprocess_interval=8, arena_gc_fraction=0.5
     )
     clone = pickle.loads(pickle.dumps(strip_for_worker(config, VERIFY_FULL)))
     assert clone.propagation == "arena"
@@ -78,7 +78,7 @@ def test_stripped_config_pickles_with_arena_fields_intact():
 def test_every_config_field_survives_pickle():
     """Field-introspection sweep: no SolverConfig field may be lost or
     mutated by the pickle round trip workers rely on."""
-    config = arena_config(seed=11)
+    config = berkmin_config(seed=11)
     clone = pickle.loads(pickle.dumps(config))
     for field in dataclasses.fields(SolverConfig):
         assert getattr(clone, field.name) == getattr(config, field.name), field.name
@@ -132,6 +132,6 @@ def test_strippable_set_matches_strip_for_worker_source():
 
 
 def test_unknown_override_field_is_rejected():
-    config = arena_config(metrics_interval=10)
+    config = berkmin_config(metrics_interval=10)
     with pytest.raises(TypeError):
         config.with_overrides(not_a_field=1)

@@ -2,7 +2,7 @@
 properties, and activity bookkeeping (Section 4)."""
 
 from repro.cnf.formula import CnfFormula
-from repro.cnf.literals import encode_literal
+from repro.cnf.literals import decode_literal, encode_literal
 from repro.solver import Solver
 from repro.solver.config import berkmin_config, less_sensitivity_config
 
@@ -38,12 +38,13 @@ def test_paper_example_conflict_clause():
     """Reverse BCP must deduce the conflict clause c + x = {3, 5}."""
     solver, conflict = _paper_example_solver()
     assert conflict is not None
-    # Binary implications propagate first, so (c + d) implies d = 1 before
-    # the long clause (c + ~d + x) is examined and the conflict surfaces
-    # there.  (The paper's narrative examines the long clause first and
-    # conflicts on (c + d); either way the same resolution happens and the
-    # learnt clause below is the paper's c + x.)
-    assert sorted(abs(lit) for lit in conflict.to_dimacs()) == [3, 4, 5]
+    # (c + d) implies d = 1 before the long clause (c + ~d + x) is
+    # examined, and the conflict surfaces there.  (The paper's narrative
+    # examines the long clause first and conflicts on (c + d); either way
+    # the same resolution happens and the learnt clause below is the
+    # paper's c + x.)
+    literals = solver._ref_literals(conflict)
+    assert sorted(abs(decode_literal(lit)) for lit in literals) == [3, 4, 5]
     learnt, backtrack_level = solver._analyze(conflict)
     dimacs = sorted(
         (lit >> 1) * (-1 if lit & 1 else 1) for lit in learnt

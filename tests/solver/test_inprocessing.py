@@ -19,7 +19,7 @@ import sys
 
 from repro.generators import pigeonhole_formula
 from repro.reliability.verify import verify_result
-from repro.solver.config import arena_config, berkmin_config
+from repro.solver.config import berkmin_config
 from repro.solver.result import SolveStatus
 from repro.solver.solver import Solver
 
@@ -33,7 +33,7 @@ def test_eliminated_variable_model_reconstruction():
     # and its at-most-one ladders give elimination plenty of
     # low-occurrence candidates.
     formula = pigeonhole_formula(8, 8)
-    solver = Solver(formula, config=arena_config(**_AGGRESSIVE))
+    solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
     result = solver.solve()  # verify=True re-checks the model internally
     assert result.status is SolveStatus.SAT
     assert solver.stats.eliminated_variables > 0
@@ -50,7 +50,7 @@ def test_arena_gc_fires_under_forced_reduce_and_answers_hold():
         ("hole6", pigeonhole_formula(6), SolveStatus.UNSAT),
         ("hole8x8", pigeonhole_formula(8, 8), SolveStatus.SAT),
     ]:
-        solver = Solver(formula, config=arena_config(**_AGGRESSIVE))
+        solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
         result = solver.solve()
         assert result.status is expected, name
         assert solver.stats.inprocess_passes > 0, name
@@ -63,7 +63,7 @@ def test_arena_gc_fires_under_forced_reduce_and_answers_hold():
 def test_unsat_proof_rup_checks_across_inprocessing():
     formula = pigeonhole_formula(5)
     solver = Solver(
-        formula, config=arena_config(proof_logging=True, **_AGGRESSIVE)
+        formula, config=berkmin_config(proof_logging=True, **_AGGRESSIVE)
     )
     result = solver.solve()
     assert result.status is SolveStatus.UNSAT
@@ -75,7 +75,7 @@ def test_checkpoint_roundtrip_across_compaction(tmp_path):
     from repro.checkpoint.snapshot import save_checkpoint, try_load_checkpoint
 
     formula = pigeonhole_formula(7)
-    solver = Solver(formula, config=arena_config(seed=9, **_AGGRESSIVE))
+    solver = Solver(formula, config=berkmin_config(seed=9, **_AGGRESSIVE))
     partial = solver.solve(max_conflicts=2000)
     assert partial.status is SolveStatus.UNKNOWN
     assert solver.stats.arena_collections > 0  # a compaction already ran
@@ -83,7 +83,7 @@ def test_checkpoint_roundtrip_across_compaction(tmp_path):
     path = tmp_path / "arena.ckpt"
     save_checkpoint(solver, path)
 
-    resumed = Solver(formula, config=arena_config(seed=9, **_AGGRESSIVE))
+    resumed = Solver(formula, config=berkmin_config(seed=9, **_AGGRESSIVE))
     snapshot = try_load_checkpoint(path)
     assert snapshot is not None and snapshot.arena is not None
     assert resumed.resume(snapshot)
@@ -94,27 +94,32 @@ def test_checkpoint_roundtrip_across_compaction(tmp_path):
     assert result.status is SolveStatus.UNSAT
 
 
-def test_object_engine_ignores_arena_snapshot_payload(tmp_path):
-    """Cross-engine resume: an object engine restoring an arena snapshot
-    drops the arena payload (its pristine formula implies every stored
-    clause) and still answers correctly."""
+def test_snapshot_without_arena_payload_resumes_over_pristine_formula(tmp_path):
+    """A checkpoint with no inprocessed-database payload (as written
+    before the payload existed) restores its learned clauses over the
+    pristine formula — which implies every clause the payload would
+    carry — and still answers correctly."""
+    from dataclasses import replace
+
     from repro.checkpoint.snapshot import save_checkpoint, try_load_checkpoint
 
     formula = pigeonhole_formula(6)
-    donor = Solver(formula, config=arena_config(seed=4, **_AGGRESSIVE))
+    donor = Solver(formula, config=berkmin_config(seed=4, **_AGGRESSIVE))
     donor.solve(max_conflicts=500)
-    path = tmp_path / "cross.ckpt"
+    path = tmp_path / "old.ckpt"
     save_checkpoint(donor, path)
 
     receiver = Solver(formula, config=berkmin_config(seed=4))
-    snapshot = try_load_checkpoint(path)
+    snapshot = replace(try_load_checkpoint(path), arena=None)
     assert receiver.resume(snapshot)
+    assert not receiver._eliminated  # nothing installed from a payload
+    assert len(receiver.learned) == len(donor.learned)
     assert receiver.solve().status is SolveStatus.UNSAT
 
 
 def test_inject_lemma_rejects_eliminated_variables():
     formula = pigeonhole_formula(6)
-    solver = Solver(formula, config=arena_config(**_AGGRESSIVE))
+    solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
     solver.solve(max_conflicts=2000)
     assert solver._eliminated, "test premise: elimination must have fired"
     variable = solver._eliminated[0][0]
@@ -132,14 +137,14 @@ def test_kernel_and_pure_fallback_trajectories_identical():
     script = r"""
 import json, sys
 from repro.generators import pigeonhole_formula, planted_ksat
-from repro.solver.config import arena_config
+from repro.solver.config import berkmin_config
 from repro.solver.solver import Solver
 
 rows = []
 for formula in (pigeonhole_formula(6), planted_ksat(40, 160, 3, seed=2)):
     solver = Solver(
         formula,
-        config=arena_config(restart_interval=20, inprocess_interval=1, seed=1),
+        config=berkmin_config(restart_interval=20, inprocess_interval=1, seed=1),
     )
     result = solver.solve()
     rows.append(
@@ -174,7 +179,7 @@ def test_arena_session_retention_and_incremental_adds():
     """The session seam: retention sweeps and later add_clause calls on
     a solver whose database has been through elimination."""
     formula = pigeonhole_formula(6)
-    solver = Solver(formula, config=arena_config(**_AGGRESSIVE))
+    solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
     solver.solve(max_conflicts=1500)
     kept, dropped = solver.retain_learned_by_lbd(3)
     assert kept >= 0 and dropped >= 0

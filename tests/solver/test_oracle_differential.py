@@ -1,14 +1,12 @@
-"""Differential gate: arena engine vs the split object engine.
+"""Differential gate: the engine against an independent oracle.
 
-The arena engine runs inprocessing (bounded variable elimination plus
-arena compaction), so its search *trajectory* legitimately diverges from
-the object engines — conflict and decision counts are not comparable.
-What must hold is the answer-level contract: on any formula both engines
-return the same status, every SAT model verifies against the original
-formula (``solve()`` checks this by default, and eliminated-variable
-reconstruction makes it non-trivial for the arena), and every UNSAT
-answer carries a proof that RUP-checks — the trusted-results gate the
-parallel engines apply to untrusted workers.
+Every answer is checked two ways, neither of which shares code with the
+solver's heuristics: its status must match the plain DPLL baseline
+(:mod:`repro.baselines.dpll`, no learning, no inprocessing), and it must
+pass the trusted-results gate at level ``"full"`` — every SAT model
+verifies against the original formula (eliminated-variable
+reconstruction makes this non-trivial) and every UNSAT answer carries a
+DRUP proof that RUP-checks.
 
 The pool is 50 pinned formulas across mixed families, with restart and
 inprocessing intervals cranked low so elimination, learned-clause
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+from repro.baselines.dpll import DpllSolver
 from repro.cnf.formula import CnfFormula
 from repro.generators import (
     pigeonhole_formula,
@@ -59,29 +58,17 @@ def _pool() -> list[tuple[str, CnfFormula]]:
     return formulas
 
 
-def test_arena_vs_split_identical_answers_with_trusted_gate():
+def test_answers_match_dpll_oracle_and_pass_the_trusted_gate():
     pool = _pool()
     assert len(pool) == 50
+    config = berkmin_config(restart_interval=20, inprocess_interval=2, proof_logging=True)
     for name, formula in pool:
-        statuses = {}
-        for mode in ("split", "arena"):
-            solver = Solver(
-                formula,
-                config=berkmin_config(
-                    propagation=mode,
-                    restart_interval=20,
-                    inprocess_interval=2,
-                    proof_logging=True,
-                ),
-            )
-            result = solver.solve()  # verify=True: raises on an invalid model
-            assert result.status is not SolveStatus.UNKNOWN, name
-            # The same gate the parallel layer applies to worker answers:
-            # model check for SAT, RUP proof check for UNSAT.
-            verified = verify_result(formula, result)
-            assert verified in ("model", "proof"), (name, mode, verified)
-            statuses[mode] = result.status
-        assert statuses["split"] is statuses["arena"], (
-            f"{name}: engines disagree — split {statuses['split'].name} "
-            f"vs arena {statuses['arena'].name}"
+        result = Solver(formula, config=config).solve()  # raises on an invalid model
+        assert result.status is not SolveStatus.UNKNOWN, name
+        satisfiable = DpllSolver(formula).solve().satisfiable
+        expected = SolveStatus.SAT if satisfiable else SolveStatus.UNSAT
+        assert result.status is expected, (
+            f"{name}: solver says {result.status.name}, DPLL says {expected.name}"
         )
+        verified = verify_result(formula, result, "full")
+        assert verified in ("model", "proof"), (name, verified)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CnfFormula
 from repro.cnf.literals import encode_literal
 from repro.solver import Solver
@@ -13,11 +12,12 @@ from repro.solver.config import (
     take_1_config,
     unsat_top_config,
 )
-from repro.solver.phase import formula_literal, nb_two, top_clause_literal
+from repro.solver.phase import formula_literal, nb_two
 
 
-def _clause(*dimacs):
-    return Clause([encode_literal(lit) for lit in dimacs], learned=True)
+def _clause(solver, *dimacs):
+    """A learned record (unindexed) for the top-clause phase to read."""
+    return solver._push_record([encode_literal(lit) for lit in dimacs], learned=True)
 
 
 def test_symmetrize_prefers_lagging_literal():
@@ -26,11 +26,11 @@ def test_symmetrize_prefers_lagging_literal():
     variable = 3
     solver.lit_activity[encode_literal(3)] = 3
     solver.lit_activity[encode_literal(-3)] = 5
-    literal = top_clause_literal(solver, variable, _clause(1, 2, 3))
+    literal = solver._top_clause_literal(variable, _clause(solver, 1, 2, 3))
     assert literal == encode_literal(-3)  # c = 0 explored first
 
     solver.lit_activity[encode_literal(3)] = 9
-    literal = top_clause_literal(solver, variable, _clause(1, 2, 3))
+    literal = solver._top_clause_literal(variable, _clause(solver, 1, 2, 3))
     assert literal == encode_literal(3)  # now c = 1 explored first
 
 
@@ -38,30 +38,30 @@ def test_symmetrize_tie_is_random_but_seeded():
     values = set()
     for seed in range(8):
         solver = Solver(CnfFormula([[1]]), config=berkmin_config(seed=seed))
-        values.add(top_clause_literal(solver, 1, _clause(1)))
+        values.add(solver._top_clause_literal(1, _clause(solver, 1)))
     assert values == {encode_literal(1), encode_literal(-1)}
 
 
 def test_sat_top_and_unsat_top():
     solver = Solver(CnfFormula([[1, 2]]), config=sat_top_config())
-    clause = _clause(1, -2)
-    assert top_clause_literal(solver, 2, clause) == encode_literal(-2)
+    clause = _clause(solver, 1, -2)
+    assert solver._top_clause_literal(2, clause) == encode_literal(-2)
     solver.config = unsat_top_config()
-    assert top_clause_literal(solver, 2, clause) == encode_literal(2)
+    assert solver._top_clause_literal(2, clause) == encode_literal(2)
 
 
 def test_take_0_and_take_1():
     solver = Solver(CnfFormula([[1, 2]]), config=take_0_config())
-    assert top_clause_literal(solver, 1, _clause(1, 2)) == encode_literal(-1)
+    assert solver._top_clause_literal(1, _clause(solver, 1, 2)) == encode_literal(-1)
     solver.config = take_1_config()
-    assert top_clause_literal(solver, 1, _clause(1, 2)) == encode_literal(1)
+    assert solver._top_clause_literal(1, _clause(solver, 1, 2)) == encode_literal(1)
 
 
 def test_unknown_heuristic_raises():
     solver = Solver(CnfFormula([[1]]))
     solver.config = berkmin_config(top_clause_phase="nope")
     with pytest.raises(ValueError):
-        top_clause_literal(solver, 1, _clause(1))
+        solver._top_clause_literal(1, _clause(solver, 1))
     solver.config = berkmin_config(formula_phase="nope")
     with pytest.raises(ValueError):
         formula_literal(solver, 1)
@@ -136,11 +136,9 @@ def test_nb_two_tie_breaks_randomly_but_seeded():
     assert formula_literal(first, 1) == formula_literal(second, 1)
 
 
-def test_learned_binary_clauses_feed_nb_two():
+def test_learned_binary_clauses_feed_nb_two(push_learned):
     solver = Solver(CnfFormula([[1, 2, 3]]))
     before = nb_two(solver, encode_literal(1))
-    clause = _clause(1, -2)
-    solver.learned.append(clause)
-    solver.attach_clause(clause)
+    push_learned(solver, [1, -2])
     after = nb_two(solver, encode_literal(1))
     assert after == before + 1

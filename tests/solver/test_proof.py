@@ -87,6 +87,19 @@ def test_valid_manual_proof():
     assert check_rup_proof(formula, proof)
 
 
+def test_check_past_its_deadline_neither_accepts_nor_rejects():
+    import time
+
+    from repro.generators.pigeonhole import pigeonhole_formula
+    from repro.proof import ProofCheckTimeout
+
+    formula = pigeonhole_formula(5)
+    result = _solve_with_proof(formula)
+    with pytest.raises(ProofCheckTimeout):
+        check_rup_proof(formula, result.proof, deadline=time.monotonic())
+    assert check_rup_proof(formula, result.proof, deadline=time.monotonic() + 600)
+
+
 def test_is_rup_tautological_negation():
     assert _is_rup([], [1, -1])
 

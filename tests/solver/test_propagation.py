@@ -35,7 +35,7 @@ def test_conflict_is_detected():
     solver._enqueue(2 * 1, None)  # decide 1 = True
     conflict = solver._propagate()
     assert conflict is not None
-    falsified = [solver._value(lit) for lit in conflict.literals]
+    falsified = [solver._value(lit) for lit in solver._ref_literals(conflict)]
     assert all(value == FALSE for value in falsified)
 
 
@@ -57,54 +57,59 @@ def test_propagation_respects_decision():
 
 
 def _check_watch_invariants(solver):
-    """Long clauses are watched by their first two literals; binary clauses
-    appear exactly once in each of their literals' implication arrays."""
+    """Every live record is watched on its first two literals, once per
+    watch slot; binary records appear exactly once in each of their
+    literals' implication arrays."""
     from collections import Counter
 
+    from repro.solver.solver import _DEAD
+
+    arena = solver.arena
     watched = Counter()
-    for literal, clauses in enumerate(solver.watches):
-        for clause in clauses:
-            assert literal in clause.literals[:2], "watch not on first two literals"
-            watched[id(clause)] += 1
-    binary_in_watches = solver.config.propagation == "general"
+    for literal in range(len(solver.watch_head)):
+        node = solver.watch_head[literal]
+        while node != -1:
+            ref, slot = node >> 1, node & 1
+            if not arena[ref + 1] & _DEAD:  # dead records unlink lazily
+                assert arena[ref + 8 + slot] == literal, "watch not on its slot's literal"
+                watched[node] += 1
+            node = arena[ref + 4 + 2 * slot]
     expected_entries = Counter()  # (falsified literal -> implied literal) edges
-    for clause in solver.clauses + solver.learned:
-        if clause.is_binary:
-            first, second = clause.literals
+    for ref in list(solver.clauses) + list(solver.learned):
+        assert watched[ref << 1] == 1 and watched[(ref << 1) | 1] == 1, (
+            "record must have exactly two watches"
+        )
+        if arena[ref] == 2:
+            first, second = solver._ref_literals(ref)
             expected_entries[(first, second)] += 1
             expected_entries[(second, first)] += 1
-            expected_watches = 2 if binary_in_watches else 0
-            assert watched[id(clause)] == expected_watches
-        else:
-            assert watched[id(clause)] == 2, "clause must have exactly two watches"
+    assert sum(watched.values()) == 2 * (len(solver.clauses) + len(solver.learned))
     actual_entries = Counter(
         (literal, implied)
         for literal, implied_list in enumerate(solver.binary_implications)
         for implied in implied_list
     )
     assert actual_entries == expected_entries
-    # binary_count is the per-literal total of implication entries (and, in
-    # general mode, the length of the binary prefix of each watch list).
+    # binary_count is the per-literal total of implication entries.
     for literal in range(len(solver.binary_count)):
         assert solver.binary_count[literal] == len(solver.binary_implications[literal])
 
 
 def test_watch_invariants_after_solving():
     rng = random.Random(7)
-    for mode in ("split", "general"):
-        for _ in range(25):
-            n = rng.randint(2, 9)
-            clauses = []
-            for _ in range(rng.randint(2, 30)):
-                arity = min(rng.randint(2, 4), n)
-                variables = rng.sample(range(1, n + 1), arity)
-                clauses.append([v * rng.choice((1, -1)) for v in variables])
-            solver = Solver(
-                CnfFormula(clauses, num_variables=n),
-                config=berkmin_config(restart_interval=5, propagation=mode),
-            )
-            solver.solve()
-            _check_watch_invariants(solver)
+    for _ in range(50):
+        n = rng.randint(2, 9)
+        clauses = []
+        for _ in range(rng.randint(2, 30)):
+            arity = min(rng.randint(2, 4), n)
+            variables = rng.sample(range(1, n + 1), arity)
+            clauses.append([v * rng.choice((1, -1)) for v in variables])
+        solver = Solver(
+            CnfFormula(clauses, num_variables=n),
+            config=berkmin_config(restart_interval=5),
+        )
+        solver.solve()
+        _check_watch_invariants(solver)
 
 
 def test_trail_is_consistent_after_backtrack():
@@ -117,10 +122,10 @@ def test_trail_is_consistent_after_backtrack():
     assert solver.current_level() == 1
     solver._backtrack(0)
     assert solver.current_level() == 0
-    assert solver.trail == []
+    assert len(solver.trail) == 0
     for variable in range(1, 6):
         assert solver.assigns[variable] == UNASSIGNED
-        assert solver.reasons[variable] is None
+        assert solver.reasons[variable] == -1  # no reason
     assert solver.qhead == 0
 
 
@@ -149,4 +154,4 @@ def test_false_literals_removed_on_load():
     solver._propagate()
     solver.add_clause([-1, 2, 3])
     stored = solver.clauses[-1]
-    assert len(stored) == 2  # -1 stripped
+    assert len(solver._ref_literals(stored)) == 2  # -1 stripped
