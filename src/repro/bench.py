@@ -3,14 +3,17 @@
 Runs a pinned, seeded suite of generator instances (pigeonhole, random
 3-SAT at the phase-transition ratio, parity/XOR systems, n-queens) and
 reports wall time plus propagations/conflicts/decisions per second for
-each.
+each.  Every UNSAT instance is solved once more at
+``verification="full"``, and the time its DRUP proof check takes is
+reported next to the search time.
 
 The harness doubles as a correctness gate: every SAT model is verified
-(``solve(verify=True)`` raises on a bad model), and the agreement stage
+(``solve(verify=True)`` raises on a bad model), every UNSAT proof must
+pass the checker, and the agreement stage
 solves two small pinned instances under every paper configuration and
 checks each status against the independent DPLL baseline
-(:mod:`repro.baselines.dpll`); a mismatch is a solver bug, reported as
-:class:`BenchAgreementError`.
+(:mod:`repro.baselines.dpll`); a mismatch or a rejected proof is a
+solver bug, reported as :class:`BenchAgreementError`.
 
 ``repro-sat bench --out BENCH_N.json`` writes the JSON report at the
 repo root; see docs/BENCHMARKS.md for the schema and how to compare
@@ -37,11 +40,12 @@ from repro.generators import (
     random_xor_system,
     xor_system_formula,
 )
+from repro.reliability.verify import VerificationError, verify_result
 from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
 #: Schema version of the BENCH_*.json reports.
-SCHEMA = "bcp-bench/3"
+SCHEMA = "bcp-bench/4"
 
 #: Schema version of the session-bench reports (``bench --session``).
 SESSION_SCHEMA = "session-bench/1"
@@ -155,6 +159,18 @@ def _solve_timed(formula: CnfFormula, config_name: str) -> tuple:
     return result, time.perf_counter() - started
 
 
+def _check_timed(instance: BenchInstance, formula: CnfFormula, config_name: str) -> float:
+    """Solve once more at ``verification="full"``; time the proof check."""
+    config = config_by_name(config_name, verification="full")
+    result = Solver(formula, config=config).solve()
+    started = time.perf_counter()
+    try:
+        verify_result(formula, result, "full")
+    except VerificationError as error:
+        raise BenchAgreementError(f"{instance.name}: {error}") from error
+    return time.perf_counter() - started
+
+
 def run_instance(
     instance: BenchInstance,
     config_name: str = "berkmin",
@@ -165,7 +181,10 @@ def run_instance(
     The instance runs ``repeats`` times on a fresh solver; the minimum
     wall time is reported (timing noise only ever inflates a
     measurement).  Counts are deterministic across repeats, so the last
-    run's statistics stand for all of them.
+    run's statistics stand for all of them.  An UNSAT instance also
+    reports ``check_seconds``, the proof check of one extra solve, and
+    ``check_per_search``, its ratio to the reported search time; both
+    are None for a SAT instance.
     """
     formula = instance.build()
     best_wall = None
@@ -175,6 +194,7 @@ def run_instance(
         if best_wall is None or wall < best_wall:
             best_wall = wall
     stats = result.stats
+    check = _check_timed(instance, formula, config_name) if result.is_unsat else None
     return {
         "name": instance.name,
         "family": instance.family,
@@ -186,6 +206,8 @@ def run_instance(
         "propagations_per_second": round(stats.propagations / best_wall, 1),
         "conflicts_per_second": round(stats.conflicts / best_wall, 1),
         "decisions_per_second": round(stats.decisions / best_wall, 1),
+        "check_seconds": None if check is None else round(check, 6),
+        "check_per_search": None if check is None else round(check / best_wall, 2),
     }
 
 
@@ -266,15 +288,18 @@ def format_table(report: dict) -> str:
         f"BCP bench — scale={report['scale']} config={report['config']} "
         f"repeats={report['repeats']}",
         f"{'instance':<16} {'status':<7} {'props':>9} {'wall s':>8} "
-        f"{'props/s':>10} {'confl/s':>9} {'dec/s':>9}",
+        f"{'props/s':>10} {'confl/s':>9} {'dec/s':>9} {'check s':>8} {'chk/srch':>8}",
     ]
     for row in report["instances"]:
+        check = row.get("check_seconds")
         lines.append(
             f"{row['name']:<16} {row['status']:<7} {row['propagations']:>9} "
             f"{row['wall_seconds']:>8.3f} "
             f"{row['propagations_per_second']:>10,.0f} "
             f"{row['conflicts_per_second']:>9,.0f} "
-            f"{row['decisions_per_second']:>9,.0f}"
+            f"{row['decisions_per_second']:>9,.0f} "
+            + (f"{'-':>8} {'-':>8}" if check is None
+               else f"{check:>8.3f} {row['check_per_search']:>8.2f}")
         )
     aggregate = report["aggregate"]
     lines.append(

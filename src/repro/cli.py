@@ -813,6 +813,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"c metrics written to {args.metrics_out} "
             f"({len(solver.metrics.rows)} rows)"
         )
+    verified = None
     if verification is not None and verification != VERIFY_OFF:
         from repro.reliability import verify_result
 
@@ -838,7 +839,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif result.status is SolveStatus.UNSAT:
         print("s UNSATISFIABLE")
         if args.proof and result.proof is not None:
-            check_rup_proof(formula, result.proof)
+            if verified != "proof":  # the gate above has not checked it yet
+                check_rup_proof(formula, result.proof)
             print("c proof verified (RUP)")
         if args.proof_out and result.proof is not None:
             _write_proof_file(args.proof_out, result.proof)

@@ -400,6 +400,11 @@ class Solver:
         if len(remaining) == 1:
             self._enqueue(remaining[0], None)
             return self.ok
+        if len(remaining) < len(literals):
+            # A repeated literal or level-0 stripping shortened the stored
+            # form.  Log it (RUP via the level-0 units), so that a later
+            # deletion names a clause the proof's database holds.
+            self.log_proof_add(remaining)
         ref = self._push_record(remaining, learned=False)
         self.clauses.append(ref)
         self._attach_ref(ref)

@@ -6,10 +6,12 @@ import pytest
 
 from repro.baselines.brute import brute_force_satisfiable
 from repro.cnf.formula import CnfFormula
+from repro.generators.pigeonhole import pigeonhole_formula
 from repro.proof import ProofError, check_rup_proof
-from repro.proof.rup import _is_rup
 from repro.solver import Solver
 from repro.solver.config import berkmin_config, chaff_config
+
+import rup_oracle
 
 
 def _solve_with_proof(formula, config_name="berkmin", **overrides):
@@ -101,7 +103,34 @@ def test_check_past_its_deadline_neither_accepts_nor_rejects():
 
 
 def test_is_rup_tautological_negation():
-    assert _is_rup([], [1, -1])
+    assert rup_oracle._is_rup([], [1, -1])
+
+
+def _above_hole4(prefix):
+    """``prefix`` (clauses over variables 1-3), then hole4 on variables 4-23."""
+    hole = pigeonhole_formula(4)
+    shifted = [[lit + 3 if lit > 0 else lit - 3 for lit in clause] for clause in hole.clauses]
+    return CnfFormula(prefix + shifted)
+
+
+@pytest.mark.parametrize(
+    "prefix, stored",
+    [
+        ([[1], [-1, 2, 3], [2]], [2, 3]),  # the unit strips -1 at load time
+        ([[-1, 2, 2], [2]], [-1, 2]),  # the repeated literal is dropped
+    ],
+    ids=["unit-ahead", "repeated-literal"],
+)
+def test_load_time_strengthening_is_logged_before_its_deletion(prefix, stored):
+    # The solver stores a shorter form of the middle input clause; the
+    # later unit satisfies it, so the first reduction deletes that form.
+    formula = _above_hole4(prefix)
+    result = _solve_with_proof(formula, restart_interval=5)
+    assert result.is_unsat
+    steps = [(kind, sorted(clause)) for kind, clause in result.proof]
+    assert steps.index(("a", stored)) < steps.index(("d", stored))
+    assert check_rup_proof(formula, result.proof)
+    assert rup_oracle.check_rup_proof(formula, result.proof)
 
 
 def test_random_unsat_proofs_check(subtests=None):

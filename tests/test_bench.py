@@ -14,7 +14,7 @@ import pytest
 
 from repro import bench
 from repro.cli import main
-from repro.generators import pigeonhole_formula
+from repro.generators import pigeonhole_formula, queens_formula
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -39,11 +39,32 @@ def test_run_instance_times_all_engines_and_agrees():
     assert row["wall_seconds"] > 0
     for rate in ("propagations_per_second", "conflicts_per_second", "decisions_per_second"):
         assert row[rate] > 0
+    assert row["check_seconds"] > 0
+    assert row["check_per_search"] == round(row["check_seconds"] / row["wall_seconds"], 2)
 
 
-def test_report_round_trips_and_formats(tmp_path):
-    row = bench.run_instance(_TINY, repeats=1)
-    report = {
+def test_sat_rows_carry_no_check_columns():
+    queens = bench.BenchInstance("queens5", "queens", lambda: queens_formula(5))
+    row = bench.run_instance(queens, repeats=1)
+    assert row["status"] == "SAT"
+    assert row["check_seconds"] is None and row["check_per_search"] is None
+    assert "queens5" in bench.format_table(_report(row))
+
+
+def test_rejected_proof_fails_the_bench(monkeypatch):
+    import repro.reliability.verify as verify
+    from repro.proof import ProofError
+
+    def reject(formula, proof, **kwargs):
+        raise ProofError("step 0: clause [1] is not a RUP consequence")
+
+    monkeypatch.setattr(verify, "check_rup_proof", reject)
+    with pytest.raises(bench.BenchAgreementError, match="hole4: proof check failed"):
+        bench.run_instance(_TINY, repeats=1)
+
+
+def _report(row):
+    return {
         "schema": bench.SCHEMA,
         "scale": "smoke",
         "config": "berkmin",
@@ -56,11 +77,16 @@ def test_report_round_trips_and_formats(tmp_path):
             "propagations_per_second": row["propagations_per_second"],
         },
     }
+
+
+def test_report_round_trips_and_formats(tmp_path):
+    row = bench.run_instance(_TINY, repeats=1)
+    report = _report(row)
     path = tmp_path / "BENCH_smoke.json"
     bench.write_report(report, str(path))
     assert json.loads(path.read_text())["schema"] == bench.SCHEMA
     table = bench.format_table(report)
-    assert "hole4" in table and "props/s" in table
+    assert "hole4" in table and "props/s" in table and "chk/srch" in table
     assert "aggregate:" in table
 
 

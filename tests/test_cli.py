@@ -39,6 +39,29 @@ def test_solve_unsat_with_proof_and_stats(tmp_path, capsys):
     assert "c conflicts =" in captured
 
 
+@pytest.mark.parametrize("flags", [[], ["--verify", "sat"]])
+def test_solve_proof_is_checked_once(tmp_path, capsys, monkeypatch, flags):
+    import repro.cli
+    import repro.reliability.verify
+    from repro.proof import check_rup_proof
+
+    checks = []
+
+    def counting(formula, proof, **kwargs):
+        checks.append(len(proof))
+        return check_rup_proof(formula, proof, **kwargs)
+
+    monkeypatch.setattr(repro.cli, "check_rup_proof", counting)
+    monkeypatch.setattr(repro.reliability.verify, "check_rup_proof", counting)
+    path = _write(tmp_path, pigeonhole_formula(5))
+    assert main(["solve", path, "--proof", *flags]) == 20
+    captured = capsys.readouterr().out
+    assert len(checks) == 1
+    assert "c proof verified (RUP)" in captured
+    # Without --verify, --proof means verify full: the gate runs the check.
+    assert ("c answer verified (proof)" in captured) == (not flags)
+
+
 def test_solve_unknown_on_budget(tmp_path, capsys):
     path = _write(tmp_path, pigeonhole_formula(7))
     code = main(["solve", path, "--max-conflicts", "3"])
