@@ -44,8 +44,6 @@ from repro.cnf import (
 )
 from repro.observability import (
     FleetDashboard,
-    FleetMonitor,
-    FleetRecorder,
     JsonlTraceSink,
     MetricsRegistry,
     RingBufferSink,
@@ -113,8 +111,6 @@ __all__ = [
     "FaultSpec",
     "GroupedResult",
     "FleetDashboard",
-    "FleetMonitor",
-    "FleetRecorder",
     "JsonlTraceSink",
     "MetricsRegistry",
     "PortfolioSolver",

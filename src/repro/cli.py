@@ -683,27 +683,41 @@ def _open_trace(args: argparse.Namespace):
     return JsonlTraceSink(args.trace_out)
 
 
-def _open_monitor(args: argparse.Namespace, *, telemetry: bool = True):
-    """(monitor, recorder) for the parallel engines per the CLI flags.
+def _open_fleet_sink(args: argparse.Namespace, row_type: str):
+    """One event sink for a fleet run, fanned out per the CLI flags.
 
-    ``--dashboard`` adds the live :class:`FleetDashboard`; when
-    ``telemetry`` and ``--metrics-out`` are set, a
-    :class:`FleetRecorder` rides along to capture relayed worker
-    telemetry for export.  Either half may be absent.
+    ``--trace-out`` records every event, ``--dashboard`` folds them
+    into the live :class:`FleetDashboard`, and ``--metrics-out``
+    collects the ``row_type`` events as metrics rows.  Returns
+    ``(sink, trace, rows)``: the fan-out (None without any flag), the
+    JSONL sink or None, and the collected events or None.
     """
-    from repro.observability import FleetDashboard, FleetRecorder, MultiMonitor
+    from repro.observability import CallbackSink, FleetDashboard, MultiSink
 
-    parts = []
-    recorder = None
-    if telemetry and getattr(args, "metrics_out", None):
-        recorder = FleetRecorder()
-        parts.append(recorder)
-    if getattr(args, "dashboard", False):
-        parts.append(FleetDashboard())
-    if not parts:
-        return None, None
-    monitor = parts[0] if len(parts) == 1 else MultiMonitor(*parts)
-    return monitor, recorder
+    trace = _open_trace(args)
+    sinks = [trace] if trace is not None else []
+    rows = None
+    if args.metrics_out:
+        rows = []
+
+        def collect(event: dict) -> None:
+            if event["type"] == row_type:
+                rows.append(dict(event))
+
+        sinks.append(CallbackSink(collect))
+    if args.dashboard:
+        sinks.append(FleetDashboard())
+    return (MultiSink(*sinks) if sinks else None), trace, rows
+
+
+def _write_rows(path: str, rows: list[dict]) -> None:
+    """Write metrics rows as CSV (``.csv``) or JSONL (anything else)."""
+    from repro.observability import write_rows_csv, write_rows_jsonl
+
+    if path.lower().endswith(".csv"):
+        write_rows_csv(path, rows)
+    else:
+        write_rows_jsonl(path, rows)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -909,8 +923,7 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
     configs = default_portfolio(jobs, base_seed=args.seed)
     # --config pins the first member so the named preset always races.
     configs[0] = config_by_name(args.config, seed=args.seed)
-    trace = _open_trace(args)
-    monitor, recorder = _open_monitor(args)
+    sink, trace, rows = _open_fleet_sink(args, "lane_progress")
     portfolio = PortfolioSolver(
         configs,
         jobs=jobs,
@@ -918,8 +931,7 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
         verification=verification if verification is not None else VERIFY_OFF,
         checkpoint_dir=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
-        monitor=monitor,
-        trace=trace,
+        trace=sink,
         share=args.share or args.share_max_lbd is not None,
         share_max_lbd=args.share_max_lbd,
         adapt=args.adapt,
@@ -944,11 +956,9 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
         raise
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-        if monitor is not None:
-            monitor.close()
-        if trace is not None:
-            trace.close()
-    _report_fleet_outputs(args, trace, recorder)
+        if sink is not None:
+            sink.close()
+    _report_fleet_outputs(args, trace, rows)
     retries = result.stats.worker_retries
     print(f"c portfolio of {len(configs)} configs, {jobs} jobs, "
           f"winner: {result.config_name} ({result.wall_seconds:.3f}s"
@@ -956,18 +966,22 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
     return _print_result(result, stats=args.stats)
 
 
-def _report_fleet_outputs(args: argparse.Namespace, trace, recorder) -> None:
+def _report_fleet_outputs(args: argparse.Namespace, trace, rows) -> None:
     """Export and announce --trace-out / --metrics-out on a fleet run."""
     if trace is not None:
         print(
             f"c trace written to {args.trace_out} "
             f"({trace.events_written} events)"
         )
-    if recorder is not None:
-        recorder.export_telemetry(args.metrics_out)
+    if rows is not None:
+        # One row per relayed lane_progress event, keyed by its lane.
+        _write_rows(
+            args.metrics_out,
+            [{key: value for key, value in row.items() if key != "type"} for row in rows],
+        )
         print(
             f"c worker telemetry written to {args.metrics_out} "
-            f"({len(recorder.telemetry)} rows)"
+            f"({len(rows)} rows)"
         )
 
 
@@ -982,8 +996,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     verification = args.verify
     if args.proof and verification is None:
         verification = VERIFY_FULL
-    trace = _open_trace(args)
-    monitor, recorder = _open_monitor(args)
+    sink, trace, rows = _open_fleet_sink(args, "lane_progress")
     # SIGTERM drains gracefully: no new launches, running workers get a
     # cooperative cancel (final checkpoints written), partial results are
     # reported, and the process exits 143.
@@ -1006,17 +1019,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             stall_seconds=args.stall_seconds,
             checkpoint_dir=args.checkpoint,
             checkpoint_interval=args.checkpoint_interval,
-            monitor=monitor,
-            trace=trace,
+            trace=sink,
             stop_event=stop_event,
         )
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-        if monitor is not None:
-            monitor.close()
-        if trace is not None:
-            trace.close()
-    _report_fleet_outputs(args, trace, recorder)
+        if sink is not None:
+            sink.close()
+    _report_fleet_outputs(args, trace, rows)
     for path, result in zip(args.files, batch.results):
         detail = f" ({result.limit_reason})" if result.is_unknown else ""
         if result.verified is not None:
@@ -1313,21 +1323,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             )
             return 2
     rounds = 8 if args.quick else args.rounds
-    trace = _open_trace(args)
     # Audit rounds run their engines internally, so --metrics-out means
     # "one row per audit_round event", not relayed worker telemetry.
-    monitor, _ = _open_monitor(args, telemetry=False)
-    audit_rows: list[dict] = []
-    sink = trace
-    if args.metrics_out:
-        from repro.observability import CallbackSink, MultiSink
-
-        def _collect(event: dict) -> None:
-            if event.get("type") == "audit_round":
-                audit_rows.append(dict(event))
-
-        collector = CallbackSink(_collect)
-        sink = collector if trace is None else MultiSink(trace, collector)
+    sink, trace, rows = _open_fleet_sink(args, "audit_round")
     try:
         report = run_audit(
             rounds,
@@ -1335,29 +1333,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             engines=args.engine,
             log=print if args.verbose else None,
-            monitor=monitor,
             trace=sink,
         )
     finally:
-        if monitor is not None:
-            monitor.close()
-        if trace is not None:
-            trace.close()
+        if sink is not None:
+            sink.close()
     if trace is not None:
         print(
             f"c trace written to {args.trace_out} "
             f"({trace.events_written} events)"
         )
-    if args.metrics_out:
-        from repro.observability import write_rows_csv, write_rows_jsonl
-
-        if args.metrics_out.lower().endswith(".csv"):
-            write_rows_csv(args.metrics_out, audit_rows)
-        else:
-            write_rows_jsonl(args.metrics_out, audit_rows)
+    if rows is not None:
+        _write_rows(args.metrics_out, rows)
         print(
             f"c round metrics written to {args.metrics_out} "
-            f"({len(audit_rows)} rows)"
+            f"({len(rows)} rows)"
         )
     for failure in report.failures:
         print(f"c {failure}")
@@ -1374,12 +1364,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("c --pool-size must be >= 1", file=sys.stderr)
         return 2
     trace = _open_trace(args)
-    monitor = None
+    sink, dashboard = trace, None
     if args.dashboard:
-        from repro.observability import FleetDashboard
+        from repro.observability import FleetDashboard, MultiSink
         from repro.server import ServiceDashboardAdapter
 
-        monitor = ServiceDashboardAdapter(FleetDashboard(), args.pool_size)
+        dashboard = ServiceDashboardAdapter(FleetDashboard(), args.pool_size)
+        sink = dashboard if trace is None else MultiSink(trace, dashboard)
     service = SolverService(
         pool_size=args.pool_size,
         config=config_by_name(args.config, seed=args.seed),
@@ -1393,8 +1384,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         checkpoint_dir=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
-        trace=trace,
-        monitor=monitor,
+        trace=sink,
         latency_objective=args.latency_objective,
     )
     server = SolverServer(
@@ -1414,11 +1404,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run())
     finally:
-        if monitor is not None:
-            monitor.fleet_finished("service drained")
-            monitor.close()
-        if trace is not None:
-            trace.close()
+        if dashboard is not None:
+            dashboard.emit({"type": "fleet_end", "summary": "service drained"})
+        if sink is not None:
+            sink.close()
     stats = service.stats()
     print(
         f"c drained: {stats['requests']} requests, "

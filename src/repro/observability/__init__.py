@@ -1,6 +1,6 @@
 """Unified telemetry: structured tracing, metrics time-series, fleet dashboard.
 
-Three layers, all optional and all zero-cost when unused:
+Four layers, all optional and all zero-cost when unused:
 
 * :mod:`~repro.observability.trace` — typed search events
   (:data:`EVENT_SCHEMA`) flowing through a :class:`TraceSink`
@@ -10,12 +10,12 @@ Three layers, all optional and all zero-cost when unused:
   reservoir-sampled histograms, plus the :class:`MetricsCollector`
   time-series the solver drives from its progress hook
   (``SolverConfig(metrics_interval=...)``).
-* :mod:`~repro.observability.dashboard` — the :class:`FleetMonitor`
-  protocol and the live TTY :class:`FleetDashboard` for the supervised
-  parallel engines.
+* :mod:`~repro.observability.dashboard` — the live TTY
+  :class:`FleetDashboard` for the supervised parallel engines, a sink
+  folding their supervision events into lane states.
 * :mod:`~repro.observability.spans` — request-scoped correlation IDs
   and per-request phase trees for the solver service, plus the
-  Chrome-trace/Perfetto exporters.
+  Chrome-trace/Perfetto exporter.
 
 See ``docs/OBSERVABILITY.md`` for the event schema table and overhead
 numbers.
@@ -24,9 +24,6 @@ numbers.
 from .dashboard import (
     LANE_STATES,
     FleetDashboard,
-    FleetMonitor,
-    FleetRecorder,
-    MultiMonitor,
     OpsTop,
 )
 from .metrics import (
@@ -44,7 +41,6 @@ from .spans import (
     IdMinter,
     Span,
     SpanTracker,
-    chrome_trace,
     chrome_trace_from_events,
     phase_of,
 )
@@ -76,8 +72,6 @@ __all__ = [
     "EVENT_SCHEMA",
     "EVENT_TYPES",
     "FleetDashboard",
-    "FleetMonitor",
-    "FleetRecorder",
     "Gauge",
     "Histogram",
     "IdMinter",
@@ -85,7 +79,6 @@ __all__ = [
     "LANE_STATES",
     "MetricsCollector",
     "MetricsRegistry",
-    "MultiMonitor",
     "MultiSink",
     "OpsTop",
     "REQUEST_PHASES",
@@ -94,7 +87,6 @@ __all__ = [
     "SpanTracker",
     "TraceFormatError",
     "TraceSink",
-    "chrome_trace",
     "chrome_trace_from_events",
     "format_service_summary",
     "format_summary",

@@ -2,25 +2,23 @@
 
 The engines (:func:`repro.parallel.solve_batch`,
 :class:`repro.parallel.PortfolioSolver`, and
-:func:`repro.reliability.audit.run_audit`) accept a ``monitor`` — any
-object implementing the :class:`FleetMonitor` protocol — and report
-per-lane life-cycle transitions (``running`` → ``retrying`` →
-``resumed`` → ``done`` / ``degraded``) plus telemetry rows relayed from
-workers over the result queue.
-
-:class:`FleetDashboard` is the shipped implementation: on a TTY it
-redraws an ANSI multi-line panel in place (lane glyphs, aggregate
-rates, fleet ETA); on a plain pipe it degrades to one line per state
-*transition*, which is also the deterministic surface the tests drive.
-:class:`FleetRecorder` accumulates everything for programmatic
-inspection and export; :class:`MultiMonitor` fans out to several
-monitors at once.
+:func:`repro.reliability.audit.run_audit`) report their fleets on one
+:class:`~repro.observability.trace.TraceSink`: ``fleet_start``, one
+event per lane transition, ``lane_progress`` rows relayed from workers,
+and ``fleet_end``.  :class:`FleetDashboard` is a sink that folds those
+events into per-lane life-cycle states (``running`` → ``retrying`` →
+``resumed`` → ``done`` / ``degraded``).  On a TTY it redraws an ANSI
+multi-line panel in place (lane glyphs, aggregate rates, fleet ETA);
+on a plain pipe it degrades to one line per state *transition*, which
+is also the deterministic surface the tests drive.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+
+from .trace import TraceSink
 
 #: Lane life-cycle states, with the glyph/order used by the dashboard.
 #: ``quarantined`` marks a lane muted by the clause bus for Byzantine
@@ -49,112 +47,49 @@ _GLYPHS = {
 }
 
 
-class FleetMonitor:
-    """Receiver of fleet progress — the protocol the engines call.
+def _lane_transition(event: dict):
+    """``(lane, state, detail, attempt)`` an event moves a lane to, or None.
 
-    All methods are no-ops here; subclass and override what you need.
-    Engines call from the supervising (parent) process only, never from
-    workers, so implementations need not be thread- or process-safe.
+    The fold behind the dashboard's lane states.  Audit rounds are
+    lanes too, keyed by their round number.
     """
-
-    def fleet_started(self, count: int, labels=None) -> None:
-        pass
-
-    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
-        pass
-
-    def lane_telemetry(self, lane: int, row: dict) -> None:
-        pass
-
-    def fleet_finished(self, summary: str) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "FleetMonitor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class FleetRecorder(FleetMonitor):
-    """Record every callback for assertions and post-hoc export."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.labels = None
-        self.transitions: list[tuple[int, str, object, int]] = []
-        self.telemetry: list[tuple[int, dict]] = []
-        self.summary = None
-        self.closed = False
-
-    def fleet_started(self, count: int, labels=None) -> None:
-        self.count = count
-        self.labels = labels
-
-    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
-        self.transitions.append((lane, state, detail, attempt))
-
-    def lane_telemetry(self, lane: int, row: dict) -> None:
-        self.telemetry.append((lane, dict(row)))
-
-    def fleet_finished(self, summary: str) -> None:
-        self.summary = summary
-
-    def close(self) -> None:
-        self.closed = True
-
-    def states_of(self, lane: int) -> list[str]:
-        """The state sequence one lane walked through, in order."""
-        return [state for seen, state, _, _ in self.transitions if seen == lane]
-
-    def export_telemetry(self, path) -> None:
-        """Write relayed telemetry rows (with a ``lane`` column) to disk."""
-        from .metrics import write_rows_csv, write_rows_jsonl
-
-        rows = [{"lane": lane, **row} for lane, row in self.telemetry]
-        if str(path).lower().endswith(".csv"):
-            write_rows_csv(path, rows)
-        else:
-            write_rows_jsonl(path, rows)
+    kind = event["type"]
+    if kind in ("worker_start", "worker_retry"):
+        attempt = event["attempt"]
+        resumed = attempt and event.get("resumed_from_conflicts") is not None
+        return event["lane"], "resumed" if resumed else "running", None, attempt
+    if kind == "worker_fault":
+        if not event["will_retry"]:
+            return None  # the job_end that follows degrades the lane
+        return event["lane"], "retrying", event["reason"], event["attempt"]
+    if kind == "job_end":
+        if event["answered"]:
+            return event["lane"], "done", event.get("status"), event["attempt"]
+        return event["lane"], "degraded", event.get("limit_reason"), event["attempt"]
+    if kind == "lane_quarantine":
+        detail = f"{event['rejections']} hard share rejections"
+        return event["lane"], "quarantined", detail, event["attempt"]
+    if kind == "lane_adapt":
+        return event["lane"], "adapted", event["mutation"], event["attempt"]
+    if kind == "audit_round_start":
+        return event["round"], "running", f"{event['engine']}/{event['fault']}", 0
+    if kind == "audit_round":
+        if event["ok"]:
+            return event["round"], "done", f"{event['engine']}/{event['fault']}", 0
+        return event["round"], "degraded", event.get("detail"), 0
+    return None
 
 
-class MultiMonitor(FleetMonitor):
-    """Fan fleet callbacks out to several monitors."""
-
-    def __init__(self, *monitors: FleetMonitor) -> None:
-        self.monitors = tuple(monitors)
-
-    def fleet_started(self, count: int, labels=None) -> None:
-        for monitor in self.monitors:
-            monitor.fleet_started(count, labels)
-
-    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
-        for monitor in self.monitors:
-            monitor.lane_state(lane, state, detail, attempt)
-
-    def lane_telemetry(self, lane: int, row: dict) -> None:
-        for monitor in self.monitors:
-            monitor.lane_telemetry(lane, row)
-
-    def fleet_finished(self, summary: str) -> None:
-        for monitor in self.monitors:
-            monitor.fleet_finished(summary)
-
-    def close(self) -> None:
-        for monitor in self.monitors:
-            monitor.close()
-
-
-class FleetDashboard(FleetMonitor):
+class FleetDashboard(TraceSink):
     """Terminal fleet view: lane panel on a TTY, transition log elsewhere.
 
-    On a TTY the panel redraws in place (cursor-up + erase-line ANSI
-    sequences) at most every ``refresh_seconds``; state *transitions*
-    always force a redraw so a fast crash/retry is never skipped.  On a
-    non-TTY stream each transition prints exactly one
+    A trace sink: ``fleet_start`` sizes the panel, supervision events
+    (launches, faults, job ends, quarantines, adaptations, audit
+    rounds) set lane states, ``lane_progress`` rows feed the rates, and
+    ``fleet_end`` prints the summary; every other event is ignored.  On a TTY the panel redraws in place (cursor-up +
+    erase-line ANSI sequences) at most every ``refresh_seconds``; state
+    *transitions* always force a redraw so a fast crash/retry is never
+    skipped.  On a non-TTY stream each transition prints exactly one
     ``lane 3: retrying (...) [attempt 1]`` line — stable output for
     piping and for the tests.
     """
@@ -175,8 +110,23 @@ class FleetDashboard(FleetMonitor):
         self._panel_lines = 0
         self._finished = False
 
-    # ------------------------------------------------------------- engine API
-    def fleet_started(self, count: int, labels=None) -> None:
+    def emit(self, event: dict) -> None:
+        kind = event["type"]
+        if kind == "fleet_start":
+            self._fleet_started(event["count"], event.get("labels"))
+        elif kind == "fleet_end":
+            self._fleet_finished(event["summary"])
+        elif kind == "lane_progress":
+            if 0 <= event["lane"] < self.count:
+                self.latest[event["lane"]] = event
+                if self.is_tty:
+                    self._draw()
+        else:
+            transition = _lane_transition(event)
+            if transition is not None:
+                self._lane_state(*transition)
+
+    def _fleet_started(self, count: int, labels) -> None:
         self.count = count
         self.labels = list(labels) if labels else [f"lane {i}" for i in range(count)]
         self.states = ["pending"] * count
@@ -190,7 +140,7 @@ class FleetDashboard(FleetMonitor):
         else:
             self._line(f"fleet: {count} lanes")
 
-    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
+    def _lane_state(self, lane: int, state: str, detail, attempt: int) -> None:
         if not 0 <= lane < self.count:
             return
         self.states[lane] = state
@@ -203,12 +153,7 @@ class FleetDashboard(FleetMonitor):
             tail = f" [attempt {attempt}]" if attempt else ""
             self._line(f"lane {lane}: {state}{suffix}{tail}")
 
-    def lane_telemetry(self, lane: int, row: dict) -> None:
-        self.latest[lane] = row
-        if self.is_tty:
-            self._draw()
-
-    def fleet_finished(self, summary: str) -> None:
+    def _fleet_finished(self, summary: str) -> None:
         self._finished = True
         if self.is_tty:
             self._draw(force=True)

@@ -18,9 +18,9 @@ reply.  This module adds that missing spine:
   (the ``top`` view's "slowest open" list), and optionally mirrors every
   span onto a :class:`~repro.observability.trace.TraceSink` as
   ``span_start`` / ``span_end`` events.
-* :func:`chrome_trace` / :func:`chrome_trace_from_events` export span
-  trees as Chrome-trace / Perfetto JSON (open in ``chrome://tracing``
-  or https://ui.perfetto.dev).
+* :func:`chrome_trace_from_events` exports the mirrored span events
+  as Chrome-trace / Perfetto JSON (open in ``chrome://tracing`` or
+  https://ui.perfetto.dev).
 
 Spans are a *server-side* layer: the solver's BCP hot loops never see
 them (the ``tests/observability/test_trace_overhead.py`` bytecode guard
@@ -338,91 +338,6 @@ class SpanTracker:
 # ----------------------------------------------------------------------
 # Chrome-trace / Perfetto export
 # ----------------------------------------------------------------------
-def _thread_ids(request_ids) -> dict[str, int]:
-    """Stable per-request tid assignment, in first-seen order."""
-    tids: dict[str, int] = {}
-    for request_id in request_ids:
-        if request_id not in tids:
-            tids[request_id] = len(tids) + 1
-    return tids
-
-
-def chrome_trace(trees: list[dict]) -> dict:
-    """Render completed :class:`SpanTracker` trees as Chrome-trace JSON.
-
-    One "thread" per request (named after its correlation ID), one
-    complete ``"ph": "X"`` event per span, timestamps in microseconds
-    relative to the earliest span.  The output opens directly in
-    ``chrome://tracing`` and Perfetto.
-    """
-    tids = _thread_ids(tree["request_id"] for tree in trees)
-    events: list[dict] = []
-    for request_id, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": request_id},
-            }
-        )
-    spans: list[tuple[str, dict]] = []
-    for tree in trees:
-        duration = tree.get("duration_seconds") or 0.0
-        # Tree dicts carry durations, not absolute starts; lay each
-        # request out left-aligned at 0 with phases in recorded order.
-        cursor = 0.0
-        spans.append(
-            (
-                tree["request_id"],
-                {
-                    "name": "request",
-                    "start_us": 0.0,
-                    "dur_us": duration * 1e6,
-                    "args": {
-                        "op": tree.get("op"),
-                        "reply_kind": tree.get("reply_kind"),
-                        "attempts": tree.get("attempts"),
-                    },
-                },
-            )
-        )
-        for span in tree.get("spans", []):
-            if span.get("name") == "request":
-                continue
-            dur = (span.get("duration_seconds") or 0.0) * 1e6
-            spans.append(
-                (
-                    tree["request_id"],
-                    {
-                        "name": span["name"],
-                        "start_us": cursor,
-                        "dur_us": dur,
-                        "args": {
-                            "status": span.get("status"),
-                            **(span.get("meta") or {}),
-                        },
-                    },
-                )
-            )
-            cursor += dur
-    for request_id, span in spans:
-        events.append(
-            {
-                "name": span["name"],
-                "cat": "span",
-                "ph": "X",
-                "ts": round(span["start_us"], 1),
-                "dur": round(span["dur_us"], 1),
-                "pid": 1,
-                "tid": tids[request_id],
-                "args": {k: v for k, v in span["args"].items() if v is not None},
-            }
-        )
-    return {"displayTimeUnit": "ms", "traceEvents": events}
-
-
 def chrome_trace_from_events(events, request_id: str | None = None) -> dict:
     """Build Chrome-trace JSON from ``span_start``/``span_end`` trace events.
 
@@ -476,7 +391,9 @@ def chrome_trace_from_events(events, request_id: str | None = None) -> dict:
     if not spans:
         return {"displayTimeUnit": "ms", "traceEvents": []}
     base_ms = min(span["ts_ms"] for span in spans)
-    tids = _thread_ids(span["request_id"] for span in spans)
+    tids: dict[str, int] = {}  # one thread per request, in first-seen order
+    for span in spans:
+        tids.setdefault(span["request_id"], len(tids) + 1)
     out: list[dict] = [
         {
             "name": "thread_name",

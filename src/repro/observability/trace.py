@@ -107,9 +107,19 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"type", "action", "conflicts"}),
         frozenset({"path", "resumed_from"}),
     ),
-    # Parent-side supervision events from the parallel engines.  When
+    # Parent-side supervision events from the worker pool, one per
+    # transition (lane is the job id).  Each launch is one worker_start
+    # (first attempt, or the free relaunch after a preemption) or one
+    # worker_retry (a relaunch after a failed attempt), so a trace's
+    # retries equal the pool's.  job_end closes every finalized job:
+    # ``answered`` when a worker answer passed the parent-side check,
+    # and no ``status`` for grouped jobs (their answer is a list).  When
     # the job carries a trace context (the solver service's correlation
-    # ID), ``request_id`` attributes the fault/retry to its request.
+    # ID), ``request_id`` attributes the event to its request.
+    "worker_start": (
+        frozenset({"type", "lane", "attempt"}),
+        frozenset({"resumed_from_conflicts", "request_id"}),
+    ),
     "worker_fault": (
         frozenset({"type", "lane", "attempt", "reason", "will_retry"}),
         frozenset({"request_id"}),
@@ -117,6 +127,40 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
     "worker_retry": (
         frozenset({"type", "lane", "attempt"}),
         frozenset({"resumed_from_conflicts", "request_id"}),
+    ),
+    "job_end": (
+        frozenset({"type", "lane", "answered", "attempt"}),
+        frozenset({"status", "limit_reason", "request_id"}),
+    ),
+    # One progress row a worker relayed over the result queue:
+    # cumulative counters plus rates over the reporting window.
+    "lane_progress": (
+        frozenset(
+            {
+                "type",
+                "lane",
+                "conflicts",
+                "decisions",
+                "propagations",
+                "restarts",
+                "props_per_sec",
+                "conflicts_per_sec",
+                "shared_exported",
+                "shared_imported",
+                "shared_per_sec",
+            }
+        ),
+        frozenset({"request_id"}),
+    ),
+    # A supervised fleet (batch, portfolio race or audit) begins with
+    # ``count`` lanes and ends with a one-line summary.
+    "fleet_start": (
+        frozenset({"type", "count"}),
+        frozenset({"labels"}),
+    ),
+    "fleet_end": (
+        frozenset({"type", "summary"}),
+        frozenset(),
     ),
     # Cooperative clause sharing between portfolio lanes (parent-side,
     # see repro.parallel.sharing).  share_export: the bus accepted one
@@ -148,7 +192,12 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"type", "lane", "attempt", "mutation"}),
         frozenset({"score", "resumed_from_conflicts"}),
     ),
-    # One round of `repro-sat audit` (parent-side).
+    # One round of `repro-sat audit` (parent-side): its start, and its
+    # verdict.
+    "audit_round_start": (
+        frozenset({"type", "round", "engine", "fault"}),
+        frozenset(),
+    ),
     "audit_round": (
         frozenset({"type", "round", "engine", "fault", "ok"}),
         frozenset({"retries", "detail"}),

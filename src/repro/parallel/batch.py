@@ -146,7 +146,6 @@ def solve_batch(
     fault_plan: FaultPlan | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     checkpoint_interval: int = 1000,
-    monitor=None,
     trace=None,
     telemetry_seconds: float = 0.5,
     stop_event=None,
@@ -207,20 +206,19 @@ def solve_batch(
             formula) degrade to a cold start with a warning.
         checkpoint_interval: conflicts between periodic checkpoint
             writes (only meaningful with ``checkpoint_dir``).
-        monitor: optional :class:`~repro.observability.FleetMonitor`
-            (e.g. the live :class:`~repro.observability.FleetDashboard`)
-            receiving per-lane life-cycle transitions (``running`` →
-            ``retrying`` → ``resumed`` → ``done``/``degraded``) and the
-            telemetry rows workers relay over the result queue every
-            ``telemetry_seconds``.
-        trace: optional :class:`~repro.observability.TraceSink` for the
-            parent-side supervision events (``worker_fault`` /
-            ``worker_retry``).  Workers never inherit the caller's sink:
-            the batch strips ``trace``/``metrics_interval`` from worker
-            configs (a shared file sink across processes would
-            interleave) and relays progress as telemetry instead.
+        trace: optional :class:`~repro.observability.TraceSink` (e.g.
+            the live :class:`~repro.observability.FleetDashboard`)
+            receiving the batch as events: ``fleet_start``, the pool's
+            supervision events per instance (``worker_start`` /
+            ``worker_fault`` / ``worker_retry`` / ``job_end``), the
+            ``lane_progress`` rows workers relay over the result queue
+            every ``telemetry_seconds``, and ``fleet_end``.  Workers
+            never inherit the caller's sink: the batch strips
+            ``trace``/``metrics_interval`` from worker configs (a shared
+            file sink across processes would interleave) and relays
+            progress as telemetry instead.
         telemetry_seconds: worker telemetry reporting period (only
-            active when a ``monitor`` is given).
+            active when a ``trace`` is given).
         stop_event: optional event (anything with ``is_set()``) checked
             every supervision tick; once set, the batch drains — running
             workers are cancelled cooperatively so they write a final
@@ -268,8 +266,8 @@ def solve_batch(
     started = time.perf_counter()
     if not items:
         return BatchResult(wall_seconds=time.perf_counter() - started)
-    if monitor is not None:
-        monitor.fleet_started(len(items))
+    if trace is not None:
+        trace.emit({"type": "fleet_start", "count": len(items)})
 
     base_limits = {
         "max_conflicts": max_conflicts,
@@ -289,9 +287,8 @@ def solve_batch(
         max_memory_mb=max_memory_mb,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
-        monitor=monitor,
         trace=trace,
-        telemetry_seconds=telemetry_seconds if monitor is not None else None,
+        telemetry_seconds=telemetry_seconds if trace is not None else None,
     )
     submitted: list[Job] = []
     for index, formula in enumerate(items):
@@ -334,6 +331,6 @@ def solve_batch(
         retries=pool.retries,
         drained=drained,
     )
-    if monitor is not None:
-        monitor.fleet_finished(repr(batch))
+    if trace is not None:
+        trace.emit({"type": "fleet_end", "summary": repr(batch)})
     return batch

@@ -139,6 +139,8 @@ class Job:
     not_before: float = 0.0  # backoff gate for the next launch
     #: Preempted launches, which do not count against the retry budget.
     free_attempts: int = 0
+    #: True while the next launch follows a failed attempt (a retry).
+    retrying: bool = False
     #: The final answer: a SolveResult, or a custom kind's checked payload.
     result: SolveResult | None = None
     #: Parent-side verification wall time of the final answer (pool-owned;
@@ -180,16 +182,13 @@ class JobPool:
             ``job.fault_key``).
         checkpoint_interval: conflicts between periodic checkpoint
             writes for jobs that carry a ``checkpoint_path``.
-        monitor: optional :class:`~repro.observability.FleetMonitor`
-            receiving per-job lane states and relayed telemetry.
-        trace: optional :class:`~repro.observability.TraceSink` for
-            ``worker_fault`` / ``worker_retry`` supervision events.
+        trace: optional :class:`~repro.observability.TraceSink`, the
+            one channel of supervision telemetry: exactly one event per
+            transition (``worker_start`` / ``worker_retry`` per launch,
+            ``worker_fault`` per failed attempt, ``job_end`` per
+            finalized job) plus a ``lane_progress`` event per relayed
+            worker telemetry row.  The lane of every event is the job id.
         telemetry_seconds: worker telemetry period (None disables).
-        on_fault: optional ``fn(job, reason, will_retry)`` observer of
-            every failed attempt — the service's circuit breaker feed.
-        on_launch: optional ``fn(job, attempt, resumed_from)`` observer
-            of every attempt launch — the service's span layer uses it
-            to close the queue span and open the attempt span.
         bus: optional :class:`~repro.parallel.sharing.ClauseBus` whose
             lanes are the job ids: workers export glue clauses to it and
             import the validated ones through a per-job queue.
@@ -205,11 +204,8 @@ class JobPool:
         max_memory_mb: int | None = None,
         fault_plan: FaultPlan | None = None,
         checkpoint_interval: int = 1000,
-        monitor=None,
         trace=None,
         telemetry_seconds: float | None = None,
-        on_fault=None,
-        on_launch=None,
         bus=None,
     ) -> None:
         if size < 1:
@@ -221,11 +217,8 @@ class JobPool:
         self.max_memory_mb = max_memory_mb
         self.fault_plan = fault_plan
         self.checkpoint_interval = checkpoint_interval
-        self.monitor = monitor
         self.trace = trace
         self.telemetry_seconds = telemetry_seconds
-        self.on_fault = on_fault
-        self.on_launch = on_launch
         self.bus = bus
         self.context = multiprocessing.get_context()
         self.results_queue = self.context.Queue()
@@ -307,7 +300,7 @@ class JobPool:
                 self.pending.remove(job)
                 self._launch(job)
         drain_results(self.results_queue, self._collected, timeout=timeout)
-        route_telemetry(self._collected, self.monitor)
+        route_telemetry(self._collected, self.trace)
         # Without a bus, share-tagged frames are popped and dropped, so
         # the long-running server cannot accumulate tags nothing claims.
         route_shares(self._collected, self.bus)
@@ -572,22 +565,6 @@ class JobPool:
             daemon=True,
         )
         process.start()
-        if attempt and self.trace is not None:
-            event = {
-                "type": "worker_retry",
-                "lane": job.job_id,
-                "attempt": attempt,
-            }
-            if resumed_from is not None:
-                event["resumed_from_conflicts"] = resumed_from
-            if job.trace_context and job.trace_context.get("request_id") is not None:
-                event["request_id"] = job.trace_context["request_id"]
-            self.trace.emit(event)
-        if self.on_launch is not None:
-            self.on_launch(job, attempt, resumed_from)
-        if self.monitor is not None:
-            state = "resumed" if attempt and resumed_from is not None else "running"
-            self.monitor.lane_state(job.job_id, state, attempt=attempt)
         self.active[job.job_id] = _Active(
             process,
             StallClock(now, heartbeat),
@@ -596,6 +573,22 @@ class JobPool:
             resumed_from=resumed_from,
         )
         job.attempts += 1
+        if self.trace is not None:
+            event = {
+                "type": "worker_retry" if job.retrying else "worker_start",
+                "lane": job.job_id,
+                "attempt": attempt,
+            }
+            if resumed_from is not None:
+                event["resumed_from_conflicts"] = resumed_from
+            self._emit(job, event)
+        job.retrying = False
+
+    def _emit(self, job: Job, event: dict) -> None:
+        """Emit one supervision event, attributed to the job's request."""
+        if job.trace_context and job.trace_context.get("request_id") is not None:
+            event["request_id"] = job.trace_context["request_id"]
+        self.trace.emit(event)
 
     def _record(self, job: Job, entry: _Active, outcome: str, now, detail=None) -> None:
         job.history.append(
@@ -623,31 +616,22 @@ class JobPool:
             and self.policy.allows(job.attempts - job.free_attempts)
         )
         if self.trace is not None:
-            event = {
-                "type": "worker_fault",
-                "lane": job.job_id,
-                "attempt": entry.attempt,
-                "reason": reason,
-                "will_retry": retrying,
-            }
-            if job.trace_context and job.trace_context.get("request_id") is not None:
-                event["request_id"] = job.trace_context["request_id"]
-            self.trace.emit(event)
-        if self.on_fault is not None:
-            self.on_fault(job, reason, retrying)
+            self._emit(
+                job,
+                {
+                    "type": "worker_fault",
+                    "lane": job.job_id,
+                    "attempt": entry.attempt,
+                    "reason": reason,
+                    "will_retry": retrying,
+                },
+            )
         if retrying:
             self.retries += 1
+            job.retrying = True
             job.not_before = now + self.policy.delay(job.attempts)
             self.pending.append(job)
-            if self.monitor is not None:
-                self.monitor.lane_state(
-                    job.job_id, "retrying", detail=reason, attempt=entry.attempt
-                )
         else:
-            if self.monitor is not None:
-                self.monitor.lane_state(
-                    job.job_id, "degraded", detail=reason, attempt=entry.attempt
-                )
             self._finalize(
                 job,
                 SolveResult(
@@ -710,15 +694,9 @@ class JobPool:
             self._requeue_preempted(job, entry, now)
             return
         self._record(job, entry, "ok", now)
-        status = None
         if isinstance(payload, SolveResult):
             payload.attempts = list(job.history)
-            status = payload.status.name
-        if self.monitor is not None:
-            self.monitor.lane_state(
-                job.job_id, "done", detail=status, attempt=entry.attempt
-            )
-        self._finalize(job, payload, finished)
+        self._finalize(job, payload, finished, answered=True)
 
     def _requeue_preempted(self, job: Job, entry: _Active, now) -> None:
         """Queue a preempted job again at once, outside the retry budget."""
@@ -727,9 +705,25 @@ class JobPool:
         job.not_before = now
         self.pending.append(job)
 
-    def _finalize(self, job: Job, result: SolveResult, finished: list) -> None:
+    def _finalize(
+        self, job: Job, result: SolveResult, finished: list, answered: bool = False
+    ) -> None:
+        """Give ``job`` its one final result; ``answered`` when a worker's
+        answer passed the parent-side check."""
         job.result = result
         finished.append(job)
+        if self.trace is not None:
+            event = {
+                "type": "job_end",
+                "lane": job.job_id,
+                "answered": answered,
+                "attempt": max(job.attempts - 1, 0),
+            }
+            if isinstance(result, SolveResult):
+                event["status"] = result.status.name
+                if result.limit_reason is not None:
+                    event["limit_reason"] = result.limit_reason
+            self._emit(job, event)
         if self.bus is not None:
             self.bus.detach(job.job_id)
         # Finalized jobs leave the pool's index immediately: a long-

@@ -36,7 +36,7 @@ import time
 from collections.abc import Iterable, Sequence
 
 from repro.cnf.formula import CnfFormula
-from repro.observability.dashboard import MultiMonitor
+from repro.observability.trace import MultiSink
 from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.sharing import (
     DEFAULT_QUARANTINE_THRESHOLD,
@@ -125,16 +125,17 @@ class PortfolioSolver:
             warning — see :mod:`repro.checkpoint`.
         checkpoint_interval: conflicts between periodic checkpoint
             writes (only meaningful with ``checkpoint_dir``).
-        monitor: optional :class:`~repro.observability.FleetMonitor`
-            receiving per-lane life-cycle transitions and the telemetry
-            rows workers relay every ``telemetry_seconds``.
-        trace: optional :class:`~repro.observability.TraceSink` for
-            parent-side supervision events (``worker_fault`` /
-            ``worker_retry``).  Worker configs are stripped of their own
+        trace: optional :class:`~repro.observability.TraceSink` (e.g.
+            the live :class:`~repro.observability.FleetDashboard`)
+            receiving the race as events: ``fleet_start``, the pool's
+            supervision events per lane (launches, faults, ``job_end``),
+            ``lane_progress`` rows relayed every ``telemetry_seconds``,
+            the sharing and adaptation events, and ``fleet_end``.
+            Worker configs are stripped of their own
             ``trace``/``metrics_interval`` — progress crosses the
             process boundary as telemetry, not as a shared sink.
         telemetry_seconds: worker telemetry reporting period (only
-            active when a ``monitor`` is given or ``adapt`` is on).
+            active when a ``trace`` is given or ``adapt`` is on).
         share: enable the validated clause bus between lanes (see
             :mod:`repro.parallel.sharing`): glue-tier learned clauses
             are exported, CRC-framed, re-validated twice, and imported
@@ -167,7 +168,6 @@ class PortfolioSolver:
         fault_plan: FaultPlan | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_interval: int = 1000,
-        monitor=None,
         trace=None,
         telemetry_seconds: float = 0.5,
         share: bool = False,
@@ -204,7 +204,6 @@ class PortfolioSolver:
             os.fspath(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.checkpoint_interval = checkpoint_interval
-        self.monitor = monitor
         self.trace = trace
         self.telemetry_seconds = telemetry_seconds
         self.share = bool(share)
@@ -246,7 +245,7 @@ class PortfolioSolver:
         """
         if not isinstance(formula, CnfFormula):
             formula = CnfFormula(formula)
-        monitor = self.monitor
+        trace = self.trace
         worker_configs = [
             strip_for_worker(config, self.verification) for config in self.configs
         ]
@@ -268,12 +267,12 @@ class PortfolioSolver:
                 verify_fraction=self.share_verify_fraction,
                 quarantine_threshold=self.quarantine_threshold,
                 rng=random.Random(10007 + self.configs[0].seed),
-                trace=self.trace,
+                trace=trace,
             )
         adapt = (
             AdaptiveLaneManager() if self.adapt and len(worker_configs) > 1 else None
         )
-        observers = [watcher for watcher in (monitor, adapt) if watcher is not None]
+        sinks = [sink for sink in (trace, adapt) if sink is not None]
         pool = JobPool(
             self.jobs,
             retry=self.retry,
@@ -282,9 +281,8 @@ class PortfolioSolver:
             max_memory_mb=self.max_memory_mb,
             fault_plan=self.fault_plan,
             checkpoint_interval=self.checkpoint_interval,
-            monitor=MultiMonitor(*observers) if observers else None,
-            trace=self.trace,
-            telemetry_seconds=self.telemetry_seconds if observers else None,
+            trace=MultiSink(*sinks) if sinks else None,
+            telemetry_seconds=self.telemetry_seconds if sinks else None,
             bus=bus,
         )
         deadline = (
@@ -310,9 +308,13 @@ class PortfolioSolver:
             )
             for index, config in enumerate(worker_configs)
         ]
-        if monitor is not None:
-            monitor.fleet_started(
-                len(lanes), labels=[config.name for config in worker_configs]
+        if trace is not None:
+            trace.emit(
+                {
+                    "type": "fleet_start",
+                    "count": len(lanes),
+                    "labels": [config.name for config in worker_configs],
+                }
             )
         started = time.perf_counter()
         champion: SolveResult | None = None
@@ -336,10 +338,14 @@ class PortfolioSolver:
             champion.wall_seconds = elapsed
             champion.stats.worker_retries += retries
             champion.stats.lane_restarts += lane_restarts
-            if monitor is not None:
-                monitor.fleet_finished(
-                    f"{champion.status.name} by {champion.config_name} "
-                    f"in {elapsed:.3f}s ({retries} retries)"
+            if trace is not None:
+                trace.emit(
+                    {
+                        "type": "fleet_end",
+                        "summary": f"{champion.status.name} by "
+                        f"{champion.config_name} in {elapsed:.3f}s "
+                        f"({retries} retries)",
+                    }
                 )
             return champion
         # Honest (budget-exhausted) UNKNOWNs contribute their stats; the
@@ -369,8 +375,13 @@ class PortfolioSolver:
         stats.worker_retries += retries
         stats.lane_restarts += lane_restarts
         history = [record for job in lanes for record in job.history]
-        if monitor is not None:
-            monitor.fleet_finished(f"UNKNOWN ({reason}) in {elapsed:.3f}s")
+        if trace is not None:
+            trace.emit(
+                {
+                    "type": "fleet_end",
+                    "summary": f"UNKNOWN ({reason}) in {elapsed:.3f}s",
+                }
+            )
         return SolveResult(
             status=SolveStatus.UNKNOWN,
             stats=stats,
@@ -403,13 +414,6 @@ class PortfolioSolver:
                         "exported": state.exported,
                         "reason": "hard share rejections over threshold",
                     }
-                )
-            if self.monitor is not None:
-                self.monitor.lane_state(
-                    index,
-                    "quarantined",
-                    detail=f"{state.hard_rejections} hard share rejections",
-                    attempt=attempt,
                 )
             if entry is not None:
                 pool.fail(
@@ -445,6 +449,4 @@ class PortfolioSolver:
                     "mutation": label,
                 }
             )
-        if self.monitor is not None:
-            self.monitor.lane_state(victim, "adapted", detail=label, attempt=attempt)
         return 1

@@ -59,7 +59,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.observability.dashboard import FleetMonitor
+from repro.observability.trace import TraceSink
 from repro.solver.config import (
     DECISION_GLOBAL,
     DECISION_VSIDS,
@@ -622,12 +622,12 @@ def mutate_config(config: SolverConfig, step: int) -> tuple[SolverConfig, str]:
     )
 
 
-class AdaptiveLaneManager(FleetMonitor):
+class AdaptiveLaneManager(TraceSink):
     """UCB-style bandit that preempts the losing lane and mutates it.
 
-    It reads the fleet as a :class:`~repro.observability.FleetMonitor`:
-    every launch (``running``/``resumed``) restarts the lane's sample
-    window, and every telemetry row is a reward sample.
+    It reads the fleet as a trace sink: every launch (``worker_start``
+    / ``worker_retry``) restarts the lane's sample window, and every
+    ``lane_progress`` row is a reward sample.
 
     Rewards are per-telemetry-row throughput samples
     (``log1p(props/s) + log1p(conflicts/s)``, so a lane stuck at zero
@@ -670,15 +670,16 @@ class AdaptiveLaneManager(FleetMonitor):
     def observe(self, lane: int, row: dict) -> None:
         self._rewards.setdefault(lane, []).append(self.reward(row))
 
-    lane_telemetry = observe
-
     def record_launch(self, lane: int, now: float) -> None:
         self._launched_at[lane] = now
         self._rewards[lane] = []
 
-    def lane_state(self, lane: int, state: str, detail=None, attempt: int = 0) -> None:
-        if state in ("running", "resumed"):
-            self.record_launch(lane, time.monotonic())
+    def emit(self, event: dict) -> None:
+        kind = event["type"]
+        if kind in ("worker_start", "worker_retry"):
+            self.record_launch(event["lane"], time.monotonic())
+        elif kind == "lane_progress":
+            self.observe(event["lane"], event)
 
     def scores(self, lanes) -> dict[int, tuple[float, float]]:
         """(mean, ucb) per candidate lane with enough samples."""

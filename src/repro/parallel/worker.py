@@ -318,16 +318,16 @@ def drain_results(results_queue, collected: dict, timeout: float = 0.0) -> None:
         block = 0.0
 
 
-def route_telemetry(collected: dict, monitor=None) -> int:
+def route_telemetry(collected: dict, trace=None) -> int:
     """Pop telemetry rows out of a drained ``collected`` dict.
 
     Telemetry rides the result queue under 3-tuple
     ``("telemetry", lane, attempt)`` tags; answers never use those, so
     this sweep is what keeps the pool's "every tag is a result"
-    invariant intact.  Each popped row is forwarded to
-    ``monitor.lane_telemetry(lane, row)`` when a monitor is given (the
-    adaptive lane manager reads the fleet as one).  Returns the number
-    of rows routed.
+    invariant intact.  Each popped row is emitted on ``trace`` as one
+    ``lane_progress`` event when a sink is given (the dashboard and the
+    adaptive lane manager fold them).  Returns the number of rows
+    routed.
     """
     routed = 0
     for tag in [key for key in collected if isinstance(key, tuple) and len(key) == 3]:
@@ -335,6 +335,6 @@ def route_telemetry(collected: dict, monitor=None) -> int:
             continue
         row = collected.pop(tag)
         routed += 1
-        if row is not None and monitor is not None:
-            monitor.lane_telemetry(tag[1], row)
+        if row is not None and trace is not None:
+            trace.emit({"type": "lane_progress", "lane": tag[1], **row})
     return routed

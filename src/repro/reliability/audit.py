@@ -570,7 +570,6 @@ def run_audit(
     stall_seconds: float = 1.0,
     engines=None,
     log=None,
-    monitor=None,
     trace=None,
 ) -> AuditReport:
     """Fuzz the supervised engines — batch, portfolio, the checkpoint
@@ -584,10 +583,11 @@ def run_audit(
     :data:`AUDIT_ENGINES` (e.g. ``["fleet"]`` for a sharing-focused
     audit); ``None`` keeps the full menu.  ``log`` (e.g. ``print``)
     receives one line per round.
-    ``monitor`` (a :class:`~repro.observability.FleetMonitor`) sees each
-    round as a lane walking running → done/degraded; ``trace`` (a
-    :class:`~repro.observability.TraceSink`) receives one ``audit_round``
-    event per round.
+    ``trace`` (a :class:`~repro.observability.TraceSink`, e.g. the
+    live :class:`~repro.observability.FleetDashboard`) receives the
+    audit as a fleet with one lane per round: ``fleet_start``, an
+    ``audit_round_start`` and an ``audit_round`` event per round, and
+    ``fleet_end``.
     """
     rng = random.Random(seed)
     pool = _instance_pool()
@@ -600,8 +600,8 @@ def run_audit(
             raise ValueError(
                 f"unknown audit engine {engine!r}; choose from {AUDIT_ENGINES}"
             )
-    if monitor is not None:
-        monitor.fleet_started(rounds)
+    if trace is not None:
+        trace.emit({"type": "fleet_start", "count": rounds})
 
     for round_index in range(rounds):
         engine = rng.choice(menu)
@@ -617,9 +617,15 @@ def run_audit(
             mode = rng.choice(_FAULT_MENU)
         defects: list[str] = []
         retries_before = report.retries
-        if monitor is not None:
-            monitor.lane_state(
-                round_index, "running", detail=f"{engine}/{mode or 'healthy'}"
+        label = mode or "healthy"
+        if trace is not None:
+            trace.emit(
+                {
+                    "type": "audit_round_start",
+                    "round": round_index,
+                    "engine": engine,
+                    "fault": label,
+                }
             )
 
         if engine == "checkpoint":
@@ -690,18 +696,11 @@ def run_audit(
                 defects.append(defect)
 
         report.rounds += 1
-        label = mode or "healthy"
         if defects:
             for defect in defects:
                 report.failures.append(
                     f"round {round_index} [{engine}/{label} -> worker {victim}]: {defect}"
                 )
-        if monitor is not None:
-            monitor.lane_state(
-                round_index,
-                "degraded" if defects else "done",
-                detail=defects[0] if defects else f"{engine}/{label}",
-            )
         if trace is not None:
             event = {
                 "type": "audit_round",
@@ -722,6 +721,6 @@ def run_audit(
             )
 
     report.wall_seconds = time.perf_counter() - started
-    if monitor is not None:
-        monitor.fleet_finished(report.summary())
+    if trace is not None:
+        trace.emit({"type": "fleet_end", "summary": report.summary()})
     return report

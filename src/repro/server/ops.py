@@ -16,19 +16,19 @@
 admission/breaker/cache/pool summaries — in the Prometheus text
 exposition format, served by the wire protocol's ``metrics`` op.
 
-:class:`ServiceDashboardAdapter` maps the pool's unbounded job ids onto
-a fixed number of dashboard slots so ``repro-sat serve --dashboard``
-can reuse the stock :class:`~repro.observability.FleetDashboard`
-unchanged.
+:class:`ServiceDashboardAdapter` is a trace sink that maps the pool's
+unbounded job ids onto a fixed number of dashboard slots, so
+``repro-sat serve --dashboard`` can reuse the stock
+:class:`~repro.observability.FleetDashboard` unchanged.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.observability.dashboard import FleetMonitor
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import REQUEST_PHASES, SpanTracker
+from repro.observability.trace import TraceSink
 
 #: Default latency objective (seconds): the SLO burn denominator when
 #: the operator configures nothing.
@@ -308,49 +308,49 @@ def prometheus_text(service) -> str:
 # ----------------------------------------------------------------------
 # Dashboard adapter
 # ----------------------------------------------------------------------
-class ServiceDashboardAdapter(FleetMonitor):
+class ServiceDashboardAdapter(TraceSink):
     """Project an unbounded job-id stream onto fixed dashboard slots.
 
     The stock :class:`~repro.observability.FleetDashboard` renders a
     fixed fleet of lanes, but the service's pool reports ever-increasing
-    job ids.  This adapter leases one of ``slots`` lanes per live job
-    (freeing it when the job finishes) so ``serve --dashboard`` shows a
+    job ids.  This sink leases one of ``slots`` lanes per live job
+    (freeing it at the job's ``job_end``) and forwards the job's events
+    to ``inner`` under the slot's lane, so ``serve --dashboard`` shows a
     pool-shaped live panel.  Jobs arriving while every slot is leased
     are silently unmapped — the panel tracks the *pool*, not the queue.
+    Events without a lane pass through unchanged.
     """
 
-    def __init__(self, inner: FleetMonitor, slots: int) -> None:
+    def __init__(self, inner: TraceSink, slots: int) -> None:
         if slots < 1:
             raise ValueError("adapter needs at least one slot")
         self.inner = inner
         self.slots = slots
         self._slot_of: dict = {}
         self._free = list(range(slots))
-        self.inner.fleet_started(slots, labels=[f"slot {i}" for i in range(slots)])
+        self.inner.emit(
+            {
+                "type": "fleet_start",
+                "count": slots,
+                "labels": [f"slot {i}" for i in range(slots)],
+            }
+        )
 
-    def _slot(self, lane) -> int | None:
+    def emit(self, event: dict) -> None:
+        if "lane" not in event:
+            self.inner.emit(event)
+            return
+        lane = event["lane"]
         slot = self._slot_of.get(lane)
-        if slot is None and self._free:
+        if slot is None and event["type"] != "lane_progress" and self._free:
             slot = self._free.pop(0)
             self._slot_of[lane] = slot
-        return slot
-
-    def lane_state(self, lane, state: str, detail=None, attempt: int = 0) -> None:
-        slot = self._slot(lane)
         if slot is None:
             return
-        self.inner.lane_state(slot, state, detail=detail, attempt=attempt)
-        if state in ("done", "degraded"):
-            self._slot_of.pop(lane, None)
+        self.inner.emit({**event, "lane": slot})
+        if event["type"] == "job_end":
+            del self._slot_of[lane]
             self._free.append(slot)
-
-    def lane_telemetry(self, lane, row: dict) -> None:
-        slot = self._slot_of.get(lane)
-        if slot is not None:
-            self.inner.lane_telemetry(slot, row)
-
-    def fleet_finished(self, summary: str) -> None:
-        self.inner.fleet_finished(summary)
 
     def close(self) -> None:
         self.inner.close()

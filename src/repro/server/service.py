@@ -41,6 +41,7 @@ import time
 
 from repro.checkpoint.snapshot import canonical_fingerprint
 from repro.cnf.formula import CnfFormula
+from repro.observability.trace import CallbackSink, MultiSink
 from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.worker import strip_for_worker
 from repro.reliability.faults import FaultPlan
@@ -98,8 +99,8 @@ class SolverService:
         checkpoint_dir: directory for per-job checkpoints enabling warm
             resume across worker deaths (``job-<id>.ckpt``, unlinked on
             a definite answer).
-        trace: optional sink for ``server_*`` events.
-        monitor: optional fleet monitor (lane = job id).
+        trace: optional sink for ``server_*`` events, request spans and
+            the pool's supervision events (lane = job id).
         ops: injectable :class:`~repro.server.ops.ServiceOps`; None
             builds a default one (spans and ops metrics are always on —
             they live in the supervisor, never in solver hot loops).
@@ -126,7 +127,6 @@ class SolverService:
         checkpoint_dir: str | None = None,
         checkpoint_interval: int = 1000,
         trace=None,
-        monitor=None,
         ops: ServiceOps | None = None,
         latency_objective: float = DEFAULT_LATENCY_OBJECTIVE,
     ) -> None:
@@ -154,6 +154,9 @@ class SolverService:
         self.ops = ops if ops is not None else ServiceOps(
             trace, latency_objective=latency_objective
         )
+        # The pool's one sink: the operator's first, then the service's
+        # own fold into attempt spans and the circuit breaker.
+        handler = CallbackSink(self._on_pool_event)
         self.pool = JobPool(
             pool_size,
             retry=retry,
@@ -162,10 +165,7 @@ class SolverService:
             max_memory_mb=max_memory_mb,
             fault_plan=fault_plan,
             checkpoint_interval=checkpoint_interval,
-            monitor=monitor,
-            trace=trace,
-            on_fault=self._on_fault,
-            on_launch=self._on_launch,
+            trace=handler if trace is None else MultiSink(trace, handler),
         )
         self.draining = False
         self._next_job_id = 0
@@ -331,7 +331,7 @@ class SolverService:
         return cached
 
     # ------------------------------------------------------------------
-    # Pool callbacks
+    # Pool completion and supervision events
     # ------------------------------------------------------------------
     def _job_done(self, job: Job) -> None:
         self.admission.release(job.meta["client"])
@@ -363,7 +363,7 @@ class SolverService:
                 spans.record(rid, "verify", job.verify_seconds)
         # Every non-fault completion resolves the breaker (in particular
         # a half-open trial must never be left dangling); fault endings
-        # were already counted by _on_fault.
+        # were already counted at their worker_fault event.
         faulted = result.degraded and any(
             (result.limit_reason or "").startswith(prefix)
             for prefix in _BREAKER_REASONS
@@ -381,10 +381,21 @@ class SolverService:
             return
         self._send(send, result_reply(request_id, result), rid)
 
+    def _on_pool_event(self, event: dict) -> None:
+        """The service's fold of its pool's supervision events."""
+        kind = event["type"]
+        if kind in ("worker_start", "worker_retry"):
+            self._on_launch(
+                self.pool.jobs[event["lane"]],
+                event["attempt"],
+                event.get("resumed_from_conflicts"),
+            )
+        elif kind == "worker_fault":
+            self._on_fault(self.pool.jobs[event["lane"]], event["reason"])
+
     def _on_launch(self, job: Job, attempt: int, resumed_from: int | None) -> None:
-        rid = job.meta.get("rid")
-        if rid is None:
-            return
+        """Close the request's queue span and open its attempt span."""
+        rid = job.meta["rid"]
         spans = self.ops.spans
         queue_span = job.meta.pop("queue_span", None)
         if queue_span is not None:
@@ -396,12 +407,11 @@ class SolverService:
             rid, f"solve-attempt-{attempt}", **meta
         )
 
-    def _on_fault(self, job: Job, reason: str, will_retry: bool) -> None:
-        rid = job.meta.get("rid")
-        if rid is not None:
-            attempt_span = job.meta.pop("attempt_span", None)
-            if attempt_span is not None:
-                self.ops.spans.end(rid, attempt_span, status=reason)
+    def _on_fault(self, job: Job, reason: str) -> None:
+        """Close the attempt span; count infrastructure faults on the breaker."""
+        attempt_span = job.meta.pop("attempt_span", None)
+        if attempt_span is not None:
+            self.ops.spans.end(job.meta["rid"], attempt_span, status=reason)
         if not any(reason.startswith(prefix) for prefix in _BREAKER_REASONS):
             return
         state = self.breaker.record_failure(job.fingerprint)

@@ -108,9 +108,14 @@ def test_batch_dashboard_and_trace_flags(tmp_path, capsys):
     assert "fleet: 2 lanes" in captured.err
     assert "lane 0: done (UNSAT)" in captured.err
     assert "fleet finished: " in captured.err
-    # A healthy fleet emits no supervision events — and says so.
+    # A healthy fleet traces its lifecycle and no fault: fleet_start,
+    # one worker_start and one job_end per file, and fleet_end.
     assert "c trace written to" in captured.out
-    assert "(0 events)" in captured.out
+    events = list(read_trace(trace_path))
+    assert events[0]["type"] == "fleet_start" and events[-1]["type"] == "fleet_end"
+    launches = [event["type"] for event in events if event["type"].startswith("worker_")]
+    assert launches == ["worker_start", "worker_start"]
+    assert sorted(event["lane"] for event in events if event["type"] == "job_end") == [0, 1]
 
 
 def test_portfolio_dashboard_renders_lanes(tmp_path, capsys):
@@ -131,14 +136,41 @@ def test_audit_round_metrics_and_trace(tmp_path, capsys):
     ])
     assert code == 0
     events = list(read_trace(trace_path))
-    assert len(events) == 2
-    for event in events:
-        assert event["type"] == "audit_round"
+    assert [event["type"] for event in events] == [
+        "fleet_start",
+        "audit_round_start", "audit_round",
+        "audit_round_start", "audit_round",
+        "fleet_end",
+    ]
+    rounds = [event for event in events if event["type"] == "audit_round"]
+    for event in rounds:
         assert validate_event(event) is None
         assert event["ok"] is True
     with open(metrics_path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [row["round"] for row in rows] == ["0", "1"]
+    assert {row["type"] for row in rows} == {"audit_round"}
+
+
+def test_fleet_metrics_rows_carry_a_lane_column(tmp_path, capsys):
+    import argparse
+
+    from repro.cli import _open_fleet_sink, _report_fleet_outputs
+
+    path = tmp_path / "telemetry.jsonl"
+    args = argparse.Namespace(trace_out=None, metrics_out=str(path), dashboard=False)
+    sink, trace, rows = _open_fleet_sink(args, "lane_progress")
+    assert trace is None
+    sink.emit({"type": "fleet_start", "count": 1})
+    sink.emit({"type": "worker_start", "lane": 0, "attempt": 0})
+    sink.emit({"type": "lane_progress", "lane": 0, "conflicts": 300,
+               "props_per_sec": 1000.0, "conflicts_per_sec": 50.0})
+    sink.close()
+    _report_fleet_outputs(args, trace, rows)
+    assert "(1 rows)" in capsys.readouterr().out
+    written = [json.loads(line) for line in path.read_text().splitlines()]
+    assert written == [{"lane": 0, "conflicts": 300, "props_per_sec": 1000.0,
+                        "conflicts_per_sec": 50.0}]
 
 
 def test_keyboard_interrupt_exits_130(tmp_path, capsys, monkeypatch):

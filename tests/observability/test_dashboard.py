@@ -1,7 +1,6 @@
-"""Fleet monitors: recorder, dashboard rendering, and the live batch view."""
+"""The fleet dashboard: a sink folding supervision events into lane states."""
 
 import io
-import json
 
 import pytest
 
@@ -9,9 +8,7 @@ from repro.generators.pigeonhole import pigeonhole_formula
 from repro.observability import (
     LANE_STATES,
     FleetDashboard,
-    FleetMonitor,
-    FleetRecorder,
-    MultiMonitor,
+    MultiSink,
     RingBufferSink,
     validate_event,
 )
@@ -22,19 +19,43 @@ class _FakeTty(io.StringIO):
         return True
 
 
-def _drive(monitor) -> None:
-    """A canonical crash/retry/resume fleet story."""
-    monitor.fleet_started(2, labels=["berkmin", "chaff"])
-    monitor.lane_state(0, "running")
-    monitor.lane_state(1, "running")
-    monitor.lane_telemetry(0, {"conflicts": 300, "props_per_sec": 1000.0,
-                               "conflicts_per_sec": 50.0})
-    monitor.lane_state(0, "retrying", detail="worker crashed (SIGKILL)")
-    monitor.lane_state(0, "resumed", attempt=1)
-    monitor.lane_state(0, "done", detail="UNSAT", attempt=1)
-    monitor.lane_state(1, "done", detail="SAT")
-    monitor.fleet_finished("2 lanes ok")
-    monitor.close()
+def _progress(lane: int, **rates) -> dict:
+    """A relayed worker telemetry row, as the pool emits it."""
+    row = {
+        "type": "lane_progress", "lane": lane, "conflicts": 300,
+        "decisions": 900, "propagations": 20_000, "restarts": 2,
+        "props_per_sec": 1000.0, "conflicts_per_sec": 50.0,
+        "shared_exported": 0, "shared_imported": 0, "shared_per_sec": 0.0,
+    }
+    row.update(rates)
+    return row
+
+
+#: A canonical crash/retry/resume fleet story, as a fleet traces it.
+STORY = [
+    {"type": "fleet_start", "count": 2, "labels": ["berkmin", "chaff"]},
+    {"type": "worker_start", "lane": 0, "attempt": 0},
+    {"type": "worker_start", "lane": 1, "attempt": 0},
+    _progress(0),
+    {"type": "worker_fault", "lane": 0, "attempt": 0,
+     "reason": "worker crashed (SIGKILL)", "will_retry": True},
+    {"type": "worker_retry", "lane": 0, "attempt": 1, "resumed_from_conflicts": 200},
+    {"type": "job_end", "lane": 0, "answered": True, "attempt": 1, "status": "UNSAT"},
+    {"type": "job_end", "lane": 1, "answered": True, "attempt": 0, "status": "SAT"},
+    {"type": "fleet_end", "summary": "2 lanes ok"},
+]
+
+
+def _drive(sink, events=STORY) -> None:
+    for event in events:
+        sink.emit(event)
+    sink.close()
+
+
+def _lines(events) -> list[str]:
+    out = io.StringIO()
+    _drive(FleetDashboard(out), events)
+    return out.getvalue().splitlines()
 
 
 def test_lane_states_cover_the_life_cycle():
@@ -44,52 +65,75 @@ def test_lane_states_cover_the_life_cycle():
     )
 
 
-def test_base_monitor_is_a_no_op_context_manager():
-    with FleetMonitor() as monitor:
-        _drive(monitor)  # must not raise
-
-
-def test_recorder_captures_transitions_telemetry_and_summary():
-    recorder = FleetRecorder()
-    _drive(recorder)
-    assert recorder.count == 2
-    assert recorder.labels == ["berkmin", "chaff"]
-    assert recorder.states_of(0) == ["running", "retrying", "resumed", "done"]
-    assert recorder.states_of(1) == ["running", "done"]
-    assert recorder.telemetry == [
-        (0, {"conflicts": 300, "props_per_sec": 1000.0, "conflicts_per_sec": 50.0})
-    ]
-    assert recorder.summary == "2 lanes ok"
-    assert recorder.closed
-
-
-def test_recorder_exports_telemetry_with_a_lane_column(tmp_path):
-    recorder = FleetRecorder()
-    _drive(recorder)
-    path = tmp_path / "telemetry.jsonl"
-    recorder.export_telemetry(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows == [{"lane": 0, "conflicts": 300, "props_per_sec": 1000.0,
-                     "conflicts_per_sec": 50.0}]
-
-
-def test_multi_monitor_fans_out():
-    first, second = FleetRecorder(), FleetRecorder()
-    _drive(MultiMonitor(first, second))
-    assert first.transitions == second.transitions
-    assert first.summary == second.summary == "2 lanes ok"
-
-
 def test_dashboard_non_tty_prints_one_line_per_transition():
-    out = io.StringIO()
-    _drive(FleetDashboard(out))
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "fleet: 2 lanes"
-    assert "lane 0: retrying (worker crashed (SIGKILL))" in lines
-    assert "lane 0: resumed [attempt 1]" in lines
-    assert "lane 0: done (UNSAT) [attempt 1]" in lines
-    assert lines[-1] == "fleet finished: 2 lanes ok"
+    for event in STORY:
+        assert validate_event(event) is None, event
+    lines = _lines(STORY)
+    assert lines == [
+        "fleet: 2 lanes",
+        "lane 0: running",
+        "lane 1: running",
+        "lane 0: retrying (worker crashed (SIGKILL))",
+        "lane 0: resumed [attempt 1]",
+        "lane 0: done (UNSAT) [attempt 1]",
+        "lane 1: done (SAT)",
+        "fleet finished: 2 lanes ok",
+    ]
     assert not any("\x1b[" in line for line in lines)  # no ANSI off-TTY
+
+
+def test_dashboard_folds_each_supervision_event():
+    events = [
+        {"type": "fleet_start", "count": 4},
+        # A relaunch without a checkpoint runs; a final fault is silent
+        # because the job_end that follows degrades the lane.
+        {"type": "worker_retry", "lane": 0, "attempt": 1},
+        {"type": "worker_fault", "lane": 0, "attempt": 1,
+         "reason": "stalled (no heartbeat)", "will_retry": False},
+        {"type": "job_end", "lane": 0, "answered": False, "attempt": 1,
+         "status": "UNKNOWN", "limit_reason": "stalled (no heartbeat)"},
+        {"type": "lane_quarantine", "lane": 1, "attempt": 0,
+         "rejections": 6, "exported": 40},
+        {"type": "lane_adapt", "lane": 2, "attempt": 0, "mutation": "restarts=luby"},
+        # Grouped jobs end without a status.
+        {"type": "job_end", "lane": 3, "answered": True, "attempt": 0},
+        # Events that are not lane transitions are ignored.
+        {"type": "share_export", "lane": 1, "attempt": 0, "seq": 1, "size": 2, "lbd": 2},
+        {"type": "server_reply", "kind": "result", "cached": None},
+    ]
+    for event in events:
+        assert validate_event(event) is None, event
+    assert _lines(events) == [
+        "fleet: 4 lanes",
+        "lane 0: running [attempt 1]",
+        "lane 0: degraded (stalled (no heartbeat)) [attempt 1]",
+        "lane 1: quarantined (6 hard share rejections)",
+        "lane 2: adapted (restarts=luby)",
+        "lane 3: done",
+    ]
+
+
+def test_dashboard_folds_audit_rounds_as_lanes():
+    events = [
+        {"type": "fleet_start", "count": 2},
+        {"type": "audit_round_start", "round": 0, "engine": "batch", "fault": "crash"},
+        {"type": "audit_round", "round": 0, "engine": "batch", "fault": "crash",
+         "ok": True, "retries": 1},
+        {"type": "audit_round_start", "round": 1, "engine": "serve", "fault": "healthy"},
+        {"type": "audit_round", "round": 1, "engine": "serve", "fault": "healthy",
+         "ok": False, "retries": 0, "detail": "hole5: expected UNSAT, got SAT"},
+        {"type": "fleet_end", "summary": "audit FAIL"},
+    ]
+    for event in events:
+        assert validate_event(event) is None, event
+    assert _lines(events) == [
+        "fleet: 2 lanes",
+        "lane 0: running (batch/crash)",
+        "lane 0: done (batch/crash)",
+        "lane 1: running (serve/healthy)",
+        "lane 1: degraded (hole5: expected UNSAT, got SAT)",
+        "fleet finished: audit FAIL",
+    ]
 
 
 def test_dashboard_tty_redraws_an_ansi_panel():
@@ -106,56 +150,63 @@ def test_dashboard_tty_redraws_an_ansi_panel():
 
 def test_dashboard_renders_fleet_detours_and_share_throughput():
     out = _FakeTty()
-    dashboard = FleetDashboard(out, refresh_seconds=0.0)
-    dashboard.fleet_started(2, labels=["berkmin", "chaff"])
-    dashboard.lane_state(0, "running")
-    dashboard.lane_state(1, "running")
-    dashboard.lane_telemetry(
-        0, {"props_per_sec": 1000.0, "conflicts_per_sec": 50.0,
-            "shared_per_sec": 4.5}
+    _drive(
+        FleetDashboard(out, refresh_seconds=0.0),
+        [
+            {"type": "fleet_start", "count": 2, "labels": ["berkmin", "chaff"]},
+            {"type": "worker_start", "lane": 0, "attempt": 0},
+            {"type": "worker_start", "lane": 1, "attempt": 0},
+            _progress(0, shared_per_sec=4.5),
+            {"type": "lane_quarantine", "lane": 0, "attempt": 0,
+             "rejections": 6, "exported": 12},
+            {"type": "lane_adapt", "lane": 1, "attempt": 1, "mutation": "restarts=luby"},
+            {"type": "fleet_end", "summary": "done"},
+        ],
     )
-    dashboard.lane_state(0, "quarantined", detail="6 rejected frames")
-    dashboard.lane_state(1, "adapted", detail="restarts=luby", attempt=1)
-    dashboard.fleet_finished("done")
     text = out.getvalue()
     assert "☣" in text and "♻" in text
     assert "4.5 shares/s" in text
 
 
 def test_dashboard_non_tty_logs_quarantine_transition():
-    out = io.StringIO()
-    dashboard = FleetDashboard(out)
-    dashboard.fleet_started(2)
-    dashboard.lane_state(0, "quarantined", detail="byzantine sharing")
-    dashboard.fleet_finished("done")
-    assert "lane 0: quarantined (byzantine sharing)" in out.getvalue()
+    lines = _lines(
+        [
+            {"type": "fleet_start", "count": 2},
+            {"type": "lane_quarantine", "lane": 0, "attempt": 0,
+             "rejections": 3, "exported": 9, "reason": "byzantine sharing"},
+            {"type": "fleet_end", "summary": "done"},
+        ]
+    )
+    assert "lane 0: quarantined (3 hard share rejections)" in lines
 
 
 def test_dashboard_eta_appears_when_some_lanes_finish():
     out = _FakeTty()
     dashboard = FleetDashboard(out, refresh_seconds=0.0)
-    dashboard.fleet_started(4)
-    dashboard.lane_state(0, "running")
-    dashboard.lane_state(0, "done")
+    dashboard.emit({"type": "fleet_start", "count": 4})
+    dashboard.emit({"type": "worker_start", "lane": 0, "attempt": 0})
+    dashboard.emit({"type": "job_end", "lane": 0, "answered": True, "attempt": 0})
     assert "eta ~" in out.getvalue()
 
 
 def test_dashboard_survives_a_closed_stream():
     out = io.StringIO()
     dashboard = FleetDashboard(out)
-    dashboard.fleet_started(1)
+    dashboard.emit({"type": "fleet_start", "count": 1})
     out.close()
-    dashboard.lane_state(0, "running")  # must not raise
-    dashboard.fleet_finished("ok")
+    dashboard.emit({"type": "worker_start", "lane": 0, "attempt": 0})  # must not raise
+    dashboard.emit({"type": "fleet_end", "summary": "ok"})
     dashboard.close()
 
 
 def test_dashboard_ignores_out_of_range_lanes():
-    out = io.StringIO()
-    dashboard = FleetDashboard(out)
-    dashboard.fleet_started(1)
-    dashboard.lane_state(7, "running")
+    out = _FakeTty()
+    dashboard = FleetDashboard(out, refresh_seconds=0.0)
+    dashboard.emit({"type": "fleet_start", "count": 1})
+    dashboard.emit({"type": "worker_start", "lane": 7, "attempt": 0})
+    dashboard.emit(_progress(7))
     assert "lane 7" not in out.getvalue()
+    assert dashboard.latest == {}  # telemetry of unknown lanes is dropped too
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +221,6 @@ def test_batch_dashboard_shows_crash_retry_resume(tmp_path):
 
     formulas = [pigeonhole_formula(6)] + [pigeonhole_formula(3)] * 7
     out = io.StringIO()
-    recorder = FleetRecorder()
     trace = RingBufferSink()
     batch = solve_batch(
         formulas,
@@ -181,28 +231,44 @@ def test_batch_dashboard_shows_crash_retry_resume(tmp_path):
         ),
         checkpoint_dir=tmp_path,
         checkpoint_interval=100,
-        monitor=MultiMonitor(recorder, FleetDashboard(out)),
-        trace=trace,
+        trace=MultiSink(trace, FleetDashboard(out)),
     )
     assert batch.num_unsat == 8
-    assert recorder.count == 8
-    assert recorder.states_of(0) == ["running", "retrying", "resumed", "done"]
-    for lane in range(1, 8):
-        assert recorder.states_of(lane) == ["running", "done"]
-    assert recorder.summary == repr(batch)
 
     lines = out.getvalue().splitlines()
+
+    def states_of(lane: int) -> list[str]:
+        prefix = f"lane {lane}: "
+        return [
+            line[len(prefix):].split(" ")[0]
+            for line in lines
+            if line.startswith(prefix)
+        ]
+
     assert lines[0] == "fleet: 8 lanes"
+    assert states_of(0) == ["running", "retrying", "resumed", "done"]
+    for lane in range(1, 8):
+        assert states_of(lane) == ["running", "done"]
     assert "lane 0: retrying (worker crashed (SIGKILL))" in lines
     assert "lane 0: resumed [attempt 1]" in lines
-    assert lines[-1].startswith("fleet finished: ")
+    assert lines[-1] == f"fleet finished: {batch!r}"
 
+    # The trace records the whole fleet: its bracket, one launch event
+    # per attempt, the fault, and one job_end per instance.
     events = trace.events
-    assert [event["type"] for event in events] == ["worker_fault", "worker_retry"]
     for event in events:
         assert validate_event(event) is None
-    assert events[0]["will_retry"] is True
-    assert events[1]["resumed_from_conflicts"] >= 100
+    assert events[0]["type"] == "fleet_start" and events[-1]["type"] == "fleet_end"
+    supervision = [
+        event for event in events if event["type"] in ("worker_fault", "worker_retry")
+    ]
+    assert [event["type"] for event in supervision] == ["worker_fault", "worker_retry"]
+    assert supervision[0]["will_retry"] is True
+    assert supervision[1]["resumed_from_conflicts"] >= 100
+    assert sum(event["type"] == "worker_start" for event in events) == 8
+    assert sorted(event["lane"] for event in events if event["type"] == "job_end") == list(
+        range(8)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.observability import (
     IdMinter,
     RingBufferSink,
     SpanTracker,
-    chrome_trace,
     chrome_trace_from_events,
     phase_of,
     validate_event,
@@ -177,14 +176,16 @@ def test_mirrored_events_are_schema_valid():
 
 
 def test_chrome_trace_from_trees_is_well_formed():
-    tracker, clock = make_tracker()
+    # A request tree, recorded as its mirrored span events.
+    sink = RingBufferSink()
+    tracker, clock = make_tracker(sink)
     rid = tracker.begin_request("solve", "c")
     span = tracker.begin(rid, "validate")
     clock.advance(0.010)
     tracker.end(rid, span, status="ok")
-    tree = tracker.finish_request(rid, "result")
+    tracker.finish_request(rid, "result")
 
-    exported = chrome_trace([tree])
+    exported = chrome_trace_from_events(sink.events)
     assert exported["displayTimeUnit"] == "ms"
     events = exported["traceEvents"]
     meta = [event for event in events if event["ph"] == "M"]

@@ -1,10 +1,11 @@
 """The ops plane: metrics op, scrape, stats extension, spans under faults."""
 
+import io
 import time
 
 from repro.cli import build_parser
 from repro.generators import pigeonhole_formula
-from repro.observability import FleetRecorder, IdMinter, RingBufferSink
+from repro.observability import FleetDashboard, IdMinter, RingBufferSink
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import RetryPolicy
 from repro.server.ops import (
@@ -192,31 +193,48 @@ def test_request_id_survives_sigkill_retry_and_warm_resume(tmp_path):
 # ----------------------------------------------------------------------
 # Dashboard adapter: unbounded job ids onto fixed slots
 # ----------------------------------------------------------------------
-def test_dashboard_adapter_leases_and_frees_slots():
-    recorder = FleetRecorder()
-    adapter = ServiceDashboardAdapter(recorder, slots=2)
-    assert recorder.count == 2  # fleet_started fired at construction
+def _start(lane):
+    return {"type": "worker_start", "lane": lane, "attempt": 0}
 
-    adapter.lane_state(10, "running")
-    adapter.lane_state(11, "running")
-    adapter.lane_state(12, "running")  # no free slot: silently unmapped
-    adapter.lane_telemetry(10, {"conflicts": 5})
-    adapter.lane_telemetry(12, {"conflicts": 9})  # unmapped: dropped
-    adapter.lane_state(10, "done")
-    adapter.lane_state(13, "running")  # reuses the freed slot 0
-    adapter.fleet_finished("summary")
+
+def _progress(lane, conflicts):
+    return {"type": "lane_progress", "lane": lane, "conflicts": conflicts}
+
+
+def test_dashboard_adapter_leases_and_frees_slots():
+    inner = RingBufferSink()
+    adapter = ServiceDashboardAdapter(inner, slots=2)
+    # fleet_start fired at construction
+    assert inner.events == [
+        {"type": "fleet_start", "count": 2, "labels": ["slot 0", "slot 1"]}
+    ]
+    inner.clear()
+
+    adapter.emit(_start(10))
+    adapter.emit(_start(11))
+    adapter.emit(_start(12))  # no free slot: silently unmapped
+    adapter.emit(_progress(10, 5))
+    adapter.emit(_progress(12, 9))  # unmapped: dropped
+    adapter.emit({"type": "job_end", "lane": 10, "answered": True, "attempt": 0})
+    adapter.emit(_start(13))  # reuses the freed slot 0
+    adapter.emit({"type": "fleet_end", "summary": "summary"})
     adapter.close()
 
-    slots = [lane for lane, _, _, _ in recorder.transitions]
-    assert slots == [0, 1, 0, 0]  # job 10->0, 11->1, 10 done, 13->0
-    assert recorder.telemetry == [(0, {"conflicts": 5})]
-    assert recorder.summary == "summary"
-    assert recorder.closed
+    lanes = [(event["type"], event.get("lane")) for event in inner.events]
+    assert lanes == [
+        ("worker_start", 0),  # job 10
+        ("worker_start", 1),  # job 11
+        ("lane_progress", 0),
+        ("job_end", 0),
+        ("worker_start", 0),  # job 13
+        ("fleet_end", None),
+    ]
+    assert inner.events[2]["conflicts"] == 5
 
 
 def test_dashboard_adapter_rejects_zero_slots():
     try:
-        ServiceDashboardAdapter(FleetRecorder(), slots=0)
+        ServiceDashboardAdapter(RingBufferSink(), slots=0)
     except ValueError:
         pass
     else:
@@ -248,18 +266,24 @@ def test_top_and_trace_export_parsers():
 
 def test_service_monitor_sees_job_states_through_the_adapter():
     # What `repro-sat serve --dashboard` wires up: the pool's unbounded
-    # job ids reach a fixed-slot fleet monitor through the adapter.
-    recorder = FleetRecorder()
+    # job ids reach a fixed-slot fleet dashboard through the adapter.
+    out = io.StringIO()
     service = SolverService(
         pool_size=1,
         config=config_by_name("berkmin", seed=3),
-        monitor=ServiceDashboardAdapter(recorder, slots=1),
+        trace=ServiceDashboardAdapter(FleetDashboard(out), slots=1),
     )
     try:
         drive(service, Request(op="solve", request_id=1, clauses=[[5]]))
         drive(service, Request(op="solve", request_id=2, clauses=[[6]]))
     finally:
         service.close()
-    assert recorder.count == 1  # one slot, started at construction
-    # Both jobs ran through slot 0: running -> done, twice.
-    assert recorder.states_of(0) == ["running", "done", "running", "done"]
+    # One slot, started at construction; both jobs ran through slot 0:
+    # running -> done, twice.
+    assert out.getvalue().splitlines() == [
+        "fleet: 1 lanes",
+        "lane 0: running",
+        "lane 0: done (SAT)",
+        "lane 0: running",
+        "lane 0: done (SAT)",
+    ]

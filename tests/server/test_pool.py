@@ -6,6 +6,7 @@ import pytest
 
 from repro.cnf.formula import CnfFormula
 from repro.generators import pigeonhole_formula
+from repro.observability import RingBufferSink, validate_event
 from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.worker import strip_for_worker
 from repro.reliability.faults import FaultPlan, FaultSpec
@@ -92,15 +93,21 @@ def test_budget_kill_is_an_honest_unknown(pool_factory):
     assert job.attempts == 1  # a blown budget is not retried
 
 
+def launches(trace: RingBufferSink) -> list[tuple[str, int]]:
+    return [
+        (event["type"], event["attempt"])
+        for event in trace.events
+        if event["type"] in ("worker_start", "worker_retry")
+    ]
+
+
 def test_crashed_worker_is_recycled_and_retried(pool_factory):
-    faults: list[tuple[int, str, bool]] = []
+    trace = RingBufferSink()
     pool = pool_factory(
         size=1,
         retry=RetryPolicy(max_attempts=3, backoff=0.01),
         fault_plan=FaultPlan.single("crash", worker=0, attempt=0),
-        on_fault=lambda job, reason, retrying: faults.append(
-            (job.job_id, reason, retrying)
-        ),
+        trace=trace,
     )
     job = Job(job_id=0, formula=SAT_FORMULA, config=worker_config())
     pool.submit(job)
@@ -109,7 +116,69 @@ def test_crashed_worker_is_recycled_and_retried(pool_factory):
     assert job.result.verified is not None
     assert pool.retries == 1
     assert [record.outcome for record in job.history][-1] == "ok"
+    faults = [
+        (event["lane"], event["reason"], event["will_retry"])
+        for event in trace.events
+        if event["type"] == "worker_fault"
+    ]
     assert faults == [(0, job.history[0].outcome, True)]
+    assert launches(trace) == [("worker_start", 0), ("worker_retry", 1)]
+    assert trace.events[-1] == {
+        "type": "job_end", "lane": 0, "answered": True, "attempt": 1,
+        "status": "SAT",
+    }
+    for event in trace.events:
+        assert validate_event(event) is None, event
+
+
+def test_preempted_relaunch_is_not_traced_as_a_retry(pool_factory):
+    trace = RingBufferSink()
+    pool = pool_factory(size=1, trace=trace)
+    job = pool.submit(
+        Job(
+            job_id=0, formula=pigeonhole_formula(9), config=worker_config(),
+            stop=pool.context.Event(),
+        )
+    )
+    pool.poll()
+    assert pool.preempt(0, "adapt:test", 1.0) == 0
+    stop = time.monotonic() + 30.0
+    while job.attempts < 2:
+        assert time.monotonic() < stop, "preempted job was never relaunched"
+        pool.poll()
+    assert job.history[0].outcome == "adapt:test"
+    assert launches(trace) == [("worker_start", 0), ("worker_start", 1)]
+    assert pool.retries == 0
+
+
+def test_every_job_ends_with_exactly_one_job_end(pool_factory):
+    trace = RingBufferSink()
+    pool = pool_factory(size=1, trace=trace)
+    jobs = [
+        pool.submit(Job(job_id=0, formula=pigeonhole_formula(9), config=worker_config())),
+        pool.submit(Job(job_id=1, formula=pigeonhole_formula(9), config=worker_config())),
+        pool.submit(
+            Job(
+                job_id=2, formula=pigeonhole_formula(9), config=worker_config(),
+                deadline=time.monotonic() + 0.3,
+            )
+        ),
+    ]
+    stop = time.monotonic() + 1.0
+    while time.monotonic() < stop:
+        pool.poll()
+    pool.shed("terminated (drain)")
+    assert [job.result.limit_reason for job in jobs] == [
+        "terminated (drain)", "terminated (drain)", DEADLINE_EXPIRED,
+    ]
+    ends = [event for event in trace.events if event["type"] == "job_end"]
+    assert sorted(event["lane"] for event in ends) == [0, 1, 2]
+    assert not any(event["answered"] for event in ends)
+    assert {event["lane"]: event["limit_reason"] for event in ends} == {
+        0: "terminated (drain)", 1: "terminated (drain)", 2: DEADLINE_EXPIRED,
+    }
+    for event in ends:
+        assert validate_event(event) is None, event
 
 
 def test_stalled_worker_is_terminated_by_the_heartbeat_watchdog(pool_factory):
