@@ -47,7 +47,7 @@ _GLYPHS = {
 }
 
 
-def _lane_transition(event: dict):
+def _lane_transition(event: dict) -> tuple | None:
     """``(lane, state, detail, attempt)`` an event moves a lane to, or None.
 
     The fold behind the dashboard's lane states.  Audit rounds are
