@@ -1364,13 +1364,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("c --pool-size must be >= 1", file=sys.stderr)
         return 2
     trace = _open_trace(args)
-    sink, dashboard = trace, None
-    if args.dashboard:
-        from repro.observability import FleetDashboard, MultiSink
-        from repro.server import ServiceDashboardAdapter
-
-        dashboard = ServiceDashboardAdapter(FleetDashboard(), args.pool_size)
-        sink = dashboard if trace is None else MultiSink(trace, dashboard)
     service = SolverService(
         pool_size=args.pool_size,
         config=config_by_name(args.config, seed=args.seed),
@@ -1384,9 +1377,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         checkpoint_dir=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
-        trace=sink,
+        trace=trace,
         latency_objective=args.latency_objective,
     )
+    dashboard = None
+    if args.dashboard:
+        from repro.observability import FleetDashboard, MultiSink
+        from repro.server import ServiceDashboardAdapter
+
+        # The panel folds the pool's supervision events only; the
+        # service's span and server_* events go to --trace-out alone.
+        dashboard = ServiceDashboardAdapter(FleetDashboard(), args.pool_size)
+        service.pool.trace = MultiSink(dashboard, service.pool.trace)
     server = SolverServer(
         service,
         host=args.host,
@@ -1406,8 +1408,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if dashboard is not None:
             dashboard.emit({"type": "fleet_end", "summary": "service drained"})
-        if sink is not None:
-            sink.close()
+            dashboard.close()
+        if trace is not None:
+            trace.close()
     stats = service.stats()
     print(
         f"c drained: {stats['requests']} requests, "

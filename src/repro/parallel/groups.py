@@ -234,9 +234,12 @@ def solve_grouped(
             disables the watchdog.
         retain_max_lbd: session glue bound override (None = session
             default).
-        trace: optional parent-side :class:`TraceSink` receiving
-            ``worker_fault`` / ``worker_retry`` events (a retry's event
-            is emitted when it launches).
+        trace: optional parent-side :class:`TraceSink` receiving the
+            pool's supervision events per group: ``worker_start`` /
+            ``worker_retry`` at each launch, ``worker_fault`` per failed
+            attempt and one ``job_end`` per group.  A group's
+            ``job_end`` carries no ``status``, since its result is a
+            list of step results.
     """
     started = time.perf_counter()
     if config is None:

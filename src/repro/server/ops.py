@@ -313,12 +313,14 @@ class ServiceDashboardAdapter(TraceSink):
 
     The stock :class:`~repro.observability.FleetDashboard` renders a
     fixed fleet of lanes, but the service's pool reports ever-increasing
-    job ids.  This sink leases one of ``slots`` lanes per live job
-    (freeing it at the job's ``job_end``) and forwards the job's events
-    to ``inner`` under the slot's lane, so ``serve --dashboard`` shows a
-    pool-shaped live panel.  Jobs arriving while every slot is leased
-    are silently unmapped — the panel tracks the *pool*, not the queue.
-    Events without a lane pass through unchanged.
+    job ids.  This sink leases one of ``slots`` lanes when a job
+    launches (``worker_start`` / ``worker_retry``), frees it at the
+    job's ``job_end``, and forwards the job's events in between to
+    ``inner`` under the slot's lane, so ``serve --dashboard`` shows a
+    pool-shaped live panel.  Jobs launching while every slot is leased,
+    and jobs that end without a launch (expired in the queue or shed at
+    drain), are silently unmapped — the panel tracks the *pool*, not
+    the queue.  Events without a lane pass through unchanged.
     """
 
     def __init__(self, inner: TraceSink, slots: int) -> None:
@@ -342,7 +344,11 @@ class ServiceDashboardAdapter(TraceSink):
             return
         lane = event["lane"]
         slot = self._slot_of.get(lane)
-        if slot is None and event["type"] != "lane_progress" and self._free:
+        if (
+            slot is None
+            and event["type"] in ("worker_start", "worker_retry")
+            and self._free
+        ):
             slot = self._free.pop(0)
             self._slot_of[lane] = slot
         if slot is None:

@@ -5,7 +5,7 @@ import time
 
 from repro.cli import build_parser
 from repro.generators import pigeonhole_formula
-from repro.observability import FleetDashboard, IdMinter, RingBufferSink
+from repro.observability import FleetDashboard, IdMinter, MultiSink, RingBufferSink
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import RetryPolicy
 from repro.server.ops import (
@@ -201,8 +201,15 @@ def _progress(lane, conflicts):
     return {"type": "lane_progress", "lane": lane, "conflicts": conflicts}
 
 
+class _ClosingRing(RingBufferSink):
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
 def test_dashboard_adapter_leases_and_frees_slots():
-    inner = RingBufferSink()
+    inner = _ClosingRing()
     adapter = ServiceDashboardAdapter(inner, slots=2)
     # fleet_start fired at construction
     assert inner.events == [
@@ -210,6 +217,18 @@ def test_dashboard_adapter_leases_and_frees_slots():
     ]
     inner.clear()
 
+    # A job that expired in the queue or was shed at drain ends without
+    # a launch: it takes no slot.
+    adapter.emit(
+        {
+            "type": "job_end",
+            "lane": 9,
+            "answered": False,
+            "attempt": 0,
+            "status": "UNKNOWN",
+            "limit_reason": "deadline expired",
+        }
+    )
     adapter.emit(_start(10))
     adapter.emit(_start(11))
     adapter.emit(_start(12))  # no free slot: silently unmapped
@@ -230,6 +249,7 @@ def test_dashboard_adapter_leases_and_frees_slots():
         ("fleet_end", None),
     ]
     assert inner.events[2]["conflicts"] == 5
+    assert inner.closed
 
 
 def test_dashboard_adapter_rejects_zero_slots():
@@ -266,13 +286,12 @@ def test_top_and_trace_export_parsers():
 
 def test_service_monitor_sees_job_states_through_the_adapter():
     # What `repro-sat serve --dashboard` wires up: the pool's unbounded
-    # job ids reach a fixed-slot fleet dashboard through the adapter.
+    # job ids reach a fixed-slot fleet dashboard through the adapter,
+    # which sits on the pool's sink only.
     out = io.StringIO()
-    service = SolverService(
-        pool_size=1,
-        config=config_by_name("berkmin", seed=3),
-        trace=ServiceDashboardAdapter(FleetDashboard(out), slots=1),
-    )
+    service = SolverService(pool_size=1, config=config_by_name("berkmin", seed=3))
+    adapter = ServiceDashboardAdapter(FleetDashboard(out), slots=1)
+    service.pool.trace = MultiSink(adapter, service.pool.trace)
     try:
         drive(service, Request(op="solve", request_id=1, clauses=[[5]]))
         drive(service, Request(op="solve", request_id=2, clauses=[[6]]))
