@@ -45,10 +45,10 @@ from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
 #: Schema version of the BENCH_*.json reports.
-SCHEMA = "bcp-bench/4"
+SCHEMA = "bcp-bench/5"
 
 #: Schema version of the session-bench reports (``bench --session``).
-SESSION_SCHEMA = "session-bench/1"
+SESSION_SCHEMA = "session-bench/2"
 
 #: Acceptance floor for the incremental engine on related-query streams.
 SESSION_SPEEDUP_TARGET = 2.0
@@ -195,6 +195,8 @@ def run_instance(
             best_wall = wall
     stats = result.stats
     check = _check_timed(instance, formula, config_name) if result.is_unsat else None
+    wall_seconds = round(best_wall, 6)
+    check_seconds = None if check is None else round(check, 6)
     return {
         "name": instance.name,
         "family": instance.family,
@@ -202,12 +204,16 @@ def run_instance(
         "conflicts": stats.conflicts,
         "decisions": stats.decisions,
         "propagations": stats.propagations,
-        "wall_seconds": round(best_wall, 6),
+        "wall_seconds": wall_seconds,
         "propagations_per_second": round(stats.propagations / best_wall, 1),
         "conflicts_per_second": round(stats.conflicts / best_wall, 1),
         "decisions_per_second": round(stats.decisions / best_wall, 1),
-        "check_seconds": None if check is None else round(check, 6),
-        "check_per_search": None if check is None else round(check / best_wall, 2),
+        "check_seconds": check_seconds,
+        # The ratio of the two times as reported, so it recomputes exactly
+        # from the row.
+        "check_per_search": (
+            None if check is None else round(check_seconds / wall_seconds, 2)
+        ),
     }
 
 
@@ -256,9 +262,6 @@ def run_bcp_bench(
         "repeats": repeats,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_sha": _git_sha(),
-        # Timed runs must never pay telemetry costs; a non-zero value
-        # here means the numbers are not comparable to a clean report.
-        "metrics_interval": config_by_name(config_name).metrics_interval,
         "instances": instances,
         "aggregate": {
             "wall_seconds": round(wall, 6),
@@ -542,7 +545,6 @@ def run_session_bench(
         "rounds": rounds,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_sha": _git_sha(),
-        "metrics_interval": config_by_name(config_name).metrics_interval,
         "cases": cases,
         "agreement": {
             "queries_checked": sum(row["queries"] for row in cases),

@@ -710,6 +710,12 @@ def _open_fleet_sink(args: argparse.Namespace, row_type: str):
     return (MultiSink(*sinks) if sinks else None), trace, rows
 
 
+def _untyped(events: list[dict]) -> list[dict]:
+    """Metrics rows from their events: everything but the ``type`` key."""
+    return [{key: value for key, value in event.items() if key != "type"}
+            for event in events]
+
+
 def _write_rows(path: str, rows: list[dict]) -> None:
     """Write metrics rows as CSV (``.csv``) or JSONL (anything else)."""
     from repro.observability import write_rows_csv, write_rows_jsonl
@@ -760,9 +766,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             args.proof or args.proof_out is not None or verification == VERIFY_FULL
         ),
         trace=trace,
-        metrics_interval=args.metrics_interval if args.metrics_out else 0,
     )
     solver = Solver(solve_target, config=config)
+    collector = rows = None
+    if args.metrics_out:
+        from repro.observability import CallbackSink, MetricsCollector, MultiSink
+
+        # The rows reach --trace-out too, but config.trace stays the
+        # trace alone: the solver's own events never pass the collector.
+        rows = []
+        row_sink = CallbackSink(rows.append)
+        collector = MetricsCollector(
+            solver,
+            row_sink if trace is None else MultiSink(trace, row_sink),
+            every_conflicts=args.metrics_interval,
+        )
     writer = None
     terminated: list[int] = []
 
@@ -795,7 +813,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.checkpoint import CheckpointWriter
 
         writer = CheckpointWriter(
-            solver, args.checkpoint, every_conflicts=args.checkpoint_interval
+            solver,
+            args.checkpoint,
+            every_conflicts=args.checkpoint_interval,
+            chain=collector,
         )
         # Ctrl-C becomes a cooperative interrupt: the search stops at the
         # next boundary and finalize() writes the resume point to disk.
@@ -804,8 +825,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = solver.solve(
             max_conflicts=args.max_conflicts,
             max_seconds=args.max_seconds,
-            on_progress=writer,
+            on_progress=writer if writer is not None else collector,
         )
+        if collector is not None:
+            collector.finish(result.stats)
         if writer is not None:
             writer.finalize(result)
             if result.is_unknown:
@@ -821,12 +844,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"c trace written to {args.trace_out} "
             f"({trace.events_written} events)"
         )
-    if args.metrics_out and solver.metrics is not None:
-        solver.metrics.export(args.metrics_out)
-        print(
-            f"c metrics written to {args.metrics_out} "
-            f"({len(solver.metrics.rows)} rows)"
-        )
+    if rows is not None:
+        _write_rows(args.metrics_out, _untyped(rows))
+        print(f"c metrics written to {args.metrics_out} ({len(rows)} rows)")
     verified = None
     if verification is not None and verification != VERIFY_OFF:
         from repro.reliability import verify_result
@@ -975,10 +995,7 @@ def _report_fleet_outputs(args: argparse.Namespace, trace, rows) -> None:
         )
     if rows is not None:
         # One row per relayed lane_progress event, keyed by its lane.
-        _write_rows(
-            args.metrics_out,
-            [{key: value for key, value in row.items() if key != "type"} for row in rows],
-        )
+        _write_rows(args.metrics_out, _untyped(rows))
         print(
             f"c worker telemetry written to {args.metrics_out} "
             f"({len(rows)} rows)"

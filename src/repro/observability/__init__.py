@@ -1,21 +1,22 @@
-"""Unified telemetry: structured tracing, metrics time-series, fleet dashboard.
+"""Unified telemetry: one event stream and the views folded from it.
 
-Four layers, all optional and all zero-cost when unused:
+All optional and all zero-cost when unused:
 
-* :mod:`~repro.observability.trace` — typed search events
+* :mod:`~repro.observability.trace` — typed events
   (:data:`EVENT_SCHEMA`) flowing through a :class:`TraceSink`
   (JSONL file, in-memory ring buffer, callback, or a fan-out of those),
   enabled per solver via ``SolverConfig(trace=...)``.
-* :mod:`~repro.observability.metrics` — counters / gauges /
-  reservoir-sampled histograms, plus the :class:`MetricsCollector`
-  time-series the solver drives from its progress hook
-  (``SolverConfig(metrics_interval=...)``).
+* :mod:`~repro.observability.metrics` — counters and reservoir-sampled
+  histograms, plus :class:`MetricsCollector`, an ``on_progress`` hook
+  emitting one ``solve_progress`` event per metrics row.
 * :mod:`~repro.observability.dashboard` — the live TTY
   :class:`FleetDashboard` for the supervised parallel engines, a sink
   folding their supervision events into lane states.
-* :mod:`~repro.observability.spans` — request-scoped correlation IDs
-  and per-request phase trees for the solver service, plus the
-  Chrome-trace/Perfetto exporter.
+* :mod:`~repro.observability.spans` — request correlation IDs and phase
+  names for the solver service's ``span_start`` / ``span_end`` events,
+  plus the Chrome-trace/Perfetto exporter.
+* :mod:`~repro.observability.summary` — ``trace-summary`` folds over a
+  recorded trace.
 
 See ``docs/OBSERVABILITY.md`` for the event schema table and overhead
 numbers.
@@ -28,7 +29,6 @@ from .dashboard import (
 )
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsCollector,
     MetricsRegistry,
@@ -39,8 +39,6 @@ from .metrics import (
 from .spans import (
     REQUEST_PHASES,
     IdMinter,
-    Span,
-    SpanTracker,
     chrome_trace_from_events,
     phase_of,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "EVENT_SCHEMA",
     "EVENT_TYPES",
     "FleetDashboard",
-    "Gauge",
     "Histogram",
     "IdMinter",
     "JsonlTraceSink",
@@ -83,8 +80,6 @@ __all__ = [
     "OpsTop",
     "REQUEST_PHASES",
     "RingBufferSink",
-    "Span",
-    "SpanTracker",
     "TraceFormatError",
     "TraceSink",
     "chrome_trace_from_events",

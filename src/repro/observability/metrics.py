@@ -1,25 +1,24 @@
-"""Metrics registry and the solver-attached time-series collector.
+"""Metrics registry and the solve-progress collector.
 
 Two layers:
 
 * :class:`MetricsRegistry` — a generic, standalone registry of named
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments.
-  Histograms use reservoir sampling (Vitter's Algorithm R with a seeded
-  RNG), so quantiles over unbounded observation streams cost bounded
-  memory and stay deterministic run to run.
-* :class:`MetricsCollector` — owned by a :class:`~repro.solver.Solver`
-  when ``SolverConfig.metrics_interval > 0``.  It is ticked from the
-  solver's existing ``on_progress`` cadence (every 128 conflicts / 512
-  decisions) and appends one time-series row per ``metrics_interval``
-  conflicts: throughput rates since the previous row (props/sec,
-  conflicts/sec), the cumulative decision-source mix, and skin-effect
-  depth percentiles.  Rows export to JSONL or CSV through the shared
-  atomic writers (:mod:`repro.checkpoint.io`), picked by file
-  extension.
+  :class:`Counter` / :class:`Histogram` instruments.  Histograms use
+  reservoir sampling (Vitter's Algorithm R with a seeded RNG), so
+  quantiles over unbounded observation streams cost bounded memory and
+  stay deterministic run to run.
+* :class:`MetricsCollector` — an ``on_progress`` hook for
+  :meth:`~repro.solver.Solver.solve`.  At the solver's progress cadence
+  (every 128 conflicts / 512 decisions) it emits one ``solve_progress``
+  event per ``every_conflicts`` conflicts onto a trace sink: throughput
+  rates since the previous row (props/sec, conflicts/sec), the
+  cumulative decision-source mix, and exact skin-effect depth
+  percentiles.  ``repro-sat solve --metrics-out`` collects those rows
+  from the stream and writes them through :func:`write_rows_csv` /
+  :func:`write_rows_jsonl`.
 
-The collector never touches the BCP hot loops — when
-``metrics_interval`` is 0 (the default) ``solver.metrics`` is ``None``
-and nothing is sampled at all.
+The collector never touches the BCP hot loops — a solve without the
+hook samples nothing at all.
 """
 
 from __future__ import annotations
@@ -39,21 +38,8 @@ class Counter:
 
     def add(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for levels")
+            raise ValueError("counters only go up")
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time level (set, not accumulated)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -124,7 +110,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -134,33 +119,12 @@ class MetricsRegistry:
             instrument = self._counters[name] = Counter(name)
             return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        try:
-            return self._gauges[name]
-        except KeyError:
-            instrument = self._gauges[name] = Gauge(name)
-            return instrument
-
     def histogram(self, name: str, size: int = 1024, seed: int = 0) -> Histogram:
         try:
             return self._histograms[name]
         except KeyError:
             instrument = self._histograms[name] = Histogram(name, size=size, seed=seed)
             return instrument
-
-    def snapshot(self) -> dict:
-        """Flat name -> value view: counters, gauges, histogram quantiles."""
-        row: dict = {}
-        for name, counter in self._counters.items():
-            row[name] = counter.value
-        for name, gauge in self._gauges.items():
-            row[name] = gauge.value
-        for name, histogram in self._histograms.items():
-            row[f"{name}_count"] = histogram.observed
-            row[f"{name}_p50"] = histogram.quantile(0.50)
-            row[f"{name}_p90"] = histogram.quantile(0.90)
-            row[f"{name}_p99"] = histogram.quantile(0.99)
-        return row
 
 
 def skin_percentile(skin_effect: dict[int, int], q: float) -> int | None:
@@ -183,102 +147,70 @@ def skin_percentile(skin_effect: dict[int, int], q: float) -> int | None:
 
 
 class MetricsCollector:
-    """Periodic time-series rows sampled from a live solver.
+    """Periodic ``solve_progress`` rows sampled from a live solver.
 
-    Built by :class:`~repro.solver.Solver` when
-    ``config.metrics_interval > 0`` and ticked from the solve loop's
-    progress cadence; one row is appended every ``every_conflicts``
-    conflicts (quantized up to the 128-conflict hook), plus a final row
-    from :meth:`finish` so even trivial solves produce a series.
+    An ``on_progress`` callable: pass it to :meth:`Solver.solve`, or
+    chain it behind another hook (``CheckpointWriter(chain=...)``).  One
+    row is emitted onto ``sink`` every ``every_conflicts`` conflicts
+    (quantized up to the 128-conflict hook), and :meth:`finish` emits
+    the closing row, so even a trivial solve produces a series.
     """
 
-    def __init__(self, solver, every_conflicts: int = 512) -> None:
+    def __init__(self, solver, sink, every_conflicts: int = 512) -> None:
         self.solver = solver
+        self.sink = sink
         self.every_conflicts = max(1, every_conflicts)
-        self.registry = MetricsRegistry()
-        self.rows: list[dict] = []
+        self.emitted = 0
         self._started = time.perf_counter()
         self._last_wall = self._started
-        self._last = {"conflicts": 0, "decisions": 0, "propagations": 0}
-        self._last_skin: dict[int, int] = {}
+        self._last_conflicts = 0
+        self._last_propagations = 0
 
-    # ------------------------------------------------------------------
-    def tick(self, stats) -> None:
-        """Progress-hook entry: append a row when the cadence is due."""
-        if stats.conflicts - self._last["conflicts"] >= self.every_conflicts:
-            self._append_row(stats)
+    def __call__(self, stats) -> None:
+        if stats.conflicts - self._last_conflicts >= self.every_conflicts:
+            self._emit_row(stats)
 
     def finish(self, stats) -> None:
-        """Append the closing row (idempotent per conflict count)."""
-        if not self.rows or self.rows[-1]["conflicts"] != stats.conflicts:
-            self._append_row(stats)
+        """Emit the closing row (idempotent per conflict count)."""
+        if not self.emitted or self._last_conflicts != stats.conflicts:
+            self._emit_row(stats)
 
-    def _append_row(self, stats) -> None:
+    def _emit_row(self, stats) -> None:
         now = time.perf_counter()
         window = now - self._last_wall
-        delta_conflicts = stats.conflicts - self._last["conflicts"]
-        delta_props = stats.propagations - self._last["propagations"]
-
-        registry = self.registry
-        registry.counter("conflicts").add(delta_conflicts)
-        registry.counter("decisions").add(stats.decisions - self._last["decisions"])
-        registry.counter("propagations").add(delta_props)
-        registry.gauge("learned_clauses").set(len(self.solver.learned))
-
-        # Feed the reservoir with the skin distances observed since the
-        # previous row (the stats histogram is cumulative).
-        skin = registry.histogram("skin_distance")
-        for distance, count in stats.skin_effect.items():
-            fresh = count - self._last_skin.get(distance, 0)
-            for _ in range(fresh):
-                skin.observe(distance)
-        self._last_skin = dict(stats.skin_effect)
-
+        delta_conflicts = stats.conflicts - self._last_conflicts
+        delta_props = stats.propagations - self._last_propagations
         source_total = stats.top_clause_decisions + stats.formula_decisions
         rate = (lambda delta: delta / window) if window > 1e-9 else (lambda delta: 0.0)
-        row = {
-            # Monotonic stamp: rows from one process sort and join
-            # against other monotonic-clock telemetry (spans, heartbeat
-            # watchdogs) without wall-clock skew.
-            "monotonic_ms": round(time.monotonic() * 1000.0, 3),
-            "elapsed_seconds": round(now - self._started, 6),
-            "conflicts": stats.conflicts,
-            "decisions": stats.decisions,
-            "propagations": stats.propagations,
-            "restarts": stats.restarts,
-            "learned_clauses": len(self.solver.learned),
-            "props_per_sec": round(rate(delta_props), 1),
-            "conflicts_per_sec": round(rate(delta_conflicts), 1),
-            "top_clause_fraction": (
-                round(stats.top_clause_decisions / source_total, 4)
-                if source_total
-                else None
-            ),
-            "skin_p50": skin.quantile(0.50),
-            "skin_p90": skin.quantile(0.90),
-            "skin_p99": skin.quantile(0.99),
-        }
-        self.rows.append(row)
+        self.sink.emit(
+            {
+                "type": "solve_progress",
+                # Monotonic stamp: rows from one process sort and join
+                # against other monotonic-clock telemetry (spans,
+                # heartbeat watchdogs) without wall-clock skew.
+                "monotonic_ms": round(time.monotonic() * 1000.0, 3),
+                "elapsed_seconds": round(now - self._started, 6),
+                "conflicts": stats.conflicts,
+                "decisions": stats.decisions,
+                "propagations": stats.propagations,
+                "restarts": stats.restarts,
+                "learned_clauses": len(self.solver.learned),
+                "props_per_sec": round(rate(delta_props), 1),
+                "conflicts_per_sec": round(rate(delta_conflicts), 1),
+                "top_clause_fraction": (
+                    round(stats.top_clause_decisions / source_total, 4)
+                    if source_total
+                    else None
+                ),
+                "skin_p50": skin_percentile(stats.skin_effect, 0.50),
+                "skin_p90": skin_percentile(stats.skin_effect, 0.90),
+                "skin_p99": skin_percentile(stats.skin_effect, 0.99),
+            }
+        )
+        self.emitted += 1
         self._last_wall = now
-        self._last = {
-            "conflicts": stats.conflicts,
-            "decisions": stats.decisions,
-            "propagations": stats.propagations,
-        }
-
-    # ------------------------------------------------------------------
-    def export(self, path) -> None:
-        """Write the series to ``path`` — CSV for ``.csv``, else JSONL."""
-        if str(path).lower().endswith(".csv"):
-            self.export_csv(path)
-        else:
-            self.export_jsonl(path)
-
-    def export_jsonl(self, path) -> None:
-        write_rows_jsonl(path, self.rows)
-
-    def export_csv(self, path) -> None:
-        write_rows_csv(path, self.rows)
+        self._last_conflicts = stats.conflicts
+        self._last_propagations = stats.propagations
 
 
 def _row_columns(rows: list[dict]) -> list[str]:

@@ -57,6 +57,31 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"type", "conflicts", "status"}),
         frozenset({"limit_reason"}),
     ),
+    # One metrics row from MetricsCollector (an on_progress hook): the
+    # cumulative counters, windowed rates since the previous row, the
+    # top-clause decision share, and exact skin-effect percentiles
+    # (null until a top-clause decision was made).
+    "solve_progress": (
+        frozenset(
+            {
+                "type",
+                "monotonic_ms",
+                "elapsed_seconds",
+                "conflicts",
+                "decisions",
+                "propagations",
+                "restarts",
+                "learned_clauses",
+                "props_per_sec",
+                "conflicts_per_sec",
+                "top_clause_fraction",
+                "skin_p50",
+                "skin_p90",
+                "skin_p99",
+            }
+        ),
+        frozenset(),
+    ),
     # One branching decision; ``source`` says which heuristic fired and
     # ``skin_distance`` is the Section-6 distance for top-clause
     # decisions (null for every other source).
@@ -252,9 +277,10 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"type", "error"}),
         frozenset(),
     ),
-    # Request-scoped spans (see repro.observability.spans): one
-    # span_start/span_end pair per phase of one service request, keyed
-    # by the correlation ``request_id`` minted at admission.  ``ts_ms``
+    # Request-scoped spans, emitted by the service's ServiceOps (see
+    # repro.server.ops): one span_start/span_end pair per phase of one
+    # service request, keyed by the correlation ``request_id`` minted at
+    # admission.  ``ts_ms``
     # is monotonic milliseconds; span_end repeats the name so a pair is
     # self-describing even when its start was lost.
     "span_start": (

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.cnf.formula import CnfFormula
 from repro.parallel.pool import Job, JobPool
-from repro.parallel.worker import strip_for_worker
+from repro.parallel.worker import TELEMETRY_SECONDS, strip_for_worker
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import RetryPolicy
 from repro.solver.config import (
@@ -147,7 +147,6 @@ def solve_batch(
     checkpoint_dir: str | os.PathLike | None = None,
     checkpoint_interval: int = 1000,
     trace=None,
-    telemetry_seconds: float = 0.5,
     stop_event=None,
 ) -> BatchResult:
     """Solve many formulas concurrently; degrade per instance, never fail.
@@ -212,13 +211,11 @@ def solve_batch(
             supervision events per instance (``worker_start`` /
             ``worker_fault`` / ``worker_retry`` / ``job_end``), the
             ``lane_progress`` rows workers relay over the result queue
-            every ``telemetry_seconds``, and ``fleet_end``.  Workers
-            never inherit the caller's sink: the batch strips
-            ``trace``/``metrics_interval`` from worker configs (a shared
-            file sink across processes would interleave) and relays
-            progress as telemetry instead.
-        telemetry_seconds: worker telemetry reporting period (only
-            active when a ``trace`` is given).
+            every :data:`~repro.parallel.worker.TELEMETRY_SECONDS`, and
+            ``fleet_end``.  Workers never inherit the caller's sink: the
+            batch strips ``trace`` from worker configs (a shared file
+            sink across processes would interleave) and relays progress
+            as telemetry instead.
         stop_event: optional event (anything with ``is_set()``) checked
             every supervision tick; once set, the batch drains — running
             workers are cancelled cooperatively so they write a final
@@ -288,7 +285,7 @@ def solve_batch(
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
         trace=trace,
-        telemetry_seconds=telemetry_seconds if trace is not None else None,
+        telemetry_seconds=TELEMETRY_SECONDS if trace is not None else None,
     )
     submitted: list[Job] = []
     for index, formula in enumerate(items):

@@ -44,7 +44,7 @@ from repro.parallel.sharing import (
     AdaptiveLaneManager,
     ClauseBus,
 )
-from repro.parallel.worker import strip_for_worker
+from repro.parallel.worker import TELEMETRY_SECONDS, strip_for_worker
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import RetryPolicy, as_retry_policy
 from repro.solver.config import (
@@ -129,13 +129,12 @@ class PortfolioSolver:
             the live :class:`~repro.observability.FleetDashboard`)
             receiving the race as events: ``fleet_start``, the pool's
             supervision events per lane (launches, faults, ``job_end``),
-            ``lane_progress`` rows relayed every ``telemetry_seconds``,
-            the sharing and adaptation events, and ``fleet_end``.
-            Worker configs are stripped of their own
-            ``trace``/``metrics_interval`` — progress crosses the
-            process boundary as telemetry, not as a shared sink.
-        telemetry_seconds: worker telemetry reporting period (only
-            active when a ``trace`` is given or ``adapt`` is on).
+            ``lane_progress`` rows relayed every
+            :data:`~repro.parallel.worker.TELEMETRY_SECONDS` (also when
+            only ``adapt`` is on), the sharing and adaptation events,
+            and ``fleet_end``.  Worker configs are stripped of their own
+            ``trace`` — progress crosses the process boundary as
+            telemetry, not as a shared sink.
         share: enable the validated clause bus between lanes (see
             :mod:`repro.parallel.sharing`): glue-tier learned clauses
             are exported, CRC-framed, re-validated twice, and imported
@@ -169,7 +168,6 @@ class PortfolioSolver:
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_interval: int = 1000,
         trace=None,
-        telemetry_seconds: float = 0.5,
         share: bool = False,
         share_max_lbd: int | None = None,
         share_verify_fraction: float = DEFAULT_VERIFY_FRACTION,
@@ -205,7 +203,6 @@ class PortfolioSolver:
         )
         self.checkpoint_interval = checkpoint_interval
         self.trace = trace
-        self.telemetry_seconds = telemetry_seconds
         self.share = bool(share)
         self.share_max_lbd = (
             share_max_lbd if share_max_lbd is not None
@@ -282,7 +279,7 @@ class PortfolioSolver:
             fault_plan=self.fault_plan,
             checkpoint_interval=self.checkpoint_interval,
             trace=MultiSink(*sinks) if sinks else None,
-            telemetry_seconds=self.telemetry_seconds if sinks else None,
+            telemetry_seconds=TELEMETRY_SECONDS if sinks else None,
             bus=bus,
         )
         deadline = (

@@ -50,8 +50,8 @@ from repro.solver.solver import Solver
 def strip_for_worker(config: SolverConfig, verification: str) -> SolverConfig:
     """Prepare one config for the process boundary.
 
-    Sinks and collectors stay in the parent (workers relay telemetry
-    over the result queue instead of writing through a pickled sink),
+    Sinks stay in the parent (workers relay telemetry over the result
+    queue instead of writing through a pickled sink),
     and a ``full`` verification gate forces proof logging on so the
     parent can RUP-check the worker's UNSAT answers.  Everything else —
     including the arena/inprocessing knobs — crosses verbatim:
@@ -65,10 +65,12 @@ def strip_for_worker(config: SolverConfig, verification: str) -> SolverConfig:
         overrides["proof_logging"] = True
     if config.trace is not None:
         overrides["trace"] = None
-    if config.metrics_interval:
-        overrides["metrics_interval"] = 0
     return config.with_overrides(**overrides) if overrides else config
 
+
+#: Seconds between the progress rows a worker relays when its engine
+#: turns telemetry on (a trace sink is attached, or the bandit runs).
+TELEMETRY_SECONDS = 0.5
 
 #: Queue tag prefix for telemetry rows.  Results use 2-tuple
 #: ``(index, attempt)`` tags (or plain ints), so a 3-tuple starting with

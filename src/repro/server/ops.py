@@ -1,16 +1,20 @@
 """The service's ops plane: spans, counters, latency SLO, scrape, dashboard.
 
 :class:`ServiceOps` is the single observability object a
-:class:`~repro.server.service.SolverService` owns.  It bundles
+:class:`~repro.server.service.SolverService` owns.  It emits each
+request's phases (validate/admit/queue/solve-attempt-N/verify/reply)
+as ``span_start`` / ``span_end`` events and is itself a sink folding
+those events into three views:
 
-* a :class:`~repro.observability.spans.SpanTracker` assembling each
-  request's phase tree (validate/admit/queue/solve-attempt-N/verify/
-  reply),
+* the open requests, oldest first (the ``top`` view's feed),
 * a :class:`~repro.observability.metrics.MetricsRegistry` of per-op
   request counters, reply-kind counters, and per-phase latency
   histograms (reservoir-sampled p50/p90/p99),
 * an SLO accumulator: requests answered within ``latency_objective``
   seconds vs. total, rendered as a burn ratio.
+
+So the ``stats`` op, ``top`` and the scrape read the same events that
+``--trace-out`` records.
 
 :func:`prometheus_text` renders everything — plus the service's
 admission/breaker/cache/pool summaries — in the Prometheus text
@@ -24,26 +28,48 @@ unbounded job ids onto a fixed number of dashboard slots, so
 
 from __future__ import annotations
 
+import itertools
 import time
+from dataclasses import dataclass, field
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.spans import REQUEST_PHASES, SpanTracker
-from repro.observability.trace import TraceSink
+from repro.observability.spans import REQUEST_PHASES, IdMinter, phase_of
+from repro.observability.trace import MultiSink, TraceSink
 
 #: Default latency objective (seconds): the SLO burn denominator when
 #: the operator configures nothing.
 DEFAULT_LATENCY_OBJECTIVE = 1.0
 
+#: Span fields copied from the caller's keywords onto each event.
+_START_FIELDS = ("op", "client", "attempt", "resumed_from_conflicts")
+_END_FIELDS = ("conflicts", "attempt", "resumed_from_conflicts", "kind")
 
-class ServiceOps:
+
+@dataclass
+class _OpenRequest:
+    """The fold's record of one request between its root start and end."""
+
+    root: dict
+    spans: dict = field(default_factory=dict)  # open child span_start events
+    seconds: dict = field(default_factory=dict)  # phase -> summed seconds
+
+
+class ServiceOps(TraceSink):
     """Request-scoped spans + ops metrics for one solver service.
 
+    The service calls ``begin_request`` / ``begin`` / ``end`` /
+    ``record`` / ``finish_request``; each call builds one schema-valid
+    span event and sends it to ``trace`` (when given) and then to
+    :meth:`emit`, the fold behind every view.  A caller that wants
+    finished requests in memory attaches a
+    :class:`~repro.observability.RingBufferSink` as ``trace``.
+
     Args:
-        trace: optional sink mirrored by the span tracker.
+        trace: optional sink receiving every span event.
         latency_objective: the latency SLO in seconds — a request whose
             admission→reply time exceeds it burns error budget.
-        keep: completed span trees retained for ``top`` / stats views.
         minter: injectable ID minter for deterministic tests.
+        clock: monotonic time source (injectable for tests).
     """
 
     def __init__(
@@ -51,53 +77,171 @@ class ServiceOps:
         trace=None,
         *,
         latency_objective: float = DEFAULT_LATENCY_OBJECTIVE,
-        keep: int = 2048,
-        minter=None,
+        minter: IdMinter | None = None,
+        clock=time.monotonic,
     ) -> None:
         if latency_objective <= 0:
             raise ValueError("latency objective must be positive seconds")
-        self.spans = SpanTracker(trace, keep=keep, minter=minter)
+        self.minter = minter if minter is not None else IdMinter()
+        self.clock = clock
         self.registry = MetricsRegistry()
         self.latency_objective = latency_objective
         self.started_at = time.monotonic()
+        #: Requests whose root span ended since construction.
+        self.finished = 0
+        self._open: dict[str, _OpenRequest] = {}
+        self._span_ids = itertools.count()
+        self._out = self if trace is None else MultiSink(trace, self)
 
     # ------------------------------------------------------------------
-    # Request lifecycle (called by the service)
+    # Emitting (called by the service)
     # ------------------------------------------------------------------
     def begin_request(self, op: str, client) -> str:
-        """Count the request, open its span tree, return the correlation ID."""
-        self.registry.counter(f"requests_{op}").add()
-        return self.spans.begin_request(op, client)
+        """Open a request's root span; returns the minted correlation ID."""
+        rid = self.minter.mint()
+        self._start(rid, "request", self.clock(), {"op": op, "client": str(client)})
+        return rid
+
+    def begin(self, request_id: str, name: str, **meta) -> str | None:
+        """Open a child span; returns its span_id (None for unknown requests)."""
+        if request_id not in self._open:
+            return None
+        return self._start(request_id, name, self.clock(), meta)
+
+    def end(self, request_id: str, span_id: str | None, status: str | None = None,
+            **meta) -> None:
+        """Close one open span (idempotent; unknown IDs are ignored)."""
+        request = self._open.get(request_id)
+        if request is None or span_id not in request.spans:
+            return
+        self._end(request.spans[span_id], self.clock(), status, meta)
+
+    def record(self, request_id: str, name: str, duration_seconds: float) -> None:
+        """Add an already-measured phase (e.g. verify time from the pool)."""
+        request = self._open.get(request_id)
+        if request is None:
+            return
+        now = self.clock()
+        span_id = self._start(request_id, name, now - max(duration_seconds, 0.0), {})
+        self._end(request.spans[span_id], now, None, {})
 
     def finish_request(self, request_id: str | None, kind: str,
-                       reply_seconds: float | None = None) -> dict | None:
-        """Seal one request tree after its reply went out.
+                       reply_seconds: float | None = None) -> None:
+        """Seal one request after its reply went out.
 
-        Records the ``reply`` span (when measured), closes the root,
-        feeds every phase duration into the latency histograms, and
-        settles the request against the latency objective.  Returns the
-        completed tree (None for untracked requests).
+        Records the ``reply`` span (when measured), closes every span
+        still open as ``unfinished``, then ends the root with the reply
+        kind, which settles the request in every view.
         """
-        if request_id is None:
-            return None
-        self.registry.counter(f"replies_{kind}").add()
+        request = self._open.get(request_id)
+        if request is None:
+            return
         if reply_seconds is not None:
-            self.spans.record(request_id, "reply", reply_seconds)
-        tree = self.spans.finish_request(request_id, kind)
-        if tree is None:
-            return None
-        for phase, seconds in tree["phases"].items():
-            self.registry.histogram(f"phase_{phase}_seconds").observe(seconds)
-        duration = tree["duration_seconds"]
-        self.registry.histogram("request_seconds").observe(duration)
-        self.registry.counter("slo_requests").add()
-        if duration <= self.latency_objective:
-            self.registry.counter("slo_within").add()
-        return tree
+            self.record(request_id, "reply", reply_seconds)
+        now = self.clock()
+        for start in list(request.spans.values()):
+            self._end(start, now, "unfinished", {})
+        self._end(request.root, now, kind, {"kind": kind})
+
+    def _start(self, request_id: str, name: str, started: float, meta: dict) -> str:
+        """Emit one span_start; a span of an open request is its root's child."""
+        span_id = f"s{next(self._span_ids):06d}"
+        event = {
+            "type": "span_start",
+            "request_id": request_id,
+            "span_id": span_id,
+            "name": name,
+            "ts_ms": round(started * 1000.0, 3),
+        }
+        if request_id in self._open:
+            event["parent_id"] = self._open[request_id].root["span_id"]
+        for key in _START_FIELDS:
+            if meta.get(key) is not None:
+                event[key] = meta[key]
+        self._out.emit(event)
+        return span_id
+
+    def _end(self, start: dict, ended: float, status: str | None, meta: dict) -> None:
+        ts_ms = round(ended * 1000.0, 3)
+        event = {
+            "type": "span_end",
+            "request_id": start["request_id"],
+            "span_id": start["span_id"],
+            "name": start["name"],
+            "ts_ms": ts_ms,
+            "duration_ms": round(ts_ms - start["ts_ms"], 3),
+        }
+        if status is not None:
+            event["status"] = status
+        merged = {**start, **meta}
+        for key in _END_FIELDS:
+            if merged.get(key) is not None:
+                event[key] = merged[key]
+        self._out.emit(event)
+
+    # ------------------------------------------------------------------
+    # The fold
+    # ------------------------------------------------------------------
+    def emit(self, event: dict) -> None:
+        kind = event["type"]
+        if kind == "span_start":
+            if "parent_id" not in event:
+                self.registry.counter(f"requests_{event['op']}").add()
+                self._open[event["request_id"]] = _OpenRequest(event)
+            elif event["request_id"] in self._open:
+                self._open[event["request_id"]].spans[event["span_id"]] = event
+        elif kind == "span_end":
+            request = self._open.get(event["request_id"])
+            if request is None:
+                return
+            seconds = round(event["duration_ms"] / 1000.0, 6)
+            if event["span_id"] != request.root["span_id"]:
+                request.spans.pop(event["span_id"], None)
+                phase = phase_of(event["name"])
+                request.seconds[phase] = request.seconds.get(phase, 0.0) + seconds
+                return
+            registry = self.registry
+            registry.counter(f"replies_{event.get('kind')}").add()
+            for phase, total in request.seconds.items():
+                registry.histogram(f"phase_{phase}_seconds").observe(round(total, 6))
+            registry.histogram("request_seconds").observe(seconds)
+            registry.counter("slo_requests").add()
+            if seconds <= self.latency_objective:
+                registry.counter("slo_within").add()
+            self.finished += 1
+            del self._open[event["request_id"]]
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    @property
+    def open_count(self) -> int:
+        return len(self._open)
+
+    def open_requests(self, limit: int | None = None) -> list[dict]:
+        """Open requests, oldest (slowest) first — the ``top`` view's feed."""
+        now_ms = self.clock() * 1000.0
+        rows = [
+            {
+                "request_id": rid,
+                "op": request.root["op"],
+                "client": request.root["client"],
+                "age_seconds": round((now_ms - request.root["ts_ms"]) / 1000.0, 6),
+                "open_spans": [start["name"] for start in request.spans.values()],
+            }
+            for rid, request in self._open.items()
+        ]
+        rows.sort(key=lambda row: row["age_seconds"], reverse=True)
+        return rows[:limit] if limit is not None else rows
+
+    def counts(self, prefix: str) -> dict[str, int]:
+        """Counter values under ``prefix``, keyed by the rest of the name."""
+        return {
+            name[len(prefix):]: counter.value
+            for name, counter in sorted(self.registry._counters.items())
+            if name.startswith(prefix)
+        }
+
     def slo(self) -> dict:
         """Objective, totals, and the burn ratio (1.0 = budget all burnt)."""
         total = self.registry.counter("slo_requests").value
@@ -125,9 +269,9 @@ class ServiceOps:
         """The ops slice of the ``stats`` op's payload."""
         return {
             "spans": {
-                "open": self.spans.open_count,
-                "completed": self.spans.finished,
-                "slowest_open": self.spans.open_requests(limit=5),
+                "open": self.open_count,
+                "completed": self.finished,
+                "slowest_open": self.open_requests(limit=5),
             },
             "latency": self.latency(),
             "slo": self.slo(),
@@ -197,21 +341,13 @@ def prometheus_text(service) -> str:
     scrape.header(
         "reprosat_requests_total", "counter", "Requests decoded, by wire op."
     )
-    for name, counter in sorted(ops.registry._counters.items()):
-        if name.startswith("requests_"):
-            scrape.sample(
-                "reprosat_requests_total", counter.value,
-                {"op": name[len("requests_"):]},
-            )
+    for op, count in ops.counts("requests_").items():
+        scrape.sample("reprosat_requests_total", count, {"op": op})
     scrape.header(
         "reprosat_replies_total", "counter", "Replies sent, by protocol kind."
     )
-    for name, counter in sorted(ops.registry._counters.items()):
-        if name.startswith("replies_"):
-            scrape.sample(
-                "reprosat_replies_total", counter.value,
-                {"kind": name[len("replies_"):]},
-            )
+    for kind, count in ops.counts("replies_").items():
+        scrape.sample("reprosat_replies_total", count, {"kind": kind})
 
     scrape.header(
         "reprosat_phase_latency_seconds", "summary",
@@ -257,7 +393,7 @@ def prometheus_text(service) -> str:
     scrape.header(
         "reprosat_requests_open", "gauge", "Requests admitted but not yet replied."
     )
-    scrape.sample("reprosat_requests_open", ops.spans.open_count)
+    scrape.sample("reprosat_requests_open", ops.open_count)
 
     pool = service.pool
     scrape.header("reprosat_pool_size", "gauge", "Worker pool slots.")

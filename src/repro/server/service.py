@@ -102,8 +102,9 @@ class SolverService:
         trace: optional sink for ``server_*`` events, request spans and
             the pool's supervision events (lane = job id).
         ops: injectable :class:`~repro.server.ops.ServiceOps`; None
-            builds a default one (spans and ops metrics are always on —
-            they live in the supervisor, never in solver hot loops).
+            builds a default one emitting its spans to ``trace`` (spans
+            and ops metrics are always on — they live in the
+            supervisor, never in solver hot loops).
         latency_objective: latency SLO in seconds fed to the default
             ``ops`` (ignored when ``ops`` is injected).
     """
@@ -170,9 +171,6 @@ class SolverService:
         self.draining = False
         self._next_job_id = 0
         self._worker_configs: dict[str, SolverConfig] = {}
-        #: Replies by kind, the service's one-line health story.
-        self.replies: dict[str, int] = {}
-        self.requests = 0
         self.started_at = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -185,7 +183,6 @@ class SolverService:
         before this method returns; for pool-bound solves it is sent
         from a later :meth:`tick` when the job completes.
         """
-        self.requests += 1
         rid = self.ops.begin_request(request.op, client_id)
         if self.trace is not None:
             self.trace.emit(
@@ -221,16 +218,16 @@ class SolverService:
 
     def _handle_solve(self, request: Request, client_id, send, rid: str) -> None:
         request_id = request.request_id
-        spans = self.ops.spans
-        span = spans.begin(rid, "validate")
+        ops = self.ops
+        span = ops.begin(rid, "validate")
         if self.draining:
-            spans.end(rid, span, status="draining")
+            ops.end(rid, span, status="draining")
             self._send(send, refusal_reply(request_id, "busy", REASON_DRAINING), rid)
             return
         try:
             worker_config = self._worker_config(request.config)
         except ValueError:
-            spans.end(rid, span, status="error")
+            ops.end(rid, span, status="error")
             self._send(
                 send,
                 error_reply(request_id, f"unknown config {request.config!r}"),
@@ -240,15 +237,15 @@ class SolverService:
         try:
             formula = CnfFormula(request.clauses)
         except ValueError as error:
-            spans.end(rid, span, status="error")
+            ops.end(rid, span, status="error")
             self._send(send, error_reply(request_id, f"bad clauses: {error}"), rid)
             return
-        spans.end(rid, span, status="ok")
+        ops.end(rid, span, status="ok")
 
-        span = spans.begin(rid, "admit")
+        span = ops.begin(rid, "admit")
         refusal = self.admission.try_admit(client_id)
         if refusal is not None:
-            spans.end(rid, span, status="refused")
+            ops.end(rid, span, status="refused")
             self._send(send, refusal_reply(request_id, "busy", refusal), rid)
             return
 
@@ -261,7 +258,7 @@ class SolverService:
         if hit is not None:
             kind, stored = hit
             self.admission.release(client_id)
-            spans.end(rid, span, status="cache-hit")
+            ops.end(rid, span, status="cache-hit")
             self._send(
                 send,
                 result_reply(request_id, stored_to_result(kind, stored), cached=kind),
@@ -271,12 +268,12 @@ class SolverService:
 
         if not self.breaker.allows(fingerprint):
             self.admission.release(client_id)
-            spans.end(rid, span, status="quarantined")
+            ops.end(rid, span, status="quarantined")
             self._send(
                 send, refusal_reply(request_id, "busy", REASON_QUARANTINED), rid
             )
             return
-        spans.end(rid, span, status="ok")
+        ops.end(rid, span, status="ok")
 
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         timeout = min(timeout, self.max_timeout)
@@ -318,7 +315,7 @@ class SolverService:
             },
             trace_context={"request_id": rid},
         )
-        job.meta["queue_span"] = spans.begin(rid, "queue")
+        job.meta["queue_span"] = ops.begin(rid, "queue")
         self.pool.submit(job)
 
     def _worker_config(self, name: str | None) -> SolverConfig:
@@ -339,13 +336,13 @@ class SolverService:
         request_id = job.meta["request_id"]
         rid = job.meta.get("rid")
         send = job.meta["send"]
-        spans = self.ops.spans
+        ops = self.ops
         if rid is not None:
             # A queue span still open means the job never launched
             # (deadline expired in queue, or cancelled by drain).
             queue_span = job.meta.pop("queue_span", None)
             if queue_span is not None:
-                spans.end(rid, queue_span, status=result.limit_reason or "cancelled")
+                ops.end(rid, queue_span, status=result.limit_reason or "cancelled")
             attempt_span = job.meta.pop("attempt_span", None)
             if attempt_span is not None:
                 status = (
@@ -353,14 +350,14 @@ class SolverService:
                     if not result.is_unknown
                     else (result.limit_reason or "unknown")
                 )
-                spans.end(
+                ops.end(
                     rid,
                     attempt_span,
                     status=status,
                     conflicts=int(result.stats.conflicts),
                 )
             if job.verify_seconds is not None:
-                spans.record(rid, "verify", job.verify_seconds)
+                ops.record(rid, "verify", job.verify_seconds)
         # Every non-fault completion resolves the breaker (in particular
         # a half-open trial must never be left dangling); fault endings
         # were already counted at their worker_fault event.
@@ -396,22 +393,22 @@ class SolverService:
     def _on_launch(self, job: Job, attempt: int, resumed_from: int | None) -> None:
         """Close the request's queue span and open its attempt span."""
         rid = job.meta["rid"]
-        spans = self.ops.spans
+        ops = self.ops
         queue_span = job.meta.pop("queue_span", None)
         if queue_span is not None:
-            spans.end(rid, queue_span, status="ok")
-        meta: dict = {"attempt": attempt}
-        if resumed_from:
-            meta["resumed_from_conflicts"] = resumed_from
-        job.meta["attempt_span"] = spans.begin(
-            rid, f"solve-attempt-{attempt}", **meta
+            ops.end(rid, queue_span, status="ok")
+        job.meta["attempt_span"] = ops.begin(
+            rid,
+            f"solve-attempt-{attempt}",
+            attempt=attempt,
+            resumed_from_conflicts=resumed_from or None,
         )
 
     def _on_fault(self, job: Job, reason: str) -> None:
         """Close the attempt span; count infrastructure faults on the breaker."""
         attempt_span = job.meta.pop("attempt_span", None)
         if attempt_span is not None:
-            self.ops.spans.end(job.meta["rid"], attempt_span, status=reason)
+            self.ops.end(job.meta["rid"], attempt_span, status=reason)
         if not any(reason.startswith(prefix) for prefix in _BREAKER_REASONS):
             return
         state = self.breaker.record_failure(job.fingerprint)
@@ -427,7 +424,6 @@ class SolverService:
 
     def _send(self, send, reply: dict, rid: str | None = None) -> None:
         kind = reply.get("kind", "?")
-        self.replies[kind] = self.replies.get(kind, 0) + 1
         if self.trace is not None:
             event = {
                 "type": "server_reply",
@@ -476,8 +472,8 @@ class SolverService:
                 "queued": len(self.pool.pending),
                 "retries": self.pool.retries,
             },
-            "requests": self.requests,
-            "replies": dict(self.replies),
+            "requests": sum(self.ops.counts("requests_").values()),
+            "replies": self.ops.counts("replies_"),
             "admission": self.admission.summary(),
             "breaker": self.breaker.summary(),
             "cache": self.cache.summary(),

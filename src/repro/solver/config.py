@@ -172,10 +172,6 @@ class SolverConfig:
     # it, so disabled tracing costs nothing).  Compared by identity in
     # config equality — sinks are stateful streams, not values.
     trace: object | None = field(default=None, compare=False)
-    # Conflicts between metrics time-series rows; 0 (the default) disables
-    # the MetricsCollector entirely.  Rows are sampled on the existing
-    # on_progress cadence, so effective resolution is >= 128 conflicts.
-    metrics_interval: int = 0
 
     # -- misc --------------------------------------------------------------
     seed: int = 0

@@ -242,11 +242,6 @@ class Solver:
         self.trace = self.config.trace
         self.last_decision_source: str | None = None
         self.last_skin_distance: int | None = None
-        self.metrics = None
-        if self.config.metrics_interval > 0:
-            from repro.observability.metrics import MetricsCollector
-
-            self.metrics = MetricsCollector(self, self.config.metrics_interval)
 
         # Cooperative clause sharing (see repro.parallel.sharing).  The
         # parallel worker attaches a ShareClient here before solve();
@@ -2121,8 +2116,6 @@ class Solver:
                     # whose lifetime total happens to be a multiple of 128
                     # must not fire the hook on its first conflict.
                     if (stats.conflicts - base_conflicts) % 128 == 0:
-                        if self.metrics is not None:
-                            self.metrics.tick(stats)
                         if on_progress is not None:
                             on_progress(stats)
                         if (
@@ -2186,8 +2179,6 @@ class Solver:
                 # run on every loop iteration.
                 decided = stats.decisions - base_decisions
                 if decided and decided % 512 == 0:
-                    if self.metrics is not None:
-                        self.metrics.tick(stats)
                     if on_progress is not None:
                         on_progress(stats)
                     if (
@@ -2286,8 +2277,6 @@ class Solver:
             and self.proof is not None
         ):
             proof = list(self.proof)
-        if self.metrics is not None:
-            self.metrics.finish(self.stats)
         if self.trace is not None:
             event = {
                 "type": "solve_end",

@@ -34,7 +34,8 @@ def test_solve_trace_and_metrics_out_produce_valid_artifacts(tmp_path, capsys):
 
     events = list(read_trace(trace_path))  # read_trace validates every line
     assert events[0]["type"] == "solve_start"
-    assert events[-1]["type"] == "solve_end"
+    # The closing metrics row follows the solve's end on the same stream.
+    assert [event["type"] for event in events[-2:]] == ["solve_end", "solve_progress"]
     kinds = {event["type"] for event in events}
     assert {"decision", "conflict"} <= kinds
 
@@ -43,6 +44,12 @@ def test_solve_trace_and_metrics_out_produce_valid_artifacts(tmp_path, capsys):
     assert len(rows) >= 2  # interval 128 on a ~700-conflict solve
     assert float(rows[-1]["props_per_sec"]) >= 0.0
     assert rows[0]["skin_p50"] != ""
+    assert "type" not in rows[0]
+    # The file and the trace are one view of the same rows.
+    progress = [event for event in events if event["type"] == "solve_progress"]
+    assert [int(row["conflicts"]) for row in rows] == [
+        event["conflicts"] for event in progress
+    ]
 
 
 def test_trace_summary_text_and_json(tmp_path, capsys):
@@ -185,13 +192,13 @@ def test_keyboard_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     assert "repro-sat: interrupted" in capsys.readouterr().err
 
 
-def test_bench_report_header_records_sha_and_metrics_interval(tmp_path, capsys):
+def test_bench_report_header_records_sha_and_schema(tmp_path, capsys):
     out_path = tmp_path / "BENCH.json"
     code = main(["bench", "--scale", "quick", "--repeats", "1",
                  "--no-agreement", "--out", str(out_path)])
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["metrics_interval"] == 0  # timed runs pay no telemetry
+    assert report["schema"] == "bcp-bench/5"
     sha = report["git_sha"]
     assert sha is None or (len(sha) == 40 and set(sha) <= set("0123456789abcdef"))
 

@@ -1,4 +1,4 @@
-"""Metrics instruments, the registry, and the solver-attached collector."""
+"""Metrics instruments, the registry, and the solve-progress collector."""
 
 import csv
 import json
@@ -8,10 +8,12 @@ import pytest
 from repro.generators.pigeonhole import pigeonhole_formula
 from repro.observability import (
     Counter,
-    Gauge,
     Histogram,
+    MetricsCollector,
     MetricsRegistry,
+    RingBufferSink,
     skin_percentile,
+    validate_event,
     write_rows_csv,
     write_rows_jsonl,
 )
@@ -30,13 +32,6 @@ def test_counter_accumulates_and_rejects_negatives():
     assert counter.value == 5
     with pytest.raises(ValueError):
         counter.add(-1)
-
-
-def test_gauge_holds_the_latest_level():
-    gauge = Gauge("learned")
-    gauge.set(10)
-    gauge.set(3)
-    assert gauge.value == 3
 
 
 def test_histogram_is_exact_below_reservoir_capacity():
@@ -99,12 +94,11 @@ def test_registry_creates_on_first_touch_and_snapshots_flat():
     registry = MetricsRegistry()
     registry.counter("conflicts").add(7)
     assert registry.counter("conflicts").value == 7  # same instrument
-    registry.gauge("learned").set(2)
     registry.histogram("depth").observe(5)
-    row = registry.snapshot()
-    assert row["conflicts"] == 7
-    assert row["learned"] == 2
-    assert row["depth_count"] == 1 and row["depth_p50"] == 5
+    assert registry.histogram("depth").observed == 1  # same instrument
+    assert registry.histogram("depth").summary() == {
+        "count": 1, "min": 5, "max": 5, "p50": 5, "p90": 5, "p99": 5,
+    }
 
 
 def test_skin_percentile_walks_the_cumulative_histogram():
@@ -116,21 +110,30 @@ def test_skin_percentile_walks_the_cumulative_histogram():
 
 
 # ----------------------------------------------------------------------
-# The solver-attached collector
+# The solve-progress collector
 # ----------------------------------------------------------------------
+def _metered_solve(formula, every_conflicts):
+    solver = Solver(formula, config_by_name("berkmin"))
+    sink = RingBufferSink()
+    collector = MetricsCollector(solver, sink, every_conflicts=every_conflicts)
+    result = solver.solve(on_progress=collector)
+    collector.finish(result.stats)
+    return solver, result, collector, sink
+
+
 @pytest.fixture(scope="module")
 def metered_solver():
-    config = config_by_name("berkmin", metrics_interval=64)
-    solver = Solver(pigeonhole_formula(6), config)
-    result = solver.solve()
+    solver, result, collector, sink = _metered_solve(pigeonhole_formula(6), 64)
     assert result.status is SolveStatus.UNSAT
-    return solver, result
+    return solver, result, collector, sink
 
 
 def test_collector_appends_periodic_and_closing_rows(metered_solver):
-    solver, result = metered_solver
-    rows = solver.metrics.rows
+    _, result, _, sink = metered_solver
+    rows = sink.events
     assert len(rows) >= 2  # periodic cadence plus the closing row
+    assert all(validate_event(row) is None for row in rows)
+    assert {row["type"] for row in rows} == {"solve_progress"}
     assert rows[-1]["conflicts"] == result.stats.conflicts
     conflicts = [row["conflicts"] for row in rows]
     assert conflicts == sorted(conflicts)
@@ -139,6 +142,10 @@ def test_collector_appends_periodic_and_closing_rows(metered_solver):
         assert row["elapsed_seconds"] >= 0.0
         assert 0.0 <= row["top_clause_fraction"] <= 1.0
         assert row["skin_p50"] is not None
+    # The closing row's skin percentiles are the exact ones of the
+    # solve's own skin-effect histogram.
+    for key, q in (("skin_p50", 0.50), ("skin_p90", 0.90), ("skin_p99", 0.99)):
+        assert rows[-1][key] == skin_percentile(result.stats.skin_effect, q)
     # Rows carry a monotonic stamp so they join against other
     # monotonic-clock telemetry (spans, watchdogs) without wall skew,
     # and the stamps never run backwards.
@@ -148,33 +155,15 @@ def test_collector_appends_periodic_and_closing_rows(metered_solver):
 
 
 def test_collector_finish_is_idempotent(metered_solver):
-    solver, _ = metered_solver
-    count = len(solver.metrics.rows)
-    solver.metrics.finish(solver.stats)
-    assert len(solver.metrics.rows) == count
+    solver, _, collector, sink = metered_solver
+    count = len(sink)
+    collector.finish(solver.stats)
+    assert len(sink) == count
 
 
 def test_trivial_solve_still_produces_a_series():
-    config = config_by_name("berkmin", metrics_interval=512)
-    solver = Solver(pigeonhole_formula(2), config)
-    solver.solve()
-    assert len(solver.metrics.rows) >= 1
-
-
-def test_collector_export_picks_format_by_extension(tmp_path, metered_solver):
-    solver, _ = metered_solver
-    csv_path = tmp_path / "series.csv"
-    jsonl_path = tmp_path / "series.jsonl"
-    solver.metrics.export(csv_path)
-    solver.metrics.export(jsonl_path)
-
-    with open(csv_path, newline="") as handle:
-        parsed = list(csv.DictReader(handle))
-    assert len(parsed) == len(solver.metrics.rows)
-    assert int(parsed[-1]["conflicts"]) == solver.metrics.rows[-1]["conflicts"]
-
-    lines = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
-    assert lines == solver.metrics.rows
+    _, _, _, sink = _metered_solve(pigeonhole_formula(2), 512)
+    assert len(sink) >= 1
 
 
 def test_row_writers_union_columns_and_blank_missing_values(tmp_path):
@@ -191,8 +180,3 @@ def test_row_writers_union_columns_and_blank_missing_values(tmp_path):
     jsonl = tmp_path / "rows.jsonl"
     write_rows_jsonl(jsonl, rows)
     assert [json.loads(line) for line in jsonl.read_text().splitlines()] == rows
-
-
-def test_metrics_interval_zero_attaches_no_collector():
-    solver = Solver(pigeonhole_formula(3), config_by_name("berkmin"))
-    assert solver.metrics is None

@@ -1,4 +1,8 @@
-"""Unit tests for the request-scoped span layer."""
+"""Unit tests for the request-scoped span layer.
+
+The service's :class:`~repro.server.ops.ServiceOps` emits each phase as
+``span_start`` / ``span_end`` events and folds them into its live views.
+"""
 
 import json
 
@@ -6,11 +10,11 @@ from repro.observability import (
     REQUEST_PHASES,
     IdMinter,
     RingBufferSink,
-    SpanTracker,
     chrome_trace_from_events,
     phase_of,
     validate_event,
 )
+from repro.server.ops import ServiceOps
 
 
 class FakeClock:
@@ -28,10 +32,12 @@ class FakeClock:
 
 def make_tracker(trace=None):
     clock = FakeClock()
-    tracker = SpanTracker(
-        trace, minter=IdMinter(token="cafe01"), clock=clock
-    )
+    tracker = ServiceOps(trace, minter=IdMinter(token="cafe01"), clock=clock)
     return tracker, clock
+
+
+def _of_type(sink, kind):
+    return [event for event in sink.events if event["type"] == kind]
 
 
 def test_phase_of_collapses_attempts():
@@ -50,7 +56,8 @@ def test_minter_is_deterministic_with_token_and_unique_without():
 
 
 def test_tracker_builds_a_complete_tree():
-    tracker, clock = make_tracker()
+    sink = RingBufferSink()
+    tracker, clock = make_tracker(sink)
     rid = tracker.begin_request("solve", "client-1")
     assert rid == "req-cafe01-000000"
     assert tracker.open_count == 1
@@ -72,43 +79,52 @@ def test_tracker_builds_a_complete_tree():
     tracker.end(rid, span, status="ok", conflicts=1234)
 
     tracker.record(rid, "verify", 0.020)
-    tree = tracker.finish_request(rid, "result")
+    tracker.finish_request(rid, "result")
 
     assert tracker.open_count == 0
     assert tracker.finished == 1
-    assert tree["request_id"] == rid
-    assert tree["op"] == "solve"
-    assert tree["reply_kind"] == "result"
-    assert tree["complete"] is True
-    assert tree["attempts"] == 1
-    assert tree["duration_seconds"] == 0.615
-    assert tree["phases"]["validate"] == 0.010
-    assert tree["phases"]["admit"] == 0.005
-    assert tree["phases"]["queue"] == 0.100
-    assert tree["phases"]["solve"] == 0.500
-    assert tree["phases"]["verify"] == 0.020
-    names = [span["name"] for span in tree["spans"]]
-    assert names == [
+    starts = _of_type(sink, "span_start")
+    ends = _of_type(sink, "span_end")
+    assert [start["name"] for start in starts] == [
         "request", "validate", "admit", "queue", "solve-attempt-0", "verify",
     ]
-    # Children hang off the root.
-    root_id = tree["spans"][0]["span_id"]
-    assert all(span["parent_id"] == root_id for span in tree["spans"][1:])
+    # Children hang off the root, and every span closed.
+    root = starts[0]
+    assert root["request_id"] == rid and root["op"] == "solve"
+    assert all(start["parent_id"] == root["span_id"] for start in starts[1:])
+    assert sorted(end["span_id"] for end in ends) == sorted(
+        start["span_id"] for start in starts
+    )
+    root_end = ends[-1]
+    assert root_end["name"] == "request" and root_end["kind"] == "result"
+    assert root_end["duration_ms"] == 615.0
+    # The fold fed each phase and the whole request to the histograms.
+    latency = tracker.latency()
+    assert latency["validate"]["p50"] == 0.010
+    assert latency["admit"]["p50"] == 0.005
+    assert latency["queue"]["p50"] == 0.100
+    assert latency["solve"]["p50"] == 0.500
+    assert latency["verify"]["p50"] == 0.020
+    assert latency["request"]["p50"] == 0.615
 
 
 def test_finish_closes_stragglers_as_unfinished():
-    tracker, clock = make_tracker()
+    sink = RingBufferSink()
+    tracker, clock = make_tracker(sink)
     rid = tracker.begin_request("solve", "c")
     tracker.begin(rid, "queue")
     clock.advance(1.0)
-    tree = tracker.finish_request(rid, "deadline")
-    assert tree["complete"] is True  # finish closed it...
-    straggler = tree["spans"][1]
+    tracker.finish_request(rid, "deadline")
+    assert tracker.open_count == 0  # finish closed it...
+    straggler, root = _of_type(sink, "span_end")
+    assert straggler["name"] == "queue"
     assert straggler["status"] == "unfinished"  # ...but said so honestly
+    assert root["kind"] == "deadline"
 
 
 def test_end_is_idempotent_and_ignores_unknown_ids():
-    tracker, clock = make_tracker()
+    sink = RingBufferSink()
+    tracker, clock = make_tracker(sink)
     rid = tracker.begin_request("solve", "c")
     span = tracker.begin(rid, "validate")
     clock.advance(0.010)
@@ -117,12 +133,15 @@ def test_end_is_idempotent_and_ignores_unknown_ids():
     tracker.end(rid, span)  # second end must not stretch the span
     tracker.end(rid, "s999999")  # unknown span id: no-op
     tracker.end("req-nope-000000", span)  # unknown request: no-op
-    tree = tracker.finish_request(rid, "result")
-    assert tree["phases"]["validate"] == 0.010
+    tracker.finish_request(rid, "result")
+    assert tracker.latency()["validate"]["p50"] == 0.010
     # Operations against a sealed request are also no-ops.
+    emitted = len(sink)
     assert tracker.begin(rid, "late") is None
-    assert tracker.record(rid, "late", 0.1) is None
-    assert tracker.finish_request(rid) is None
+    tracker.record(rid, "late", 0.1)
+    tracker.finish_request(rid, "result")
+    assert len(sink) == emitted
+    assert tracker.finished == 1
 
 
 def test_open_requests_reports_oldest_first_with_open_spans():
@@ -137,16 +156,6 @@ def test_open_requests_reports_oldest_first_with_open_spans():
     assert rows[0]["age_seconds"] == 3.0
     assert rows[0]["open_spans"] == ["queue"]
     assert tracker.open_requests(limit=1) == rows[:1]
-
-
-def test_completed_history_is_bounded():
-    tracker, _ = make_tracker()
-    tracker.completed = type(tracker.completed)(maxlen=2)
-    for index in range(5):
-        rid = tracker.begin_request("ping", "c")
-        tracker.finish_request(rid, "pong")
-    assert tracker.finished == 5
-    assert len(tracker.completed) == 2
 
 
 def test_mirrored_events_are_schema_valid():

@@ -190,14 +190,16 @@ def test_summary_surfaces_arena_inprocessing(tmp_path):
 @pytest.fixture()
 def service_trace(tmp_path):
     """A hand-built service trace: one clean request, one incomplete."""
-    from repro.observability import SpanTracker, IdMinter
+    from repro.observability import IdMinter
+    from repro.server.ops import ServiceOps
 
     path = tmp_path / "service.jsonl"
     with JsonlTraceSink(path) as sink:
         sink.emit({"type": "server_request", "client": "c1", "op": "solve",
                    "request_id": "req-aa-000000"})
-        tracker = SpanTracker(sink, minter=IdMinter(token="aa"))
-        rid = tracker.begin_request("solve", "c1", request_id="req-aa-000000")
+        tracker = ServiceOps(sink, minter=IdMinter(token="aa"))
+        rid = tracker.begin_request("solve", "c1")
+        assert rid == "req-aa-000000"
         span = tracker.begin(rid, "validate")
         tracker.end(rid, span, status="ok")
         span = tracker.begin(rid, "solve-attempt-0", attempt=0)

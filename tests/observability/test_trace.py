@@ -193,7 +193,6 @@ def test_conflicts_counter_is_monotone_across_the_trace(hole5_trace):
 def test_trace_disabled_leaves_no_sink_on_the_solver():
     solver = Solver(pigeonhole_formula(3), config_by_name("berkmin"))
     assert solver.trace is None
-    assert solver.metrics is None
     assert solver.solve().status is SolveStatus.UNSAT
 
 

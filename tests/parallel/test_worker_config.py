@@ -21,6 +21,7 @@ import pickle
 import pytest
 
 from repro.cnf.formula import CnfFormula
+from repro.observability import RingBufferSink
 from repro.parallel.worker import strip_for_worker
 from repro.solver.config import (
     VERIFY_FULL,
@@ -32,8 +33,8 @@ from repro.solver.config import (
 
 #: The only fields strip_for_worker may rewrite, and why:
 #: proof_logging (forced on under "full" so the parent can RUP-check),
-#: trace / metrics_interval (sinks stay in the parent).
-_STRIPPABLE = {"proof_logging", "trace", "metrics_interval"}
+#: trace (sinks stay in the parent).
+_STRIPPABLE = {"proof_logging", "trace"}
 
 
 def test_strip_for_worker_touches_only_the_documented_fields():
@@ -45,7 +46,7 @@ def test_strip_for_worker_touches_only_the_documented_fields():
         arena_gc_fraction=0.1,
         glue_keep_max_lbd=4,
         proof_logging=False,
-        metrics_interval=50,
+        trace=RingBufferSink(),
     )
     stripped = strip_for_worker(config, VERIFY_FULL)
     for field in dataclasses.fields(SolverConfig):
@@ -56,7 +57,6 @@ def test_strip_for_worker_touches_only_the_documented_fields():
         )
     assert stripped.proof_logging is True  # forced by the "full" gate
     assert stripped.trace is None
-    assert stripped.metrics_interval == 0
 
 
 def test_strip_for_worker_is_identity_when_nothing_applies():
@@ -132,6 +132,6 @@ def test_strippable_set_matches_strip_for_worker_source():
 
 
 def test_unknown_override_field_is_rejected():
-    config = berkmin_config(metrics_interval=10)
+    config = berkmin_config(seed=10)
     with pytest.raises(TypeError):
         config.with_overrides(not_a_field=1)

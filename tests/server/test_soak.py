@@ -14,10 +14,12 @@ import multiprocessing
 import time
 
 from repro.generators import pigeonhole_formula
+from repro.observability import RingBufferSink
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.retry import RetryPolicy
 from repro.server.admission import AdmissionController
 from repro.server.client import AsyncSolverClient
+from repro.server.ops import ServiceOps
 from repro.server.server import SolverServer
 from repro.server.service import SolverService
 from repro.solver.config import VERIFY_FULL, config_by_name
@@ -56,6 +58,8 @@ HOLE8 = [list(clause) for clause in pigeonhole_formula(8).clauses]
 
 
 def test_soak_500_concurrent_requests_under_worker_killing_faults():
+    spans = RingBufferSink(capacity=65536)
+
     async def scenario():
         service = SolverService(
             pool_size=4,
@@ -65,6 +69,7 @@ def test_soak_500_concurrent_requests_under_worker_killing_faults():
             stall_seconds=1.0,
             admission=AdmissionController(max_queue=64, per_client=64),
             fault_plan=FAULT_PLAN,
+            ops=ServiceOps(spans),
         )
         server = SolverServer(service, port=0)
         await server.start()
@@ -162,19 +167,26 @@ def test_soak_500_concurrent_requests_under_worker_killing_faults():
     # Observability held under fire: every reply is attributable to a
     # *complete* span tree (admission -> reply, every span closed), and
     # no request was left open after its reply went out.
-    spans = service.ops.spans
-    assert spans.open_count == 0, spans.open_requests()
-    trees = list(spans.completed)
-    assert len(trees) == len(replies)
-    assert all(tree["complete"] for tree in trees), [
-        tree["request_id"] for tree in trees if not tree["complete"]
-    ][:5]
-    assert {tree["reply_kind"] for tree in trees} <= {"result", "busy", "deadline"}
-    assert all(tree["op"] == "solve" for tree in trees)
+    assert service.ops.open_count == 0, service.ops.open_requests()
+    assert len(spans) < spans.capacity  # the ring kept every span event
+    starts = [e for e in spans.events if e["type"] == "span_start"]
+    ends = [e for e in spans.events if e["type"] == "span_end"]
+    roots = [e for e in ends if e["name"] == "request"]
+    assert len(roots) == service.ops.finished == len(replies)
+    unclosed = {(e["request_id"], e["span_id"]) for e in starts} - {
+        (e["request_id"], e["span_id"]) for e in ends
+    }
+    assert not unclosed, sorted(unclosed)[:5]
+    assert {root["kind"] for root in roots} <= {"result", "busy", "deadline"}
+    assert {e["op"] for e in starts if e["name"] == "request"} == {"solve"}
     # The faulted victims show up as multi-attempt trees: the retries
     # the pool performed are visible per-request, not just as a counter.
-    retried = [tree for tree in trees if tree["attempts"] >= 2]
-    assert len(retried) >= 3, [tree["attempts"] for tree in trees[:8]]
+    attempts: dict = {}
+    for start in starts:
+        if start["name"].startswith("solve-attempt-"):
+            attempts[start["request_id"]] = attempts.get(start["request_id"], 0) + 1
+    retried = [rid for rid, count in attempts.items() if count >= 2]
+    assert len(retried) >= 3, sorted(attempts.values())[-8:]
     # The scrape survives the same load and reports real percentiles.
     from repro.server.ops import prometheus_text
 
