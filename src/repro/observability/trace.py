@@ -280,9 +280,8 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
     # Request-scoped spans, emitted by the service's ServiceOps (see
     # repro.server.ops): one span_start/span_end pair per phase of one
     # service request, keyed by the correlation ``request_id`` minted at
-    # admission.  ``ts_ms``
-    # is monotonic milliseconds; span_end repeats the name so a pair is
-    # self-describing even when its start was lost.
+    # admission.  ``ts_ms`` is monotonic milliseconds; span_end repeats
+    # the name so a pair is self-describing even when its start was lost.
     "span_start": (
         frozenset({"type", "request_id", "span_id", "name", "ts_ms"}),
         frozenset({"parent_id", "op", "client", "attempt", "resumed_from_conflicts"}),

@@ -51,9 +51,9 @@ def strip_for_worker(config: SolverConfig, verification: str) -> SolverConfig:
     """Prepare one config for the process boundary.
 
     Sinks stay in the parent (workers relay telemetry over the result
-    queue instead of writing through a pickled sink),
-    and a ``full`` verification gate forces proof logging on so the
-    parent can RUP-check the worker's UNSAT answers.  Everything else —
+    queue instead of writing through a pickled sink), and a ``full``
+    verification gate forces proof logging on so the parent can
+    RUP-check the worker's UNSAT answers.  Everything else —
     including the arena/inprocessing knobs — crosses verbatim:
     the copy is a ``dataclasses.replace``, so a field added to
     :class:`SolverConfig` rides along automatically

@@ -86,7 +86,6 @@ class ServiceOps(TraceSink):
         self.clock = clock
         self.registry = MetricsRegistry()
         self.latency_objective = latency_objective
-        self.started_at = time.monotonic()
         #: Requests whose root span ended since construction.
         self.finished = 0
         self._open: dict[str, _OpenRequest] = {}
