@@ -172,10 +172,10 @@ class ServiceOps(TraceSink):
         }
         if status is not None:
             event["status"] = status
-        merged = {**start, **meta}
         for key in _END_FIELDS:
-            if merged.get(key) is not None:
-                event[key] = merged[key]
+            value = meta.get(key, start.get(key))
+            if value is not None:
+                event[key] = value
         self._out.emit(event)
 
     # ------------------------------------------------------------------
