@@ -21,7 +21,7 @@ def main() -> None:
     # 1. The config registry is a public API: name -> one-line summary.
     catalog = repro.available_configs()
     print(f"{len(catalog)} registered configurations:")
-    for name in ("berkmin", "chaff", "berkmin561"):
+    for name in ("berkmin", "chaff", "wide_window"):
         print(f"  {name:12s} {catalog[name]}")
 
     # Typos in overrides fail loudly, naming the nearest valid field.

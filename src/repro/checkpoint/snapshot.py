@@ -320,16 +320,14 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
         solver._install_arena_state(snapshot.arena)
 
     # ---- heuristic memory --------------------------------------------
-    # Slice-assign in place: the order heap (and anything else holding a
-    # reference to these vectors) keeps seeing the live data.
+    # Slice-assign in place: anything holding a reference to these
+    # vectors keeps seeing the live data.
     solver.var_activity[:] = array("d", snapshot.var_activity)
     solver.lit_activity[:] = array("d", snapshot.lit_activity)
     solver.vsids[:] = array("d", snapshot.vsids)
     solver.old_threshold = snapshot.old_threshold
     solver.birth_counter = snapshot.birth_counter
     solver.rng.setstate(_as_rng_state(snapshot.rng_state))
-    if solver.order_heap is not None:
-        solver.order_heap.rebuild(list(solver.order_heap.heap))
 
     # ---- counters -----------------------------------------------------
     stats = _stats_from_payload(snapshot.stats)

@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the answer/lemma cache (every query searches)",
+        help="disable the answer cache (every query searches)",
     )
     session.add_argument(
         "--retain-max-lbd",

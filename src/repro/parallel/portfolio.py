@@ -65,7 +65,6 @@ DEFAULT_GRACE_SECONDS = 1.0
 PORTFOLIO_PRESETS = (
     "berkmin",
     "chaff",
-    "berkmin561",
     "less_sensitivity",
     "limited_keeping",
     "less_mobility",

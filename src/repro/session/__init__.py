@@ -6,7 +6,7 @@ Public surface:
   ``solve(assumptions=...)`` / ``unsat_core()`` over one long-lived
   solver, with glue-filtered learned-clause carry-over between calls
   and RSCK-envelope snapshots (``save()`` / ``load()``);
-* :class:`AnswerCache` — result/lemma memoisation keyed by the
+* :class:`AnswerCache` — result memoisation keyed by the
   order-insensitive canonical formula fingerprint, shareable between
   sessions;
 * :class:`SessionClosedError` — raised by a closed session.

@@ -1,4 +1,4 @@
-"""The session answer/lemma cache — bounded, LRU-evicting.
+"""The session answer cache — bounded, LRU-evicting.
 
 :class:`AnswerCache` memoises solve answers keyed by the
 order-insensitive canonical formula fingerprint
@@ -25,22 +25,16 @@ server shares one instance across every request it ever serves:
 * ``max_entries`` exact entries, evicted least-recently-*used* first
   (a lookup hit refreshes an entry; an entry nobody asks for again
   ages out);
-* ``max_bytes`` of approximate payload (models, cores, proofs, lemmas)
-  — big proofs evict faster than small models;
+* ``max_bytes`` of approximate payload (models, cores, proofs) — big
+  proofs evict faster than small models;
 * ``max_entries`` distinct *formulas*: when a fingerprint ages out,
-  its core/model/lemma side indexes go with it, so the side indexes
+  its core/model side indexes go with it, so the side indexes
   cannot outgrow the exact store.
 
 Every eviction increments :attr:`evictions`;
 :class:`~repro.session.SolverSession` mirrors the hit/evict counters
 into :class:`~repro.solver.stats.SolverStats` (``cache_hits`` /
 ``cache_evictions``) so fleet aggregation sees cache health.
-
-Alongside answers, the cache keeps a bounded per-fingerprint **lemma
-store**: the glue-filtered learned clauses a session retained.  A later
-session starting from the same canonical formula imports them and begins
-with call N's derived knowledge instead of an empty database (skipped
-under proof logging — injected lemmas carry no RUP derivation).
 
 The cache is deliberately process-local and unsynchronised: share one
 instance between sessions in the same process, or give each its own.
@@ -58,7 +52,7 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 #: Rough bytes per stored literal/assignment pair (pointer-heavy
 #: CPython ints; precision is not the point, proportionality is).
 _BYTES_PER_LITERAL = 16
-#: Flat overhead charged per stored entry / proof step / lemma.
+#: Flat overhead charged per stored entry / proof step.
 _ENTRY_OVERHEAD = 96
 
 
@@ -79,12 +73,11 @@ def _entry_bytes(entry: dict) -> int:
 
 
 class AnswerCache:
-    """Result and lemma memoisation shared by one or more sessions.
+    """Result memoisation shared by one or more sessions.
 
     Args:
         max_entries: bound on exact entries *and* on distinct formula
             fingerprints (each evicted LRU-first).
-        max_lemmas: lemmas kept per fingerprint.
         max_bytes: approximate total payload budget (None = unbounded).
     """
 
@@ -92,13 +85,11 @@ class AnswerCache:
         self,
         *,
         max_entries: int = 1024,
-        max_lemmas: int = 256,
         max_bytes: int | None = DEFAULT_MAX_BYTES,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self.max_lemmas = max_lemmas
         self.max_bytes = max_bytes
         #: (fingerprint, sorted assumption tuple) -> stored answer dict,
         #: in LRU order (oldest first).
@@ -107,8 +98,6 @@ class AnswerCache:
         self._cores: dict[str, list[tuple[int, ...]]] = {}
         #: fingerprint -> list of (model dict, verified tag).
         self._models: dict[str, list[tuple[dict[int, bool], str | None]]] = {}
-        #: fingerprint -> list of (dimacs literal tuple, lbd).
-        self._lemmas: dict[str, list[tuple[tuple[int, ...], int]]] = {}
         #: fingerprint -> None, in LRU order (the formula-level LRU).
         self._formulas: OrderedDict[str, None] = OrderedDict()
         self._sizes: dict[tuple[str, tuple[int, ...]], int] = {}
@@ -242,40 +231,9 @@ class AnswerCache:
         """Remove every trace of one fingerprint (side indexes included)."""
         self._cores.pop(fingerprint, None)
         self._models.pop(fingerprint, None)
-        lemmas = self._lemmas.pop(fingerprint, None)
-        if lemmas is not None:
-            self.bytes -= self._lemma_bytes(lemmas)
         for key in [key for key in self._exact if key[0] == fingerprint]:
             del self._exact[key]
             self.bytes -= self._sizes.pop(key, 0)
-
-    @staticmethod
-    def _lemma_bytes(lemmas) -> int:
-        return sum(
-            _ENTRY_OVERHEAD + _BYTES_PER_LITERAL * len(literals)
-            for literals, _lbd in lemmas
-        )
-
-    def store_lemmas(self, fingerprint: str, lemmas) -> None:
-        """Record retained learned clauses as ``(dimacs_literals, lbd)`` pairs.
-
-        Sound because every learned clause is a consequence of the
-        (canonically fingerprinted) clause set it was derived from; a
-        later session on the same fingerprint may attach them directly.
-        """
-        stored = [(tuple(literals), int(lbd)) for literals, lbd in lemmas]
-        stored = stored[-self.max_lemmas :]
-        previous = self._lemmas.get(fingerprint)
-        if previous is not None:
-            self.bytes -= self._lemma_bytes(previous)
-        self._lemmas[fingerprint] = stored
-        self.bytes += self._lemma_bytes(stored)
-        self._touch_formula(fingerprint)
-        self._enforce_bounds()
-
-    def lemmas_for(self, fingerprint: str) -> list[tuple[tuple[int, ...], int]]:
-        """The stored lemmas for a formula (empty list when none)."""
-        return list(self._lemmas.get(fingerprint, ()))
 
     # ------------------------------------------------------------------
     # Introspection

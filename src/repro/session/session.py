@@ -16,7 +16,7 @@ solve:
   over.  LBD 0 means "never measured" and is treated as keep-worthy;
   the topmost and ``protected`` clauses always survive (the paper's
   anti-looping rules);
-* **answer/lemma caching** — queries are fingerprinted with the
+* **answer caching** — queries are fingerprinted with the
   order-insensitive canonical form
   (:func:`repro.checkpoint.snapshot.canonical_fingerprint`) and looked
   up in an :class:`~repro.session.cache.AnswerCache` before any search:
@@ -28,9 +28,7 @@ Retention and deletion stay proof-sound across calls: clause *deletions*
 are always admissible in DRUP, and a clause learned in call N remains
 RUP with respect to the grown formula of call N+1 (adding clauses never
 invalidates a derivation), so ``verification="full"`` keeps working on
-outright-UNSAT answers mid-stream.  Cache lemma *injection* is the one
-exception — an imported lemma carries no derivation — so it is skipped
-automatically when proof logging is active.
+outright-UNSAT answers mid-stream.
 
 Sessions snapshot through the same RSCK checkpoint envelope as solver
 checkpoints (:meth:`SolverSession.save` / :meth:`SolverSession.load`),
@@ -111,8 +109,6 @@ class SolverSession:
                     "config": self.config.name,
                 }
             )
-        if self.cache is not None:
-            self._import_lemmas()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -226,9 +222,6 @@ class SolverSession:
         if self.cache is not None and result.status is not SolveStatus.UNKNOWN:
             evictions_before = self.cache.evictions
             self.cache.store(self.fingerprint, assumptions, result)
-            self.cache.store_lemmas(
-                self.fingerprint, self.solver.iter_learned_lemmas()
-            )
             # Mirror cache pressure into the stats the fleet aggregates.
             stats.cache_evictions += self.cache.evictions - evictions_before
         self.last_result = result
@@ -280,24 +273,6 @@ class SolverSession:
             num_assumptions=len(assumptions),
             verified=stored.get("verified"),
         )
-
-    def _import_lemmas(self) -> int:
-        """Attach cached lemmas for this formula; returns how many stuck.
-
-        Skipped entirely under proof logging: an injected lemma has no
-        RUP derivation, so it would poison the DRUP trace.
-        """
-        solver = self.solver
-        if solver.proof is not None or not solver._pristine:
-            return 0
-        imported = 0
-        for literals, lbd in self.cache.lemmas_for(self.fingerprint):
-            if solver.inject_lemma(literals, lbd):
-                imported += 1
-        if imported:
-            solver.search_cursor = len(solver.learned) - 1
-            solver.stats.retained_clauses += imported
-        return imported
 
     def _emit_solve(self, call: int, result: SolveResult, *, served_by: str) -> None:
         trace = self.solver.trace

@@ -16,7 +16,6 @@ from repro.solver.config import (
     CONFIG_FACTORIES,
     SolverConfig,
     available_configs,
-    berkmin561_config,
     berkmin_config,
     chaff_config,
     config_by_name,
@@ -32,7 +31,6 @@ from repro.solver.config import (
 )
 from repro.solver.enumeration import count_models, enumerate_models
 from repro.solver.graph import ImplicationGraph, ImplicationNode
-from repro.solver.heap import VariableOrderHeap
 from repro.solver.restart import RestartScheduler, luby
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.solver import Solver, SolverInternalError, solve_formula
@@ -54,10 +52,8 @@ __all__ = [
     "SolverConfig",
     "SolverInternalError",
     "SolverStats",
-    "VariableOrderHeap",
     "aggregate_stats",
     "available_configs",
-    "berkmin561_config",
     "berkmin_config",
     "chaff_config",
     "config_by_name",

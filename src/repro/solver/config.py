@@ -90,12 +90,6 @@ class SolverConfig:
     activity_decay_interval: int = 512  # conflicts between agings
     activity_decay_divisor: int = 4
 
-    # How the globally most active free variable is found: "naive" is the
-    # linear scan the paper's experiments used (Remark 1); "heap" is the
-    # BerkMin561 "strategy 3" optimization (an indexed max-heap).  Both
-    # pick identical variables (ties break toward smaller indices).
-    global_selection: str = "naive"
-
     # Remark 2 extension: consider the free variables of up to this many
     # unsatisfied conflict clauses nearest the top of the stack (1 = the
     # paper's behaviour; the paper flags larger windows as future work).
@@ -357,17 +351,6 @@ def wide_window_config(window: int = 4, **overrides) -> SolverConfig:
     )
 
 
-def berkmin561_config(**overrides) -> SolverConfig:
-    """BerkMin with the later "strategy 3" variable selection (Remark 1).
-
-    Identical heuristics to :func:`berkmin_config`; the globally most
-    active free variable is found through an indexed heap instead of the
-    naive linear scan, so decisions are the same but formula-level
-    selection is O(log n).
-    """
-    return SolverConfig(name="berkmin561", global_selection="heap").with_overrides(**overrides)
-
-
 def random_decision_config(**overrides) -> SolverConfig:
     """A sanity-check baseline: random variable, random phase."""
     return SolverConfig(
@@ -389,7 +372,6 @@ CONFIG_FACTORIES = {
     "take_rand": take_rand_config,
     "limited_keeping": limited_keeping_config,
     "chaff": chaff_config,
-    "berkmin561": berkmin561_config,
     "random_decision": random_decision_config,
     "wide_window": wide_window_config,
 }

@@ -63,12 +63,13 @@ def nb_two(solver: "Solver", literal: int) -> int:
     changes the comparison.
     """
     threshold = solver.config.nb_two_threshold
-    binary_count = solver.binary_count
-    total = binary_count[literal]
+    implications = solver.binary_implications
+    partners = implications[literal]
+    total = len(partners)
     if total > threshold:
         return total
-    for other in solver.binary_implications[literal]:
-        total += binary_count[other ^ 1]
+    for other in partners:
+        total += len(implications[other ^ 1])
         if total > threshold:
             return total
     return total

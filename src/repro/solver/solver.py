@@ -100,7 +100,6 @@ from repro.solver.config import (
     SolverConfig,
     berkmin_config,
 )
-from repro.solver.heap import VariableOrderHeap
 from repro.solver.phase import formula_literal
 from repro.solver.restart import RestartScheduler
 from repro.solver.result import SolveResult, SolveStatus
@@ -163,7 +162,6 @@ class Solver:
         # binary_implications[q] lists the partners of q in binary
         # clauses — the occurrence index behind the nb_two phase
         # heuristic (binary records propagate through the chains).
-        self.binary_count: list[int] = [0, 0]
         self.binary_implications: list[list[int]] = [[], []]
 
         self.trail = array("i")  # encoded literals in assignment order
@@ -188,13 +186,6 @@ class Solver:
         self._eliminated: list[tuple[int, list[list[int]]]] = []
         self._eliminated_mark: list[bool] = [False]
         self._frozen: frozenset[int] = frozenset()
-
-        # BerkMin561 "strategy 3": heap-based most-active-variable lookup.
-        self.order_heap: VariableOrderHeap | None = (
-            VariableOrderHeap(self.var_activity)
-            if self.config.global_selection == "heap"
-            else None
-        )
 
         # The compiled kernels (None -> pure-Python fallbacks, identical
         # semantics) and their call scratch: a BCP work queue of
@@ -300,9 +291,7 @@ class Solver:
         first = arena[base]
         second = arena[base + 1]
         if arena[ref] == 2:
-            self.binary_count[first] += 1
             self.binary_implications[first].append(second)
-            self.binary_count[second] += 1
             self.binary_implications[second].append(first)
         head = self.watch_head
         arena[ref + 4] = head[first]
@@ -335,13 +324,10 @@ class Solver:
             self.var_activity.append(0)
             self._seen.append(0)
             self._eliminated_mark.append(False)
-            if self.order_heap is not None:
-                self.order_heap.push(self.num_variables)
             for _ in range(2):
                 self.lit_value.append(UNASSIGNED)
                 self.lit_activity.append(0)
                 self.vsids.append(0)
-                self.binary_count.append(0)
                 self.binary_implications.append([])
                 watch_head.append(-1)
 
@@ -461,8 +447,7 @@ class Solver:
         if self.current_level() <= target_level:
             return
         limit = self.trail_limits[target_level]
-        heap = self.order_heap
-        if self._kernel_backtrack is not None and heap is None:
+        if self._kernel_backtrack is not None:
             self._kernel_backtrack(
                 self.trail.buffer_info()[0],
                 limit,
@@ -482,8 +467,6 @@ class Solver:
                 lit_value[literal] = UNASSIGNED
                 lit_value[literal ^ 1] = UNASSIGNED
                 reasons[variable] = -1
-                if heap is not None:
-                    heap.push(variable)
         del self.trail[limit:]
         del self.trail_limits[target_level:]
         self.qhead = limit
@@ -636,8 +619,7 @@ class Solver:
         configured sensitivity rule (Section 4), ``lit_activity`` on the
         literals of the deduced conflict clause (Section 7), and the
         Chaff literal counters.  The resolution walk runs in the C
-        kernel when one loaded (and no order heap needs per-bump
-        updates), else in :meth:`_analyze_resolve`.
+        kernel when one loaded, else in :meth:`_analyze_resolve`.
         """
         config = self.config
         seen = self._seen
@@ -646,9 +628,8 @@ class Solver:
         current_level = len(self.trail_limits)
         var_activity = self.var_activity
         bump_responsible = config.bump_responsible_clauses
-        heap = self.order_heap
 
-        if self._kernel_analyze is not None and heap is None:
+        if self._kernel_analyze is not None:
             # Kernel path: the resolution walk (and responsible-clause
             # bumps) run in C; marks stay set for _minimize below.
             capacity = self.num_variables + 2
@@ -697,10 +678,7 @@ class Solver:
 
         if not bump_responsible:
             for literal in learnt:
-                bumped = literal >> 1
-                var_activity[bumped] += 1
-                if heap is not None:
-                    heap.update(bumped)
+                var_activity[literal >> 1] += 1
         lit_activity = self.lit_activity
         vsids = self.vsids
         for literal in learnt:
@@ -728,7 +706,6 @@ class Solver:
         clause_act = self.clause_act
         var_activity = self.var_activity
         bump_responsible = self.config.bump_responsible_clauses
-        heap = self.order_heap
 
         learnt = self._learnt_buffer
         learnt.clear()
@@ -751,10 +728,7 @@ class Solver:
             end = base + arena[ref]
             if bump_responsible:
                 for position in range(base, end):
-                    bumped = arena[position] >> 1
-                    var_activity[bumped] += 1
-                    if heap is not None:
-                        heap.update(bumped)
+                    var_activity[arena[position] >> 1] += 1
             for position in range(base, end):
                 literal = arena[position]
                 variable = literal >> 1
@@ -839,9 +813,8 @@ class Solver:
     def _decay_activities(self) -> None:
         """Age all activity counters (Chaff's aging, adopted by BerkMin).
 
-        Mutates in place: the order heap (and any other holder of the
-        vectors) keeps its reference.  Integer division preserves relative
-        order but can create new ties, so the heap is reheapified.
+        Mutates in place, so every holder of the vectors keeps its
+        reference.
         """
         divisor = self.config.activity_decay_divisor
         if divisor <= 1:
@@ -852,8 +825,6 @@ class Solver:
         vsids = self.vsids
         for index in range(len(vsids)):
             vsids[index] //= divisor
-        if self.order_heap is not None:
-            self.order_heap.rebuild(list(self.order_heap.heap))
 
     # ==================================================================
     # Decisions (Sections 5 and 6) and top-clause phases (Section 7)
@@ -1038,20 +1009,11 @@ class Solver:
     def _most_active_free(self) -> int | None:
         """Most active unassigned, non-eliminated variable.
 
-        The paper's experiments used the naive linear scan (Remark 1);
-        with ``global_selection = "heap"`` the indexed heap pops assigned
-        variables lazily (they re-enter on backtracking) and returns the
-        same variable the scan would (ties break toward smaller indices).
+        The naive linear scan of the paper's experiments (Remark 1); ties
+        break toward smaller indices.
         """
-        heap = self.order_heap
         assigns = self.assigns
         eliminated = self._eliminated_mark
-        if heap is not None:
-            while len(heap):
-                variable = heap.pop()
-                if assigns[variable] == UNASSIGNED and not eliminated[variable]:
-                    return variable
-            return None
         activity = self.var_activity
         best_variable = None
         best_score = -1
@@ -1323,7 +1285,6 @@ class Solver:
         """
         size = 2 * (self.num_variables + 1)
         self.watch_head = array("i", [-1]) * size
-        self.binary_count = [0] * size
         self.binary_implications = [[] for _ in range(size)]
         for ref in self.clauses:
             self._attach_ref(ref)
@@ -1546,8 +1507,6 @@ class Solver:
             )
             _, stored = self._eliminated.pop(position)
             self._eliminated_mark[target] = False
-            if self.order_heap is not None:
-                self.order_heap.push(target)
             for clause in stored:
                 # Stored clauses may mention variables eliminated later.
                 for literal in clause:
@@ -1723,7 +1682,6 @@ class Solver:
         self.clauses = []
         self.learned = array("i")
         self.watch_head = array("i", [-1]) * size
-        self.binary_count = [0] * size
         self.binary_implications = [[] for _ in range(size)]
         for literals in payload["active"]:
             ref = self._push_record([int(lit) for lit in literals], learned=False)
@@ -1803,22 +1761,13 @@ class Solver:
         self.stats.retained_clauses += len(kept)
         return (len(kept), dropped)
 
-    def iter_learned_lemmas(self):
-        """Yield ``(dimacs_literal_tuple, lbd)`` for every learned clause."""
-        arena = self.arena
-        for ref in self.learned:
-            yield (
-                tuple(decode_literal(lit) for lit in self._ref_literals(ref)),
-                arena[ref + 1] >> _LBD_SHIFT,
-            )
-
     def inject_lemma(self, dimacs_literals, lbd: int) -> bool:
         """Attach one imported lemma as a learned clause (level 0 only).
 
         Returns False — without attaching — when the lemma is too short,
         mentions unknown or eliminated variables, or touches a level-0
-        assignment.  The caller is responsible for proof-soundness (the
-        session layer skips injection entirely under proof logging).
+        assignment.  The caller is responsible for proof-soundness
+        (:meth:`_import_shared` probes RUP and logs the addition).
         """
         if len(dimacs_literals) < 2:
             return False

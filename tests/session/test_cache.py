@@ -69,15 +69,6 @@ def test_unknown_results_are_never_cached():
     assert cache.lookup(FP, []) is None
 
 
-def test_lemma_store_caps_and_roundtrips():
-    cache = AnswerCache(max_lemmas=3)
-    cache.store_lemmas(FP, [((1, 2), 1), ((2, 3), 2), ((3, 4), 3), ((4, 5), 4)])
-    lemmas = cache.lemmas_for(FP)
-    assert len(lemmas) == 3
-    assert lemmas[-1] == ((4, 5), 4)
-    assert cache.lemmas_for(OTHER_FP) == []
-
-
 def test_exact_entries_are_bounded():
     cache = AnswerCache(max_entries=4)
     for variable in range(1, 10):
@@ -98,21 +89,6 @@ def test_shared_cache_carries_answers_between_sessions():
     assert summary["hits"] == 1
     assert summary["entries"] == 1
     assert summary["formulas"] == 1
-
-
-def test_shared_cache_lemma_import_warm_starts_sessions():
-    from repro.generators import queens_formula
-
-    formula = queens_formula(8)
-    cache = AnswerCache()
-    with SolverSession(formula, cache=cache) as first:
-        first.solve()
-        learned = len(first.solver.learned)
-    assert learned > 0
-    with SolverSession(formula, cache=cache) as warm:
-        # Lemmas import at construction, before any solving.
-        assert len(warm.solver.learned) > 0
-        assert warm.stats.retained_clauses > 0
 
 
 def test_lru_eviction_spares_recently_used_entries():

@@ -109,8 +109,8 @@ def test_reduction_rebuilds_watches_and_binaries():
     solver._reduce_database()
     # [-1, 2, 3] became the binary [2, 3]: the implication arrays the
     # nb_two heuristic scores with must know.
-    assert solver.binary_count[encode_literal(2)] == 1
-    assert solver.binary_count[encode_literal(3)] == 1
+    assert len(solver.binary_implications[encode_literal(2)]) == 1
+    assert len(solver.binary_implications[encode_literal(3)]) == 1
     assert solver.binary_implications[encode_literal(2)] == [encode_literal(3)]
     assert solver.binary_implications[encode_literal(3)] == [encode_literal(2)]
     for ref in solver.clauses:
@@ -187,7 +187,7 @@ def test_forced_binary_deletion_updates_implication_arrays(push_learned):
     push_learned(solver, [7, 8, 9])  # topmost (never removed) shields the binary
     lit5, lit6 = encode_literal(5), encode_literal(6)
     assert solver.binary_implications[lit5] == [lit6]
-    assert solver.binary_count[lit5] == 1
+    assert len(solver.binary_implications[lit5]) == 1
 
     solver._reduce_database()
 
@@ -195,8 +195,8 @@ def test_forced_binary_deletion_updates_implication_arrays(push_learned):
     assert solver.arena[binary + 1] & _DEAD
     assert solver.binary_implications[lit5] == []
     assert solver.binary_implications[lit6] == []
-    assert solver.binary_count[lit5] == 0
-    assert solver.binary_count[lit6] == 0
+    assert len(solver.binary_implications[lit5]) == 0
+    assert len(solver.binary_implications[lit6]) == 0
     chains = _chain(solver, lit5) + _chain(solver, lit6)
     assert not any(node >> 1 == binary for node in chains)
 

@@ -16,10 +16,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 from repro.generators import pigeonhole_formula
 from repro.reliability.verify import verify_result
-from repro.solver.config import berkmin_config
+from repro.solver._kernel import load_arena_kernel
+from repro.solver.config import CONFIG_FACTORIES, berkmin_config, config_by_name
 from repro.solver.result import SolveStatus
 from repro.solver.solver import Solver
 
@@ -127,28 +131,36 @@ def test_inject_lemma_rejects_eliminated_variables():
 
 
 def test_kernel_and_pure_fallback_trajectories_identical():
-    """REPRO_SAT_PURE=1 must not change a single counter.
+    """REPRO_SAT_PURE=1 must not change a single counter, for any preset.
 
     The pure-Python propagate/analyze/backtrack paths are the semantics
     reference for the C kernels; a divergence in conflicts, decisions,
     or propagations means the kernel took a different search path.
-    Run in a subprocess because kernel loading is cached per-process.
+    Every preset runs, so each kernel path is compared: variable bumps
+    from the learned clause only, wider top-clause windows, VSIDS and
+    random decisions.  Run in a subprocess because kernel loading is
+    cached per-process.
     """
     script = r"""
-import json, sys
+import json
 from repro.generators import pigeonhole_formula, planted_ksat
-from repro.solver.config import berkmin_config
+from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
+cases = [("berkmin", pigeonhole_formula(6))]
+for name in sorted(CONFIG_FACTORIES):
+    cases.append((name, pigeonhole_formula(5)))
+    cases.append((name, planted_ksat(40, 160, 3, seed=2)))
 rows = []
-for formula in (pigeonhole_formula(6), planted_ksat(40, 160, 3, seed=2)):
+for name, formula in cases:
     solver = Solver(
         formula,
-        config=berkmin_config(restart_interval=20, inprocess_interval=1, seed=1),
+        config=config_by_name(name, restart_interval=20, inprocess_interval=1, seed=1),
     )
     result = solver.solve()
     rows.append(
         [
+            name,
             result.status.name,
             solver.stats.conflicts,
             solver.stats.decisions,
@@ -173,6 +185,25 @@ print(json.dumps(rows))
     assert outputs["0"] == outputs["1"], (
         f"kernel vs pure fallback diverged:\n{outputs['0']}\n{outputs['1']}"
     )
+
+
+def test_every_preset_runs_the_c_kernels():
+    """No preset may drop conflict analysis or backtracking to Python."""
+    if load_arena_kernel() is None:
+        pytest.skip("the C kernels did not load")
+    for name in sorted(CONFIG_FACTORIES):
+        solver = Solver(pigeonhole_formula(5), config=config_by_name(name))
+        calls = Counter()
+        for attribute in ("_kernel_analyze", "_kernel_backtrack"):
+
+            def counted(*args, _kernel=getattr(solver, attribute), _name=attribute):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            setattr(solver, attribute, counted)
+        assert solver.solve().status is SolveStatus.UNSAT
+        assert calls["_kernel_analyze"] > 0, f"{name} analyzed in Python"
+        assert calls["_kernel_backtrack"] > 0, f"{name} backtracked in Python"
 
 
 def test_arena_session_retention_and_incremental_adds():

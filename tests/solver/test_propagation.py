@@ -90,9 +90,6 @@ def _check_watch_invariants(solver):
         for implied in implied_list
     )
     assert actual_entries == expected_entries
-    # binary_count is the per-literal total of implication entries.
-    for literal in range(len(solver.binary_count)):
-        assert solver.binary_count[literal] == len(solver.binary_implications[literal])
 
 
 def test_watch_invariants_after_solving():
@@ -134,10 +131,10 @@ def test_binary_occurrence_maps_track_attachments():
     solver = Solver(formula)
     # Two binary clauses -> four directed entries.
     positive_one = 2
-    assert solver.binary_count[positive_one] == 1
+    assert len(solver.binary_implications[positive_one]) == 1
     negative_one = 3
-    assert solver.binary_count[negative_one] == 1
-    total_entries = sum(solver.binary_count)
+    assert len(solver.binary_implications[negative_one]) == 1
+    total_entries = sum(len(partners) for partners in solver.binary_implications)
     assert total_entries == 4
 
 

@@ -125,7 +125,7 @@ def test_solver_reuse_across_many_calls():
             break
 
 
-@pytest.mark.parametrize("config_name", ["berkmin", "chaff", "berkmin561"])
+@pytest.mark.parametrize("config_name", ["berkmin", "chaff"])
 def test_generated_families_end_to_end(config_name, tmp_path):
     """generate -> file -> parse -> solve -> expected status, per family."""
     from repro.cli import main
