@@ -22,65 +22,97 @@ class DimacsError(ValueError):
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF ``text`` into a :class:`CnfFormula`."""
+    """Parse DIMACS CNF ``text`` into a :class:`CnfFormula`.
+
+    One pass over the lines sorts out comments, the header and clause
+    lines; the clause lines are then converted with one ``map(int, ...)``
+    and split at the zeros.  An error names the first offending line,
+    in file order.
+    """
     declared_variables: int | None = None
     declared_clauses: int | None = None
     comments: list[str] = []
-    clauses: list[list[int]] = []
-    current: list[int] = []
+    body: list[str] = []  # clause lines
+    body_numbers: list[int] = []  # and their line numbers
     ended = False
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
             continue
-        if line.startswith("c"):
+        head = line[0]
+        if head == "c":
             comments.append(line[1:].strip())
             continue
-        if line.startswith("%"):
+        if head == "%":
             # SATLIB-style end marker; everything after it is ignored.
             ended = True
             continue
         if ended:
             continue
-        if line.startswith("p"):
-            if declared_variables is not None:
-                raise DimacsError(f"line {line_number}: duplicate problem header")
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsError(f"line {line_number}: malformed header {line!r}")
+        if head == "p":
             try:
-                declared_variables = int(fields[2])
-                declared_clauses = int(fields[3])
-            except ValueError as exc:
-                raise DimacsError(f"line {line_number}: non-integer header field") from exc
-            if declared_variables < 0 or declared_clauses < 0:
-                raise DimacsError(f"line {line_number}: negative header field")
+                if declared_variables is not None:
+                    raise DimacsError(f"line {line_number}: duplicate problem header")
+                declared_variables, declared_clauses = _parse_header(line, line_number)
+            except DimacsError:
+                _raise_on_bad_token(body, body_numbers)  # an earlier line's error wins
+                raise
             continue
-        for token in line.split():
-            try:
-                literal = int(token)
-            except ValueError as exc:
-                raise DimacsError(f"line {line_number}: bad token {token!r}") from exc
-            if literal == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(literal)
+        body.append(line)
+        body_numbers.append(line_number)
 
-    if current:
+    try:
+        values = list(map(int, " ".join(body).split()))
+    except ValueError:
+        _raise_on_bad_token(body, body_numbers)
+        raise
+    clauses: list[list[int]] = []
+    start = 0
+    for _ in range(values.count(0)):
+        end = values.index(0, start)
+        clauses.append(values[start:end])
+        start = end + 1
+    if start < len(values):
         # Tolerate a missing final terminator.
-        clauses.append(current)
+        clauses.append(values[start:])
 
     formula = CnfFormula(comment="\n".join(comments))
-    if declared_variables is not None:
-        formula.num_variables = declared_variables
-    for clause in clauses:
-        formula.add_clause(clause)
+    # Every literal is a nonzero int by construction, so the clauses are
+    # stored without CnfFormula.add_clause's per-literal check.
+    formula.clauses = clauses
+    formula.num_variables = max(
+        declared_variables or 0, max(values, default=0), -min(values, default=0)
+    )
     if declared_clauses is not None and declared_clauses != len(clauses):
         # Header mismatches are common in the wild; record rather than fail.
         formula.comment += f"\n(header declared {declared_clauses} clauses, file has {len(clauses)})"
     return formula
+
+
+def _parse_header(line: str, line_number: int) -> tuple[int, int]:
+    """The variable and clause counts of a ``p cnf`` line."""
+    fields = line.split()
+    if len(fields) != 4 or fields[1] != "cnf":
+        raise DimacsError(f"line {line_number}: malformed header {line!r}")
+    try:
+        variables = int(fields[2])
+        clauses = int(fields[3])
+    except ValueError as exc:
+        raise DimacsError(f"line {line_number}: non-integer header field") from exc
+    if variables < 0 or clauses < 0:
+        raise DimacsError(f"line {line_number}: negative header field")
+    return variables, clauses
+
+
+def _raise_on_bad_token(lines: list[str], numbers: list[int]) -> None:
+    """Raise for the first token of ``lines`` that is not an integer."""
+    for line, line_number in zip(lines, numbers):
+        for token in line.split():
+            try:
+                int(token)
+            except ValueError as exc:
+                raise DimacsError(f"line {line_number}: bad token {token!r}") from exc
 
 
 def parse_dimacs_file(path: str | os.PathLike) -> CnfFormula:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from repro.checkpoint.envelope import read_checkpoint_file, write_checkpoint_file
 from repro.checkpoint.snapshot import (
@@ -203,9 +204,7 @@ class SolverSession:
             from repro.reliability.verify import verify_result
 
             result.verified = verify_result(
-                CnfFormula(self.solver._pristine),
-                result,
-                level=self.config.verification,
+                self._pristine_formula(), result, level=self.config.verification
             )
         kept, dropped = self._retain()
         self._emit_solve(call, result, served_by="search")
@@ -226,6 +225,21 @@ class SolverSession:
             stats.cache_evictions += self.cache.evictions - evictions_before
         self.last_result = result
         return result
+
+    def _pristine_formula(self) -> CnfFormula:
+        """Every clause added so far, as the verification gate's formula.
+
+        The clause lists are the copies the solver made as each clause
+        was added, so they are shared rather than copied again, and
+        their literals are not re-checked; ``num_variables`` is the
+        largest variable named, as :class:`CnfFormula` would count it.
+        """
+        pristine = self.solver._pristine
+        formula = CnfFormula.__new__(CnfFormula)
+        formula.__setstate__(
+            (max(map(abs, chain.from_iterable(pristine)), default=0), "", pristine)
+        )
+        return formula
 
     def unsat_core(self) -> list[int] | None:
         """Failed-assumption core of the most recent solve call.

@@ -263,6 +263,190 @@ int32_t arena_analyze(
     return 0;
 }
 
+/* Link both watch slots of one record at the head of their literals'
+ * chains, each blocker seeded with the companion watch (Python's
+ * Solver._attach_ref, minus the binary implication lists).
+ */
+static void attach(int32_t *arena, int32_t *watch_head, int32_t ref)
+{
+    int32_t first = arena[ref + HDR];
+    int32_t second = arena[ref + HDR + 1];
+    arena[ref + 4] = watch_head[first];
+    arena[ref + 5] = second;
+    watch_head[first] = ref << 1;
+    arena[ref + 6] = watch_head[second];
+    arena[ref + 7] = first;
+    watch_head[second] = (ref << 1) | 1;
+}
+
+/* Thread the watches of refs[0 .. count) in order (the rebuild after a
+ * database reduction or an arena GC).  The literal pair of every binary
+ * record goes to `pairs`; returns the number of pairs, which the caller
+ * appends to its binary implication lists.
+ */
+int32_t arena_attach(
+    int32_t *arena,
+    int32_t *watch_head,
+    int32_t *refs,
+    int32_t count,
+    int32_t *pairs)
+{
+    int32_t binaries = 0;
+    for (int32_t index = 0; index < count; index++) {
+        int32_t ref = refs[index];
+        attach(arena, watch_head, ref);
+        if (arena[ref] == 2) {
+            pairs[2 * binaries] = arena[ref + HDR];
+            pairs[2 * binaries + 1] = arena[ref + HDR + 1];
+            binaries++;
+        }
+    }
+    return binaries;
+}
+
+/* Load clauses first .. count-1 of a formula at decision level 0, doing
+ * for each what Solver.add_clause does there: drop a tautology, remove
+ * repeated literals (first occurrence kept), skip a clause a level-0
+ * literal satisfies, strip level-0-false literals, assign a unit, or
+ * write an original record and thread both of its watches.
+ *
+ * `lits` holds the DIMACS literals of every clause back to back, `sizes`
+ * the clause lengths; clause `first` starts at lits[offset].  Records are
+ * written from arena[arena_len], which the caller has sized for the worst
+ * case; activity indices count up from `act_idx`.  `seen` is the
+ * per-variable mark buffer, zero on entry and on return.
+ *
+ * The scan stops at a clause it cannot finish — a literal 0 or a
+ * variable past `num_variables`, or a clause that strips to empty — and
+ * returns that clause's index (count when every clause was loaded); the
+ * caller runs add_clause on it and resumes after it.  Outputs: the refs
+ * of new records in `refs`, the assigned unit literals in `units` (the
+ * trail's continuation), the refs of records shorter than their input
+ * clause in `shortened` (each needs a proof line), the literal pairs of
+ * binary records in `pairs`, and in out[0 .. 5) the new arena length
+ * and the counts of refs, units, shortened refs and pairs; out[5] is the
+ * offset in `lits` of the clause the scan stopped at.
+ */
+int32_t arena_load(
+    int32_t *lits,
+    int32_t *sizes,
+    int32_t first,
+    int32_t count,
+    int32_t offset,
+    int32_t num_variables,
+    int32_t *arena,
+    int32_t arena_len,
+    int32_t act_idx,
+    int32_t *watch_head,
+    int32_t *lit_value,
+    int32_t *assigns,
+    int32_t *levels,
+    int32_t *reasons,
+    int32_t *seen,
+    int32_t *refs,
+    int32_t *units,
+    int32_t *shortened,
+    int32_t *pairs,
+    int32_t *out)
+{
+    int32_t ref_count = 0, unit_count = 0, short_count = 0, pair_count = 0;
+    int32_t clause = first;
+
+    for (; clause < count; clause++) {
+        int32_t size = sizes[clause];
+        int32_t *source = lits + offset;
+        int32_t in_range = 1;
+        for (int32_t index = 0; index < size; index++) {
+            int32_t literal = source[index];
+            if (literal == 0 || literal > num_variables || literal < -num_variables) {
+                in_range = 0;
+                break;
+            }
+        }
+        if (!in_range)
+            break;
+
+        /* Encode into the next record's literal area, deduplicating. */
+        int32_t ref = arena_len;
+        int32_t *body = arena + ref + HDR;
+        int32_t kept = 0;
+        int32_t tautology = 0;
+        for (int32_t index = 0; index < size; index++) {
+            int32_t literal = source[index];
+            int32_t negative = literal < 0;
+            int32_t variable = negative ? -literal : literal;
+            int32_t mark = negative ? 2 : 1;
+            if (seen[variable] == 0) {
+                seen[variable] = mark;
+                body[kept++] = 2 * variable + negative;
+            } else if (seen[variable] != mark) {
+                tautology = 1;
+                break;
+            }
+        }
+        for (int32_t index = 0; index < kept; index++)
+            seen[body[index] >> 1] = 0;
+        if (tautology) {
+            offset += size;
+            continue;
+        }
+
+        /* Reduce against the level-0 assignments. */
+        int32_t remaining = 0;
+        int32_t satisfied = 0;
+        for (int32_t index = 0; index < kept; index++) {
+            int32_t literal = body[index];
+            int32_t value = lit_value[literal];
+            if (value == 1) {
+                satisfied = 1;
+                break;
+            }
+            if (value == -1)
+                body[remaining++] = literal;
+        }
+        if (satisfied) {
+            offset += size;
+            continue;
+        }
+        if (remaining == 0)
+            break; /* refutes the formula: add_clause logs it */
+        if (remaining == 1) {
+            int32_t literal = body[0];
+            int32_t variable = literal >> 1;
+            assigns[variable] = (literal & 1) ^ 1;
+            lit_value[literal] = 1;
+            lit_value[literal ^ 1] = 0;
+            levels[variable] = 0;
+            reasons[variable] = -1;
+            units[unit_count++] = literal;
+            offset += size;
+            continue;
+        }
+        if (remaining < size)
+            shortened[short_count++] = ref;
+        arena[ref] = remaining;
+        arena[ref + 1] = 0;
+        arena[ref + 2] = act_idx++;
+        arena[ref + 3] = 2;
+        attach(arena, watch_head, ref);
+        if (remaining == 2) {
+            pairs[2 * pair_count] = body[0];
+            pairs[2 * pair_count + 1] = body[1];
+            pair_count++;
+        }
+        refs[ref_count++] = ref;
+        arena_len = ref + HDR + remaining;
+        offset += size;
+    }
+    out[0] = arena_len;
+    out[1] = ref_count;
+    out[2] = unit_count;
+    out[3] = short_count;
+    out[4] = pair_count;
+    out[5] = offset;
+    return clause;
+}
+
 /* The BerkMin top-clause scan: the index of the topmost learned record
  * at position <= start whose literals are all non-true, or -1.
  */

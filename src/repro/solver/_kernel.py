@@ -1,10 +1,11 @@
 """Build-on-demand loader for the solver's C kernels.
 
-The engine's propagation, analysis, backtracking and top-clause loops
-have C twins (``_arena_kernel.c``) that run over the very same
-``array('i')`` buffers — same record layout, same watch chains, same
-circular replacement scan — so a solve produces an identical trajectory
-whether or not the kernels are available.  This module compiles it once per
+The engine's propagation, analysis, backtracking, top-clause, formula
+loading and watch-rebuilding loops have C twins (``_arena_kernel.c``)
+that run over the very same ``array('i')`` buffers — same record
+layout, same watch chains, same circular replacement scan — so a solve
+produces an identical trajectory and a load the identical state whether
+or not the kernels are available.  This module compiles it once per
 source revision with the system C compiler into a cached shared object
 and hands back a ``ctypes`` entry point.
 
@@ -36,6 +37,8 @@ class ArenaKernel(NamedTuple):
     top_unsat: object  # BerkMin top-clause scan
     backtrack: object  # bulk assignment undo
     best_var: object  # most active free variable of one record
+    load: object  # bulk formula load at level 0
+    attach: object  # watch threading for a list of refs
 
 #: Cached (once-per-process) load result; ``False`` means "not tried".
 _cached: object = False
@@ -92,7 +95,15 @@ def _build_and_load():
     best_var = handle.arena_best_var
     best_var.argtypes = [pointer, int32, pointer, pointer]
     best_var.restype = int32
-    return ArenaKernel(propagate, analyze, top_unsat, backtrack, best_var)
+    load = handle.arena_load
+    load.argtypes = (
+        [pointer, pointer] + [int32] * 4 + [pointer, int32, int32] + [pointer] * 11
+    )
+    load.restype = int32
+    attach = handle.arena_attach
+    attach.argtypes = [pointer, pointer, pointer, int32, pointer]
+    attach.restype = int32
+    return ArenaKernel(propagate, analyze, top_unsat, backtrack, best_var, load, attach)
 
 
 def load_arena_kernel():

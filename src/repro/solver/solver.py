@@ -86,6 +86,7 @@ import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from repro.cnf.elimination import _resolvents
 from repro.cnf.formula import CnfFormula
@@ -177,6 +178,9 @@ class Solver:
         self.search_cursor = -1  # where the top-clause scan resumes
         self.birth_counter = 0
         self.old_threshold = self.config.old_activity_threshold
+        # Level-0 trail length when _simplify_refs last ran (see
+        # _reduce_database).
+        self._simplified_trail = 0
 
         # Variable-elimination bookkeeping.  ``_eliminated`` stacks
         # ``(variable, original DIMACS clauses)`` in elimination order for
@@ -197,6 +201,8 @@ class Solver:
         self._kernel_top = kernel.top_unsat if kernel else None
         self._kernel_backtrack = kernel.backtrack if kernel else None
         self._kernel_best = kernel.best_var if kernel else None
+        self._kernel_load = kernel.load if kernel else None
+        self._kernel_attach = kernel.attach if kernel else None
         self._kernel_out = array("i", (0, 0))
         self._scratch = array("i")
         self._learnt_out = array("i")
@@ -314,29 +320,132 @@ class Solver:
     # Clause loading
     # ==================================================================
     def ensure_variables(self, count: int) -> None:
-        """Grow all per-variable and per-literal tables to hold ``count`` vars."""
-        watch_head = self.watch_head
-        while self.num_variables < count:
-            self.num_variables += 1
-            self.assigns.append(UNASSIGNED)
-            self.levels.append(0)
-            self.reasons.append(-1)
-            self.var_activity.append(0)
-            self._seen.append(0)
-            self._eliminated_mark.append(False)
-            for _ in range(2):
-                self.lit_value.append(UNASSIGNED)
-                self.lit_activity.append(0)
-                self.vsids.append(0)
-                self.binary_implications.append([])
-                watch_head.append(-1)
+        """Grow all per-variable and per-literal tables to hold ``count`` vars.
+
+        Each table grows in place by one whole-array extension, so every
+        holder of a table keeps its reference.
+        """
+        grow = count - self.num_variables
+        if grow <= 0:
+            return
+        self.num_variables = count
+        unassigned = array("i", [UNASSIGNED])
+        self.assigns += unassigned * grow
+        self.levels += array("i", bytes(4 * grow))
+        self.reasons += array("i", [-1]) * grow
+        self.var_activity += array("d", bytes(8 * grow))
+        self._seen += array("i", bytes(4 * grow))
+        self._eliminated_mark += [False] * grow
+        self.lit_value += unassigned * (2 * grow)
+        self.lit_activity += array("d", bytes(16 * grow))
+        self.vsids += array("d", bytes(16 * grow))
+        self.binary_implications += [[] for _ in range(2 * grow)]
+        self.watch_head += array("i", [-1]) * (2 * grow)
 
     def add_formula(self, formula: CnfFormula) -> bool:
-        """Load every clause of ``formula``; returns False if refuted outright."""
+        """Load every clause of ``formula``; returns False if refuted outright.
+
+        With the C kernels loaded, the clauses go through
+        :meth:`_load_bulk`; whatever it leaves (all of them on the pure
+        path) goes through :meth:`add_clause`.  Both leave the identical
+        state.
+        """
         self.ensure_variables(formula.num_variables)
-        for clause in formula.clauses:
+        clauses = list(formula.clauses)
+        loaded = 0
+        if self._kernel_load is not None and not self._eliminated:
+            loaded = self._load_bulk(clauses)
+        for clause in clauses[loaded:]:
             self.add_clause(clause)
         return self.ok
+
+    def _load_bulk(self, clauses: list[Sequence[int]]) -> int:
+        """Load clauses with the kernel; returns how many were loaded.
+
+        One ``arena_load`` call does :meth:`add_clause`'s level-0 work
+        for a run of clauses in place.  A clause it cannot finish (a
+        literal past the tables, or one that refutes the formula) goes
+        through :meth:`add_clause`, and the kernel resumes after it.
+        Loading stops early, leaving the rest to the caller, once the
+        formula is refuted or when the clauses do not fit int32 buffers.
+        """
+        try:
+            sizes = array("i", map(len, clauses))
+            flat = array("i", chain.from_iterable(clauses))
+        except (TypeError, OverflowError):
+            return 0
+        count = len(sizes)
+        if not count or sum(sizes) != len(flat):  # the kernel reads flat by the sizes
+            return 0
+        if self.current_level() > 0:
+            self._backtrack(0)  # as the first add_clause would
+        refs = array("i", bytes(4 * count))
+        units = array("i", bytes(4 * count))
+        shortened = array("i", bytes(4 * count))
+        pairs = array("i", bytes(8 * count))
+        out = array("i", bytes(24))
+        stats = self.stats
+        start = offset = 0
+        while start < count and self.ok:
+            arena = self.arena
+            used = len(arena)
+            # Room for the worst case: every clause a record, no literal
+            # dropped.  The tail is cut back to what was written.
+            arena.frombytes(bytes(4 * (_HDR * (count - start) + len(flat) - offset)))
+            stop = self._kernel_load(
+                flat.buffer_info()[0],
+                sizes.buffer_info()[0],
+                start,
+                count,
+                offset,
+                self.num_variables,
+                arena.buffer_info()[0],
+                used,
+                len(self.clause_act),
+                self.watch_head.buffer_info()[0],
+                self.lit_value.buffer_info()[0],
+                self.assigns.buffer_info()[0],
+                self.levels.buffer_info()[0],
+                self.reasons.buffer_info()[0],
+                self._seen.buffer_info()[0],
+                refs.buffer_info()[0],
+                units.buffer_info()[0],
+                shortened.buffer_info()[0],
+                pairs.buffer_info()[0],
+                out.buffer_info()[0],
+            )
+            arena_len, records, unit_count, short_count, pair_count, offset = out
+            del arena[arena_len:]
+            stats.initial_clauses += stop - start
+            self._pristine.extend(map(list, clauses[start:stop]))
+            if records:
+                self.clause_act.frombytes(bytes(8 * records))
+                self.clause_birth += [0] * records
+                self.clauses += refs[:records].tolist()
+                stats.peak_clauses = max(
+                    stats.peak_clauses, len(self.clauses) + len(self.learned)
+                )
+            self.trail.extend(units[:unit_count])
+            if self.proof is not None:
+                # A repeated literal or level-0 stripping shortened these
+                # records; see add_clause.
+                for ref in shortened[:short_count]:
+                    self.log_proof_add(self._ref_literals(ref))
+            self._add_binaries(pairs, pair_count)
+            start = stop
+            if stop < count:
+                self.add_clause(clauses[stop])
+                start += 1
+                offset += sizes[stop]
+        return start
+
+    def _add_binaries(self, pairs: array, count: int) -> None:
+        """Append ``count`` binary literal pairs to the implication lists."""
+        implications = self.binary_implications
+        end = 2 * count
+        for first, second in zip(pairs[0:end:2], pairs[1:end:2]):
+            implications[first].append(second)
+            implications[second].append(first)
 
     def add_clause(self, dimacs_literals: Iterable[int]) -> bool:
         """Add one clause given as signed DIMACS literals.
@@ -1133,8 +1242,14 @@ class Solver:
         # the clauses themselves are satisfied and about to be removed.
         for literal in self.trail:
             self.reasons[literal >> 1] = -1
-        self.clauses = self._simplify_refs(self.clauses)
-        self.learned = array("i", self._simplify_refs(kept))
+        if len(self.trail) != self._simplified_trail:
+            # MiniSat's simpDB_assigns rule: with no level-0 assignment
+            # since the last pass, every record is already free of
+            # level-0 literals and the pass would change nothing.
+            self.clauses = self._simplify_refs(self.clauses)
+            kept = self._simplify_refs(kept)
+            self._simplified_trail = len(self.trail)
+        self.learned = array("i", kept)
         self._rebuild_from_refs()
         self.search_cursor = len(self.learned) - 1
 
@@ -1281,15 +1396,30 @@ class Solver:
         Rebuilding (rather than patching) keeps the binary indexes exact
         under any deletion policy: a dropped learned binary, or a longer
         clause strengthened to binary by level-0 stripping, ends up with
-        exactly the entries :meth:`_attach_ref` gives it.
+        exactly the entries :meth:`_attach_ref` gives it.  With the C
+        kernels loaded, ``arena_attach`` threads the watches (originals
+        first, then learned, as below) and only the binary appends run
+        here.
         """
         size = 2 * (self.num_variables + 1)
         self.watch_head = array("i", [-1]) * size
         self.binary_implications = [[] for _ in range(size)]
-        for ref in self.clauses:
-            self._attach_ref(ref)
-        for ref in self.learned:
-            self._attach_ref(ref)
+        if self._kernel_attach is None:
+            for ref in self.clauses:
+                self._attach_ref(ref)
+            for ref in self.learned:
+                self._attach_ref(ref)
+            return
+        pairs = array("i", bytes(8 * max(len(self.clauses), len(self.learned))))
+        for refs in (array("i", self.clauses), self.learned):
+            count = self._kernel_attach(
+                self.arena.buffer_info()[0],
+                self.watch_head.buffer_info()[0],
+                refs.buffer_info()[0],
+                len(refs),
+                pairs.buffer_info()[0],
+            )
+            self._add_binaries(pairs, count)
 
     def _maybe_collect(self) -> int:
         """Compact the arena when at least ``arena_gc_fraction`` is dead."""
@@ -1761,46 +1891,23 @@ class Solver:
         self.stats.retained_clauses += len(kept)
         return (len(kept), dropped)
 
-    def inject_lemma(self, dimacs_literals, lbd: int) -> bool:
-        """Attach one imported lemma as a learned clause (level 0 only).
-
-        Returns False — without attaching — when the lemma is too short,
-        mentions unknown or eliminated variables, or touches a level-0
-        assignment.  The caller is responsible for proof-soundness
-        (:meth:`_import_shared` probes RUP and logs the addition).
-        """
-        if len(dimacs_literals) < 2:
-            return False
-        encoded = []
-        for literal in dimacs_literals:
-            variable = abs(literal)
-            if variable > self.num_variables or self._eliminated_mark[variable]:
-                return False
-            code = encode_literal(literal)
-            if self.lit_value[code] != UNASSIGNED:
-                # Touching a level-0 assignment: the clause is already
-                # satisfied or would need strengthening — not worth it.
-                return False
-            encoded.append(code)
-        ref = self._push_record(encoded, learned=True, lbd=lbd)
-        self.learned.append(ref)
-        self._attach_ref(ref)
-        return True
-
     # ==================================================================
     # Shared-clause import gate (see repro.parallel.sharing)
     # ==================================================================
     def _lemma_defect(self, dimacs_literals) -> tuple[str, str] | None:
         """Why an imported clause cannot attach here, or None when it can.
 
-        Returns ``(reason, severity)`` mirroring :meth:`inject_lemma`'s
-        rejections (units are additionally accepted — an imported level-0
-        fact is the most valuable share of all).  Severity "hard" marks
-        defects an honest exporter on the same formula can never produce
-        (Byzantine evidence); "benign" marks importer-local conditions —
-        a level-0 assignment this lane has already made, or a variable
-        this lane's NiVER pass eliminated (the exporter's inprocessing
-        ran on a different schedule) — that say nothing about the sender.
+        Returns ``(reason, severity)`` for an empty clause, a variable
+        past the tables, an eliminated variable or a literal assigned at
+        level 0.  A clause that passes (and the RUP probe) is attached
+        as it stands by :meth:`_import_shared`; units are accepted too —
+        an imported level-0 fact is the most valuable share of all.
+        Severity "hard" marks defects an honest exporter on the same
+        formula can never produce (Byzantine evidence); "benign" marks
+        importer-local conditions — a level-0 assignment this lane has
+        already made, or a variable this lane's NiVER pass eliminated
+        (the exporter's inprocessing ran on a different schedule) — that
+        say nothing about the sender.
         """
         if not dimacs_literals:
             return ("short-clause", "hard")
@@ -1908,10 +2015,12 @@ class Solver:
                     self.ok = False
                     self.log_proof_add([])
                 continue
-            if self.inject_lemma(list(literals), max(lbd, 1)):
-                self.log_proof_add(encoded)
-                stats.shared_imported += 1
-                attached += 1
+            ref = self._push_record(encoded, learned=True, lbd=max(lbd, 1))
+            self.learned.append(ref)
+            self._attach_ref(ref)
+            self.log_proof_add(encoded)
+            stats.shared_imported += 1
+            attached += 1
         return attached
 
     # ==================================================================

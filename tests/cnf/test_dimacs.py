@@ -53,23 +53,52 @@ def test_parse_clause_count_mismatch_recorded():
     assert "declared 5" in formula.comment
 
 
+def _error(text: str) -> str:
+    with pytest.raises(DimacsError) as caught:
+        parse_dimacs(text)
+    return str(caught.value)
+
+
 def test_parse_rejects_bad_header():
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf 2\n1 0\n")
-    with pytest.raises(DimacsError):
-        parse_dimacs("p dnf 2 1\n1 0\n")
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf -1 1\n1 0\n")
+    assert _error("p cnf 2\n1 0\n") == "line 1: malformed header 'p cnf 2'"
+    assert _error("c x\np dnf 2 1\n1 0\n") == "line 2: malformed header 'p dnf 2 1'"
+    assert _error("p cnf -1 1\n1 0\n") == "line 1: negative header field"
+    assert _error("\np cnf two 1\n1 0\n") == "line 2: non-integer header field"
 
 
 def test_parse_rejects_duplicate_header():
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
+    assert _error("p cnf 1 1\np cnf 1 1\n1 0\n") == "line 2: duplicate problem header"
 
 
 def test_parse_rejects_garbage_token():
-    with pytest.raises(DimacsError):
-        parse_dimacs("p cnf 1 1\n1 x 0\n")
+    assert _error("p cnf 1 1\n1 x 0\n") == "line 2: bad token 'x'"
+    assert _error("p cnf 2 2\n1 0\n\n2 -1.5 0\n") == "line 4: bad token '-1.5'"
+
+
+def test_parse_reports_the_first_error_in_file_order():
+    # A bad token before a bad header is reported first, and vice versa.
+    assert _error("p cnf 2 1\n1 y 0\np cnf 2 1\n") == "line 2: bad token 'y'"
+    assert _error("p cnf 2 1\n1 0\np cnf 2 1\n2 y 0\n") == (
+        "line 3: duplicate problem header"
+    )
+
+
+def test_parse_lone_zero_is_the_empty_clause():
+    formula = parse_dimacs("p cnf 2 2\n1 2 0\n0\n")
+    assert formula.clauses == [[1, 2], []]
+    assert formula.num_variables == 2
+
+
+def test_parse_header_may_declare_unused_variables():
+    formula = parse_dimacs("p cnf 9 1\n1 -2 0\n")
+    assert formula.num_variables == 9
+    assert formula.clauses == [[1, -2]]
+
+
+def test_parse_comment_after_percent_is_kept():
+    formula = parse_dimacs("p cnf 2 1\n1 2 0\n%\nc trailer\n0\n")
+    assert formula.clauses == [[1, 2]]
+    assert formula.comment == "trailer"
 
 
 def test_write_contains_header_and_comments():

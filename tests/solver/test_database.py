@@ -223,3 +223,75 @@ def test_solves_correctly_after_forced_binary_deletions(monkeypatch):
     result = Solver(pigeonhole_formula(4), config=config).solve()
     assert result.is_unsat
     assert deleted_binaries["count"] > 0, "no binary clause was ever deleted"
+
+
+def test_skipped_level0_simplification_would_have_changed_nothing():
+    """A reduction reached with no new level-0 assignment since the last
+    ``_simplify_refs`` pass skips the pass (MiniSat's ``simpDB_assigns``
+    rule).  On every skipped reduction the pass is run anyway and must
+    find nothing to delete or strip; a solve that never skips must take
+    the same path and log the same proof."""
+    from collections import Counter
+
+    from repro.experiments.suites import paper_suite
+    from repro.solver.config import config_by_name
+
+    members = {
+        instance.name: instance
+        for benchmark in paper_suite("default")
+        for instance in benchmark.instances
+    }
+    counts = Counter()
+    for name in ("hole6", "pipe_w4s2", "adder_miter10"):
+        formula = members[name].build()
+        for preset in ("berkmin", "chaff", "limited_keeping"):
+            runs = []
+            for skip in (True, False):
+                config = config_by_name(preset, proof_logging=True, restart_interval=15)
+                solver = Solver(formula, config=config)
+                reduce = solver._reduce_database
+                simplify = solver._simplify_refs
+                passes = Counter()
+
+                def counted(refs, simplify=simplify, passes=passes):
+                    passes["run"] += 1
+                    return simplify(refs)
+
+                def checked(solver=solver, reduce=reduce, simplify=simplify,
+                            passes=passes, skip=skip):
+                    if not skip:
+                        solver._simplified_trail = -1  # force the pass
+                    skipping = len(solver.trail) == solver._simplified_trail
+                    before = passes["run"]
+                    reduce()
+                    # Both calls (originals, then learned) or neither.
+                    assert passes["run"] == before + (0 if skipping else 2)
+                    counts["skipped" if skipping else "simplified"] += 1
+                    if not skipping:
+                        return
+                    arena = solver.arena.tolist()
+                    proof_steps = len(solver.proof)
+                    dead = solver.arena_dead
+                    assert simplify(list(solver.clauses)) == solver.clauses
+                    learned = solver.learned.tolist()
+                    assert simplify(learned) == learned
+                    assert solver.arena.tolist() == arena
+                    assert len(solver.proof) == proof_steps
+                    assert solver.arena_dead == dead
+
+                solver._simplify_refs = counted
+                solver._reduce_database = checked
+                result = solver.solve()
+                runs.append(
+                    (
+                        result.status,
+                        solver.stats.conflicts,
+                        solver.stats.decisions,
+                        solver.stats.propagations,
+                        solver.stats.db_reductions,
+                        solver.proof,
+                    )
+                )
+            assert runs[0] == runs[1], (name, preset)
+            assert runs[0][0].name == "UNSAT"
+    assert counts["skipped"] > 0 and counts["simplified"] > 0

@@ -14,12 +14,14 @@ pure-Python fallbacks must agree bit-for-bit on whole trajectories —
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+from repro.cnf.formula import CnfFormula
 from repro.generators import pigeonhole_formula
 from repro.reliability.verify import verify_result
 from repro.solver._kernel import load_arena_kernel
@@ -122,12 +124,28 @@ def test_snapshot_without_arena_payload_resumes_over_pristine_formula(tmp_path):
 
 
 def test_inject_lemma_rejects_eliminated_variables():
+    """The shared-clause import gate turns away a lemma that names a
+    variable this solver eliminated; nothing re-checks it after."""
     formula = pigeonhole_formula(6)
     solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
     solver.solve(max_conflicts=2000)
     assert solver._eliminated, "test premise: elimination must have fired"
     variable = solver._eliminated[0][0]
-    assert solver.inject_lemma([variable, -(variable % formula.num_variables + 1)], 2) is False
+    lemma = [variable, -(variable % formula.num_variables + 1)]
+    assert solver._lemma_defect(lemma) == ("eliminated-variable", "benign")
+
+
+def test_add_formula_after_elimination_restores_touched_variables():
+    """A bulk load onto a solver that has eliminated variables must
+    restore every variable a new clause names, as add_clause does."""
+    formula = pigeonhole_formula(6)
+    solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
+    solver.solve(max_conflicts=200)
+    assert solver.ok and solver._eliminated, "test premise: open, with eliminations"
+    variable = solver._eliminated[-1][0]
+    solver.add_formula(CnfFormula([[variable]]))
+    assert not solver._eliminated_mark[variable]
+    assert solver.solve().status is SolveStatus.UNSAT
 
 
 def test_kernel_and_pure_fallback_trajectories_identical():
@@ -187,21 +205,124 @@ print(json.dumps(rows))
     )
 
 
+def _random_load_formula(rng: random.Random) -> CnfFormula:
+    """A small formula full of what loading must clean up.
+
+    Repeated literals, tautologies, units (conflicting ones too), empty
+    clauses, and — because the clause list is assigned directly —
+    variables past the declared ``num_variables``.
+    """
+    declared = rng.randint(1, 8)
+    clauses = []
+    for _ in range(rng.randint(0, 24)):
+        size = rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 4, 5))
+        if size == 0 and rng.random() < 0.7:
+            size = 2  # keep most formulas alive past their first clauses
+        clauses.append(
+            [rng.choice((1, -1)) * rng.randint(1, declared + 2) for _ in range(size)]
+        )
+    formula = CnfFormula(num_variables=declared)
+    formula.clauses = clauses
+    return formula
+
+
+def _loaded_state(solver: Solver) -> dict:
+    stats = {
+        key: value
+        for key, value in vars(solver.stats).items()
+        if not key.endswith("_seconds")
+    }
+    return {
+        "arena": solver.arena.tolist(),
+        "watch_head": solver.watch_head.tolist(),
+        "binary_implications": solver.binary_implications,
+        "trail": solver.trail.tolist(),
+        "lit_value": solver.lit_value.tolist(),
+        "assigns": solver.assigns.tolist(),
+        "levels": solver.levels.tolist(),
+        "reasons": solver.reasons.tolist(),
+        "seen": solver._seen.tolist(),
+        "clause_act": solver.clause_act.tolist(),
+        "clause_birth": solver.clause_birth,
+        "clauses": solver.clauses,
+        "learned": solver.learned.tolist(),
+        "proof": solver.proof,
+        "pristine": solver._pristine,
+        "num_variables": solver.num_variables,
+        "ok": solver.ok,
+        "stats": stats,
+    }
+
+
+def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
+    """Loading through ``arena_load``, under ``REPRO_SAT_PURE=1`` and one
+    ``add_clause`` at a time must leave the same solver, bit for bit.
+
+    Every default-suite member (two reshuffles each) and a few hundred
+    random small formulas, with proof logging on and off; the solves
+    that follow must match too (suite members under a conflict budget).
+    """
+    from repro.cnf.shuffle import shuffle_formula
+    from repro.experiments.suites import paper_suite
+
+    rng = random.Random(21)
+    cases = [
+        (shuffle_formula(instance.build(), seed), 60)
+        for benchmark in paper_suite("default")
+        for instance in benchmark.instances
+        for seed in (1, 2)
+    ]
+    cases += [(_random_load_formula(rng), None) for _ in range(300)]
+
+    def load(formula, way, proof_logging):
+        config = berkmin_config(proof_logging=proof_logging, seed=3)
+        with monkeypatch.context() as patch:
+            if way == "pure":
+                patch.setenv("REPRO_SAT_PURE", "1")
+            solver = Solver(config=config)
+        if way == "clause":
+            solver.ensure_variables(formula.num_variables)
+            for clause in formula.clauses:
+                solver.add_clause(clause)
+        else:
+            solver.add_formula(formula)
+        return solver
+
+    kernel_loads = 0
+    for formula, budget in cases:
+        for proof_logging in (False, True):
+            solvers = [
+                load(formula, way, proof_logging) for way in ("kernel", "pure", "clause")
+            ]
+            kernel_loads += solvers[0]._kernel_load is not None
+            states = [_loaded_state(solver) for solver in solvers]
+            assert states[0] == states[1] == states[2], formula.clauses[:8]
+            results = [solver.solve(max_conflicts=budget) for solver in solvers]
+            assert len({result.status for result in results}) == 1
+            states = [_loaded_state(solver) for solver in solvers]
+            assert states[0] == states[1] == states[2], formula.clauses[:8]
+    if load_arena_kernel() is not None:
+        assert kernel_loads == 2 * len(cases)
+
+
 def test_every_preset_runs_the_c_kernels():
-    """No preset may drop conflict analysis or backtracking to Python."""
+    """No preset may drop loading, conflict analysis or backtracking to
+    Python."""
     if load_arena_kernel() is None:
         pytest.skip("the C kernels did not load")
     for name in sorted(CONFIG_FACTORIES):
-        solver = Solver(pigeonhole_formula(5), config=config_by_name(name))
+        solver = Solver(config=config_by_name(name))
         calls = Counter()
-        for attribute in ("_kernel_analyze", "_kernel_backtrack"):
+        for attribute in ("_kernel_load", "_kernel_analyze", "_kernel_backtrack"):
 
             def counted(*args, _kernel=getattr(solver, attribute), _name=attribute):
                 calls[_name] += 1
                 return _kernel(*args)
 
             setattr(solver, attribute, counted)
+        solver.add_formula(pigeonhole_formula(5))
         assert solver.solve().status is SolveStatus.UNSAT
+        assert calls["_kernel_load"] > 0, f"{name} loaded in Python"
         assert calls["_kernel_analyze"] > 0, f"{name} analyzed in Python"
         assert calls["_kernel_backtrack"] > 0, f"{name} backtracked in Python"
 
