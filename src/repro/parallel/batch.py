@@ -166,7 +166,7 @@ def solve_batch(
             :meth:`Solver.solve` call (``max_clauses`` is the in-solver
             memory guard).
         timeout: hard per-instance wall-clock limit enforced by the
-            parent (``terminate``), spanning *all* attempts of that
+            parent (a kill), spanning *all* attempts of that
             instance.  Defaults to ``max_seconds + grace_seconds`` when
             ``max_seconds`` is set, else unlimited.  This is the safety
             net for hung workers; the cooperative ``max_seconds`` budget
@@ -185,7 +185,7 @@ def solve_batch(
             workers so UNSAT proofs come back checkable.
         stall_seconds: watchdog window — a worker making no
             ``on_progress`` heartbeat for this long is treated as wedged
-            (terminated, then retried under the policy).  None disables
+            (killed, then retried under the policy).  None disables
             the watchdog.
         max_memory_mb: per-worker ``RLIMIT_AS`` ceiling; an over-budget
             solve degrades to ``UNKNOWN ("memory budget")``.

@@ -96,7 +96,7 @@ def solve_group_in_worker(
     steps,
     config,
     limits,
-    cancel_event,
+    stop,
     results,
     heartbeat=None,
     attempt: int = 0,
@@ -109,12 +109,13 @@ def solve_group_in_worker(
     Posts ``(tag, [SolveResult, ...])`` — one result per step — or
     ``(tag, None)`` when the session raised.  The positional layout is
     :func:`repro.parallel.worker.solve_in_worker`'s, so the pool
-    launches both kinds alike; ``cancel_event`` and the trailing
-    solve-only arguments (memory ceiling, checkpoint, telemetry,
-    sharing, stop event, trace context) are accepted and unused.  Fault
+    launches both kinds alike; ``stop`` and the trailing solve-only
+    arguments (checkpoint, telemetry, sharing, trace context) are
+    accepted and unused.  Fault
     semantics mirror the solve kind's: entry faults fire before the
     session is built, ``corrupt`` swaps the last step's answer for a
-    verifiable lie, ``stall`` computes everything and then goes silent.
+    verifiable lie, ``stall`` computes everything, goes silent, and
+    dies without posting.
     ``heartbeat`` (the pool's shared monotonic timestamp) is stamped at
     the solver's progress cadence and between steps for the parent's
     stall watchdog.
@@ -155,7 +156,7 @@ def solve_group_in_worker(
                 outcomes[-1] = corrupt_result(outcomes[-1], accumulated)
             elif fault.mode == FAULT_STALL:
                 time.sleep(fault.seconds)
-                return
+                raise SystemExit(0)  # die without posting
         results.put((tag, outcomes))
     except Exception:
         results.put((tag, None))

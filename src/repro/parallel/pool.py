@@ -6,8 +6,8 @@ submits one job per instance, :class:`~repro.parallel.PortfolioSolver`
 one job per lane, :func:`~repro.parallel.solve_grouped` one job per
 group, and the solver service one job per request.  A job can be
 submitted at any time; the pool launches each job's attempts into one
-of ``size`` slots as a fresh worker process, watches heartbeats and
-deadlines, relaunches failed attempts under a
+of ``size`` slots, each a persistent worker process, watches heartbeats
+and deadlines, relaunches failed attempts under a
 :class:`~repro.reliability.RetryPolicy` (warm-resuming from checkpoints
 when a checkpoint path is attached), checks answers in the parent, and
 finalizes every job with exactly one result — never an exception,
@@ -20,15 +20,28 @@ through the trusted-results gate; a kind may bring its own entry and
 check (a grouped session posts one result per step and is checked step
 by step).
 
-Worker recycling is by construction: every attempt runs in a fresh
-process, so a crashed, wedged, or memory-leaking worker dies with its
-attempt and can never poison the next job.  The health checks:
+Workers persist across attempts.  A slot is one live worker process
+plus everything that process can only inherit: its job pipe, its own
+result queue, its heartbeat, its stop event and its clause-bus import
+queue.  A slot is spawned at the first launch that finds no idle one,
+and a launch is one message on its job pipe
+(:class:`~repro.parallel.worker.Launch`).  The process survives an
+attempt only when the parent accepted its payload or the attempt ended
+in a cooperative UNKNOWN (a budget, an interrupt, a preemption yield).
+Every other ending retires it — a crash, a stall or a deadline kill,
+:meth:`JobPool.fail`, a rejected or ``None`` payload, a ``"memory
+budget"`` answer, a preemption past its grace — and the next launch
+gets a fresh process, so a job that leaves its worker in a bad state
+can never poison the next job.  A process that has posted is retired by
+closing its pipe (it exits at EOF), one that has not is killed; either
+way its channels go with it, so a process killed while holding a lock
+of one of them can only have damaged its own slot.  The health checks:
 
-* **liveness** — a dead process with an empty pipe is a crash
+* **liveness** — a dead process with nothing posted is a crash
   (``crash_reason`` decodes the exitcode);
 * **heartbeat** — a live process silent for ``stall_seconds`` is
-  wedged and is terminated;
-* **deadline** — a job past its wall-clock budget is terminated and
+  wedged and is killed;
+* **deadline** — a job past its wall-clock budget is killed and
   finalized as an honest ``UNKNOWN ("time budget")``, and so is an
   answer whose parent-side proof check runs past it; budgets shrink
   across retries, and a job whose deadline expires while still queued
@@ -36,15 +49,19 @@ attempt and can never poison the next job.  The health checks:
   orphaned).
 
 Two controls act on one running job from outside: :meth:`JobPool.preempt`
-asks it to stop and relaunches it without spending retry budget (the
-portfolio's adaptive relaunch), and :meth:`JobPool.fail` terminates it
-as a retryable fault (the portfolio's quarantine).  With a
+sets its slot's stop event and relaunches the job without spending
+retry budget (the portfolio's adaptive relaunch), and
+:meth:`JobPool.fail` retires its worker as a retryable fault (the
+portfolio's quarantine).  With a
 :class:`~repro.parallel.sharing.ClauseBus` attached, the pool also
 routes shared clauses between its jobs.
 
 The pool is synchronous and poll-driven: call :meth:`poll` from any
 loop (the engines' while-loops, the asyncio server's pump task) and
 completion callbacks run inside that call, in the caller's thread.
+:meth:`poll` sleeps on the running slots' result pipes and process
+sentinels, and :meth:`handles` hands the same file descriptors to an
+event loop that wants to wait on them itself.
 """
 
 from __future__ import annotations
@@ -52,11 +69,19 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from multiprocessing.util import register_after_fork
 
 from repro.checkpoint.snapshot import checkpoint_conflicts
 from repro.cnf.formula import CnfFormula
 from repro.parallel.sharing import IMPORT_QUEUE_CAPACITY, route_shares
-from repro.parallel.worker import drain_results, route_telemetry, solve_in_worker
+from repro.parallel.worker import (
+    Launch,
+    drain_results,
+    route_telemetry,
+    run_slot,
+    solve_in_worker,
+)
 from repro.proof import ProofCheckTimeout
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guards import StallClock, crash_reason
@@ -77,7 +102,7 @@ MIN_RETRY_BUDGET = 0.05
 #: service layer maps it (and "time budget") to explicit DEADLINE replies.
 DEADLINE_EXPIRED = "deadline expired"
 #: Window granted to cooperatively-cancelled workers during a drain to
-#: post their final (checkpointed) UNKNOWN before being terminated.
+#: post their final (checkpointed) UNKNOWN before being killed.
 DRAIN_CANCEL_SECONDS = 1.5
 
 
@@ -118,18 +143,15 @@ class Job:
     #: supervision events and shipped to workers, which echo it in
     #: telemetry rows — the span layer's cross-process thread.
     trace_context: dict | None = None
-    #: Process entry of this job's kind, called with the positional
-    #: arguments of :func:`~repro.parallel.worker.solve_in_worker`
-    #: (None = that function).
+    #: Entry of this job's kind, run by the slot's worker with the
+    #: positional arguments of :func:`~repro.parallel.worker.solve_in_worker`
+    #: (None = that function).  It crosses the job pipe, so it must
+    #: pickle: a top-level function, or a ``functools.partial`` of one.
     worker: object | None = None
     #: Parent-side check of a custom kind's payload, replacing the
     #: trusted-results gate: ``fn(payload)`` returns a failure reason,
     #: or None when the payload is sound.
     check: object | None = None
-    #: Event handed to every attempt as its stop signal; the pool sets it
-    #: in :meth:`JobPool.preempt`.  None: a preempted attempt can only be
-    #: terminated.
-    stop: object | None = None
 
     # -- supervision bookkeeping (pool-owned) --------------------------
     attempts: int = 0
@@ -153,25 +175,44 @@ class Job:
 
 
 @dataclass
-class _Active:
-    """One running worker process and its watchdog state."""
+class _Slot:
+    """One live worker process, what it inherited, and its attempt."""
 
     process: multiprocessing.Process
-    clock: StallClock
-    attempt: int
-    config: SolverConfig
+    #: The parent's end of the job pipe: one Launch per attempt.
+    jobs: object
+    #: The slot's own result queue, and the parent's end of its pipe.
+    results: object
+    reader: object
+    heartbeat: object
+    stop: object
+    #: Clause-bus import queue (None when the pool has no bus).
+    imports: object | None
+    # -- the running attempt, set at each launch -----------------------
+    clock: StallClock | None = None
+    attempt: int = 0
+    config: SolverConfig | None = None
     resumed_from: int | None = None
     #: Why :meth:`JobPool.preempt` is reclaiming this attempt.
     preempted: str | None = None
-    #: When a preempted worker that has not yielded is terminated.
+    #: When a preempted worker that has not yielded is killed.
     terminate_at: float | None = None
 
 
+def _memory_exhausted(payload) -> bool:
+    """True when an answer reports a ``"memory budget"`` stop."""
+    results = payload if isinstance(payload, list) else [payload]
+    return any(
+        isinstance(result, SolveResult) and result.limit_reason == "memory budget"
+        for result in results
+    )
+
+
 class JobPool:
-    """A bounded, self-healing pool of single-attempt worker processes.
+    """A bounded, self-healing pool of persistent worker processes.
 
     Args:
-        size: attempts running concurrently (slots, not OS threads).
+        size: live worker processes (slots), one attempt each at a time.
         retry: :class:`RetryPolicy` / int / None — relaunch discipline
             for crashed, stalled, and corrupted attempts.
         verification: trusted-results gate level applied to every
@@ -191,7 +232,7 @@ class JobPool:
         telemetry_seconds: worker telemetry period (None disables).
         bus: optional :class:`~repro.parallel.sharing.ClauseBus` whose
             lanes are the job ids: workers export glue clauses to it and
-            import the validated ones through a per-job queue.
+            import the validated ones through their slot's queue.
     """
 
     def __init__(
@@ -221,18 +262,18 @@ class JobPool:
         self.telemetry_seconds = telemetry_seconds
         self.bus = bus
         self.context = multiprocessing.get_context()
-        self.results_queue = self.context.Queue()
-        #: Shared cooperative-cancel flag: set during a drain, every
-        #: live (and later-launched) worker interrupts at its next
-        #: progress tick and posts a final checkpointed UNKNOWN.
-        self.cancel_event = self.context.Event()
         self.pending: list[Job] = []
-        self.active: dict[int, _Active] = {}
+        #: Running attempts: job id -> the slot running it.
+        self.active: dict[int, _Slot] = {}
+        self._idle: list[_Slot] = []
         self.jobs: dict[int, Job] = {}
         self._collected: dict = {}
-        self._import_queues: dict[int, object] = {}  # per job, with a bus
         self.retries = 0
         self.draining = False
+        #: Set by a drain's cancel phase and by close(grace): every
+        #: running and later-launched attempt interrupts at its next
+        #: progress tick and posts a final checkpointed UNKNOWN.
+        self._cancelled = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -262,6 +303,17 @@ class JobPool:
         """Jobs currently queued plus running (the admission signal)."""
         return len(self.pending) + len(self.active)
 
+    def handles(self) -> list[int]:
+        """File descriptors that turn readable when a running attempt
+        posts or its process dies: each active slot's result pipe and
+        process sentinel.  :meth:`poll` waits on these; an event loop
+        can watch them instead and poll with ``timeout=0``."""
+        return [
+            handle
+            for slot in self.active.values()
+            for handle in (slot.reader.fileno(), slot.process.sentinel)
+        ]
+
     # ------------------------------------------------------------------
     # The supervision tick
     # ------------------------------------------------------------------
@@ -269,7 +321,7 @@ class JobPool:
         """One supervision tick; returns the jobs finalized during it.
 
         Launches pending work into free slots, waits up to ``timeout``
-        for the first queued worker message, then sweeps results,
+        for a running attempt to post or die, then sweeps results,
         liveness, heartbeats, and deadlines.  Completion callbacks run
         here, in the caller's thread.
         """
@@ -299,7 +351,10 @@ class JobPool:
             if job.not_before <= now:
                 self.pending.remove(job)
                 self._launch(job)
-        drain_results(self.results_queue, self._collected, timeout=timeout)
+        if timeout > 0:
+            wait(self.handles(), timeout)
+        for slot in self.active.values():
+            drain_results(slot.results, self._collected)
         route_telemetry(self._collected, self.trace)
         # Without a bus, share-tagged frames are popped and dropped, so
         # the long-running server cannot accumulate tags nothing claims.
@@ -307,55 +362,54 @@ class JobPool:
         if self.bus is not None:
             self.bus.pump()
         now = time.monotonic()
-        for job_id, entry in list(self.active.items()):
+        for job_id, slot in list(self.active.items()):
             job = self.jobs[job_id]
-            tag = (job_id, entry.attempt)
+            tag = (job_id, slot.attempt)
+            if tag not in self._collected and not slot.process.is_alive():
+                # It may have posted and died since the read above: take
+                # what its own channel already holds, without waiting.
+                drain_results(slot.results, self._collected)
             if tag in self._collected:
-                entry.process.join()
-                del self.active[job_id]
-                self._finish(job, entry, self._collected.pop(tag), now, finished)
-            elif not entry.process.is_alive():
-                # Dead without a visible result: the payload may still
-                # be in the pipe; drain once before declaring a crash.
-                entry.process.join()
-                drain_results(self.results_queue, self._collected, timeout=0.2)
-                del self.active[job_id]
-                if tag in self._collected:
-                    self._finish(job, entry, self._collected.pop(tag), now, finished)
+                self._end_attempt(job_id)
+                payload = self._collected.pop(tag)
+                accepted = self._finish(job, slot, payload, now, finished)
+                if accepted and slot.process.is_alive():
+                    self._idle.append(slot)
                 else:
-                    self._fail(
-                        job, entry, crash_reason(entry.process.exitcode), now,
-                        retryable=True, finished=finished,
-                    )
-            elif job.kill_at is not None and now > job.kill_at:
-                entry.process.terminate()
-                entry.process.join(timeout=1.0)
-                del self.active[job_id]
+                    self._retire(slot, posted=True)
+            elif not slot.process.is_alive():
+                self._end_attempt(job_id)
+                self._retire(slot, posted=False)
                 self._fail(
-                    job, entry, "time budget", now,
-                    retryable=False, finished=finished,
-                )
-            elif entry.clock.stalled_for(now, self.stall_seconds):
-                entry.process.terminate()
-                entry.process.join(timeout=1.0)
-                del self.active[job_id]
-                self._fail(
-                    job, entry, "stalled (no heartbeat)", now,
+                    job, slot, crash_reason(slot.process.exitcode), now,
                     retryable=True, finished=finished,
                 )
-            elif entry.terminate_at is not None and now > entry.terminate_at:
+            elif job.kill_at is not None and now > job.kill_at:
+                self._end_attempt(job_id)
+                self._retire(slot, posted=False)
+                self._fail(
+                    job, slot, "time budget", now,
+                    retryable=False, finished=finished,
+                )
+            elif slot.clock.stalled_for(now, self.stall_seconds):
+                self._end_attempt(job_id)
+                self._retire(slot, posted=False)
+                self._fail(
+                    job, slot, "stalled (no heartbeat)", now,
+                    retryable=True, finished=finished,
+                )
+            elif slot.terminate_at is not None and now > slot.terminate_at:
                 # The preempted worker ignored its stop event past the
-                # grace window: terminate is the backstop, and the
+                # grace window: the kill is the backstop, and the
                 # relaunch still rides free.
-                entry.process.terminate()
-                entry.process.join(timeout=1.0)
-                del self.active[job_id]
-                self._requeue_preempted(job, entry, now)
-        # Purge stale result payloads: a terminated (budget/stall) or
-        # already-finalized attempt may still post to the queue, and
-        # nothing will ever consume its tag.  Only the current attempt
-        # of a still-active job can be claimed above; everything else
-        # is garbage the long-running server must not accumulate.
+                self._end_attempt(job_id)
+                self._retire(slot, posted=False)
+                self._requeue_preempted(job, slot, now)
+        # Purge stale result payloads: an attempt that was killed or
+        # failed may have posted, and nothing will ever consume its tag.
+        # Only the current attempt of a still-active job can be claimed
+        # above; everything else is garbage the long-running server must
+        # not accumulate.
         for tag in [
             key
             for key in self._collected
@@ -382,10 +436,10 @@ class JobPool:
         """Graceful stop: finish or checkpoint everything, then shed.
 
         Three phases: (1) supervise normally for up to ``grace_seconds``
-        so in-flight and queued work can finish honestly; (2) set the
-        shared cancel event so surviving workers interrupt at the next
+        so in-flight and queued work can finish honestly; (2) cancel
+        cooperatively, so surviving workers interrupt at the next
         progress tick, write their final checkpoint, and post an
-        ``UNKNOWN ("interrupted")``; (3) terminate whatever is left and
+        ``UNKNOWN ("interrupted")``; (3) kill whatever is left and
         finalize it as ``UNKNOWN (reason)``.  Every job ends with a
         result; returns the jobs finalized during the drain.
         """
@@ -395,7 +449,7 @@ class JobPool:
         while not self.idle and time.monotonic() < stop:
             finished.extend(self.poll())
         if not self.idle:
-            self.cancel_event.set()
+            self._cancel()
             stop = time.monotonic() + max(cancel_seconds, 0.0)
             while self.active and time.monotonic() < stop:
                 finished.extend(self.poll())
@@ -403,7 +457,7 @@ class JobPool:
         return finished
 
     def shed(self, reason: str) -> list[Job]:
-        """Terminate running attempts and finalize all open jobs now.
+        """Stop running attempts and finalize all open jobs now.
 
         Every queued or running job gets an ``UNKNOWN`` carrying
         ``reason`` — load shedding keeps the answer-or-explicit-refusal
@@ -411,12 +465,11 @@ class JobPool:
         """
         finished: list[Job] = []
         now = time.monotonic()
-        for job_id, entry in list(self.active.items()):
-            entry.process.terminate()
-            entry.process.join(timeout=1.0)
-            job = self.jobs[job_id]
-            self._record(job, entry, reason, now)
-            del self.active[job_id]
+        for job_id, slot in list(self.active.items()):
+            self._record(self.jobs[job_id], slot, reason, now)
+            posted = self._posted(job_id, slot)
+            self._end_attempt(job_id)
+            self._retire(slot, posted)
         shed_jobs = [job for job in self.jobs.values() if not job.done]
         self.pending.clear()
         for job in shed_jobs:
@@ -436,33 +489,44 @@ class JobPool:
         return finished
 
     def close(self, grace_seconds: float = 0.0) -> None:
-        """Release the queues and stop any stragglers (idempotent).
+        """Stop every worker and release the channels (idempotent).
 
-        With ``grace_seconds``, running workers are first cancelled
-        cooperatively and given that long to exit (the portfolio's
-        losers once a winner is in); whatever is still alive is then
-        terminated.
+        With ``grace_seconds``, running attempts are first cancelled
+        cooperatively and given that long to post their final answer
+        (the portfolio's losers once a winner is in); the wait ends as
+        soon as every one has posted or died.  Idle and posted workers
+        then exit at EOF on their job pipe; the rest are killed.
         """
         if self._closed:
             return
         self._closed = True
         if grace_seconds > 0 and self.active:
-            self.cancel_event.set()
+            self._cancel()
             stop = time.monotonic() + grace_seconds
-            while time.monotonic() < stop and any(
-                entry.process.is_alive() for entry in self.active.values()
-            ):
-                # Keep reading (and dropping) what the workers post: one
-                # cannot exit before its queue has flushed into the pipe.
-                drain_results(self.results_queue, {}, timeout=POLL_SECONDS)
-        for entry in self.active.values():
-            if entry.process.is_alive():
-                entry.process.terminate()
-            entry.process.join(timeout=1.0)
+            while True:
+                running = [
+                    slot
+                    for job_id, slot in self.active.items()
+                    if not self._posted(job_id, slot) and slot.process.is_alive()
+                ]
+                left = stop - time.monotonic()
+                if not running or left <= 0:
+                    break
+                wait(
+                    [h for slot in running for h in (slot.reader, slot.process.sentinel)],
+                    min(left, POLL_SECONDS),
+                )
+        slots = [
+            (slot, self._posted(job_id, slot)) for job_id, slot in self.active.items()
+        ]
+        slots += [(slot, True) for slot in self._idle]
         self.active.clear()
-        for queue in (self.results_queue, *self._import_queues.values()):
-            queue.close()
-            queue.cancel_join_thread()
+        self._idle.clear()
+        self._collected.clear()
+        for slot, _ in slots:
+            slot.jobs.close()  # every idle worker starts exiting at once
+        for slot, posted in slots:
+            self._retire(slot, posted)
 
     # ------------------------------------------------------------------
     # Controls on one running job
@@ -470,40 +534,100 @@ class JobPool:
     def preempt(self, job_id: int, reason: str, grace_seconds: float) -> int:
         """Stop one running job and relaunch it without spending retry budget.
 
-        Sets the job's ``stop`` event, so the worker interrupts at its
-        next progress tick and posts an UNKNOWN; a worker still running
-        ``grace_seconds`` later is terminated.  Either way the attempt
-        is recorded with ``reason`` and the job is queued again at once
+        Sets its slot's stop event, so the worker interrupts at its next
+        progress tick and posts an UNKNOWN; a worker still running
+        ``grace_seconds`` later is killed.  Either way the attempt is
+        recorded with ``reason`` and the job is queued again at once
         (with whatever ``job.config`` says by then).  A definite answer
         posted meanwhile still finishes the job.  Returns the preempted
         attempt's index.
         """
-        entry = self.active[job_id]
-        entry.preempted = reason
-        entry.terminate_at = time.monotonic() + grace_seconds
-        stop = self.jobs[job_id].stop
-        if stop is not None:
-            stop.set()
-        return entry.attempt
+        slot = self.active[job_id]
+        slot.preempted = reason
+        slot.terminate_at = time.monotonic() + grace_seconds
+        slot.stop.set()
+        return slot.attempt
 
     def fail(self, job_id: int, reason: str, detail: str | None = None) -> None:
-        """Terminate one running job's attempt as a retryable fault.
+        """Retire one running job's worker as a retryable fault.
 
         The attempt is recorded with ``reason`` and the retry policy
         decides whether the job gets another launch or is finalized as
         degraded (the portfolio's quarantine of a Byzantine lane).
         """
-        entry = self.active.pop(job_id)
-        entry.process.terminate()
-        entry.process.join(timeout=1.0)
+        slot = self.active[job_id]
+        posted = self._posted(job_id, slot)
+        self._end_attempt(job_id)
+        self._retire(slot, posted)
         self._fail(
-            self.jobs[job_id], entry, reason, time.monotonic(),
+            self.jobs[job_id], slot, reason, time.monotonic(),
             retryable=True, finished=[], detail=detail,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _spawn(self) -> _Slot:
+        """Start one slot's worker process with the channels it inherits."""
+        context = self.context
+        reader, writer = context.Pipe(duplex=False)
+        # Every worker forked from here on closes its copy of this write
+        # end, this slot's own included: a worker sees EOF as soon as the
+        # parent closes the pipe or dies, whatever slots came after it.
+        register_after_fork(writer, Connection.close)
+        results = context.Queue()
+        heartbeat = context.Value("d", time.monotonic())
+        stop = context.Event()
+        imports = context.Queue(IMPORT_QUEUE_CAPACITY) if self.bus is not None else None
+        process = context.Process(
+            target=run_slot,
+            args=(reader, results, heartbeat, stop, imports, self.max_memory_mb),
+            daemon=True,
+        )
+        process.start()
+        reader.close()
+        # The parent only reads the result queue.  Closing its copy of
+        # the write end leaves the worker as the only writer, so once
+        # the worker is gone a read ends at EOF instead of waiting on a
+        # message the death cut short.
+        results._writer.close()
+        return _Slot(process, writer, results, results._reader, heartbeat, stop, imports)
+
+    def _retire(self, slot: _Slot, posted: bool) -> None:
+        """Stop a slot's process for good and release its channels.
+
+        A worker that has posted is idle in its loop and exits at EOF
+        once the job pipe closes; one that has not is killed.
+        """
+        slot.jobs.close()
+        if not posted:
+            slot.process.kill()
+        slot.process.join(timeout=1.0)
+        if slot.process.exitcode is None:  # ignored its EOF: the backstop
+            slot.process.kill()
+            slot.process.join()
+        for queue in (slot.results, slot.imports):
+            if queue is not None:
+                queue.close()
+                queue.cancel_join_thread()
+
+    def _posted(self, job_id: int, slot: _Slot) -> bool:
+        """Read the slot's channel without waiting: has its attempt posted?"""
+        drain_results(slot.results, self._collected)
+        return (job_id, slot.attempt) in self._collected
+
+    def _end_attempt(self, job_id: int) -> None:
+        """Take a job's attempt off its slot (and off the clause bus)."""
+        del self.active[job_id]
+        if self.bus is not None:
+            self.bus.detach(job_id)
+
+    def _cancel(self) -> None:
+        """Interrupt every running attempt, and every later launch."""
+        self._cancelled = True
+        for slot in self.active.values():
+            slot.stop.set()
+
     def _launch(self, job: Job) -> None:
         now = time.monotonic()
         if job.first_launch is None:
@@ -521,7 +645,6 @@ class JobPool:
             # Retries solve inside whatever wall-clock budget remains.
             remaining = job.kill_at - now
             limits["max_seconds"] = max(min(limits["max_seconds"], remaining), 0.01)
-        heartbeat = self.context.Value("d", now)
         fault = (
             self.fault_plan.lookup(job.fault_key, attempt)
             if self.fault_plan is not None
@@ -532,46 +655,45 @@ class JobPool:
             resumed_from = checkpoint_conflicts(
                 job.checkpoint_path, require_proof=attempt_config.proof_logging
             )
-        import_queue = None
+        slot = None
+        while self._idle and slot is None:
+            slot = self._idle.pop()
+            if not slot.process.is_alive():  # died while idle
+                self._retire(slot, posted=True)
+                slot = None
+        if slot is None:
+            slot = self._spawn()
         if self.bus is not None:
-            import_queue = self._import_queues.get(job.job_id)
-            if import_queue is None:
-                import_queue = self.context.Queue(IMPORT_QUEUE_CAPACITY)
-                self._import_queues[job.job_id] = import_queue
-            self.bus.attach(job.job_id, attempt, import_queue)
-        if job.stop is not None:
-            job.stop.clear()
-        process = self.context.Process(
-            target=job.worker or solve_in_worker,
-            args=(
-                (job.job_id, attempt),
-                job.formula,
-                attempt_config,
-                limits,
-                self.cancel_event,
-                self.results_queue,
-                heartbeat,
-                attempt,
-                fault,
-                self.max_memory_mb,
-                job.checkpoint_path,
-                self.checkpoint_interval,
-                self.telemetry_seconds,
-                self.bus.max_lbd if self.bus is not None else None,
-                import_queue,
-                job.stop,
-                job.trace_context,
-            ),
-            daemon=True,
-        )
-        process.start()
-        self.active[job.job_id] = _Active(
-            process,
-            StallClock(now, heartbeat),
-            attempt,
-            attempt_config,
-            resumed_from=resumed_from,
-        )
+            self.bus.attach(job.job_id, attempt, slot.imports)
+        if self._cancelled:
+            slot.stop.set()
+        else:
+            slot.stop.clear()
+        slot.clock = StallClock(now, slot.heartbeat)
+        slot.attempt = attempt
+        slot.config = attempt_config
+        slot.resumed_from = resumed_from
+        slot.preempted = slot.terminate_at = None
+        try:
+            slot.jobs.send(
+                Launch(
+                    entry=job.worker or solve_in_worker,
+                    tag=(job.job_id, attempt),
+                    formula=job.formula,
+                    config=attempt_config,
+                    limits=limits,
+                    attempt=attempt,
+                    fault=fault,
+                    checkpoint_path=job.checkpoint_path,
+                    checkpoint_interval=self.checkpoint_interval,
+                    telemetry_seconds=self.telemetry_seconds,
+                    share_max_lbd=self.bus.max_lbd if self.bus is not None else None,
+                    trace_context=job.trace_context,
+                )
+            )
+        except OSError:
+            pass  # the worker died since the liveness check: a crash, found by poll
+        self.active[job.job_id] = slot
         job.attempts += 1
         if self.trace is not None:
             event = {
@@ -590,24 +712,24 @@ class JobPool:
             event["request_id"] = job.trace_context["request_id"]
         self.trace.emit(event)
 
-    def _record(self, job: Job, entry: _Active, outcome: str, now, detail=None) -> None:
+    def _record(self, job: Job, slot: _Slot, outcome: str, now, detail=None) -> None:
         job.history.append(
             AttemptRecord(
-                attempt=entry.attempt,
-                config_name=entry.config.name,
-                seed=entry.config.seed,
+                attempt=slot.attempt,
+                config_name=slot.config.name,
+                seed=slot.config.seed,
                 outcome=outcome,
-                wall_seconds=now - entry.clock.launch,
+                wall_seconds=now - slot.clock.launch,
                 detail=detail,
-                resumed_from_conflicts=entry.resumed_from,
+                resumed_from_conflicts=slot.resumed_from,
             )
         )
 
     def _fail(
-        self, job: Job, entry: _Active, reason: str, now,
+        self, job: Job, slot: _Slot, reason: str, now,
         *, retryable: bool, finished: list, detail=None,
     ) -> None:
-        self._record(job, entry, reason, now, detail)
+        self._record(job, slot, reason, now, detail)
         time_left = job.kill_at is None or job.kill_at - now > MIN_RETRY_BUDGET
         retrying = (
             retryable
@@ -621,7 +743,7 @@ class JobPool:
                 {
                     "type": "worker_fault",
                     "lane": job.job_id,
-                    "attempt": entry.attempt,
+                    "attempt": slot.attempt,
                     "reason": reason,
                     "will_retry": retrying,
                 },
@@ -637,22 +759,27 @@ class JobPool:
                 SolveResult(
                     status=SolveStatus.UNKNOWN,
                     limit_reason=reason,
-                    config_name=entry.config.name,
+                    config_name=slot.config.name,
                     wall_seconds=now - (job.first_launch or now),
                     attempts=list(job.history),
                 ),
                 finished,
             )
 
-    def _finish(self, job: Job, entry: _Active, payload, now, finished: list) -> None:
+    def _finish(self, job: Job, slot: _Slot, payload, now, finished: list) -> bool:
+        """Check one posted payload and settle its attempt.
+
+        Returns True when the worker may run another attempt: its payload
+        was accepted, and is not a ``"memory budget"`` answer.
+        """
         if payload is None:
             # The worker's solve raised and posted a None payload.
             self._fail(
-                job, entry, "worker crashed", now,
+                job, slot, "worker crashed", now,
                 retryable=True, finished=finished,
                 detail="worker raised an exception",
             )
-            return
+            return False
         verify_started = time.perf_counter()
         detail = None
         try:
@@ -676,31 +803,32 @@ class JobPool:
             # The job's time ran out while its proof was being checked:
             # the answer is unverified, so it cannot leave as definite.
             self._fail(
-                job, entry, "time budget", time.monotonic(),
+                job, slot, "time budget", time.monotonic(),
                 retryable=False, finished=finished, detail=str(error),
             )
-            return
+            return False
         if reason is not None:
             self._fail(
-                job, entry, reason, now,
+                job, slot, reason, now,
                 retryable=True, finished=finished, detail=detail,
             )
-            return
+            return False
         if self.verification != VERIFY_OFF:
             job.verify_seconds = time.perf_counter() - verify_started
-        if entry.preempted is not None and payload.is_unknown:
+        if slot.preempted is not None and payload.is_unknown:
             # The worker yielded to preempt(); a definite answer would
             # have beaten the reclaim, so only the UNKNOWN lands here.
-            self._requeue_preempted(job, entry, now)
-            return
-        self._record(job, entry, "ok", now)
+            self._requeue_preempted(job, slot, now)
+            return True
+        self._record(job, slot, "ok", now)
         if isinstance(payload, SolveResult):
             payload.attempts = list(job.history)
         self._finalize(job, payload, finished, answered=True)
+        return not _memory_exhausted(payload)
 
-    def _requeue_preempted(self, job: Job, entry: _Active, now) -> None:
+    def _requeue_preempted(self, job: Job, slot: _Slot, now) -> None:
         """Queue a preempted job again at once, outside the retry budget."""
-        self._record(job, entry, entry.preempted, now)
+        self._record(job, slot, slot.preempted, now)
         job.free_attempts += 1
         job.not_before = now
         self.pending.append(job)
@@ -724,8 +852,6 @@ class JobPool:
                 if result.limit_reason is not None:
                     event["limit_reason"] = result.limit_reason
             self._emit(job, event)
-        if self.bus is not None:
-            self.bus.detach(job.job_id)
         # Finalized jobs leave the pool's index immediately: a long-
         # running server submits an unbounded stream, and each Job pins
         # its formula, history, and the caller's reply closure.  Callers

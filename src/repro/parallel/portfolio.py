@@ -8,7 +8,7 @@ algorithm: run several :class:`~repro.solver.config.SolverConfig`
 presets (with varied seeds) on the same formula in separate processes
 and return the first definite SAT/UNSAT answer.  Losers are cancelled
 cooperatively through the :meth:`Solver.interrupt` progress hook, with
-``terminate`` as the backstop for unresponsive workers.
+a kill as the backstop for unresponsive workers.
 
 The race is *supervised*: each lane (one configuration) is one job on a
 :class:`~repro.parallel.pool.JobPool`, which watches it for crashes,
@@ -55,8 +55,8 @@ from repro.solver.config import (
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import aggregate_stats
 
-#: How long a cancelled loser gets to exit cooperatively before being
-#: terminated.
+#: How long a cancelled loser gets to post its final answer before its
+#: worker is killed.
 DEFAULT_GRACE_SECONDS = 1.0
 
 #: Preset rotation used by :func:`default_portfolio`: orthogonal
@@ -100,7 +100,7 @@ class PortfolioSolver:
             jobs, the remainder start as earlier workers finish without
             a definite answer.  Defaults to ``len(configs)``.
         grace_seconds: cooperative-cancellation grace period before a
-            loser is forcibly terminated.
+            loser's worker is killed.
         retry: a :class:`~repro.reliability.RetryPolicy`, an int (total
             attempts per lane), or None (no retries).  A lane whose
             worker crashes, stalls, or returns a corrupted answer is
@@ -299,7 +299,6 @@ class PortfolioSolver:
                         if self.checkpoint_dir is not None
                         else None
                     ),
-                    stop=pool.context.Event() if adapt is not None else None,
                 )
             )
             for index, config in enumerate(worker_configs)
@@ -398,8 +397,8 @@ class PortfolioSolver:
         poisoned = bus.poisoned_lanes()
         for index in poisoned:
             state = bus.mark_quarantined(index)
-            entry = pool.active.get(index)
-            attempt = entry.attempt if entry is not None else lanes[index].attempts - 1
+            slot = pool.active.get(index)
+            attempt = slot.attempt if slot is not None else lanes[index].attempts - 1
             if self.trace is not None:
                 self.trace.emit(
                     {
@@ -411,7 +410,7 @@ class PortfolioSolver:
                         "reason": "hard share rejections over threshold",
                     }
                 )
-            if entry is not None:
+            if slot is not None:
                 pool.fail(
                     index,
                     "quarantined (byzantine clause sharing)",
@@ -428,7 +427,7 @@ class PortfolioSolver:
         Returns 1 when a lane was preempted this tick, else 0.
         """
         candidates = [
-            index for index, entry in pool.active.items() if entry.preempted is None
+            index for index, slot in pool.active.items() if slot.preempted is None
         ]
         victim = adapt.pick_victim(time.monotonic(), candidates)
         if victim is None:

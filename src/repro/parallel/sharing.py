@@ -90,7 +90,7 @@ DEFAULT_QUARANTINE_THRESHOLD = 3
 #: case (an *implied* clause, where refutation needs a full UNSAT
 #: sub-proof) must stay far below the loop's poll cadence.
 SPOT_CHECK_CONFLICTS = 150
-#: Capacity of each lane's import queue (frames; overflow is dropped
+#: Capacity of each pool slot's import queue (frames; overflow is dropped
 #: and counted, never blocks the bus).
 IMPORT_QUEUE_CAPACITY = 256
 #: Bound on the bus's duplicate-suppression memory.
@@ -218,15 +218,23 @@ class ShareClient:
         return True
 
     def drain(self) -> list[tuple[int, bytes]]:
-        """Pull every pending (origin, frame) pair from the import queue."""
+        """Pull every pending (origin, frame) pair from the import queue.
+
+        The queue belongs to the worker's pool slot, which runs one job
+        after another, so only frames addressed to this lane and attempt
+        are kept: a frame the bus routed to the slot's previous job can
+        never reach this one, however late it arrives.
+        """
         if self.import_queue is None:
             return []
         pending: list[tuple[int, bytes]] = []
         while True:
             try:
-                pending.append(self.import_queue.get_nowait())
+                lane, attempt, origin, frame = self.import_queue.get_nowait()
             except Exception:
                 return pending
+            if (lane, attempt) == (self.lane, self.attempt):
+                pending.append((origin, frame))
 
     def reject(self, origin: int, reason: str, severity: str) -> None:
         """Report one import-side rejection to the parent (best effort)."""
@@ -493,7 +501,9 @@ class ClauseBus:
             while state.outbox:
                 origin, frame = state.outbox.popleft()
                 try:
-                    state.import_queue.put_nowait((origin, frame))
+                    state.import_queue.put_nowait(
+                        (target, state.attempt, origin, frame)
+                    )
                     sent += 1
                 except Exception:
                     dropped += 1

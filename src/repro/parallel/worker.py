@@ -1,36 +1,44 @@
 """Process entry points and queue plumbing for the parallel engine.
 
-Workers are plain top-level functions so they stay picklable under every
-``multiprocessing`` start method.  The contract with the parent is
-narrow: a worker posts **exactly one** ``(tag, payload)`` tuple on the
-result queue — a :class:`~repro.solver.result.SolveResult` on success,
-``None`` when the solve raised — or dies without posting anything (a
-hard crash), which the parent detects by watching process liveness.
+Every worker process runs :func:`run_slot`: the loop of one
+:class:`~repro.parallel.pool.JobPool` slot.  It receives one picklable
+:class:`Launch` per attempt over its job pipe, runs that job kind's
+entry, then waits for the next launch, and exits on EOF (the parent
+closed the pipe, or died).  Entries are plain top-level functions so
+they stay picklable under every ``multiprocessing`` start method.  The
+contract with the parent is narrow and holds **per attempt**: an entry
+posts **exactly one** ``(tag, payload)`` tuple on the slot's result
+queue — a :class:`~repro.solver.result.SolveResult` on success, ``None``
+when the solve raised — or its process dies without posting anything
+(a hard crash), which the parent detects by watching process liveness.
 That contract is what lets :class:`~repro.parallel.pool.JobPool` — the
 one parent, supervising the portfolio, the batch, grouped sessions and
 the solver service alike — degrade gracefully instead of hanging on a
 lost worker.  The pool tags results with ``(job, attempt)`` tuples so a
-late post from a terminated attempt can never be mistaken for its
-retry's answer.
+post from one attempt can never be mistaken for another's answer.
 
-The reliability layer hooks in here, at process entry:
+The reliability layer hooks in here:
 
 * a :class:`~repro.reliability.FaultPlan` (passed explicitly or read
   from the ``REPRO_SAT_FAULT_PLAN`` environment variable) can make this
   worker crash, die by signal, hang, corrupt its result, or stall its
   result pipe — deterministically, keyed by (worker, attempt);
-* an optional ``RLIMIT_AS`` memory ceiling is installed before the
-  solver is built, so runaway memory raises ``MemoryError`` (degraded
+* an optional ``RLIMIT_AS`` memory ceiling is installed when the slot's
+  process starts, so runaway memory raises ``MemoryError`` (degraded
   to an honest UNKNOWN by the solve loop) instead of OOM-killing the
   machine;
-* an optional shared heartbeat value is stamped from the solver's
+* the slot's shared heartbeat value is stamped from the solver's
   ``on_progress`` hook, feeding the parent's stall watchdog.
 """
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
+import signal
+import stat
 import time
+from dataclasses import dataclass
 
 from repro.checkpoint.writer import CheckpointWriter
 from repro.parallel.sharing import ShareClient
@@ -130,23 +138,111 @@ class _TelemetryReporter:
             pass
 
 
+@dataclass(frozen=True)
+class Launch:
+    """One attempt, as the pool sends it to a slot's worker."""
+
+    #: The job kind's entry, called with :func:`solve_in_worker`'s
+    #: positional layout (a top-level function or a ``functools.partial``
+    #: of one, so the message pickles).
+    entry: object
+    #: ``(job_id, attempt)``, echoed back with the payload.
+    tag: tuple
+    formula: object
+    config: SolverConfig
+    limits: dict
+    attempt: int
+    fault: object
+    checkpoint_path: str | None
+    checkpoint_interval: int
+    telemetry_seconds: float | None
+    share_max_lbd: int | None
+    trace_context: dict | None
+
+
+def _release_inherited_sockets() -> None:
+    """Point every socket a forked worker inherited at ``/dev/null``.
+
+    A worker forked by the solver service inherits its listening and
+    client sockets, and would keep them open for as long as it lives:
+    a connection the server closes would then stay open for its client.
+    The descriptor numbers stay taken, because an inherited socket
+    object may still close its number later.  Pool channels are pipes,
+    never sockets, so none of them is touched.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no /proc: nothing to enumerate
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in descriptors:
+        try:
+            if fd > 2 and fd != devnull and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            continue
+    os.close(devnull)
+
+
+def run_slot(jobs, results, heartbeat, stop, imports, max_memory_mb) -> None:
+    """Process entry of one pool slot: run launches until EOF.
+
+    ``jobs`` is the read end of the slot's job pipe; the pool closes its
+    write ends in every worker it forks, so the parent alone holds it
+    and closing it (or dying) ends the wait.  The remaining arguments
+    are what the process inherits once and reuses for every attempt:
+    the slot's result queue, heartbeat, stop event and clause-bus import
+    queue.  Signal handling is reset so that a SIGTERM is fatal here and
+    is never forwarded to an event loop the parent runs, and inherited
+    sockets are released.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _release_inherited_sockets()
+    if max_memory_mb is not None:
+        apply_memory_limit(max_memory_mb)
+    while True:
+        try:
+            launch = jobs.recv()
+        except (EOFError, OSError):
+            return
+        # Frames queued for the slot's previous job are not this job's.
+        while imports is not None and not imports.empty():
+            imports.get_nowait()
+        launch.entry(
+            launch.tag,
+            launch.formula,
+            launch.config,
+            launch.limits,
+            stop,
+            results,
+            heartbeat,
+            launch.attempt,
+            launch.fault,
+            launch.checkpoint_path,
+            launch.checkpoint_interval,
+            launch.telemetry_seconds,
+            launch.share_max_lbd,
+            imports,
+            launch.trace_context,
+        )
+
+
 def solve_in_worker(
     index,
     formula,
     config,
     limits,
-    cancel_event,
+    stop,
     results,
     heartbeat=None,
     attempt: int = 0,
     fault=None,
-    max_memory_mb=None,
     checkpoint_path=None,
     checkpoint_interval: int = 1000,
     telemetry_seconds=None,
     share_max_lbd=None,
     import_queue=None,
-    lane_stop=None,
     trace_context=None,
 ) -> None:
     """Solve ``formula`` under ``config`` and post ``(index, result)``.
@@ -154,17 +250,17 @@ def solve_in_worker(
     ``index`` is an opaque tag echoed back on the result queue (a plain
     int, or an ``(instance, attempt)`` tuple under supervision).
     ``limits`` is the keyword dictionary forwarded to
-    :meth:`Solver.solve`.  When ``cancel_event`` is given, an
+    :meth:`Solver.solve`.  When ``stop`` (the slot's event) is given, an
     ``on_progress`` hook polls it at the solver's progress cadence and
     interrupts the search once it is set — the cooperative half of
-    portfolio cancellation (the parent's ``terminate`` is the backstop).
+    cancellation and preemption (the parent's kill is the backstop).
     ``heartbeat`` (a shared ``multiprocessing.Value('d')``) is stamped
     with ``time.monotonic()`` at the same cadence for the parent's stall
     watchdog.  ``fault`` is the :class:`FaultSpec` scheduled for this
     launch (already resolved by the parent); when ``None``, the
     environment plan is consulted so faults can also be injected from
     outside the API.  Any exception inside the solve is converted to a
-    ``None`` payload so the parent can count the worker as
+    ``None`` payload so the parent can count the attempt as
     finished-without-answer.
 
     ``checkpoint_path`` makes the attempt crash-safe: the worker first
@@ -183,10 +279,7 @@ def solve_in_worker(
     imports are drained from ``import_queue`` at restart boundaries.  A
     ``corrupt_share`` fault turns the client Byzantine — its *exports*
     lie, while the lane's own answer stays honest, which is exactly the
-    attack the bus's validation layers must contain.  ``lane_stop`` is a
-    per-lane preemption event, checked alongside ``cancel_event``: the
-    supervisor sets it to reclaim this one lane (quarantine or adaptive
-    relaunch) without cancelling the fleet.
+    attack the bus's validation layers must contain.
 
     ``trace_context`` is an opaque correlation dict (the solver
     service's ``{"request_id": ...}``): workers never see a sink or a
@@ -194,8 +287,6 @@ def solve_in_worker(
     can attribute cross-process progress to the originating request.
     """
     try:
-        if max_memory_mb is not None:
-            apply_memory_limit(max_memory_mb)
         if fault is None:
             plan = FaultPlan.from_env()
             if plan is not None:
@@ -247,26 +338,22 @@ def solve_in_worker(
             )
         on_progress = None
         if (
-            cancel_event is not None
+            stop is not None
             or heartbeat is not None
             or deferred is not None
             or telemetry is not None
-            or lane_stop is not None
         ):
 
             def on_progress(
                 stats,
                 _solver=solver,
-                _event=cancel_event,
-                _stop=lane_stop,
+                _stop=stop,
                 _beat=heartbeat,
                 _telemetry=telemetry,
                 _deferred=deferred,
             ):
                 if _beat is not None:
                     _beat.value = time.monotonic()
-                if _event is not None and _event.is_set():
-                    _solver.interrupt()
                 if _stop is not None and _stop.is_set():
                     _solver.interrupt()
                 if _telemetry is not None:
@@ -293,31 +380,27 @@ def solve_in_worker(
                 result = corrupt_result(result, formula)
             elif fault.mode == FAULT_STALL:
                 # The answer exists but the pipe goes silent: post nothing
-                # and stop heartbeating, until the parent gives up on us.
+                # and stop heartbeating until the parent gives up on us,
+                # then die without posting.
                 time.sleep(fault.seconds)
-                return
+                raise SystemExit(0)
         results.put((index, result))
     except Exception:
         results.put((index, None))
 
 
-def drain_results(results_queue, collected: dict, timeout: float = 0.0) -> None:
-    """Move every queued ``(tag, payload)`` pair into ``collected``.
+def drain_results(results_queue, collected: dict) -> None:
+    """Move every ``(tag, payload)`` pair already queued into ``collected``.
 
-    Blocks at most ``timeout`` seconds for the first item, then sweeps
-    whatever else is already queued without blocking.
+    Never waits.  Reading the queue of a slot whose process has died
+    stops at EOF, a message cut short by the death included.
     """
-    block = timeout
     while True:
         try:
-            if block > 0:
-                index, payload = results_queue.get(timeout=block)
-            else:
-                index, payload = results_queue.get_nowait()
-        except queue_module.Empty:
+            index, payload = results_queue.get_nowait()
+        except (queue_module.Empty, EOFError, OSError):
             return
         collected[index] = payload
-        block = 0.0
 
 
 def route_telemetry(collected: dict, trace=None) -> int:

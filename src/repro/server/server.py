@@ -9,10 +9,15 @@ event loop and one worker pool.
 
 Design points:
 
-* **One pump, no threads.**  A single background task calls
-  ``service.tick()`` (a non-blocking pool poll) on a short cadence;
-  job completion callbacks therefore run inside the event loop, where
-  they may touch connection state freely.
+* **One pump, no threads, woken by results.**  A single background
+  task calls ``service.tick()`` (a non-blocking pool poll), then awaits
+  the pool's own handles — each running attempt's result pipe and
+  process sentinel — and a wake event the connection handler sets after
+  each request, so a launch and a reply each wait for nothing but the
+  event loop.  A short cadence remains only as the timeout that drives
+  heartbeat and deadline sweeps.  Job completion callbacks therefore
+  run inside the event loop, where they may touch connection state
+  freely.
 * **Backpressure is per-connection.**  Each connection may have at most
   ``max_pending`` requests outstanding; slot ``n+1`` is only granted
   after the reply to an earlier request has been *written and drained*
@@ -49,7 +54,8 @@ from repro.server.protocol import (
 )
 from repro.server.service import SolverService
 
-#: Pump cadence while jobs are in flight / while everything is idle.
+#: Pump timeout while jobs are in flight / while everything is idle:
+#: the heartbeat and deadline sweep cadence (results wake it sooner).
 _PUMP_BUSY_SECONDS = 0.005
 _PUMP_IDLE_SECONDS = 0.02
 
@@ -86,6 +92,7 @@ class SolverServer:
         self._server: asyncio.AbstractServer | None = None
         self._pump_task: asyncio.Task | None = None
         self._stop = None  # asyncio.Event, created on start()'s loop
+        self._wake = None  # asyncio.Event: a request was handled
         #: Signal number that triggered the drain (None for a
         #: programmatic :meth:`request_stop`) — the CLI turns SIGTERM
         #: into exit code 143.
@@ -102,6 +109,7 @@ class SolverServer:
     async def start(self) -> None:
         """Bind the listener and start the supervision pump."""
         self._stop = asyncio.Event()
+        self._wake = asyncio.Event()
         if self.unix_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.unix_path, limit=MAX_LINE_BYTES
@@ -178,11 +186,14 @@ class SolverServer:
 
         ``tick()`` is a non-blocking poll, so running it on the loop
         keeps the whole service single-threaded — completion callbacks
-        and connection readers can never race.  The tick is guarded: an
-        exception escaping a completion callback (admission, breaker,
-        cache, reply send) must not kill the pump, because every
-        pool-bound request would then hang unanswered.
+        and connection readers can never race.  Between ticks the pump
+        sleeps until a running attempt posts or dies, a request arrives,
+        or the sweep cadence elapses.  The tick is guarded: an exception
+        escaping a completion callback (admission, breaker, cache, reply
+        send) must not kill the pump, because every pool-bound request
+        would then hang unanswered.
         """
+        loop = asyncio.get_running_loop()
         while True:
             try:
                 finished = self.service.tick()
@@ -195,9 +206,20 @@ class SolverServer:
                         self.service.trace.emit(
                             {"type": "server_pump_error", "error": repr(error)}
                         )
-            await asyncio.sleep(
-                _PUMP_BUSY_SECONDS if finished or self.service.pool.load else _PUMP_IDLE_SECONDS
+            handles = self.service.pool.handles()
+            for handle in handles:
+                loop.add_reader(handle, self._wake.set)
+            timer = loop.call_later(
+                _PUMP_BUSY_SECONDS if finished or self.service.pool.load else _PUMP_IDLE_SECONDS,
+                self._wake.set,
             )
+            try:
+                await self._wake.wait()
+            finally:
+                timer.cancel()
+                for handle in handles:
+                    loop.remove_reader(handle)
+            self._wake.clear()
 
     def _pump_exited(self, task: asyncio.Task) -> None:
         """Make an unexpected pump death loud: drain instead of hanging.
@@ -258,6 +280,7 @@ class SolverServer:
                     self.service.handle(request, client_id, send)
                 except Exception as error:  # a reply, never a dead socket
                     send(error_reply(request.request_id, f"internal error: {error}"))
+                self._wake.set()  # a queued job launches at the next tick
         except asyncio.CancelledError:
             pass  # shutdown cancels readers; the finally still flushes
         finally:

@@ -94,7 +94,8 @@ def test_bus_fans_out_and_dedups():
     dup = encode_share_frame(1, 0, 2, (-2, 1))  # same clause, other lane
     bus.offer(1, 0, dup)
     assert bus.pump() == 1  # duplicate suppressed, one frame forwarded
-    assert queues[1].get_nowait() == (0, frame)
+    # Addressed to lane 1's attempt 0, from origin lane 0.
+    assert queues[1].get_nowait() == (1, 0, 0, frame)
     assert queues[0].empty()
     assert bus.lanes[0].exported == 1
     assert bus.lanes[1].hard_rejections == 0  # duplicate is not evidence

@@ -208,3 +208,40 @@ def test_portfolio_cli_sigterm_cleans_up_every_worker(tmp_path):
     assert proc.returncode == 143
     assert "terminated (SIGTERM)" in stdout
     assert not [pid for pid in workers if _alive(pid)]
+
+
+_IDLE_POOL = """
+import sys, time
+from repro.cnf.formula import CnfFormula
+from repro.parallel.pool import Job, JobPool
+from repro.solver.config import berkmin_config
+
+pool = JobPool(1)
+job = pool.submit(Job(job_id=0, formula=CnfFormula([[1, 2]]), config=berkmin_config()))
+while not pool.idle:
+    pool.poll()
+assert job.result.status.name == "SAT"
+print(pool._idle[0].process.pid, flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_idle_worker_exits_when_its_parent_is_killed():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _IDLE_POOL], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        worker = int(proc.stdout.readline())
+        assert worker in _children(proc.pid)
+        proc.kill()
+        proc.wait(timeout=10.0)
+        stop = time.monotonic() + 10.0
+        while _alive(worker):
+            assert time.monotonic() < stop, "the idle worker outlived its parent"
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

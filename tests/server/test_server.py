@@ -158,6 +158,39 @@ def test_bad_requests_get_error_replies_not_disconnects():
     assert still_alive["kind"] == "pong"
 
 
+def test_connection_the_server_closes_reaches_eof_while_a_worker_idles():
+    # Workers outlive their jobs; one forked while this connection was
+    # open must not keep the connection open after the server closes it.
+    async def scenario():
+        from repro.server.protocol import MAX_LINE_BYTES
+
+        service = make_service(pool_size=1)
+        server = await serve(service)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=2 * MAX_LINE_BYTES
+            )
+            writer.write(b'{"id": 1, "op": "solve", "clauses": [[1, 2]]}\n')
+            await writer.drain()
+            solved = await asyncio.wait_for(reader.readline(), timeout=30.0)
+            assert service.pool.idle and service.pool._idle  # the worker lives on
+            writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+            await writer.drain()
+            refused = await asyncio.wait_for(reader.readline(), timeout=10.0)
+            rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+        finally:
+            await server.shutdown()
+        return solved, refused, rest
+
+    import json
+
+    solved, refused, rest = run(scenario())
+    assert json.loads(solved)["status"] == "SAT"
+    assert json.loads(refused)["kind"] == "error"
+    assert rest == b""
+
+
 def test_stats_op_reports_service_health():
     async def scenario():
         service = make_service()

@@ -6,11 +6,14 @@ plan kills workers mid-search (SIGKILL after 100 conflicts), at entry
 (crash), by wedging (stall), and by corrupting a result.  Every client
 must get a verified answer, a truthful UNKNOWN, or an explicit
 BUSY/DEADLINE refusal — no hangs, no wrong answers, no orphaned
-worker processes, and a clean shutdown afterwards.
+worker processes, and a clean shutdown afterwards.  Workers persist
+across jobs, so the test also bounds them: no tick holds more than
+``pool_size`` live workers, and none is left running or unreaped.
 """
 
 import asyncio
 import multiprocessing
+import os
 import time
 
 from repro.generators import pigeonhole_formula
@@ -59,6 +62,9 @@ HOLE8 = [list(clause) for clause in pigeonhole_formula(8).clauses]
 
 def test_soak_500_concurrent_requests_under_worker_killing_faults():
     spans = RingBufferSink(capacity=65536)
+    before = {process.pid for process in multiprocessing.active_children()}
+    live_per_tick: list[int] = []
+    workers: set[int] = set()
 
     async def scenario():
         service = SolverService(
@@ -71,6 +77,16 @@ def test_soak_500_concurrent_requests_under_worker_killing_faults():
             fault_plan=FAULT_PLAN,
             ops=ServiceOps(spans),
         )
+        tick = service.tick
+
+        def counted_tick():
+            finished = tick()
+            live = {p.pid for p in multiprocessing.active_children()} - before
+            live_per_tick.append(len(live))
+            workers.update(live)
+            return finished
+
+        service.tick = counted_tick
         server = SolverServer(service, port=0)
         await server.start()
         try:
@@ -194,8 +210,20 @@ def test_soak_500_concurrent_requests_under_worker_killing_faults():
     assert 'reprosat_phase_latency_seconds{phase="solve",quantile="0.99"}' in scrape
     assert 'reprosat_replies_total{kind="result"}' in scrape
 
-    # No orphaned worker processes survive shutdown.
+    # Persistent workers stay bounded: no tick ever saw more live
+    # workers than the pool has slots, yet faults did replace some.
+    assert live_per_tick and max(live_per_tick) <= 4, max(live_per_tick)
+    assert len(workers) > 4, sorted(workers)
+
+    # No orphaned worker processes survive shutdown, and every one of
+    # them was reaped (no zombie left behind).
     deadline = time.monotonic() + 5.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
     assert multiprocessing.active_children() == []
+    for pid in workers:
+        try:
+            reaped = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        raise AssertionError(f"worker {pid} was never reaped: {reaped}")
