@@ -42,7 +42,7 @@ bench-portfolio:
 bench-bcp:
 	$(PYTHON) -m repro.cli bench --out BENCH_2.json
 
-# A/B the sharing+adaptation fleet vs the isolated portfolio
+# A/B the clause-sharing fleet vs the isolated portfolio
 # (docs/BENCHMARKS.md, schema portfolio-bench/1).
 bench-sharing:
 	$(PYTHON) -m repro.cli bench --portfolio --out BENCH_9.json

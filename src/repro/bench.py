@@ -56,7 +56,7 @@ SESSION_SPEEDUP_TARGET = 2.0
 #: Schema version of the portfolio sharing reports (``bench --portfolio``).
 PORTFOLIO_SCHEMA = "portfolio-bench/1"
 
-#: Acceptance floor for the sharing+adaptation fleet vs the isolated
+#: Acceptance floor for the clause-sharing fleet vs the isolated
 #: portfolio, aggregate wall-clock over the multi-lane suite.
 SHARING_SPEEDUP_TARGET = 1.3
 
@@ -600,16 +600,15 @@ def format_session_table(report: dict) -> str:
 # The multi-lane sharing bench (``repro-sat bench --portfolio``).
 
 #: The pinned multi-lane suite: planted 3-SAT instances on which the
-#: fleet's fixed lane draw goes badly — exactly the regime adaptive
-#: lane management exists for.  Planted-SAT runtimes are heavy-tailed
-#: in the seed, so a pinned portfolio sometimes commits half its CPU
-#: to an unlucky trajectory; the isolated arm pays the full price of
-#: that draw, while the adaptive arm's bandit notices the losing lane,
-#: relaunches it on a mutated configuration with a fresh seed, and the
-#: re-roll races the unlucky original.  On a time-sliced
-#: single-CPU host the fleet's wall clock is roughly (live lanes x
-#: champion CPU time), so the speedup measured here is reduced /
-#: better-spent total work, not parallel hardware.
+#: fleet's fixed lane draw goes badly.  Planted-SAT runtimes are
+#: heavy-tailed in the seed, so an isolated portfolio sometimes commits
+#: half its CPU to an unlucky trajectory and pays the full price of
+#: that draw.  With sharing on, each lane imports the other's
+#: glue-tier clauses at its restarts, which prunes the unlucky
+#: trajectory's search: the champion needs far fewer conflicts.  On a
+#: time-sliced single-CPU host the fleet's wall clock is roughly (live
+#: lanes x champion CPU time), so the speedup measured here is reduced
+#: total work, not parallel hardware.
 _PORTFOLIO_SUITES: dict[str, tuple[BenchInstance, ...]] = {
     "quick": (
         BenchInstance(
@@ -675,7 +674,7 @@ def _lane_configs():
 
 
 def run_portfolio_instance(instance: BenchInstance, repeats: int = 2) -> dict:
-    """A/B one instance: isolated portfolio vs sharing+adaptation fleet.
+    """A/B one instance: isolated portfolio vs clause-sharing fleet.
 
     Both arms run ``repeats`` times on fresh fleets with the minimum
     wall time kept, under full winner verification (SAT models checked,
@@ -698,7 +697,6 @@ def run_portfolio_instance(instance: BenchInstance, repeats: int = 2) -> dict:
                 jobs=len(_PORTFOLIO_LANES),
                 verification="full",
                 share=share,
-                adapt=share,
             )
             started = time.perf_counter()
             candidate = portfolio.solve(formula, max_seconds=_PORTFOLIO_MAX_SECONDS)

@@ -160,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--stats", action="store_true", help="print solver statistics")
     solve.add_argument(
-        "--preprocess",
-        action="store_true",
-        help="run subsumption + bounded variable elimination first "
-        "(models are reconstructed; disables --proof)",
-    )
-    solve.add_argument(
         "--portfolio",
         action="store_true",
         help="race diverse configurations in parallel; first answer wins "
@@ -191,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LBD",
         help="largest LBD a lane exports to the bus (implies --share; "
         "default: the config's glue tier)",
-    )
-    solve.add_argument(
-        "--adapt",
-        action="store_true",
-        help="portfolio only: let a UCB bandit over worker telemetry "
-        "preempt the losing lane and relaunch it with a mutated config",
     )
     solve.add_argument(
         "--verify",
@@ -452,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--portfolio",
         action="store_true",
-        help="instead of the BCP suite: A/B the sharing+adaptation "
+        help="instead of the BCP suite: A/B the clause-sharing "
         "fleet against the isolated portfolio on the multi-lane suite "
         "(write with --out BENCH_9.json)",
     )
@@ -736,25 +724,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "(--portfolio / batch); ignored",
             file=sys.stderr,
         )
-    reconstruction = None
-    solve_target = formula
-    if args.preprocess:
-        from repro.cnf.elimination import preprocess
-
-        reconstruction = preprocess(formula)
-        if reconstruction.unsat:
-            print("c preprocessing refuted the formula")
-            print("s UNSATISFIABLE")
-            return 20
-        solve_target = reconstruction.formula
-        print(
-            f"c preprocessing: {formula.num_clauses} -> "
-            f"{solve_target.num_clauses} clauses, "
-            f"{len(reconstruction.eliminated)} variables eliminated"
-        )
-        args = argparse.Namespace(
-            **{**vars(args), "proof": False, "verify": None, "proof_out": None}
-        )
     verification = args.verify
     if args.proof and verification is None:
         verification = VERIFY_FULL
@@ -767,7 +736,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ),
         trace=trace,
     )
-    solver = Solver(solve_target, config=config)
+    solver = Solver(formula, config=config)
     collector = rows = None
     if args.metrics_out:
         from repro.observability import CallbackSink, MetricsCollector, MultiSink
@@ -851,22 +820,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if verification is not None and verification != VERIFY_OFF:
         from repro.reliability import verify_result
 
-        verified = verify_result(solve_target, result, verification)
+        verified = verify_result(formula, result, verification)
         if verified is not None:
             print(f"c answer verified ({verified})")
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         assert result.model is not None
-        model = result.model
-        if reconstruction is not None:
-            model = reconstruction.extend_model(model)
-            for variable in range(1, formula.num_variables + 1):
-                model.setdefault(variable, False)
-            if not formula.evaluate(model):  # pragma: no cover - safety net
-                raise RuntimeError("model reconstruction failed")
         literals = [
             variable if value else -variable
-            for variable, value in sorted(model.items())
+            for variable, value in sorted(result.model.items())
         ]
         print("v " + " ".join(str(literal) for literal in literals) + " 0")
         exit_code = 10
@@ -928,9 +890,6 @@ def _print_result(result, *, stats: bool) -> int:
 def _solve_portfolio(args: argparse.Namespace, formula) -> int:
     from repro.parallel import PortfolioSolver, default_portfolio
 
-    if args.preprocess:
-        print("c --preprocess is not supported with --portfolio", file=sys.stderr)
-        return 2
     jobs = args.jobs if args.jobs is not None else 4
     if jobs < 1:
         print("c --jobs must be >= 1", file=sys.stderr)
@@ -954,7 +913,6 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
         trace=sink,
         share=args.share or args.share_max_lbd is not None,
         share_max_lbd=args.share_max_lbd,
-        adapt=args.adapt,
     )
     # SIGTERM rides the existing KeyboardInterrupt cleanup (workers are
     # terminated on the way out) but exits 143 instead of 130.

@@ -18,7 +18,6 @@ Conversion helpers live in :mod:`repro.cnf.literals`.
 """
 
 from repro.cnf.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs, write_dimacs_file
-from repro.cnf.elimination import PreprocessResult, preprocess, subsumption_reduce
 from repro.cnf.formula import CnfFormula
 from repro.cnf.literals import (
     decode_literal,
@@ -32,10 +31,7 @@ from repro.cnf.simplify import SimplifyResult, simplify_formula
 
 __all__ = [
     "CnfFormula",
-    "PreprocessResult",
     "SimplifyResult",
-    "preprocess",
-    "subsumption_reduce",
     "decode_literal",
     "encode_literal",
     "literal_for",

@@ -22,15 +22,13 @@ from .trace import TraceSink
 
 #: Lane life-cycle states, with the glyph/order used by the dashboard.
 #: ``quarantined`` marks a lane muted by the clause bus for Byzantine
-#: sharing evidence; ``adapted`` marks a lane the UCB bandit preempted
-#: for relaunch under a mutated config (see repro.parallel.sharing).
+#: sharing evidence (see repro.parallel.sharing).
 LANE_STATES = (
     "pending",
     "running",
     "retrying",
     "resumed",
     "quarantined",
-    "adapted",
     "degraded",
     "done",
 )
@@ -41,7 +39,6 @@ _GLYPHS = {
     "retrying": "↻",
     "resumed": "⤴",
     "quarantined": "☣",
-    "adapted": "♻",
     "degraded": "✗",
     "done": "✓",
 }
@@ -69,8 +66,6 @@ def _lane_transition(event: dict) -> tuple | None:
     if kind == "lane_quarantine":
         detail = f"{event['rejections']} hard share rejections"
         return event["lane"], "quarantined", detail, event["attempt"]
-    if kind == "lane_adapt":
-        return event["lane"], "adapted", event["mutation"], event["attempt"]
     if kind == "audit_round_start":
         return event["round"], "running", f"{event['engine']}/{event['fault']}", 0
     if kind == "audit_round":
@@ -84,12 +79,12 @@ class FleetDashboard(TraceSink):
     """Terminal fleet view: lane panel on a TTY, transition log elsewhere.
 
     A trace sink: ``fleet_start`` sizes the panel, supervision events
-    (launches, faults, job ends, quarantines, adaptations, audit
-    rounds) set lane states, ``lane_progress`` rows feed the rates, and
-    ``fleet_end`` prints the summary; every other event is ignored.  On a TTY the panel redraws in place (cursor-up +
-    erase-line ANSI sequences) at most every ``refresh_seconds``; state
-    *transitions* always force a redraw so a fast crash/retry is never
-    skipped.  On a non-TTY stream each transition prints exactly one
+    (launches, faults, job ends, quarantines, audit rounds) set lane
+    states, ``lane_progress`` rows feed the rates, and ``fleet_end``
+    prints the summary; every other event is ignored.  On a TTY the
+    panel redraws in place (cursor-up + erase-line ANSI sequences) at
+    most every ``refresh_seconds``; state *transitions* always force a
+    redraw so a fast crash/retry is never skipped.  On a non-TTY stream each transition prints exactly one
     ``lane 3: retrying (...) [attempt 1]`` line — stable output for
     piping and for the tests.
     """

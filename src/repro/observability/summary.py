@@ -109,10 +109,8 @@ def summarize_trace(path) -> dict:
         "imported": 0,
         "rejects": 0,
         "quarantines": 0,
-        "adaptations": 0,
     }
     reject_reasons: dict[str, int] = {}
-    adapt_mutations: dict[str, int] = {}
     unknown_types: dict[str, int] = {}
     max_conflicts = 0
 
@@ -173,10 +171,6 @@ def summarize_trace(path) -> dict:
             reject_reasons[reason] = reject_reasons.get(reason, 0) + 1
         elif kind == "lane_quarantine":
             sharing["quarantines"] += 1
-        elif kind == "lane_adapt":
-            sharing["adaptations"] += 1
-            mutation = event["mutation"]
-            adapt_mutations[mutation] = adapt_mutations.get(mutation, 0) + 1
 
     decisions = sum(source_counts.values())
     intervals = [
@@ -208,7 +202,6 @@ def summarize_trace(path) -> dict:
         "sharing": {
             **sharing,
             "reject_reasons": dict(sorted(reject_reasons.items())),
-            "adapt_mutations": dict(sorted(adapt_mutations.items())),
         },
         "unknown_events": {
             "count": sum(unknown_types.values()),
@@ -287,7 +280,7 @@ def format_summary(summary: dict) -> str:
         ]
     sharing = summary.get("sharing", {})
     if any(
-        sharing.get(key) for key in ("exports", "imported", "rejects", "quarantines", "adaptations")
+        sharing.get(key) for key in ("exports", "imported", "rejects", "quarantines")
     ):
         reasons = sharing.get("reject_reasons", {})
         reason_text = (
@@ -302,17 +295,8 @@ def format_summary(summary: dict) -> str:
             f"{sharing['import_batches']} batches, "
             f"{sharing['rejects']} rejected{reason_text}",
         ]
-        if sharing.get("quarantines") or sharing.get("adaptations"):
-            mutations = sharing.get("adapt_mutations", {})
-            mutation_text = (
-                " (" + ", ".join(f"{k}={v}" for k, v in mutations.items()) + ")"
-                if mutations
-                else ""
-            )
-            lines.append(
-                f"  lanes: {sharing['quarantines']} quarantined, "
-                f"{sharing['adaptations']} adapted{mutation_text}"
-            )
+        if sharing.get("quarantines"):
+            lines.append(f"  lanes: {sharing['quarantines']} quarantined")
     unknown = summary.get("unknown_events", {})
     if unknown.get("count"):
         kinds = ", ".join(f"{k}={v}" for k, v in unknown["types"].items())

@@ -134,13 +134,13 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
     ),
     # Parent-side supervision events from the worker pool, one per
     # transition (lane is the job id).  Each launch is one worker_start
-    # (first attempt, or the free relaunch after a preemption) or one
-    # worker_retry (a relaunch after a failed attempt), so a trace's
-    # retries equal the pool's.  job_end closes every finalized job:
-    # ``answered`` when a worker answer passed the parent-side check,
-    # and no ``status`` for grouped jobs (their answer is a list).  When
-    # the job carries a trace context (the solver service's correlation
-    # ID), ``request_id`` attributes the event to its request.
+    # (a first attempt) or one worker_retry (a relaunch after a failed
+    # attempt), so a trace's retries equal the pool's.  job_end closes
+    # every finalized job: ``answered`` when a worker answer passed the
+    # parent-side check, and no ``status`` for grouped jobs (their
+    # answer is a list).  When the job carries a trace context (the
+    # solver service's correlation ID), ``request_id`` attributes the
+    # event to its request.
     "worker_start": (
         frozenset({"type", "lane", "attempt"}),
         frozenset({"resumed_from_conflicts", "request_id"}),
@@ -194,9 +194,8 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
     # one frame failed a validation layer (reason names the layer,
     # severity is "hard" for Byzantine evidence and "benign" for
     # honest-but-unusable clauses); lane_quarantine: a lane crossed the
-    # hard-rejection threshold and is being preempted fleet-wide;
-    # lane_adapt: the adaptive manager preempted the losing lane and is
-    # relaunching it under a mutated configuration.
+    # hard-rejection threshold, so its clauses are purged fleet-wide and
+    # its attempt is failed through the pool's retry policy.
     "share_export": (
         frozenset({"type", "lane", "attempt", "seq", "size", "lbd"}),
         frozenset(),
@@ -212,10 +211,6 @@ EVENT_SCHEMA: dict[str, tuple[frozenset, frozenset]] = {
     "lane_quarantine": (
         frozenset({"type", "lane", "attempt", "rejections", "exported"}),
         frozenset({"reason"}),
-    ),
-    "lane_adapt": (
-        frozenset({"type", "lane", "attempt", "mutation"}),
-        frozenset({"score", "resumed_from_conflicts"}),
     ),
     # One round of `repro-sat audit` (parent-side): its start, and its
     # verdict.

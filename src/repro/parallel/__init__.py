@@ -34,10 +34,9 @@ See ``docs/ROBUSTNESS.md``.
 
 Portfolio lanes can additionally *cooperate* through the validated
 clause bus of :mod:`repro.parallel.sharing`
-(``PortfolioSolver(share=True, adapt=True)``): glue-tier learned
-clauses are exchanged under CRC framing and per-importer RUP gating,
-Byzantine exporters are quarantined, and a UCB bandit mutates the
-losing lane's configuration at preemption boundaries.
+(``PortfolioSolver(share=True)``): glue-tier learned clauses are
+exchanged under CRC framing and per-importer RUP gating, and Byzantine
+exporters are quarantined.
 """
 
 from repro.parallel.batch import BatchResult, solve_batch
@@ -49,7 +48,6 @@ from repro.parallel.portfolio import (
     default_portfolio,
 )
 from repro.parallel.sharing import (
-    AdaptiveLaneManager,
     ClauseBus,
     ShareClient,
     ShareFrameError,
@@ -58,7 +56,6 @@ from repro.parallel.sharing import (
 )
 
 __all__ = [
-    "AdaptiveLaneManager",
     "BatchResult",
     "ClauseBus",
     "GroupOutcome",

@@ -27,12 +27,11 @@ queue.  A slot is spawned at the first launch that finds no idle one,
 and a launch is one message on its job pipe
 (:class:`~repro.parallel.worker.Launch`).  The process survives an
 attempt only when the parent accepted its payload or the attempt ended
-in a cooperative UNKNOWN (a budget, an interrupt, a preemption yield).
-Every other ending retires it — a crash, a stall or a deadline kill,
+in a cooperative UNKNOWN (a budget or an interrupt).  Every other
+ending retires it — a crash, a stall or a deadline kill,
 :meth:`JobPool.fail`, a rejected or ``None`` payload, a ``"memory
-budget"`` answer, a preemption past its grace — and the next launch
-gets a fresh process, so a job that leaves its worker in a bad state
-can never poison the next job.  A process that has posted is retired by
+budget"`` answer — and the next launch gets a fresh process, so a job
+that leaves its worker in a bad state can never poison the next job.  A process that has posted is retired by
 closing its pipe (it exits at EOF), one that has not is killed; either
 way its channels go with it, so a process killed while holding a lock
 of one of them can only have damaged its own slot.  The health checks:
@@ -48,13 +47,11 @@ of one of them can only have damaged its own slot.  The health checks:
   is finalized without ever launching (work is cancelled, not
   orphaned).
 
-Two controls act on one running job from outside: :meth:`JobPool.preempt`
-sets its slot's stop event and relaunches the job without spending
-retry budget (the portfolio's adaptive relaunch), and
-:meth:`JobPool.fail` retires its worker as a retryable fault (the
-portfolio's quarantine).  With a
-:class:`~repro.parallel.sharing.ClauseBus` attached, the pool also
-routes shared clauses between its jobs.
+One control acts on one running job from outside: :meth:`JobPool.fail`
+retires its worker as a retryable fault (the portfolio's quarantine),
+so the retry policy is the only path by which a job is relaunched.
+With a :class:`~repro.parallel.sharing.ClauseBus` attached, the pool
+also routes shared clauses between its jobs.
 
 The pool is synchronous and poll-driven: call :meth:`poll` from any
 loop (the engines' while-loops, the asyncio server's pump task) and
@@ -159,8 +156,6 @@ class Job:
     first_launch: float | None = None
     kill_at: float | None = None  # materialized hard deadline
     not_before: float = 0.0  # backoff gate for the next launch
-    #: Preempted launches, which do not count against the retry budget.
-    free_attempts: int = 0
     #: True while the next launch follows a failed attempt (a retry).
     retrying: bool = False
     #: The final answer: a SolveResult, or a custom kind's checked payload.
@@ -193,10 +188,6 @@ class _Slot:
     attempt: int = 0
     config: SolverConfig | None = None
     resumed_from: int | None = None
-    #: Why :meth:`JobPool.preempt` is reclaiming this attempt.
-    preempted: str | None = None
-    #: When a preempted worker that has not yielded is killed.
-    terminate_at: float | None = None
 
 
 def _memory_exhausted(payload) -> bool:
@@ -398,13 +389,6 @@ class JobPool:
                     job, slot, "stalled (no heartbeat)", now,
                     retryable=True, finished=finished,
                 )
-            elif slot.terminate_at is not None and now > slot.terminate_at:
-                # The preempted worker ignored its stop event past the
-                # grace window: the kill is the backstop, and the
-                # relaunch still rides free.
-                self._end_attempt(job_id)
-                self._retire(slot, posted=False)
-                self._requeue_preempted(job, slot, now)
         # Purge stale result payloads: an attempt that was killed or
         # failed may have posted, and nothing will ever consume its tag.
         # Only the current attempt of a still-active job can be claimed
@@ -529,25 +513,8 @@ class JobPool:
             self._retire(slot, posted)
 
     # ------------------------------------------------------------------
-    # Controls on one running job
+    # Control on one running job
     # ------------------------------------------------------------------
-    def preempt(self, job_id: int, reason: str, grace_seconds: float) -> int:
-        """Stop one running job and relaunch it without spending retry budget.
-
-        Sets its slot's stop event, so the worker interrupts at its next
-        progress tick and posts an UNKNOWN; a worker still running
-        ``grace_seconds`` later is killed.  Either way the attempt is
-        recorded with ``reason`` and the job is queued again at once
-        (with whatever ``job.config`` says by then).  A definite answer
-        posted meanwhile still finishes the job.  Returns the preempted
-        attempt's index.
-        """
-        slot = self.active[job_id]
-        slot.preempted = reason
-        slot.terminate_at = time.monotonic() + grace_seconds
-        slot.stop.set()
-        return slot.attempt
-
     def fail(self, job_id: int, reason: str, detail: str | None = None) -> None:
         """Retire one running job's worker as a retryable fault.
 
@@ -673,7 +640,6 @@ class JobPool:
         slot.attempt = attempt
         slot.config = attempt_config
         slot.resumed_from = resumed_from
-        slot.preempted = slot.terminate_at = None
         try:
             slot.jobs.send(
                 Launch(
@@ -735,7 +701,7 @@ class JobPool:
             retryable
             and time_left
             and not self.draining
-            and self.policy.allows(job.attempts - job.free_attempts)
+            and self.policy.allows(job.attempts)
         )
         if self.trace is not None:
             self._emit(
@@ -815,23 +781,11 @@ class JobPool:
             return False
         if self.verification != VERIFY_OFF:
             job.verify_seconds = time.perf_counter() - verify_started
-        if slot.preempted is not None and payload.is_unknown:
-            # The worker yielded to preempt(); a definite answer would
-            # have beaten the reclaim, so only the UNKNOWN lands here.
-            self._requeue_preempted(job, slot, now)
-            return True
         self._record(job, slot, "ok", now)
         if isinstance(payload, SolveResult):
             payload.attempts = list(job.history)
         self._finalize(job, payload, finished, answered=True)
         return not _memory_exhausted(payload)
-
-    def _requeue_preempted(self, job: Job, slot: _Slot, now) -> None:
-        """Queue a preempted job again at once, outside the retry budget."""
-        self._record(job, slot, slot.preempted, now)
-        job.free_attempts += 1
-        job.not_before = now
-        self.pending.append(job)
 
     def _finalize(
         self, job: Job, result: SolveResult, finished: list, answered: bool = False

@@ -36,12 +36,10 @@ import time
 from collections.abc import Iterable, Sequence
 
 from repro.cnf.formula import CnfFormula
-from repro.observability.trace import MultiSink
 from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.sharing import (
     DEFAULT_QUARANTINE_THRESHOLD,
     DEFAULT_VERIFY_FRACTION,
-    AdaptiveLaneManager,
     ClauseBus,
 )
 from repro.parallel.worker import TELEMETRY_SECONDS, strip_for_worker
@@ -129,11 +127,10 @@ class PortfolioSolver:
             receiving the race as events: ``fleet_start``, the pool's
             supervision events per lane (launches, faults, ``job_end``),
             ``lane_progress`` rows relayed every
-            :data:`~repro.parallel.worker.TELEMETRY_SECONDS` (also when
-            only ``adapt`` is on), the sharing and adaptation events,
-            and ``fleet_end``.  Worker configs are stripped of their own
-            ``trace`` — progress crosses the process boundary as
-            telemetry, not as a shared sink.
+            :data:`~repro.parallel.worker.TELEMETRY_SECONDS`, the
+            sharing events, and ``fleet_end``.  Worker configs are
+            stripped of their own ``trace`` — progress crosses the
+            process boundary as telemetry, not as a shared sink.
         share: enable the validated clause bus between lanes (see
             :mod:`repro.parallel.sharing`): glue-tier learned clauses
             are exported, CRC-framed, re-validated twice, and imported
@@ -147,10 +144,6 @@ class PortfolioSolver:
             parent's bounded semantic spot-check.
         quarantine_threshold: hard rejections before a lane is
             quarantined.
-        adapt: enable adaptive lane management — a UCB bandit over the
-            telemetry stream preempts the clearly-losing lane and
-            relaunches it (without burning retry budget) under a mutated
-            configuration, warm-resumed where its checkpoint is valid.
     """
 
     def __init__(
@@ -171,7 +164,6 @@ class PortfolioSolver:
         share_max_lbd: int | None = None,
         share_verify_fraction: float = DEFAULT_VERIFY_FRACTION,
         quarantine_threshold: int = DEFAULT_QUARANTINE_THRESHOLD,
-        adapt: bool = False,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -209,7 +201,6 @@ class PortfolioSolver:
         )
         self.share_verify_fraction = share_verify_fraction
         self.quarantine_threshold = quarantine_threshold
-        self.adapt = bool(adapt)
 
     # ------------------------------------------------------------------
     def solve(
@@ -236,8 +227,8 @@ class PortfolioSolver:
 
         Each lane is one job on a :class:`~repro.parallel.pool.JobPool`
         sharing one race deadline; this method only adds what a race
-        needs on top of the pool: first-answer-wins, quarantine of
-        Byzantine sharers, and the bandit's adaptive relaunches.
+        needs on top of the pool: first-answer-wins and quarantine of
+        Byzantine sharers.
         """
         if not isinstance(formula, CnfFormula):
             formula = CnfFormula(formula)
@@ -265,10 +256,6 @@ class PortfolioSolver:
                 rng=random.Random(10007 + self.configs[0].seed),
                 trace=trace,
             )
-        adapt = (
-            AdaptiveLaneManager() if self.adapt and len(worker_configs) > 1 else None
-        )
-        sinks = [sink for sink in (trace, adapt) if sink is not None]
         pool = JobPool(
             self.jobs,
             retry=self.retry,
@@ -277,8 +264,8 @@ class PortfolioSolver:
             max_memory_mb=self.max_memory_mb,
             fault_plan=self.fault_plan,
             checkpoint_interval=self.checkpoint_interval,
-            trace=MultiSink(*sinks) if sinks else None,
-            telemetry_seconds=TELEMETRY_SECONDS if sinks else None,
+            trace=trace,
+            telemetry_seconds=TELEMETRY_SECONDS if trace is not None else None,
             bus=bus,
         )
         deadline = (
@@ -322,8 +309,6 @@ class PortfolioSolver:
                 )
                 if champion is None and bus is not None:
                     lane_restarts += self._quarantine(pool, bus, lanes)
-                if champion is None and adapt is not None:
-                    lane_restarts += self._adapt(pool, adapt, lanes)
         finally:
             pool.close(self.grace_seconds)
 
@@ -418,30 +403,3 @@ class PortfolioSolver:
                     f"across {state.exported} accepted exports",
                 )
         return len(poisoned)
-
-    def _adapt(self, pool: JobPool, adapt: AdaptiveLaneManager, lanes: list[Job]) -> int:
-        """Preempt the bandit's clearly-losing lane under a mutated config.
-
-        The relaunch spends no retry budget (the lane did nothing wrong)
-        and warm-resumes from the lane's checkpoint where one is valid.
-        Returns 1 when a lane was preempted this tick, else 0.
-        """
-        candidates = [
-            index for index, slot in pool.active.items() if slot.preempted is None
-        ]
-        victim = adapt.pick_victim(time.monotonic(), candidates)
-        if victim is None:
-            return 0
-        job = lanes[victim]
-        job.config, label = adapt.mutate(victim, job.config)
-        attempt = pool.preempt(victim, f"adapt:{label}", self.grace_seconds)
-        if self.trace is not None:
-            self.trace.emit(
-                {
-                    "type": "lane_adapt",
-                    "lane": victim,
-                    "attempt": attempt,
-                    "mutation": label,
-                }
-            )
-        return 1

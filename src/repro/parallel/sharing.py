@@ -1,4 +1,4 @@
-"""Byzantine-tolerant clause sharing and adaptive lane management.
+"""Byzantine-tolerant clause sharing between portfolio lanes.
 
 The portfolio lanes race the same formula, so a glue clause learned in
 one lane prunes the search of every other lane — *if* it can be
@@ -34,39 +34,22 @@ lane, with a severity):
 
 **Quarantine.**  A lane accumulating ``quarantine_threshold`` hard
 rejections is quarantined: its pending clauses are purged fleet-wide,
-``lane_quarantine`` is traced, and the supervisor preempts and
-relaunches it under the normal RetryPolicy/checkpoint machinery.
+``lane_quarantine`` is traced, and the supervisor fails its attempt
+through :meth:`~repro.parallel.pool.JobPool.fail`, so the normal
+RetryPolicy/checkpoint machinery decides whether it is relaunched.
 Soundness never rests on quarantine alone: importers attach a clause
 only after their *own* unit propagation proves it (the RUP gate), so
 imports are logical consequences by construction and a poisoned fleet
 can degrade to UNKNOWN but never to a wrong answer — and the
 trusted-results gate still verifies the winner independently.
-
-**Adaptive lanes.**  :class:`AdaptiveLaneManager` runs a UCB-style
-bandit over the worker telemetry time-series (props/s, conflict rate):
-when one lane's optimistic score falls clearly below the fleet, it is
-preempted at the next progress tick and relaunched with a mutated
-configuration (branching variant / restart policy), warm-resuming
-from its checkpoint where one is still valid.
 """
 
 from __future__ import annotations
 
-import math
 import struct
-import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-
-from repro.observability.trace import TraceSink
-from repro.solver.config import (
-    DECISION_GLOBAL,
-    DECISION_VSIDS,
-    RESTART_GEOMETRIC,
-    RESTART_LUBY,
-    SolverConfig,
-)
 
 #: Queue-tag sentinel for clause frames: ``("share", lane, attempt, seq)``.
 #: 4-tuples can never collide with result tags (2-tuples) or telemetry
@@ -587,159 +570,3 @@ def route_shares(collected: dict, bus: ClauseBus | None) -> int:
         else:
             bus.notice(lane, attempt, payload)
     return routed
-
-
-# ======================================================================
-# Adaptive lane management (UCB bandit over telemetry)
-# ======================================================================
-#: Mutation menu: one orthogonal knob per relaunch.  Ordered by
-#: expected impact — the branching variant, then the restart policy.
-#: A lane whose current config already matches an entry walks past it,
-#: so the menu degrades gracefully for lanes already on a variant.
-MUTATIONS: tuple[tuple[str, dict], ...] = (
-    ("branching=vsids", {"decision_strategy": DECISION_VSIDS}),
-    ("branching=global", {"decision_strategy": DECISION_GLOBAL}),
-    ("restarts=luby", {"restart_strategy": RESTART_LUBY}),
-    ("restarts=geometric", {"restart_strategy": RESTART_GEOMETRIC}),
-)
-
-#: Seed stride applied per adaptation, distinct from the retry stride so
-#: an adapted lane never collides with a supervised-retry reseed.
-ADAPT_SEED_STRIDE = 104729
-
-
-def mutate_config(config: SolverConfig, step: int) -> tuple[SolverConfig, str]:
-    """The ``step``-th mutation of ``config`` that actually changes it.
-
-    Walks :data:`MUTATIONS` from ``step`` and applies the first entry
-    whose overrides differ from the current values, plus a fresh seed.
-    The mutated config keeps a ``name+mutation`` label so attempt
-    records and traces show what the bandit tried.
-    """
-    for probe in range(len(MUTATIONS)):
-        label, overrides = MUTATIONS[(step + probe) % len(MUTATIONS)]
-        if any(getattr(config, key) != value for key, value in overrides.items()):
-            mutated = config.with_overrides(
-                name=f"{config.name.split('+')[0]}+{label}",
-                seed=config.seed + ADAPT_SEED_STRIDE * (step + 1),
-                **overrides,
-            )
-            return mutated, label
-    # Every knob already matches (pathological); reseed only.
-    return (
-        config.with_overrides(seed=config.seed + ADAPT_SEED_STRIDE * (step + 1)),
-        "reseed",
-    )
-
-
-class AdaptiveLaneManager(TraceSink):
-    """UCB-style bandit that preempts the losing lane and mutates it.
-
-    It reads the fleet as a trace sink: every launch (``worker_start``
-    / ``worker_retry``) restarts the lane's sample window, and every
-    ``lane_progress`` row is a reward sample.
-
-    Rewards are per-telemetry-row throughput samples
-    (``log1p(props/s) + log1p(conflicts/s)``, so a lane stuck at zero
-    props is maximally losing without one huge lane dwarfing the rest).
-    Each lane's UCB score is ``mean + exploration * sqrt(ln N / n)`` —
-    the *optimistic* estimate.  A lane is preempted only when even its
-    optimistic score trails the best lane's mean by ``margin``: young or
-    noisy lanes keep the benefit of the doubt, so adaptation converges
-    instead of thrashing.
-    """
-
-    def __init__(
-        self,
-        *,
-        interval_seconds: float = 2.0,
-        exploration: float = 1.4,
-        min_samples: int = 2,
-        max_adaptations: int = 3,
-        warmup_seconds: float = 1.0,
-        margin: float = 0.75,
-    ) -> None:
-        self.interval_seconds = interval_seconds
-        self.exploration = exploration
-        self.min_samples = min_samples
-        self.max_adaptations = max_adaptations
-        self.warmup_seconds = warmup_seconds
-        self.margin = margin
-        self._rewards: dict[int, list[float]] = {}
-        self._launched_at: dict[int, float] = {}
-        self._mutation_step: dict[int, int] = {}
-        self.adaptations: dict[int, int] = {}
-        self._last_adapt = 0.0
-
-    @staticmethod
-    def reward(row: dict) -> float:
-        props = max(0.0, float(row.get("props_per_sec") or 0.0))
-        conflicts = max(0.0, float(row.get("conflicts_per_sec") or 0.0))
-        return math.log1p(props) + math.log1p(conflicts)
-
-    def observe(self, lane: int, row: dict) -> None:
-        self._rewards.setdefault(lane, []).append(self.reward(row))
-
-    def record_launch(self, lane: int, now: float) -> None:
-        self._launched_at[lane] = now
-        self._rewards[lane] = []
-
-    def emit(self, event: dict) -> None:
-        kind = event["type"]
-        if kind in ("worker_start", "worker_retry"):
-            self.record_launch(event["lane"], time.monotonic())
-        elif kind == "lane_progress":
-            self.observe(event["lane"], event)
-
-    def scores(self, lanes) -> dict[int, tuple[float, float]]:
-        """(mean, ucb) per candidate lane with enough samples."""
-        samples = {
-            lane: self._rewards.get(lane, [])
-            for lane in lanes
-            if len(self._rewards.get(lane, [])) >= self.min_samples
-        }
-        total = sum(len(rows) for rows in samples.values())
-        if total == 0:
-            return {}
-        scored: dict[int, tuple[float, float]] = {}
-        for lane, rows in samples.items():
-            mean = sum(rows) / len(rows)
-            bonus = self.exploration * math.sqrt(math.log(max(total, 2)) / len(rows))
-            scored[lane] = (mean, mean + bonus)
-        return scored
-
-    def pick_victim(self, now: float, lanes) -> int | None:
-        """The lane to preempt this tick, or None to leave the fleet be."""
-        if now - self._last_adapt < self.interval_seconds:
-            return None
-        candidates = [
-            lane
-            for lane in lanes
-            if self.adaptations.get(lane, 0) < self.max_adaptations
-            and now - self._launched_at.get(lane, now) >= self.warmup_seconds
-        ]
-        if len(candidates) < 2:
-            return None
-        scored = self.scores(candidates)
-        if len(scored) < 2:
-            return None
-        best_mean = max(mean for mean, _ in scored.values())
-        victim = min(scored, key=lambda lane: scored[lane][1])
-        if scored[victim][1] >= best_mean - self.margin:
-            return None  # even optimistically close enough — don't churn
-        self._last_adapt = now
-        return victim
-
-    def mutate(self, lane: int, config: SolverConfig) -> tuple[SolverConfig, str]:
-        """Next mutation for ``lane``; advances its rotation and counts it.
-
-        Every lane starts at the top of the impact-ordered menu — a
-        losing lane's first relaunch always tries the biggest lever
-        (the branching variant) before the restart policy.  Seed
-        strides keep relaunched lanes diverse even when two victims
-        land on the same mutation.
-        """
-        step = self._mutation_step.get(lane, 0)
-        self._mutation_step[lane] = step + 1
-        self.adaptations[lane] = self.adaptations.get(lane, 0) + 1
-        return mutate_config(config, step)

@@ -77,7 +77,7 @@ def strip_for_worker(config: SolverConfig, verification: str) -> SolverConfig:
 
 
 #: Seconds between the progress rows a worker relays when its engine
-#: turns telemetry on (a trace sink is attached, or the bandit runs).
+#: turns telemetry on (a trace sink is attached).
 TELEMETRY_SECONDS = 0.5
 
 #: Queue tag prefix for telemetry rows.  Results use 2-tuple
@@ -253,7 +253,7 @@ def solve_in_worker(
     :meth:`Solver.solve`.  When ``stop`` (the slot's event) is given, an
     ``on_progress`` hook polls it at the solver's progress cadence and
     interrupts the search once it is set — the cooperative half of
-    cancellation and preemption (the parent's kill is the backstop).
+    cancellation (the parent's kill is the backstop).
     ``heartbeat`` (a shared ``multiprocessing.Value('d')``) is stamped
     with ``time.monotonic()`` at the same cadence for the parent's stall
     watchdog.  ``fault`` is the :class:`FaultSpec` scheduled for this
@@ -410,9 +410,8 @@ def route_telemetry(collected: dict, trace=None) -> int:
     ``("telemetry", lane, attempt)`` tags; answers never use those, so
     this sweep is what keeps the pool's "every tag is a result"
     invariant intact.  Each popped row is emitted on ``trace`` as one
-    ``lane_progress`` event when a sink is given (the dashboard and the
-    adaptive lane manager fold them).  Returns the number of rows
-    routed.
+    ``lane_progress`` event when a sink is given (the dashboard folds
+    them).  Returns the number of rows routed.
     """
     routed = 0
     for tag in [key for key in collected if isinstance(key, tuple) and len(key) == 3]:

@@ -37,11 +37,11 @@ RUP-checked answers either way.  Serve rounds boot the whole solver
 every instance through one multiplexed client concurrently, and demand
 a definite verified answer for each — a refusal or a hung client fails
 the round.  Fleet rounds run the *cooperating* portfolio — clause
-sharing live, parent spot checks elevated, the adaptive bandit armed on
-half the rounds — with the Byzantine ``corrupt_share`` fault as the
-headline attack: one lane exports poisoned frames and the fleet must
-still return correct verified answers, quarantining the sharer when the
-evidence crosses the threshold (see :mod:`repro.parallel.sharing`).
+sharing live, parent spot checks elevated — with the Byzantine
+``corrupt_share`` fault as the headline attack: one lane exports
+poisoned frames and the fleet must still return correct verified
+answers, quarantining the sharer when the evidence crosses the
+threshold (see :mod:`repro.parallel.sharing`).
 
 A clean audit is the operational meaning of "trusted results": no
 single-worker fault, anywhere in the pipeline, can surface a wrong or
@@ -515,12 +515,11 @@ def _fleet_round(pool, mode, policy, stall_seconds, rng, report, defects) -> int
     """One audit round against the *cooperating* fleet (sharing live).
 
     Runs the two-lane portfolio with the clause bus enabled (elevated
-    ``share_verify_fraction`` so the parent's RUP spot checks are
-    exercised, and the adaptive bandit armed on half the rounds).  The
-    headline fault is ``corrupt_share``: the victim lane exports
-    poisoned frames — flipped literals with valid CRCs, bit-flipped
-    bytes, out-of-range variables — and the fleet must still return a
-    definite, correct, verified answer, because every import is
+    ``share_verify_fraction`` so the parent's spot checks are
+    exercised).  The headline fault is ``corrupt_share``: the victim
+    lane exports poisoned frames — flipped literals with valid CRCs,
+    bit-flipped bytes, out-of-range variables — and the fleet must still
+    return a definite, correct, verified answer, because every import is
     re-validated and RUP-gated and a sufficiently noisy sharer is
     quarantined.  Instances are drawn from a slightly larger pool than
     the classic rounds so lanes actually learn glue clauses to share.
@@ -552,7 +551,6 @@ def _fleet_round(pool, mode, policy, stall_seconds, rng, report, defects) -> int
         fault_plan=plan,
         share=True,
         share_verify_fraction=0.25,
-        adapt=bool(rng.randrange(2)),
     )
     result = portfolio.solve(formula)
     report.retries += result.stats.worker_retries

@@ -68,16 +68,15 @@ dead and rebuilds the watch structures over the moved refs.
 Inprocessing
 ------------
 Between restarts the engine runs bounded variable elimination (the
-NiVER rule of :mod:`repro.cnf.elimination`) every
-``config.inprocess_interval`` restarts.  Eliminated variables keep their
-original clauses on a stack for model reconstruction; a later clause or
-assumption that mentions one restores it transitively ("restore on
-touch").  All DRUP obligations are preserved: resolvents are logged as
-additions (single-step resolvents are always RUP), learned clauses swept
-by elimination are logged as deletions, and the original clauses an
-elimination removes are *not* deleted from the proof — the checker's
-database stays a superset, which keeps every later inference checkable
-and makes restoration free.
+NiVER rule) every ``config.inprocess_interval`` restarts.  Eliminated
+variables keep their original clauses on a stack for model
+reconstruction; a later clause or assumption that mentions one restores
+it transitively ("restore on touch").  All DRUP obligations are
+preserved: resolvents are logged as additions (single-step resolvents
+are always RUP), learned clauses swept by elimination are logged as
+deletions, and the original clauses an elimination removes are *not*
+deleted from the proof — the checker's database stays a superset, which
+keeps every later inference checkable and makes restoration free.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ from array import array
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from repro.cnf.elimination import _resolvents
 from repro.cnf.formula import CnfFormula
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
 from repro.cnf.simplify import clean_clause
@@ -1474,6 +1472,30 @@ class Solver:
     # ==================================================================
     # Inprocessing: bounded variable elimination between restarts
     # ==================================================================
+    @staticmethod
+    def _resolvents(
+        positive: list[list[int]], negative: list[list[int]], variable: int
+    ) -> list[list[int]] | None:
+        """All distinct non-tautological resolvents on ``variable`` of
+        DIMACS clauses; None when one of them is empty."""
+        produced: list[list[int]] = []
+        seen: set[tuple[int, ...]] = set()
+        for pos_clause in positive:
+            pos_rest = [literal for literal in pos_clause if literal != variable]
+            for neg_clause in negative:
+                merged = clean_clause(
+                    pos_rest + [literal for literal in neg_clause if literal != -variable]
+                )
+                if merged is None:
+                    continue  # tautology
+                if not merged:
+                    return None  # empty resolvent: formula refuted
+                key = tuple(sorted(merged))
+                if key not in seen:
+                    seen.add(key)
+                    produced.append(merged)
+        return produced
+
     def _inprocess(self) -> None:
         """One bounded-variable-elimination pass at decision level 0.
 
@@ -1536,7 +1558,7 @@ class Solver:
                     positive.append(dimacs)
                 else:
                     negative.append(dimacs)
-            resolvents = _resolvents(positive, negative, variable)
+            resolvents = self._resolvents(positive, negative, variable)
             if resolvents is None:
                 # Impossible while every stored record has >= 2 literals
                 # (an empty resolvent needs two opposing unit clauses).
@@ -2362,8 +2384,7 @@ class Solver:
 
         Reverse elimination order, standard argument: once every
         resolvent is satisfied, at most one polarity of a variable's
-        stored clauses can still need it (same algorithm as
-        :meth:`repro.cnf.elimination.PreprocessResult.extend_model`).
+        stored clauses can still need it.
         """
         model = {
             variable: self.assigns[variable] == TRUE

@@ -74,8 +74,8 @@ class SolverStats:
     # Cooperative clause sharing (see repro.parallel.sharing): learned
     # clauses this solver exported onto the fleet bus, validated imports
     # it attached, imports it rejected at the validation gate (CRC /
-    # range / eliminated-variable / tautology / RUP), and lane preempt-
-    # relaunches (quarantine or adaptive) performed by the supervisor.
+    # range / eliminated-variable / tautology / RUP), and lanes the
+    # supervisor quarantined (each failed through the retry policy).
     # Zero for sequential solves.
     shared_exported: int = 0
     shared_imported: int = 0

@@ -61,7 +61,7 @@ def _lines(events) -> list[str]:
 def test_lane_states_cover_the_life_cycle():
     assert LANE_STATES == (
         "pending", "running", "retrying", "resumed",
-        "quarantined", "adapted", "degraded", "done",
+        "quarantined", "degraded", "done",
     )
 
 
@@ -84,7 +84,7 @@ def test_dashboard_non_tty_prints_one_line_per_transition():
 
 def test_dashboard_folds_each_supervision_event():
     events = [
-        {"type": "fleet_start", "count": 4},
+        {"type": "fleet_start", "count": 3},
         # A relaunch without a checkpoint runs; a final fault is silent
         # because the job_end that follows degrades the lane.
         {"type": "worker_retry", "lane": 0, "attempt": 1},
@@ -94,9 +94,8 @@ def test_dashboard_folds_each_supervision_event():
          "status": "UNKNOWN", "limit_reason": "stalled (no heartbeat)"},
         {"type": "lane_quarantine", "lane": 1, "attempt": 0,
          "rejections": 6, "exported": 40},
-        {"type": "lane_adapt", "lane": 2, "attempt": 0, "mutation": "restarts=luby"},
         # Grouped jobs end without a status.
-        {"type": "job_end", "lane": 3, "answered": True, "attempt": 0},
+        {"type": "job_end", "lane": 2, "answered": True, "attempt": 0},
         # Events that are not lane transitions are ignored.
         {"type": "share_export", "lane": 1, "attempt": 0, "seq": 1, "size": 2, "lbd": 2},
         {"type": "server_reply", "kind": "result", "cached": None},
@@ -104,12 +103,11 @@ def test_dashboard_folds_each_supervision_event():
     for event in events:
         assert validate_event(event) is None, event
     assert _lines(events) == [
-        "fleet: 4 lanes",
+        "fleet: 3 lanes",
         "lane 0: running [attempt 1]",
         "lane 0: degraded (stalled (no heartbeat)) [attempt 1]",
         "lane 1: quarantined (6 hard share rejections)",
-        "lane 2: adapted (restarts=luby)",
-        "lane 3: done",
+        "lane 2: done",
     ]
 
 
@@ -159,12 +157,11 @@ def test_dashboard_renders_fleet_detours_and_share_throughput():
             _progress(0, shared_per_sec=4.5),
             {"type": "lane_quarantine", "lane": 0, "attempt": 0,
              "rejections": 6, "exported": 12},
-            {"type": "lane_adapt", "lane": 1, "attempt": 1, "mutation": "restarts=luby"},
             {"type": "fleet_end", "summary": "done"},
         ],
     )
     text = out.getvalue()
-    assert "☣" in text and "♻" in text
+    assert "☣" in text
     assert "4.5 shares/s" in text
 
 

@@ -17,14 +17,12 @@ from repro.parallel.sharing import (
     DEFAULT_QUARANTINE_THRESHOLD,
     SEVERITY_BENIGN,
     SEVERITY_HARD,
-    AdaptiveLaneManager,
     ClauseBus,
     ShareFrameError,
     clause_key,
     decode_share_frame,
     encode_share_frame,
     is_tautology,
-    mutate_config,
 )
 from repro.reliability import FaultPlan
 from repro.reliability.faults import FAULT_CORRUPT_SHARE
@@ -276,57 +274,6 @@ def test_import_gate_parks_unproven_then_gives_up():
     assert solver._import_shared() == 0
     assert share.rejects == [(1, "rup-unproven", SEVERITY_BENIGN)]
     assert solver.stats.shared_imported == 0
-
-
-# ------------------------------------------------------------ adaptation
-def test_mutate_config_tries_the_branching_lever_first():
-    config = config_by_name("berkmin", seed=11)
-    mutated, label = mutate_config(config, 0)
-    assert label == "branching=vsids"
-    assert mutated.decision_strategy == "vsids"
-    assert mutated.seed != config.seed
-    assert mutated.name.startswith("berkmin+")
-
-
-def test_mutate_config_walks_past_no_op_mutations():
-    # A lane already on VSIDS branching skips branching=vsids and lands
-    # on the next entry that actually changes the config.
-    config = config_by_name("chaff", seed=11)
-    mutated, label = mutate_config(config, 0)
-    assert label == "branching=global"
-    assert mutated.decision_strategy == "global"
-
-
-def test_adaptive_manager_preempts_clear_loser_only():
-    manager = AdaptiveLaneManager(
-        interval_seconds=0.0, warmup_seconds=0.0, min_samples=2
-    )
-    manager.record_launch(0, now=0.0)
-    manager.record_launch(1, now=0.0)
-    for _ in range(4):
-        manager.observe(0, {"props_per_sec": 50_000, "conflicts_per_sec": 400})
-        manager.observe(1, {"props_per_sec": 40_000, "conflicts_per_sec": 300})
-    # Close race: nobody is preempted.
-    assert manager.pick_victim(5.0, [0, 1]) is None
-    for _ in range(4):
-        manager.observe(1, {"props_per_sec": 10, "conflicts_per_sec": 0})
-    victim = manager.pick_victim(10.0, [0, 1])
-    assert victim == 1
-    mutated, label = manager.mutate(1, config_by_name("chaff", seed=2))
-    assert manager.adaptations[1] == 1
-    assert label
-
-
-def test_adaptive_manager_respects_warmup_and_budget():
-    manager = AdaptiveLaneManager(
-        interval_seconds=0.0, warmup_seconds=100.0, min_samples=1
-    )
-    manager.record_launch(0, now=0.0)
-    manager.record_launch(1, now=0.0)
-    manager.observe(0, {"props_per_sec": 50_000, "conflicts_per_sec": 400})
-    manager.observe(1, {"props_per_sec": 1, "conflicts_per_sec": 0})
-    # Both lanes still inside warmup: benefit of the doubt.
-    assert manager.pick_victim(1.0, [0, 1]) is None
 
 
 # ----------------------------------------------------- end-to-end fleets

@@ -2,10 +2,9 @@
 
 Portfolio lanes and grouped sessions run as job kinds on the same
 supervised pool as the batch engine.  These tests pin the behaviours
-that are specific to those kinds: warm resume of a killed lane, the
-free (budget-neutral) adaptive relaunch with terminate as its backstop,
-a hard group timeout that degrades only its own group, and the
-portfolio CLI's SIGTERM cleanup.
+that are specific to those kinds: warm resume of a killed lane, a hard
+group timeout that degrades only its own group, and the portfolio
+CLI's SIGTERM cleanup.
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ import pytest
 
 from repro.generators import pigeonhole_formula
 from repro.parallel import PortfolioSolver, solve_grouped
-from repro.parallel.sharing import AdaptiveLaneManager
 from repro.reliability import FaultPlan, FaultSpec, RetryPolicy
-from repro.reliability.retry import NO_RETRY
-from repro.solver.config import config_by_name
 from repro.solver.result import SolveStatus
 
 pytestmark = pytest.mark.fault_injection
@@ -40,24 +36,6 @@ SHRINK_GROUP = [
     ([[-1]], []),
     ([[-2]], []),
 ]
-
-
-def _two_lanes():
-    return [config_by_name("berkmin", seed=1), config_by_name("chaff", seed=2)]
-
-
-def _pick_lane_zero_once(monkeypatch):
-    """Make the bandit preempt lane 0 the first time it is a candidate."""
-    picked: list[int] = []
-
-    def pick_victim(self, now, lanes):
-        if not picked and 0 in lanes:
-            picked.append(0)
-            return 0
-        return None
-
-    monkeypatch.setattr(AdaptiveLaneManager, "pick_victim", pick_victim)
-    return picked
 
 
 def test_killed_lane_warm_resumes_from_its_checkpoint(tmp_path):
@@ -77,57 +55,6 @@ def test_killed_lane_warm_resumes_from_its_checkpoint(tmp_path):
     assert result.attempts[0].outcome.startswith("worker crashed")
     assert result.attempts[1].resumed_from_conflicts >= 100
     assert result.stats.worker_retries == 1
-
-
-def test_adaptive_relaunch_spends_no_retry_budget(monkeypatch):
-    picked = _pick_lane_zero_once(monkeypatch)
-    portfolio = PortfolioSolver(
-        _two_lanes(),
-        jobs=2,
-        retry=NO_RETRY,
-        adapt=True,
-        verification="full",
-        fault_plan=FaultPlan.single("hang", worker=1, seconds=60.0),
-    )
-    result = portfolio.solve(pigeonhole_formula(6))
-    assert picked == [0]
-    assert result.status is SolveStatus.UNSAT
-    assert result.verified == "proof"
-    assert result.attempts[0].outcome.startswith("adapt:")
-    assert result.attempts[-1].outcome == "ok"
-    assert result.stats.lane_restarts == 1
-    assert result.stats.worker_retries == 0
-
-
-def test_preempted_lane_that_ignores_its_stop_event_is_terminated(monkeypatch):
-    picked = _pick_lane_zero_once(monkeypatch)
-    plan = FaultPlan(
-        specs=(
-            FaultSpec("hang", worker=0, attempt=0, seconds=60.0),
-            FaultSpec("hang", worker=1, attempt=0, seconds=60.0),
-        )
-    )
-    portfolio = PortfolioSolver(
-        _two_lanes(),
-        jobs=2,
-        retry=NO_RETRY,
-        adapt=True,
-        grace_seconds=0.5,
-        verification="full",
-        fault_plan=plan,
-    )
-    started = time.monotonic()
-    result = portfolio.solve(pigeonhole_formula(5))
-    assert picked == [0]
-    assert result.status is SolveStatus.UNSAT
-    assert result.verified == "proof"
-    first = result.attempts[0]
-    assert first.outcome.startswith("adapt:")
-    assert first.wall_seconds >= 0.5
-    assert result.attempts[-1].outcome == "ok"
-    assert result.stats.worker_retries == 0
-    assert result.stats.lane_restarts == 1
-    assert time.monotonic() - started < 30.0
 
 
 def test_grouped_hard_timeout_degrades_only_the_hung_group():

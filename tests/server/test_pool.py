@@ -174,23 +174,6 @@ def test_crashed_worker_is_recycled_and_retried(pool_factory):
         assert validate_event(event) is None, event
 
 
-def test_preempted_relaunch_is_not_traced_as_a_retry(pool_factory):
-    trace = RingBufferSink()
-    pool = pool_factory(size=1, trace=trace)
-    job = pool.submit(
-        Job(job_id=0, formula=pigeonhole_formula(9), config=worker_config())
-    )
-    pool.poll()
-    assert pool.preempt(0, "adapt:test", 1.0) == 0
-    stop = time.monotonic() + 30.0
-    while job.attempts < 2:
-        assert time.monotonic() < stop, "preempted job was never relaunched"
-        pool.poll()
-    assert job.history[0].outcome == "adapt:test"
-    assert launches(trace) == [("worker_start", 0), ("worker_start", 1)]
-    assert pool.retries == 0
-
-
 def test_every_job_ends_with_exactly_one_job_end(pool_factory):
     trace = RingBufferSink()
     pool = pool_factory(size=1, trace=trace)

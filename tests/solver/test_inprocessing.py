@@ -51,6 +51,24 @@ def test_eliminated_variable_model_reconstruction():
         assert any(result.model[abs(lit)] == (lit > 0) for lit in clause)
 
 
+def test_resolvents_skip_tautologies():
+    # On variable 1, (1 | 2) and (-1 | -2) resolve to the tautology
+    # (2 | -2), which is skipped; (1 | 2) and (-1 | 3) give (2 | 3).
+    assert Solver._resolvents([[1, 2]], [[-1, -2], [-1, 3]], 1) == [[2, 3]]
+
+
+def test_empty_resolvent_returns_none():
+    assert Solver._resolvents([[1]], [[-1]], 1) is None
+
+
+def test_duplicate_resolvents_are_produced_once():
+    # (1 | 3) and (-1 | 2) give (3 | 2), the clause (1 | 2) and (-1 | 3)
+    # already gave; (1 | 2) and (-1 | 2) merge to the unit (2).
+    assert Solver._resolvents([[1, 2], [1, 3]], [[-1, 3], [-1, 2]], 1) == [
+        [2, 3], [2], [3],
+    ]
+
+
 def test_arena_gc_fires_under_forced_reduce_and_answers_hold():
     for name, formula, expected in [
         ("hole6", pigeonhole_formula(6), SolveStatus.UNSAT),

@@ -112,27 +112,6 @@ def test_experiment_quick(capsys):
     assert "Table 3" in captured
 
 
-def test_solve_with_preprocessing_sat(tmp_path, capsys):
-    from repro.generators.random_ksat import planted_ksat
-
-    formula = planted_ksat(20, 70, 3, seed=9)
-    path = _write(tmp_path, formula)
-    code = main(["solve", path, "--preprocess"])
-    captured = capsys.readouterr().out
-    assert code == 10
-    assert "c preprocessing:" in captured
-    model_line = next(l for l in captured.splitlines() if l.startswith("v "))
-    model = {abs(int(t)): int(t) > 0 for t in model_line[2:].split() if t != "0"}
-    assert formula.evaluate(model)
-
-
-def test_solve_with_preprocessing_unsat(tmp_path, capsys):
-    path = _write(tmp_path, pigeonhole_formula(4))
-    code = main(["solve", path, "--preprocess"])
-    assert code == 20
-    assert "s UNSATISFIABLE" in capsys.readouterr().out
-
-
 def test_solve_portfolio_unsat(tmp_path, capsys):
     path = _write(tmp_path, pigeonhole_formula(5))
     code = main(["solve", path, "--portfolio", "--jobs", "2"])
@@ -153,11 +132,12 @@ def test_solve_jobs_implies_portfolio(tmp_path, capsys):
 
 def test_solve_portfolio_verifies_proof(tmp_path, capsys):
     path = _write(tmp_path, pigeonhole_formula(4))
-    code = main(["solve", path, "--portfolio", "--jobs", "2", "--proof"])
-    captured = capsys.readouterr().out
-    assert code == 20
-    assert "s UNSATISFIABLE" in captured
-    assert "c answer verified (proof)" in captured
+    for extra in ([], ["--share"]):
+        code = main(["solve", path, "--portfolio", "--jobs", "2", "--proof", *extra])
+        captured = capsys.readouterr().out
+        assert code == 20, extra
+        assert "s UNSATISFIABLE" in captured
+        assert "c answer verified (proof)" in captured
 
 
 def test_solve_verify_sat_model(tmp_path, capsys):

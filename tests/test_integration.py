@@ -1,9 +1,9 @@
 """Cross-cutting integration and invariant tests.
 
-These tie the subsystems together: preprocessing feeding the solver,
-proofs surviving reshuffling, implication-graph invariants holding
-mid-search under every configuration, and the full
-generate -> write -> parse -> solve -> verify pipeline.
+These tie the subsystems together: proofs surviving reshuffling,
+implication-graph invariants holding mid-search under every
+configuration, and the full generate -> write -> parse -> solve ->
+verify pipeline.
 """
 
 import random
@@ -12,7 +12,6 @@ import pytest
 
 from repro.baselines.brute import brute_force_satisfiable
 from repro.cnf.dimacs import parse_dimacs, write_dimacs
-from repro.cnf.elimination import preprocess
 from repro.cnf.formula import CnfFormula
 from repro.cnf.shuffle import shuffle_formula
 from repro.proof import check_rup_proof
@@ -28,25 +27,6 @@ def _random_formula(rng, max_vars=8, max_clauses=24):
         for _ in range(rng.randint(2, max_clauses))
     ]
     return CnfFormula(clauses, num_variables=n)
-
-
-def test_preprocess_agrees_with_direct_solve_across_configs():
-    rng = random.Random(21)
-    for trial in range(25):
-        formula = _random_formula(rng)
-        direct = brute_force_satisfiable(formula)
-        reduction = preprocess(formula, max_growth=rng.randint(0, 4))
-        if reduction.unsat:
-            assert not direct
-            continue
-        config = config_by_name(rng.choice(sorted(CONFIG_FACTORIES)), restart_interval=8)
-        result = Solver(reduction.formula, config=config).solve()
-        assert result.is_sat == direct
-        if result.is_sat:
-            full = reduction.extend_model(result.model)
-            for variable in range(1, formula.num_variables + 1):
-                full.setdefault(variable, False)
-            assert formula.evaluate(full)
 
 
 def test_proofs_survive_reshuffling():
