@@ -325,6 +325,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
     solver.var_activity[:] = array("d", snapshot.var_activity)
     solver.lit_activity[:] = array("d", snapshot.lit_activity)
     solver.vsids[:] = array("d", snapshot.vsids)
+    solver._refresh_tables()  # the C kernels read these through cached addresses
     solver.old_threshold = snapshot.old_threshold
     solver.birth_counter = snapshot.birth_counter
     solver.rng.setstate(_as_rng_state(snapshot.rng_state))

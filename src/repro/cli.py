@@ -89,6 +89,7 @@ import argparse
 import importlib
 import signal
 import sys
+from collections.abc import Sequence
 
 from repro.cnf.dimacs import DimacsError, parse_dimacs_file, write_dimacs_file
 from repro.proof import check_rup_proof
@@ -816,38 +817,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if rows is not None:
         _write_rows(args.metrics_out, _untyped(rows))
         print(f"c metrics written to {args.metrics_out} ({len(rows)} rows)")
-    verified = None
     if verification is not None and verification != VERIFY_OFF:
         from repro.reliability import verify_result
 
-        verified = verify_result(formula, result, verification)
-        if verified is not None:
-            print(f"c answer verified ({verified})")
-    if result.status is SolveStatus.SAT:
-        print("s SATISFIABLE")
-        assert result.model is not None
-        literals = [
-            variable if value else -variable
-            for variable, value in sorted(result.model.items())
-        ]
-        print("v " + " ".join(str(literal) for literal in literals) + " 0")
-        exit_code = 10
-    elif result.status is SolveStatus.UNSAT:
-        print("s UNSATISFIABLE")
-        if args.proof and result.proof is not None:
-            if verified != "proof":  # the gate above has not checked it yet
+        result.verified = verify_result(formula, result, verification)
+    notes = []
+    if result.status is SolveStatus.UNSAT and result.proof is not None:
+        if args.proof:
+            if result.verified != "proof":  # the gate above has not checked it yet
                 check_rup_proof(formula, result.proof)
-            print("c proof verified (RUP)")
-        if args.proof_out and result.proof is not None:
+            notes.append("c proof verified (RUP)")
+        if args.proof_out:
             _write_proof_file(args.proof_out, result.proof)
-            print(f"c proof written to {args.proof_out}")
-        exit_code = 20
-    else:
-        print(f"s UNKNOWN ({result.limit_reason})")
-        exit_code = 0
-    if args.stats:
-        for key, value in result.stats.as_dict().items():
-            print(f"c {key} = {value}")
+            notes.append(f"c proof written to {args.proof_out}")
+    exit_code = _print_result(result, stats=args.stats, notes=notes)
     return 143 if terminated else exit_code
 
 
@@ -862,8 +845,12 @@ def _write_proof_file(path: str, proof) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _print_result(result, *, stats: bool) -> int:
-    """Shared SAT-competition-style result printing; returns the exit code."""
+def _print_result(result, *, stats: bool, notes: Sequence[str]) -> int:
+    """Shared SAT-competition-style result printing; returns the exit code.
+
+    The ``s`` (and ``v``) lines come first, then the trusted gate's
+    ``c answer verified`` line, the caller's ``notes``, and the stats.
+    """
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         assert result.model is not None
@@ -881,6 +868,8 @@ def _print_result(result, *, stats: bool) -> int:
         exit_code = 0
     if result.verified is not None:
         print(f"c answer verified ({result.verified})")
+    for note in notes:
+        print(note)
     if stats:
         for key, value in result.stats.as_dict().items():
             print(f"c {key} = {value}")
@@ -941,7 +930,7 @@ def _solve_portfolio(args: argparse.Namespace, formula) -> int:
     print(f"c portfolio of {len(configs)} configs, {jobs} jobs, "
           f"winner: {result.config_name} ({result.wall_seconds:.3f}s"
           + (f", {retries} retries" if retries else "") + ")")
-    return _print_result(result, stats=args.stats)
+    return _print_result(result, stats=args.stats, notes=())
 
 
 def _report_fleet_outputs(args: argparse.Namespace, trace, rows) -> None:

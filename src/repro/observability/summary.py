@@ -19,11 +19,11 @@ from .trace import DECISION_SOURCES, TraceFormatError, validate_event
 def _iter_trace_lenient(path, unknown_types: dict):
     """Yield validated events, skipping (and counting) unknown types.
 
-    Forward compatibility: a trace written by a newer schema may carry
-    event types this build does not know.  Crashing the whole summary
-    over them would make old tooling useless against new traces, so
-    unknown *types* are skipped and tallied into ``unknown_types`` (the
-    report prints them as a warning).  Every other defect — broken
+    A trace written by another build may carry event types this build
+    does not know: ones added since, or ones since retired.  Crashing
+    the whole summary over them would make the tooling useless against
+    such traces, so unknown *types* are skipped and tallied into
+    ``unknown_types`` (the report prints them as a warning).  Every other defect — broken
     JSON, missing/unknown fields on a known type — still raises
     :class:`TraceFormatError`: those mean corruption, not the future.
     """
@@ -68,14 +68,28 @@ def _distribution(values: list) -> dict:
     }
 
 
+def _unknown_events_warning(summary: dict) -> list[str]:
+    """The report lines for skipped event types; none when nothing was skipped."""
+    unknown = summary.get("unknown_events", {})
+    if not unknown.get("count"):
+        return []
+    kinds = ", ".join(f"{k}={v}" for k, v in unknown["types"].items())
+    return [
+        "",
+        f"warning: skipped {unknown['count']} event(s) of unknown type "
+        f"({kinds}) — not in this build's event schema",
+    ]
+
+
 def summarize_trace(path) -> dict:
     """Read a trace file and fold it into one summary dict.
 
     Raises :class:`~repro.observability.trace.TraceFormatError` on the
     first malformed line — a summary over a corrupt trace would be
     silently wrong, which is worse than no summary.  The one leniency
-    is *unknown event types* (traces from a newer schema): those are
-    skipped and surfaced as a counted warning instead of a crash.
+    is *unknown event types* (traces from another build's schema):
+    those are skipped and surfaced as a counted warning instead of a
+    crash.
     """
     events = 0
     by_type: dict[str, int] = {}
@@ -297,14 +311,7 @@ def format_summary(summary: dict) -> str:
         ]
         if sharing.get("quarantines"):
             lines.append(f"  lanes: {sharing['quarantines']} quarantined")
-    unknown = summary.get("unknown_events", {})
-    if unknown.get("count"):
-        kinds = ", ".join(f"{k}={v}" for k, v in unknown["types"].items())
-        lines += [
-            "",
-            f"warning: skipped {unknown['count']} event(s) of unknown type "
-            f"({kinds}) — trace written by a newer schema?",
-        ]
+    lines += _unknown_events_warning(summary)
     if summary["solves"]:
         lines.append("")
         lines.append("solves:")
@@ -446,12 +453,5 @@ def format_service_summary(summary: dict) -> str:
         lines.append(f"breaker transitions: {summary['breaker_events']}")
     if summary["pump_errors"]:
         lines.append(f"pump errors: {summary['pump_errors']}")
-    unknown = summary.get("unknown_events", {})
-    if unknown.get("count"):
-        kinds = ", ".join(f"{k}={v}" for k, v in unknown["types"].items())
-        lines += [
-            "",
-            f"warning: skipped {unknown['count']} event(s) of unknown type "
-            f"({kinds}) — trace written by a newer schema?",
-        ]
+    lines += _unknown_events_warning(summary)
     return "\n".join(lines)

@@ -17,15 +17,12 @@
  * watch_head[lit] heads the chain of nodes watching encoded literal
  * `lit`.  Truth values: lit_value[q] is 1 (true), 0 (false) or -1.
  *
- * The kernel's work queue is the unpropagated tail of the trail itself
- * (`trail[qhead .. trail_len)`), continued by `scratch`, where every
- * implied literal is appended.  Assignments (including their reasons)
- * are written straight into the shared buffers; the Python caller only
- * extends its trail with `scratch[0 .. tail)` afterwards.
- *
- * Returns the number of literals appended to `scratch` (== the number
- * of propagations performed).  out[0] is the conflicting ref (-1 at
- * fixpoint).
+ * The per-variable and per-literal buffers, and the scratch the hot
+ * kernels write their results to, reach the kernels through one
+ * address table (`struct tables`).  The solver keeps it cached and
+ * refreshes it wherever one of those buffers can move; the arena, the
+ * trail, the learned-ref stack and the clause activities move on
+ * append, so they are passed per call.
  */
 
 #include <stdint.h>
@@ -34,20 +31,54 @@
 #define FLAG_LEARNED 1
 #define FLAG_DEAD 4
 
+/* Every field is a pointer, so the layout is that of a C array of
+ * pointers: repro/solver/_kernel.py builds it as one, in this order
+ * (TABLE_FIELDS there names the solver attribute behind each field).
+ */
+struct tables {
+    int32_t *assigns;      /* per variable: 1, 0 or -1 */
+    int32_t *levels;       /* per variable: decision level */
+    int32_t *reasons;      /* per variable: implying ref or -1 */
+    int32_t *lit_value;    /* per literal: 1, 0 or -1 */
+    int32_t *watch_head;   /* per literal: first watch node or -1 */
+    int32_t *seen;         /* per variable: analysis marks, zero between calls */
+    double *var_activity;  /* per variable */
+    double *lit_activity;  /* per literal */
+    double *vsids;         /* per literal */
+    uint8_t *eliminated;   /* per variable: 1 while eliminated */
+    int32_t *implied;      /* propagation's implied literals */
+    int32_t *learnt;       /* the conflict call's learnt clause */
+    int32_t *marked;       /* the conflict call's marked variables */
+    int32_t *level_marks;  /* per decision level, zero between calls */
+    int32_t *out;          /* out-params, four words */
+};
+
+/* Propagate to fixpoint (BCP) over the watch chains.
+ *
+ * The work queue is the unpropagated tail of the trail itself
+ * (`trail[qhead .. trail_len)`), continued by `t->implied`, where every
+ * implied literal is appended.  Assignments (including their reasons)
+ * are written straight into the shared buffers; the Python caller only
+ * extends its trail with `implied[0 .. tail)` afterwards.
+ *
+ * Returns the number of literals appended to `implied` (== the number
+ * of propagations performed).  out[0] is the conflicting ref (-1 at
+ * fixpoint).
+ */
 int32_t arena_propagate(
+    const struct tables *t,
     int32_t *arena,
-    int32_t *watch_head,
-    int32_t *lit_value,
-    int32_t *assigns,
-    int32_t *levels,
-    int32_t *reasons,
     int32_t *trail,
     int32_t qhead,
     int32_t trail_len,
-    int32_t *scratch,
-    int32_t level,
-    int32_t *out)
+    int32_t level)
 {
+    int32_t *watch_head = t->watch_head;
+    int32_t *lit_value = t->lit_value;
+    int32_t *assigns = t->assigns;
+    int32_t *levels = t->levels;
+    int32_t *reasons = t->reasons;
+    int32_t *scratch = t->implied;
     int32_t head = qhead; /* consumes trail first, then scratch */
     int32_t scratch_head = 0;
     int32_t tail = 0;
@@ -130,93 +161,75 @@ int32_t arena_propagate(
         }
         if (conflict >= 0) break;
     }
-    out[0] = conflict;
+    t->out[0] = conflict;
     return tail;
+}
+
+/* Unassign one trail literal. */
+static void undo(const struct tables *t, int32_t literal)
+{
+    int32_t variable = literal >> 1;
+    t->assigns[variable] = -1;
+    t->lit_value[literal] = -1;
+    t->lit_value[literal ^ 1] = -1;
+    t->reasons[variable] = -1;
 }
 
 /* Undo the assignments of trail[limit .. trail_len) (backtracking); the
  * caller truncates its trail afterwards.
  */
 void arena_backtrack(
+    const struct tables *t,
     int32_t *trail,
     int32_t limit,
-    int32_t trail_len,
-    int32_t *assigns,
-    int32_t *lit_value,
-    int32_t *reasons)
+    int32_t trail_len)
 {
-    for (int32_t index = trail_len - 1; index >= limit; index--) {
-        int32_t literal = trail[index];
-        int32_t variable = literal >> 1;
-        assigns[variable] = -1;
-        lit_value[literal] = -1;
-        lit_value[literal ^ 1] = -1;
-        reasons[variable] = -1;
-    }
+    for (int32_t index = trail_len - 1; index >= limit; index--)
+        undo(t, trail[index]);
 }
 
-/* The most active unassigned variable of one record (BerkMin top-clause
- * branching); first occurrence wins ties, -1 when every literal is
- * assigned.
- */
-int32_t arena_best_var(
-    int32_t *arena,
-    int32_t ref,
-    int32_t *assigns,
-    double *var_activity)
-{
-    int32_t base = ref + HDR;
-    int32_t end = base + arena[ref];
-    int32_t best = -1;
-    double best_score = -1.0;
-    for (int32_t position = base; position < end; position++) {
-        int32_t variable = arena[position] >> 1;
-        if (assigns[variable] == -1 && var_activity[variable] > best_score) {
-            best_score = var_activity[variable];
-            best = variable;
-        }
-    }
-    return best;
-}
-
-/* First-UIP resolution walk (the hot half of conflict analysis).
+/* One conflict, from analysis to backtrack (Solver._analyze followed by
+ * Solver._backtrack, whose pure-Python loops are the reference).
  *
- * `reasons[variable]` is the implying ref or -1; `seen` is the
- * per-variable mark buffer, left SET for every variable written to
- * `to_clear` (the Python caller clears it after optional clause
- * minimization, which needs the marks).  Responsible-clause activity
- * bumps (var_activity, clause_act — both doubles, matching the
- * array('d') side buffers) happen here when `bump_responsible`; the
- * per-learnt-literal bumps depend on the minimized clause and stay in
- * Python.
+ * In order: the first-UIP resolution walk, bumping clause_act of every
+ * responsible learned record and, with options bit 0, var_activity once
+ * per literal of every responsible record (BerkMin's sensitivity, paper
+ * Section 4); with options bit 1, self-subsumption minimization of the
+ * learnt clause against the reasons of its literals; the deepest
+ * non-asserting literal swapped to position 1, its level being the
+ * backjump level; the LBD (distinct levels among the learnt literals);
+ * the learnt-literal bumps (var_activity without options bit 0,
+ * lit_activity and vsids always); clearing the marks; and undoing every
+ * assignment above the backjump level, found from the end of the
+ * level-ordered trail.
  *
- * Writes the learnt clause to `learnt` (position 0 = the asserting
- * literal, already negated), the marked variables to `to_clear`, and
- * their counts to out[0] / out[1].  Returns 0, or -1 when a needed
- * reason is missing (the caller raises).
+ * Writes the learnt clause to t->learnt (position 0 is the asserting
+ * literal, already negated) and returns its size, or -1 when a needed
+ * reason is missing (the caller raises).  out[0] is the backjump level,
+ * out[1] the LBD and out[2] the trail length after the backtrack.
  */
-int32_t arena_analyze(
+int32_t arena_conflict(
+    const struct tables *t,
     int32_t *arena,
     int32_t *trail,
-    int32_t trail_len,
-    int32_t *reasons,
-    int32_t *levels,
-    int32_t *seen,
-    double *var_activity,
     double *clause_act,
     int32_t conflict,
-    int32_t current_level,
-    int32_t bump_responsible,
-    int32_t *learnt,
-    int32_t *to_clear,
-    int32_t *out)
+    int32_t trail_len,
+    int32_t level,
+    int32_t options)
 {
+    int32_t *levels = t->levels;
+    int32_t *seen = t->seen;
+    int32_t *learnt = t->learnt;
+    int32_t *marked = t->marked;
+    double *var_activity = t->var_activity;
+    int32_t bump_responsible = options & 1;
     int32_t clause = conflict;
     int32_t unresolved = 0;
     int32_t index = trail_len - 1;
     int32_t resolved_variable = -1;
     int32_t learnt_len = 1; /* position 0 reserved for the asserting literal */
-    int32_t clear_len = 0;
+    int32_t marked_len = 0;
     int32_t asserting = -1;
 
     for (;;) {
@@ -238,8 +251,8 @@ int32_t arena_analyze(
                 continue; /* the literal this resolution removes */
             if (!seen[variable] && levels[variable] > 0) {
                 seen[variable] = 1;
-                to_clear[clear_len++] = variable;
-                if (levels[variable] >= current_level)
+                marked[marked_len++] = variable;
+                if (levels[variable] >= level)
                     unresolved++;
                 else
                     learnt[learnt_len++] = literal;
@@ -250,7 +263,7 @@ int32_t arena_analyze(
         asserting = trail[index];
         int32_t variable = asserting >> 1;
         resolved_variable = variable;
-        clause = reasons[variable];
+        clause = t->reasons[variable];
         seen[variable] = 0;
         unresolved--;
         index--;
@@ -258,9 +271,71 @@ int32_t arena_analyze(
             break;
     }
     learnt[0] = asserting ^ 1;
-    out[0] = learnt_len;
-    out[1] = clear_len;
-    return 0;
+
+    if ((options & 2) && learnt_len > 2) {
+        /* A literal is redundant when every other literal of its reason
+         * is marked or at level 0 (marks of dropped literals stay set).
+         */
+        int32_t kept = 1;
+        for (int32_t position = 1; position < learnt_len; position++) {
+            int32_t literal = learnt[position];
+            int32_t ref = t->reasons[literal >> 1];
+            int32_t redundant = ref >= 0;
+            if (redundant) {
+                int32_t end = ref + HDR + arena[ref];
+                for (int32_t scan = ref + HDR; scan < end; scan++) {
+                    int32_t variable = arena[scan] >> 1;
+                    if (variable != literal >> 1 && !seen[variable] && levels[variable] > 0) {
+                        redundant = 0;
+                        break;
+                    }
+                }
+            }
+            if (!redundant)
+                learnt[kept++] = literal;
+        }
+        learnt_len = kept;
+    }
+
+    int32_t backjump = 0;
+    if (learnt_len > 1) {
+        int32_t deepest = 1;
+        for (int32_t position = 2; position < learnt_len; position++) {
+            if (levels[learnt[position] >> 1] > levels[learnt[deepest] >> 1])
+                deepest = position;
+        }
+        int32_t literal = learnt[deepest];
+        learnt[deepest] = learnt[1];
+        learnt[1] = literal;
+        backjump = levels[literal >> 1];
+    }
+
+    int32_t *level_marks = t->level_marks;
+    int32_t lbd = 0;
+    for (int32_t position = 0; position < learnt_len; position++) {
+        int32_t literal = learnt[position];
+        int32_t literal_level = levels[literal >> 1];
+        if (!level_marks[literal_level]) {
+            level_marks[literal_level] = 1;
+            lbd++;
+        }
+        if (!bump_responsible)
+            var_activity[literal >> 1] += 1.0;
+        t->lit_activity[literal] += 1.0;
+        t->vsids[literal] += 1.0;
+    }
+    for (int32_t position = 0; position < learnt_len; position++)
+        level_marks[levels[learnt[position] >> 1]] = 0;
+    for (int32_t position = 0; position < marked_len; position++)
+        seen[marked[position]] = 0;
+
+    int32_t cut = trail_len;
+    while (cut > 0 && levels[trail[cut - 1] >> 1] > backjump)
+        undo(t, trail[--cut]);
+    t->out[0] = backjump;
+    t->out[1] = lbd;
+    t->out[2] = cut;
+    return learnt_len;
 }
 
 /* Link both watch slots of one record at the head of their literals'
@@ -447,15 +522,38 @@ int32_t arena_load(
     return clause;
 }
 
-/* The BerkMin top-clause scan: the index of the topmost learned record
- * at position <= start whose literals are all non-true, or -1.
+/* One decision scan (Solver._berkmin_decision without its phase choice,
+ * and Solver._most_active_free; their pure-Python loops are the
+ * reference).
+ *
+ * From learned-stack index `start` down, collect the first `window`
+ * records (at least one) with no true literal; the most active free
+ * variable among their literals wins, the first one met on ties,
+ * scanning the topmost record first.  out[0] is the stack index of the
+ * topmost record collected and out[1] the ref of the record the winner
+ * was met in.  With start < 0, or when every record down to the bottom
+ * is satisfied, out[0] is -1 and the winner is the most active free
+ * variable that is not eliminated, the smallest on ties.
+ *
+ * Returns the winning variable, or -1 when there is none.
  */
-int32_t arena_top_unsat(
+int32_t arena_decide(
+    const struct tables *t,
     int32_t *arena,
     int32_t *learned,
     int32_t start,
-    int32_t *lit_value)
+    int32_t window,
+    int32_t num_variables)
 {
+    int32_t *lit_value = t->lit_value;
+    int32_t *assigns = t->assigns;
+    double *activity = t->var_activity;
+    int32_t best = -1;
+    int32_t best_ref = -1;
+    double best_score = -1.0;
+    int32_t topmost = -1;
+    int32_t collected = 0;
+
     for (int32_t index = start; index >= 0; index--) {
         int32_t ref = learned[index];
         int32_t base = ref + HDR;
@@ -467,8 +565,33 @@ int32_t arena_top_unsat(
                 break;
             }
         }
-        if (!satisfied)
-            return index;
+        if (satisfied)
+            continue;
+        if (topmost < 0)
+            topmost = index;
+        for (int32_t position = base; position < end; position++) {
+            int32_t variable = arena[position] >> 1;
+            if (assigns[variable] == -1 && activity[variable] > best_score) {
+                best_score = activity[variable];
+                best = variable;
+                best_ref = ref;
+            }
+        }
+        if (++collected >= window)
+            break;
     }
-    return -1;
+    t->out[0] = topmost;
+    t->out[1] = best_ref;
+    if (topmost >= 0)
+        return best;
+
+    uint8_t *eliminated = t->eliminated;
+    for (int32_t variable = 1; variable <= num_variables; variable++) {
+        if (assigns[variable] == -1 && !eliminated[variable]
+                && activity[variable] > best_score) {
+            best_score = activity[variable];
+            best = variable;
+        }
+    }
+    return best;
 }

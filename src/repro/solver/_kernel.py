@@ -1,13 +1,18 @@
 """Build-on-demand loader for the solver's C kernels.
 
-The engine's propagation, analysis, backtracking, top-clause, formula
-loading and watch-rebuilding loops have C twins (``_arena_kernel.c``)
-that run over the very same ``array('i')`` buffers — same record
-layout, same watch chains, same circular replacement scan — so a solve
-produces an identical trajectory and a load the identical state whether
-or not the kernels are available.  This module compiles it once per
-source revision with the system C compiler into a cached shared object
-and hands back a ``ctypes`` entry point.
+The engine's propagation, conflict (analysis through backtrack),
+decision-scan, backtracking, formula loading and watch-rebuilding loops
+have C twins (``_arena_kernel.c``) that run over the very same
+``array`` buffers — same record layout, same watch chains, same
+circular replacement scan — so a solve produces an identical trajectory
+and a load the identical state whether or not the kernels are
+available.  This module compiles it once per source revision with the
+system C compiler into a cached shared object and hands back its
+``ctypes`` entry points.
+
+The hot entry points take the solver's per-variable and per-literal
+buffers through one :class:`AddressTable` instead of one argument
+each; the solver refreshes it wherever one of them can move.
 
 Loading is strictly best-effort: no compiler, a failed compile, a
 read-only cache directory, or ``REPRO_SAT_PURE=1`` in the environment
@@ -33,12 +38,52 @@ class ArenaKernel(NamedTuple):
     """The compiled entry points (see ``_arena_kernel.c``)."""
 
     propagate: object  # BCP to fixpoint over the watch chains
-    analyze: object  # first-UIP resolution walk
-    top_unsat: object  # BerkMin top-clause scan
+    conflict: object  # first-UIP analysis, bumps, backjump and backtrack
+    decide: object  # BerkMin top-clause or most-active-free scan
     backtrack: object  # bulk assignment undo
-    best_var: object  # most active free variable of one record
     load: object  # bulk formula load at level 0
     attach: object  # watch threading for a list of refs
+
+
+#: The solver attributes behind the fields of ``struct tables`` in
+#: ``_arena_kernel.c``, in its field order.
+TABLE_FIELDS = (
+    "assigns",
+    "levels",
+    "reasons",
+    "lit_value",
+    "watch_head",
+    "_seen",
+    "var_activity",
+    "lit_activity",
+    "vsids",
+    "_eliminated_mark",
+    "_scratch",
+    "_learnt_out",
+    "_clear_out",
+    "_level_marks",
+    "_kernel_out",
+)
+
+
+class AddressTable:
+    """The buffer addresses the hot kernels read (``struct tables``).
+
+    ``address`` is what the kernels take; :meth:`refresh` re-reads
+    every address from ``owner``'s attributes named in
+    :data:`TABLE_FIELDS` and must run whenever one of them can have
+    moved.
+    """
+
+    __slots__ = ("slots", "address")
+
+    def __init__(self) -> None:
+        self.slots = (ctypes.c_void_p * len(TABLE_FIELDS))()
+        self.address = ctypes.addressof(self.slots)
+
+    def refresh(self, owner) -> None:
+        self.slots[:] = [getattr(owner, name).buffer_info()[0] for name in TABLE_FIELDS]
+
 
 #: Cached (once-per-process) load result; ``False`` means "not tried".
 _cached: object = False
@@ -79,22 +124,17 @@ def _build_and_load():
     handle = ctypes.CDLL(library)
     pointer, int32 = ctypes.c_void_p, ctypes.c_int32
     propagate = handle.arena_propagate
-    propagate.argtypes = [pointer] * 7 + [int32, int32, pointer, int32, pointer]
+    propagate.argtypes = [pointer] * 3 + [int32] * 3
     propagate.restype = int32
-    analyze = handle.arena_analyze
-    analyze.argtypes = (
-        [pointer, pointer, int32] + [pointer] * 5 + [int32] * 3 + [pointer] * 3
-    )
-    analyze.restype = int32
-    top_unsat = handle.arena_top_unsat
-    top_unsat.argtypes = [pointer, pointer, int32, pointer]
-    top_unsat.restype = int32
+    conflict = handle.arena_conflict
+    conflict.argtypes = [pointer] * 4 + [int32] * 4
+    conflict.restype = int32
+    decide = handle.arena_decide
+    decide.argtypes = [pointer] * 3 + [int32] * 3
+    decide.restype = int32
     backtrack = handle.arena_backtrack
-    backtrack.argtypes = [pointer, int32, int32, pointer, pointer, pointer]
+    backtrack.argtypes = [pointer, pointer, int32, int32]
     backtrack.restype = None
-    best_var = handle.arena_best_var
-    best_var.argtypes = [pointer, int32, pointer, pointer]
-    best_var.restype = int32
     load = handle.arena_load
     load.argtypes = (
         [pointer, pointer] + [int32] * 4 + [pointer, int32, int32] + [pointer] * 11
@@ -103,7 +143,7 @@ def _build_and_load():
     attach = handle.arena_attach
     attach.argtypes = [pointer, pointer, pointer, int32, pointer]
     attach.restype = int32
-    return ArenaKernel(propagate, analyze, top_unsat, backtrack, best_var, load, attach)
+    return ArenaKernel(propagate, conflict, decide, backtrack, load, attach)
 
 
 def load_arena_kernel():

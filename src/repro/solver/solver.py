@@ -91,7 +91,7 @@ from repro.cnf.formula import CnfFormula
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
 from repro.cnf.simplify import clean_clause
 from repro.solver import config as cfg
-from repro.solver._kernel import load_arena_kernel
+from repro.solver._kernel import AddressTable, load_arena_kernel
 from repro.solver.config import (
     PROPAGATION_ARENA,
     VERIFICATION_LEVELS,
@@ -183,28 +183,34 @@ class Solver:
         # Variable-elimination bookkeeping.  ``_eliminated`` stacks
         # ``(variable, original DIMACS clauses)`` in elimination order for
         # model reconstruction; ``_eliminated_mark`` is the per-variable
-        # membership test; ``_frozen`` holds the current call's assumption
+        # membership test (a byte buffer, so the decision kernel reads
+        # it too); ``_frozen`` holds the current call's assumption
         # variables (never eliminated).
         self._eliminated: list[tuple[int, list[list[int]]]] = []
-        self._eliminated_mark: list[bool] = [False]
+        self._eliminated_mark = array("B", [0])
         self._frozen: frozenset[int] = frozenset()
 
         # The compiled kernels (None -> pure-Python fallbacks, identical
-        # semantics) and their call scratch: a BCP work queue of
-        # literals, conflict-analysis output buffers, and the shared
-        # out-params word pair.  ``REPRO_SAT_PURE`` is read per solver.
+        # semantics), their call scratch (a BCP work queue of literals,
+        # the conflict call's output buffers, its per-level LBD marks,
+        # the out-params words) and the address table through which
+        # the hot ones reach the scratch and the per-variable and
+        # per-literal buffers.  ``REPRO_SAT_PURE`` is read per solver.
         kernel = load_arena_kernel()
         self._kernel = kernel.propagate if kernel else None
-        self._kernel_analyze = kernel.analyze if kernel else None
-        self._kernel_top = kernel.top_unsat if kernel else None
+        self._kernel_conflict = kernel.conflict if kernel else None
+        self._kernel_decide = kernel.decide if kernel else None
         self._kernel_backtrack = kernel.backtrack if kernel else None
-        self._kernel_best = kernel.best_var if kernel else None
         self._kernel_load = kernel.load if kernel else None
         self._kernel_attach = kernel.attach if kernel else None
-        self._kernel_out = array("i", (0, 0))
+        self._kernel_out = array("i", bytes(16))
         self._scratch = array("i")
         self._learnt_out = array("i")
         self._clear_out = array("i")
+        self._level_marks = array("i")
+        self._tables = AddressTable() if kernel else None
+        self._tables_address = self._tables.address if kernel else None
+        self._size_scratch(1)
 
         self.ok = True  # False once the formula is refuted outright
         self._interrupted = False  # set by interrupt(), honoured in solve()
@@ -268,11 +274,10 @@ class Solver:
         """
         arena = self.arena
         ref = len(arena)
-        arena.append(len(literals))
-        arena.append((lbd << _LBD_SHIFT) | (_LEARNED if learned else 0))
-        arena.append(len(self.clause_act))
-        arena.append(2)  # circular scan starts past the watched pair
-        arena.extend((-1, 0, -1, 0))  # watch nodes, linked by _attach_ref
+        flags = (lbd << _LBD_SHIFT) | (_LEARNED if learned else 0)
+        # The circular scan starts past the watched pair; _attach_ref
+        # links the two watch nodes.
+        arena.extend((len(literals), flags, len(self.clause_act), 2, -1, 0, -1, 0))
         arena.extend(literals)
         self.clause_act.append(0)
         if learned and birth is None:
@@ -333,12 +338,41 @@ class Solver:
         self.reasons += array("i", [-1]) * grow
         self.var_activity += array("d", bytes(8 * grow))
         self._seen += array("i", bytes(4 * grow))
-        self._eliminated_mark += [False] * grow
+        self._eliminated_mark += array("B", bytes(grow))
         self.lit_value += unassigned * (2 * grow)
         self.lit_activity += array("d", bytes(16 * grow))
         self.vsids += array("d", bytes(16 * grow))
         self.binary_implications += [[] for _ in range(2 * grow)]
         self.watch_head += array("i", [-1]) * (2 * grow)
+        # Outside solve() no decision level exceeds the variable count
+        # plus one (_probe_rup's); solve() widens for assumptions.
+        self._size_scratch(count + 1)
+
+    def _size_scratch(self, levels: int) -> None:
+        """Grow the kernels' scratch to fit; refresh their address table.
+
+        One propagation implies, and one learnt clause or its marks
+        hold, at most one literal per variable; the LBD marks need one
+        word per decision level up to ``levels``.  A buffer that is too
+        small is replaced by one twice the size needed, so adding
+        variables a few at a time stays linear.  A no-op without the
+        kernels.
+        """
+        if self._tables is None:
+            return
+        words = self.num_variables + 2
+        if len(self._scratch) < words:
+            self._scratch = array("i", bytes(8 * words))
+            self._learnt_out = array("i", bytes(8 * words))
+            self._clear_out = array("i", bytes(8 * words))
+        if len(self._level_marks) <= levels:
+            self._level_marks = array("i", bytes(8 * (levels + 1)))
+        self._tables.refresh(self)
+
+    def _refresh_tables(self) -> None:
+        """Re-read the kernels' buffer addresses after a buffer moved."""
+        if self._tables is not None:
+            self._tables.refresh(self)
 
     def add_formula(self, formula: CnfFormula) -> bool:
         """Load every clause of ``formula``; returns False if refuted outright.
@@ -556,12 +590,7 @@ class Solver:
         limit = self.trail_limits[target_level]
         if self._kernel_backtrack is not None:
             self._kernel_backtrack(
-                self.trail.buffer_info()[0],
-                limit,
-                len(self.trail),
-                self.assigns.buffer_info()[0],
-                self.lit_value.buffer_info()[0],
-                self.reasons.buffer_info()[0],
+                self._tables_address, self.trail.buffer_info()[0], limit, len(self.trail)
             )
         else:
             assigns = self.assigns
@@ -597,30 +626,19 @@ class Solver:
         if self._kernel is not None:
             if self.qhead == len(trail):
                 return None
-            scratch = self._scratch
-            capacity = self.num_variables + 8
-            if len(scratch) < capacity:
-                scratch = self._scratch = array("i", bytes(4 * capacity))
-            out = self._kernel_out
             implied = self._kernel(
+                self._tables_address,
                 self.arena.buffer_info()[0],
-                self.watch_head.buffer_info()[0],
-                self.lit_value.buffer_info()[0],
-                self.assigns.buffer_info()[0],
-                self.levels.buffer_info()[0],
-                self.reasons.buffer_info()[0],
                 trail.buffer_info()[0],
                 self.qhead,
                 len(trail),
-                scratch.buffer_info()[0],
                 len(self.trail_limits),
-                out.buffer_info()[0],
             )
             if implied:
-                trail.extend(scratch[:implied])
+                trail.extend(self._scratch[:implied])
             self.stats.propagations += implied
             self.qhead = len(trail)
-            conflict = out[0]
+            conflict = self._kernel_out[0]
             return conflict if conflict >= 0 else None
 
         levels = self.levels
@@ -725,49 +743,16 @@ class Solver:
         every *responsible* learned clause, ``var_activity`` per the
         configured sensitivity rule (Section 4), ``lit_activity`` on the
         literals of the deduced conflict clause (Section 7), and the
-        Chaff literal counters.  The resolution walk runs in the C
-        kernel when one loaded, else in :meth:`_analyze_resolve`.
+        Chaff literal counters.  This is the pure-Python reference; with
+        the C kernels loaded the search runs :meth:`_fused_conflict`
+        instead.
         """
         config = self.config
         seen = self._seen
         levels = self.levels
-        trail = self.trail
-        current_level = len(self.trail_limits)
         var_activity = self.var_activity
         bump_responsible = config.bump_responsible_clauses
-
-        if self._kernel_analyze is not None:
-            # Kernel path: the resolution walk (and responsible-clause
-            # bumps) run in C; marks stay set for _minimize below.
-            capacity = self.num_variables + 2
-            learnt_out = self._learnt_out
-            if len(learnt_out) < capacity:
-                learnt_out = self._learnt_out = array("i", bytes(4 * capacity))
-                self._clear_out = array("i", bytes(4 * capacity))
-            clear_out = self._clear_out
-            out = self._kernel_out
-            failed = self._kernel_analyze(
-                self.arena.buffer_info()[0],
-                trail.buffer_info()[0],
-                len(trail),
-                self.reasons.buffer_info()[0],
-                levels.buffer_info()[0],
-                seen.buffer_info()[0],
-                var_activity.buffer_info()[0],
-                self.clause_act.buffer_info()[0],
-                conflict,
-                current_level,
-                1 if bump_responsible else 0,
-                learnt_out.buffer_info()[0],
-                clear_out.buffer_info()[0],
-                out.buffer_info()[0],
-            )
-            if failed:
-                raise SolverInternalError("missing reason during conflict analysis")
-            learnt = learnt_out[: out[0]].tolist()
-            to_clear = clear_out[: out[1]].tolist()
-        else:
-            learnt, to_clear = self._analyze_resolve(conflict, current_level)
+        learnt, to_clear = self._analyze_resolve(conflict, len(self.trail_limits))
 
         if config.clause_minimization and len(learnt) > 2:
             learnt = self._minimize(learnt)
@@ -796,14 +781,42 @@ class Solver:
             seen[variable] = False
         return learnt, backtrack_level
 
+    def _fused_conflict(self, conflict: int, level: int) -> tuple[list[int], int, int]:
+        """:meth:`_analyze`, the LBD and :meth:`_backtrack` in one kernel call.
+
+        ``level`` is the conflict's decision level.  Returns ``(learnt,
+        lbd, backtrack_level)`` with the assignments above the backjump
+        level undone; the caller records the clause next, which also
+        resets the top-clause cursor.
+        """
+        config = self.config
+        trail = self.trail
+        size = self._kernel_conflict(
+            self._tables_address,
+            self.arena.buffer_info()[0],
+            trail.buffer_info()[0],
+            self.clause_act.buffer_info()[0],
+            conflict,
+            len(trail),
+            level,
+            config.bump_responsible_clauses | config.clause_minimization << 1,
+        )
+        if size < 0:
+            raise SolverInternalError("missing reason during conflict analysis")
+        backtrack_level, lbd, cut = self._kernel_out[:3]
+        del trail[cut:]
+        del self.trail_limits[backtrack_level:]
+        self.qhead = cut
+        return self._learnt_out[:size].tolist(), lbd, backtrack_level
+
     def _analyze_resolve(self, conflict: int, current_level: int):
-        """Pure-Python twin of the kernel's first-UIP resolution walk.
+        """The first-UIP resolution walk of :meth:`_analyze`.
 
         Returns ``(learnt, to_clear)`` with every variable in
-        ``to_clear`` still marked in ``_seen`` (exactly the kernel's
-        contract); :meth:`_analyze` owns the shared tail.  The
-        resolved-upon literal is skipped by variable comparison rather
-        than by position (watch chains forbid moving it to slot 0).
+        ``to_clear`` still marked in ``_seen``; :meth:`_analyze` owns the
+        tail.  The resolved-upon literal is skipped by variable
+        comparison rather than by position (watch chains forbid moving
+        it to slot 0).
         """
         seen = self._seen
         levels = self.levels
@@ -908,7 +921,7 @@ class Solver:
             self.stats.learned_units += 1
             self._enqueue(learnt[0], None)
         else:
-            ref = self._push_record(list(learnt), learned=True, lbd=lbd)
+            ref = self._push_record(learnt, learned=True, lbd=lbd)
             self.learned.append(ref)
             self._attach_ref(ref)
             self._enqueue(learnt[0], ref)
@@ -952,8 +965,12 @@ class Solver:
         """The next decision literal per ``config.decision_strategy``."""
         strategy = self.config.decision_strategy
         if strategy == cfg.DECISION_BERKMIN:
+            if self._kernel_decide is not None:
+                return self._fused_decision(True)
             return self._berkmin_decision()
         if strategy == cfg.DECISION_GLOBAL:
+            if self._kernel_decide is not None:
+                return self._fused_decision(False)
             return self._global_decision()
         if strategy == cfg.DECISION_VSIDS:
             return self._vsids_decision()
@@ -963,17 +980,8 @@ class Solver:
 
     def _next_unsat(self, index: int) -> int:
         """Topmost learned-stack index <= ``index`` whose record is not
-        satisfied, or -1 (kernel scan when available)."""
+        satisfied, or -1."""
         learned = self.learned
-        if self._kernel_top is not None:
-            if index < 0:
-                return -1
-            return self._kernel_top(
-                self.arena.buffer_info()[0],
-                learned.buffer_info()[0],
-                index,
-                self.lit_value.buffer_info()[0],
-            )
         lit_value = self.lit_value
         arena = self.arena
         while index >= 0:
@@ -1002,6 +1010,8 @@ class Solver:
         top.  With ``top_clause_window > 1`` (the Remark 2 extension)
         the most active free variable across that many unsatisfied top
         clauses wins; phase is decided on the topmost clause holding it.
+        This is the pure-Python reference; with the C kernels loaded the
+        search runs :meth:`_fused_decision` instead.
         """
         learned = self.learned
         top = len(learned) - 1
@@ -1014,11 +1024,7 @@ class Solver:
                 break
             if not collected:
                 self.search_cursor = index
-                self.stats.top_clause_decisions += 1
-                self.stats.record_skin_distance(top - index)
-                if self.trace is not None:
-                    self.last_decision_source = "top_clause"
-                    self.last_skin_distance = top - index
+                self._note_top_clause_decision(top - index)
             collected.append(learned[index])
             if len(collected) >= window:
                 break
@@ -1033,34 +1039,56 @@ class Solver:
         best_variable = -1
         best_ref = -1
         best_score = -1
-        if self._kernel_best is not None:
-            arena_ptr = arena.buffer_info()[0]
-            assigns_ptr = assigns.buffer_info()[0]
-            activity_ptr = activity.buffer_info()[0]
-            for ref in collected:
-                candidate = self._kernel_best(arena_ptr, ref, assigns_ptr, activity_ptr)
-                if candidate >= 0 and activity[candidate] > best_score:
-                    best_score = activity[candidate]
-                    best_variable = candidate
+        for ref in collected:
+            base = ref + _HDR
+            for position in range(base, base + arena[ref]):
+                variable = arena[position] >> 1
+                if assigns[variable] == UNASSIGNED and activity[variable] > best_score:
+                    best_score = activity[variable]
+                    best_variable = variable
                     best_ref = ref
-        else:
-            for ref in collected:
-                base = ref + _HDR
-                for position in range(base, base + arena[ref]):
-                    variable = arena[position] >> 1
-                    if assigns[variable] == UNASSIGNED and activity[variable] > best_score:
-                        best_score = activity[variable]
-                        best_variable = variable
-                        best_ref = ref
-        if best_variable < 0:
-            raise AssertionError(
-                "unsatisfied, non-conflicting clause must have a free variable"
-            )
         return self._top_clause_literal(best_variable, best_ref)
+
+    def _fused_decision(self, top_clause: bool) -> int | None:
+        """A ``berkmin`` (``top_clause``) or ``global`` decision, one kernel call.
+
+        The kernel runs :meth:`_berkmin_decision`'s scan, from the same
+        cursor, or :meth:`_most_active_free`'s; the phase choice and the
+        counting stay here.
+        """
+        learned = self.learned
+        top = len(learned) - 1
+        variable = self._kernel_decide(
+            self._tables_address,
+            self.arena.buffer_info()[0],
+            learned.buffer_info()[0],
+            min(self.search_cursor, top) if top_clause else -1,
+            self.config.top_clause_window,
+            self.num_variables,
+        )
+        index = self._kernel_out[0]
+        if index >= 0:
+            self.search_cursor = index
+            self._note_top_clause_decision(top - index)
+            return self._top_clause_literal(variable, self._kernel_out[1])
+        if top_clause:
+            self.search_cursor = -1
+        return self._formula_decision(variable if variable >= 0 else None)
+
+    def _note_top_clause_decision(self, distance: int) -> None:
+        """Count a decision on the unsatisfied clause ``distance`` below the top."""
+        self.stats.top_clause_decisions += 1
+        self.stats.record_skin_distance(distance)
+        if self.trace is not None:
+            self.last_decision_source = "top_clause"
+            self.last_skin_distance = distance
 
     def _global_decision(self) -> int | None:
         """Globally most active free variable, phase by ``formula_phase``."""
-        variable = self._most_active_free()
+        return self._formula_decision(self._most_active_free())
+
+    def _formula_decision(self, variable: int | None) -> int | None:
+        """The formula-level decision on ``variable`` (None: every one assigned)."""
         if variable is None:
             return None
         self.stats.formula_decisions += 1
@@ -1076,8 +1104,14 @@ class Solver:
         assignment whose refutation would produce conflict clauses
         containing the less active literal of the variable.  Table 4's
         alternatives (sat_top, unsat_top, take_0, take_1, take_rand) are
-        selected by ``config.top_clause_phase``.
+        selected by ``config.top_clause_phase``.  ``variable`` is -1
+        when the scan found no free variable in an unsatisfied clause,
+        which a conflict-free trail rules out.
         """
+        if variable < 0:
+            raise AssertionError(
+                "unsatisfied, non-conflicting clause must have a free variable"
+            )
         heuristic = self.config.top_clause_phase
         positive = 2 * variable
         negative = positive + 1
@@ -1401,6 +1435,7 @@ class Solver:
         """
         size = 2 * (self.num_variables + 1)
         self.watch_head = array("i", [-1]) * size
+        self._refresh_tables()
         self.binary_implications = [[] for _ in range(size)]
         if self._kernel_attach is None:
             for ref in self.clauses:
@@ -1834,6 +1869,7 @@ class Solver:
         self.clauses = []
         self.learned = array("i")
         self.watch_head = array("i", [-1]) * size
+        self._refresh_tables()
         self.binary_implications = [[] for _ in range(size)]
         for literals in payload["active"]:
             ref = self._push_record([int(lit) for lit in literals], learned=False)
@@ -2133,6 +2169,11 @@ class Solver:
             assumption_literals = [encode_literal(lit) for lit in assumptions]
             for literal in assumption_literals:
                 self.ensure_variables(literal >> 1)
+            # Each decision level past the assumptions assigns a new
+            # variable, so this bounds the levels the LBD marks index.
+            max_level = self.num_variables + len(assumption_literals) + 1
+            if len(self._level_marks) <= max_level:
+                self._size_scratch(max_level)
             self._backtrack(0)
             scheduler = RestartScheduler(self.config)
             conflicts_since_restart = 0
@@ -2145,19 +2186,24 @@ class Solver:
                 if conflict is not None:
                     stats.conflicts += 1
                     conflicts_since_restart += 1
-                    if self.current_level() == 0:
+                    conflict_level = len(self.trail_limits)
+                    if conflict_level == 0:
                         self.ok = False
                         self.log_proof_add([])
                         return self._result(SolveStatus.UNSAT)
-                    learnt, backtrack_level = self._analyze(conflict)
-                    # LBD (distinct decision levels among the learnt
-                    # literals) must be measured before the backtrack
-                    # erases the levels; it feeds both the conflict trace
-                    # event and the glue stamp on the recorded clause.
-                    levels = self.levels
-                    lbd = len({levels[lit >> 1] for lit in learnt})
+                    # The LBD (distinct decision levels among the learnt
+                    # literals) feeds both the conflict trace event and
+                    # the glue stamp on the recorded clause.
+                    if self._kernel_conflict is not None:
+                        learnt, lbd, backtrack_level = self._fused_conflict(
+                            conflict, conflict_level
+                        )
+                    else:
+                        learnt, backtrack_level = self._analyze(conflict)
+                        levels = self.levels
+                        lbd = len({levels[lit >> 1] for lit in learnt})
+                        self._backtrack(backtrack_level)
                     if trace is not None:
-                        conflict_level = self.current_level()
                         trace.emit(
                             {
                                 "type": "conflict",
@@ -2168,7 +2214,6 @@ class Solver:
                                 "backjump": conflict_level - backtrack_level,
                             }
                         )
-                    self._backtrack(backtrack_level)
                     self._record_learned(learnt, lbd)
                     share = self.share
                     if (

@@ -72,7 +72,7 @@ def test_trace_summary_text_and_json(tmp_path, capsys):
 
 def test_trace_summary_skips_unknown_event_types(tmp_path, capsys):
     # Unknown event *types* are forward-compat skipped with a counted
-    # warning (a trace from a newer schema still summarises)...
+    # warning (a trace from another build's schema still summarises)...
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type":"mystery"}\n')
     assert main(["trace-summary", str(bad)]) == 0

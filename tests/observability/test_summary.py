@@ -156,7 +156,8 @@ def test_summary_skips_unknown_event_types_with_a_warning(tmp_path):
     rendered = format_summary(summary)
     assert "warning: skipped 4 event(s) of unknown type" in rendered
     assert "wormhole_sync=2" in rendered
-    assert "newer schema?" in rendered
+    assert "not in this build's event schema" in rendered
+    assert "newer" not in rendered  # lane_adapt was retired, not added
 
 
 def test_summary_still_refuses_corrupt_known_events(tmp_path):

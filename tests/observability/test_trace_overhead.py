@@ -3,7 +3,8 @@
 Two layers of enforcement, both fast enough for tier-1:
 
 * a **static guard** — the bytecode of the search's hot loops
-  (propagation, conflict analysis, backtracking, enqueue) must never
+  (propagation, conflict analysis, backtracking, enqueue, and the
+  kernel-driving conflict and decision steps) must never
   reference the trace/metrics machinery at all, so they cannot pay even
   a ``None``-check per propagation;
 * an **A/B timing smoke** — solving the same pinned instance with
@@ -38,7 +39,16 @@ _FORBIDDEN_NAMES = (
 
 
 @pytest.mark.parametrize(
-    "loop", ["_propagate", "_analyze", "_analyze_resolve", "_backtrack", "_enqueue"]
+    "loop",
+    [
+        "_propagate",
+        "_analyze",
+        "_analyze_resolve",
+        "_backtrack",
+        "_enqueue",
+        "_fused_conflict",
+        "_fused_decision",
+    ],
 )
 def test_bcp_hot_loops_never_touch_the_telemetry_layer(loop):
     names = getattr(Solver, loop).__code__.co_names

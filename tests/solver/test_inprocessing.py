@@ -13,6 +13,7 @@ pure-Python fallbacks must agree bit-for-bit on whole trajectories —
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -25,7 +26,13 @@ from repro.cnf.formula import CnfFormula
 from repro.generators import pigeonhole_formula
 from repro.reliability.verify import verify_result
 from repro.solver._kernel import load_arena_kernel
-from repro.solver.config import CONFIG_FACTORIES, berkmin_config, config_by_name
+from repro.solver.config import (
+    CONFIG_FACTORIES,
+    DECISION_BERKMIN,
+    DECISION_GLOBAL,
+    berkmin_config,
+    config_by_name,
+)
 from repro.solver.result import SolveStatus
 from repro.solver.solver import Solver
 
@@ -169,13 +176,16 @@ def test_add_formula_after_elimination_restores_touched_variables():
 def test_kernel_and_pure_fallback_trajectories_identical():
     """REPRO_SAT_PURE=1 must not change a single counter, for any preset.
 
-    The pure-Python propagate/analyze/backtrack paths are the semantics
-    reference for the C kernels; a divergence in conflicts, decisions,
-    or propagations means the kernel took a different search path.
-    Every preset runs, so each kernel path is compared: variable bumps
-    from the learned clause only, wider top-clause windows, VSIDS and
-    random decisions.  Run in a subprocess because kernel loading is
-    cached per-process.
+    The pure-Python propagate/analyze/backtrack/decision paths are the
+    semantics reference for the C kernels; a divergence in conflicts,
+    decisions, or propagations means the kernel took a different search
+    path.  Counters can agree while a bump or the backjump swap differs,
+    so with proof logging on the whole proof (learnt-literal order
+    included), the final activity vectors and every learned record's
+    LBD stamp must match too.  Every preset runs, so each kernel path is
+    compared: variable bumps from the learned clause only, wider
+    top-clause windows, global, VSIDS and random decisions.  Run in a
+    subprocess because kernel loading is cached per-process.
     """
     script = r"""
 import json
@@ -191,18 +201,26 @@ rows = []
 for name, formula in cases:
     solver = Solver(
         formula,
-        config=config_by_name(name, restart_interval=20, inprocess_interval=1, seed=1),
+        config=config_by_name(
+            name, restart_interval=20, inprocess_interval=1, seed=1, proof_logging=True
+        ),
     )
     result = solver.solve()
     rows.append(
-        [
-            name,
-            result.status.name,
-            solver.stats.conflicts,
-            solver.stats.decisions,
-            solver.stats.propagations,
-            solver.stats.eliminated_variables,
-        ]
+        {
+            "preset": name,
+            "status": result.status.name,
+            "conflicts": solver.stats.conflicts,
+            "decisions": solver.stats.decisions,
+            "propagations": solver.stats.propagations,
+            "eliminated": solver.stats.eliminated_variables,
+            "proof": solver.proof,
+            "var_activity": solver.var_activity.tolist(),
+            "lit_activity": solver.lit_activity.tolist(),
+            "vsids": solver.vsids.tolist(),
+            "clause_act": solver.clause_act.tolist(),
+            "lbds": solver._learned_lbds(),
+        }
     )
 print(json.dumps(rows))
 """
@@ -217,10 +235,14 @@ print(json.dumps(rows))
             env=env,
             check=True,
         )
-        outputs[pure] = proc.stdout.strip()
-    assert outputs["0"] == outputs["1"], (
-        f"kernel vs pure fallback diverged:\n{outputs['0']}\n{outputs['1']}"
-    )
+        outputs[pure] = json.loads(proc.stdout)
+    assert len(outputs["0"]) == len(outputs["1"])
+    for case, (kernel, pure) in enumerate(zip(outputs["0"], outputs["1"])):
+        for field in kernel:
+            assert kernel[field] == pure[field], (
+                f"case {case} ({kernel['preset']}): kernel and pure fallback "
+                f"diverged in {field}"
+            )
 
 
 def _random_load_formula(rng: random.Random) -> CnfFormula:
@@ -324,14 +346,18 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
 
 
 def test_every_preset_runs_the_c_kernels():
-    """No preset may drop loading, conflict analysis or backtracking to
-    Python."""
+    """No preset may drop loading, conflicts, backtracking or (under the
+    ``berkmin`` and ``global`` strategies) its decision scan to Python."""
     if load_arena_kernel() is None:
         pytest.skip("the C kernels did not load")
+    attributes = ("_kernel_load", "_kernel_conflict", "_kernel_backtrack", "_kernel_decide")
     for name in sorted(CONFIG_FACTORIES):
-        solver = Solver(config=config_by_name(name))
+        # Conflicts backtrack inside the conflict call; restarts use
+        # the backtrack kernel, so restart often enough to reach it.
+        config = config_by_name(name, restart_interval=50)
+        solver = Solver(config=config)
         calls = Counter()
-        for attribute in ("_kernel_load", "_kernel_analyze", "_kernel_backtrack"):
+        for attribute in attributes:
 
             def counted(*args, _kernel=getattr(solver, attribute), _name=attribute):
                 calls[_name] += 1
@@ -341,8 +367,16 @@ def test_every_preset_runs_the_c_kernels():
         solver.add_formula(pigeonhole_formula(5))
         assert solver.solve().status is SolveStatus.UNSAT
         assert calls["_kernel_load"] > 0, f"{name} loaded in Python"
-        assert calls["_kernel_analyze"] > 0, f"{name} analyzed in Python"
+        assert calls["_kernel_conflict"] == solver.stats.conflicts - 1, (
+            f"{name} analyzed in Python"  # the last conflict is at level 0
+        )
         assert calls["_kernel_backtrack"] > 0, f"{name} backtracked in Python"
+        if config.decision_strategy in (DECISION_BERKMIN, DECISION_GLOBAL):
+            assert calls["_kernel_decide"] == solver.stats.decisions, (
+                f"{name} decided in Python"
+            )
+        else:
+            assert calls["_kernel_decide"] == 0
 
 
 def test_arena_session_retention_and_incremental_adds():

@@ -140,6 +140,20 @@ def test_solve_portfolio_verifies_proof(tmp_path, capsys):
         assert "c answer verified (proof)" in captured
 
 
+def test_sequential_and_portfolio_print_the_verified_line_after_the_answer(
+    tmp_path, capsys
+):
+    """Both solve paths print the ``s`` line, then the gate's verified line."""
+    path = _write(tmp_path, pigeonhole_formula(5))
+    for extra in ([], ["--portfolio", "--jobs", "2"]):
+        code = main(["solve", path, "--verify", "full", *extra])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 20, extra
+        answer = lines.index("s UNSATISFIABLE")
+        verified = lines.index("c answer verified (proof)")
+        assert answer < verified, (extra, lines)
+
+
 def test_solve_verify_sat_model(tmp_path, capsys):
     path = _write(tmp_path, CnfFormula([[1, 2], [-1]]))
     code = main(["solve", path, "--verify", "sat"])
