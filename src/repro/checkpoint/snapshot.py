@@ -20,8 +20,10 @@ than restart it:
 * the full :class:`~repro.solver.stats.SolverStats` snapshot (captured
   and restored by dataclass-field introspection, so new counters ride
   along automatically);
-* the DRUP proof trace, when the producing solver logged one — a
-  resumed UNSAT answer stays checkable end to end.
+* the DRUP proof trace, when the producing solver logged one, with its
+  hints and the proof id of every clause — a resumed UNSAT answer stays
+  checkable end to end, and the resumed solver's hints keep naming the
+  right clauses.
 
 Restoring is *defensive by construction*: the snapshot names the
 formula it belongs to by fingerprint, and every mismatch — wrong
@@ -48,6 +50,7 @@ from repro.checkpoint.envelope import (
     write_checkpoint_file,
 )
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED
+from repro.solver.solver import NO_PROOF_ID
 from repro.solver.stats import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -141,11 +144,19 @@ class SolverSnapshot:
     #: LBD tracking restore as all zeros.
     learned_lbd: list[int] = field(default_factory=list)
     #: The live post-inprocessing original database and the
-    #: eliminated-variable stack for model reconstruction.  ``None`` in
-    #: checkpoints written without it; those restore over the pristine
-    #: formula, which implies every clause the payload would carry, so
-    #: the resume stays sound, just cold on the inprocessing work.
+    #: eliminated-variable stack for model reconstruction, with their
+    #: proof ids.  ``None`` in checkpoints written without it; those
+    #: restore over the pristine formula, which implies every clause the
+    #: payload would carry, so the resume stays sound, just cold on the
+    #: inprocessing work.
     arena: dict | None = None
+    #: The proof id of each learned clause, parallel to :attr:`learned`.
+    #: Checkpoints written without them restore as
+    #: :data:`~repro.solver.solver.NO_PROOF_ID`, which only costs the
+    #: checker its hints.
+    learned_ids: list[int] = field(default_factory=list)
+    #: The hints beside :attr:`proof`, one entry per step.
+    proof_hints: list[list[int] | None] | None = None
 
     @property
     def conflicts(self) -> int:
@@ -174,6 +185,8 @@ class SolverSnapshot:
             "proof": self.proof,
             "learned_lbd": list(self.learned_lbd),
             "arena": self.arena,
+            "learned_ids": list(self.learned_ids),
+            "proof_hints": self.proof_hints,
         }
 
     @classmethod
@@ -200,6 +213,8 @@ class SolverSnapshot:
                 proof=payload.get("proof"),
                 learned_lbd=[int(v) for v in payload.get("learned_lbd") or []],
                 arena=payload.get("arena"),
+                learned_ids=[int(v) for v in payload.get("learned_ids") or []],
+                proof_hints=_hint_rows(payload.get("proof_hints")),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"malformed snapshot payload: {error}") from error
@@ -218,11 +233,10 @@ def capture_snapshot(solver: "Solver") -> SolverSnapshot:
     """
     limits = solver.trail_limits
     level0_end = limits[0] if limits else len(solver.trail)
-    proof = (
-        [(op, list(literals)) for op, literals in solver.proof]
-        if solver.proof is not None
-        else None
-    )
+    proof = hints = None
+    if solver.proof is not None:
+        proof = [(op, list(literals)) for op, literals in solver.proof]
+        hints = _hint_rows(solver.proof_hints)
     return SolverSnapshot(
         formula_hash=formula_fingerprint(solver._pristine),
         config_name=solver.config.name,
@@ -240,6 +254,8 @@ def capture_snapshot(solver: "Solver") -> SolverSnapshot:
         proof=proof,
         learned_lbd=solver._learned_lbds(),
         arena=solver._arena_snapshot_payload(),
+        learned_ids=solver._proof_ids(solver.learned),
+        proof_hints=hints,
     )
 
 
@@ -301,6 +317,8 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
             return _cold_start("learned clause shorter than two literals")
         if any(not 2 <= literal <= maximum_literal for literal in literals):
             return _cold_start("learned clause literal out of range")
+    if not _proof_ids_fit(snapshot.learned_ids):
+        return _cold_start("learned clause proof id out of range")
     try:
         probe = solver.rng.__class__()
         probe.setstate(_as_rng_state(snapshot.rng_state))
@@ -345,8 +363,13 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
                 stacklevel=2,
             )
             solver.proof = None
+            solver.proof_hints = None
         else:
             solver.proof = [(op, list(literals)) for op, literals in snapshot.proof]
+            hints = snapshot.proof_hints
+            if hints is None or len(hints) != len(solver.proof):  # no hints saved
+                hints = [None] * len(solver.proof)
+            solver.proof_hints = _hint_rows(hints)
 
     # ---- permanent assignments ---------------------------------------
     # The snapshot's level-0 trail is a propagation fixpoint of the
@@ -370,6 +393,9 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
     lbds = snapshot.learned_lbd
     if len(lbds) != len(snapshot.learned):  # pre-LBD checkpoint
         lbds = [0] * len(snapshot.learned)
+    proof_ids = snapshot.learned_ids
+    if len(proof_ids) != len(snapshot.learned):  # checkpoint without proof ids
+        proof_ids = [NO_PROOF_ID] * len(snapshot.learned)
     for position, (literals, activity, birth, protected) in enumerate(snapshot.learned):
         ordered = list(literals)
         # Records watch positions 0 and 1; under the restored
@@ -385,7 +411,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
         for target, source in enumerate(front):
             ordered[target], ordered[source] = ordered[source], ordered[target]
         solver._restore_learned_clause(
-            ordered, activity, birth, protected, lbds[position]
+            ordered, activity, birth, protected, lbds[position], proof_ids[position]
         )
         if len(front) == 1 and lit_value[ordered[0]] == UNASSIGNED:
             # Unit under the restored assignments (only possible when the
@@ -408,6 +434,18 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
             }
         )
     return True
+
+
+def _hint_rows(hints):
+    """A copy of proof hints as lists of ints (None stays None)."""
+    if hints is None:
+        return None
+    return [None if ids is None else [int(i) for i in ids] for ids in hints]
+
+
+def _proof_ids_fit(ids) -> bool:
+    """Are ``ids`` all ints a solver's int32 ``clause_id`` array can hold?"""
+    return all(isinstance(i, int) and -(2**31) <= i < 2**31 for i in ids)
 
 
 def _as_rng_state(state):
@@ -445,6 +483,24 @@ def _validate_arena_payload(payload, maximum_literal: int) -> str | None:
             return "arena eliminated variable out of range"
         if not isinstance(stored, list):
             return "arena eliminated clause list malformed"
+    # Proof ids are optional (absent in older checkpoints) but must match.
+    active_ids = payload.get("active_ids")
+    if active_ids is not None and not (
+        isinstance(active_ids, list)
+        and len(active_ids) == len(active)
+        and _proof_ids_fit(active_ids)
+    ):
+        return "arena active proof ids malformed"
+    eliminated_ids = payload.get("eliminated_ids")
+    if eliminated_ids is not None and not (
+        isinstance(eliminated_ids, list)
+        and len(eliminated_ids) == len(eliminated)
+        and all(
+            isinstance(ids, list) and len(ids) == len(stored) and _proof_ids_fit(ids)
+            for ids, (_, stored) in zip(eliminated_ids, eliminated)
+        )
+    ):
+        return "arena eliminated proof ids malformed"
     return None
 
 

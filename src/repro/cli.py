@@ -825,7 +825,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if result.status is SolveStatus.UNSAT and result.proof is not None:
         if args.proof:
             if result.verified != "proof":  # the gate above has not checked it yet
-                check_rup_proof(formula, result.proof)
+                check_rup_proof(formula, result.proof, hints=result.proof_hints)
             notes.append("c proof verified (RUP)")
         if args.proof_out:
             _write_proof_file(args.proof_out, result.proof)

@@ -9,7 +9,8 @@ untrusted (they may have been corrupted, OOM-killed mid-write, or fault
   pre-simplification** formula, clause by clause;
 * UNSAT answers (at level ``"full"``) are checked by running the
   DRUP/RUP proof checker (:func:`repro.proof.check_rup_proof`) over the
-  recorded trace;
+  recorded trace, following the hints recorded beside it (advice the
+  checker verifies, never trusts);
 * UNKNOWN answers assert nothing and need no check.
 
 Verification levels (see :data:`repro.solver.config.VERIFICATION_LEVELS`):
@@ -103,7 +104,9 @@ def verify_result(
                 "(enable proof_logging or verification='full')"
             )
         try:
-            check_rup_proof(formula, result.proof, deadline=deadline)
+            check_rup_proof(
+                formula, result.proof, hints=result.proof_hints, deadline=deadline
+            )
         except ProofError as error:
             raise VerificationError(f"proof check failed: {error}") from error
         return "proof"

@@ -187,6 +187,10 @@ class AnswerCache:
             entry["core"] = list(result.core)
         if result.proof is not None:
             entry["proof"] = [(op, list(lits)) for op, lits in result.proof]
+            if result.proof_hints is not None:
+                entry["proof_hints"] = [
+                    None if ids is None else list(ids) for ids in result.proof_hints
+                ]
         if result.status is SolveStatus.UNSAT:
             # Outright UNSAT stores the empty core: every assumption set
             # subsumes it.  Under assumptions, the failed-assumption core

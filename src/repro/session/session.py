@@ -280,6 +280,7 @@ class SolverSession:
             model=dict(model) if model is not None else None,
             stats=self.solver.stats,
             proof=stored.get("proof"),
+            proof_hints=stored.get("proof_hints"),
             under_assumptions=under,
             core=list(stored["core"]) if stored.get("core") is not None else None,
             config_name=self.config.name,

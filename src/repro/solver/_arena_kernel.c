@@ -49,6 +49,7 @@ struct tables {
     int32_t *implied;      /* propagation's implied literals */
     int32_t *learnt;       /* the conflict call's learnt clause */
     int32_t *marked;       /* the conflict call's marked variables */
+    int32_t *hints;        /* the conflict call's proof hints */
     int32_t *level_marks;  /* per decision level, zero between calls */
     int32_t *out;          /* out-params, four words */
 };
@@ -203,16 +204,25 @@ void arena_backtrack(
  * assignment above the backjump level, found from the end of the
  * level-ordered trail.
  *
+ * With options bit 2, the proof hints of the learnt clause go to
+ * t->hints: the proof ids (clause_ids[act_idx]) of the reasons
+ * minimization used, in trail order, then of the records the walk
+ * resolved on, in trail order, then of the conflicting record.  Asserting
+ * the negated clause makes each of them unit in turn and the last one
+ * false, which is what a RUP checker needs to follow them.
+ *
  * Writes the learnt clause to t->learnt (position 0 is the asserting
  * literal, already negated) and returns its size, or -1 when a needed
  * reason is missing (the caller raises).  out[0] is the backjump level,
- * out[1] the LBD and out[2] the trail length after the backtrack.
+ * out[1] the LBD, out[2] the trail length after the backtrack and out[3]
+ * the number of hints.
  */
 int32_t arena_conflict(
     const struct tables *t,
     int32_t *arena,
     int32_t *trail,
     double *clause_act,
+    int32_t *clause_ids,
     int32_t conflict,
     int32_t trail_len,
     int32_t level,
@@ -222,20 +232,25 @@ int32_t arena_conflict(
     int32_t *seen = t->seen;
     int32_t *learnt = t->learnt;
     int32_t *marked = t->marked;
+    int32_t *hints = t->hints;
     double *var_activity = t->var_activity;
     int32_t bump_responsible = options & 1;
+    int32_t with_hints = options & 4;
     int32_t clause = conflict;
     int32_t unresolved = 0;
     int32_t index = trail_len - 1;
     int32_t resolved_variable = -1;
     int32_t learnt_len = 1; /* position 0 reserved for the asserting literal */
     int32_t marked_len = 0;
+    int32_t hint_len = 0;
     int32_t asserting = -1;
 
     for (;;) {
         if (clause < 0)
             return -1;
         int32_t ref = clause;
+        if (with_hints)
+            hints[hint_len++] = clause_ids[arena[ref + 2]];
         if (arena[ref + 1] & FLAG_LEARNED)
             clause_act[arena[ref + 2]] += 1.0;
         int32_t base = ref + HDR;
@@ -274,7 +289,8 @@ int32_t arena_conflict(
 
     if ((options & 2) && learnt_len > 2) {
         /* A literal is redundant when every other literal of its reason
-         * is marked or at level 0 (marks of dropped literals stay set).
+         * is marked or at level 0 (marks of dropped literals stay set,
+         * as 2, so the hints can find them).
          */
         int32_t kept = 1;
         for (int32_t position = 1; position < learnt_len; position++) {
@@ -291,10 +307,29 @@ int32_t arena_conflict(
                     }
                 }
             }
-            if (!redundant)
+            if (redundant)
+                seen[literal >> 1] = 2;
+            else
                 learnt[kept++] = literal;
         }
+        /* The dropped literals all sit below the walk's stopping point
+         * (their levels are lower); collect their reasons from there down.
+         */
+        int32_t dropped = with_hints ? learnt_len - kept : 0;
+        for (int32_t position = index; dropped > 0 && position >= 0; position--) {
+            int32_t variable = trail[position] >> 1;
+            if (seen[variable] == 2) {
+                hints[hint_len++] = clause_ids[arena[t->reasons[variable] + 2]];
+                dropped--;
+            }
+        }
         learnt_len = kept;
+    }
+    /* Collected last to first; the checker wants them first to last. */
+    for (int32_t low = 0, high = hint_len - 1; low < high; low++, high--) {
+        int32_t swap = hints[low];
+        hints[low] = hints[high];
+        hints[high] = swap;
     }
 
     int32_t backjump = 0;
@@ -335,6 +370,7 @@ int32_t arena_conflict(
     t->out[0] = backjump;
     t->out[1] = lbd;
     t->out[2] = cut;
+    t->out[3] = hint_len;
     return learnt_len;
 }
 
@@ -395,12 +431,14 @@ int32_t arena_attach(
  * variable past `num_variables`, or a clause that strips to empty — and
  * returns that clause's index (count when every clause was loaded); the
  * caller runs add_clause on it and resumes after it.  Outputs: the refs
- * of new records in `refs`, the assigned unit literals in `units` (the
- * trail's continuation), the refs of records shorter than their input
- * clause in `shortened` (each needs a proof line), the literal pairs of
- * binary records in `pairs`, and in out[0 .. 5) the new arena length
- * and the counts of refs, units, shortened refs and pairs; out[5] is the
- * offset in `lits` of the clause the scan stopped at.
+ * of new records in `refs` and their proof ids in `ids` (`id_base -
+ * index` for the clause at `index`, the proof's id of an input clause),
+ * the assigned unit literals in `units` (the trail's continuation), the
+ * refs of records shorter than their input clause in `shortened` (each
+ * needs a proof line), the literal pairs of binary records in `pairs`,
+ * and in out[0 .. 5) the new arena length and the counts of refs, units,
+ * shortened refs and pairs; out[5] is the offset in `lits` of the clause
+ * the scan stopped at.
  */
 int32_t arena_load(
     int32_t *lits,
@@ -412,6 +450,7 @@ int32_t arena_load(
     int32_t *arena,
     int32_t arena_len,
     int32_t act_idx,
+    int32_t id_base,
     int32_t *watch_head,
     int32_t *lit_value,
     int32_t *assigns,
@@ -419,6 +458,7 @@ int32_t arena_load(
     int32_t *reasons,
     int32_t *seen,
     int32_t *refs,
+    int32_t *ids,
     int32_t *units,
     int32_t *shortened,
     int32_t *pairs,
@@ -509,6 +549,7 @@ int32_t arena_load(
             pairs[2 * pair_count + 1] = body[1];
             pair_count++;
         }
+        ids[ref_count] = id_base - clause;
         refs[ref_count++] = ref;
         arena_len = ref + HDR + remaining;
         offset += size;

@@ -38,7 +38,7 @@ class ArenaKernel(NamedTuple):
     """The compiled entry points (see ``_arena_kernel.c``)."""
 
     propagate: object  # BCP to fixpoint over the watch chains
-    conflict: object  # first-UIP analysis, bumps, backjump and backtrack
+    conflict: object  # first-UIP analysis, bumps, proof hints, backjump, backtrack
     decide: object  # BerkMin top-clause or most-active-free scan
     backtrack: object  # bulk assignment undo
     load: object  # bulk formula load at level 0
@@ -61,6 +61,7 @@ TABLE_FIELDS = (
     "_scratch",
     "_learnt_out",
     "_clear_out",
+    "_hint_out",
     "_level_marks",
     "_kernel_out",
 )
@@ -127,7 +128,7 @@ def _build_and_load():
     propagate.argtypes = [pointer] * 3 + [int32] * 3
     propagate.restype = int32
     conflict = handle.arena_conflict
-    conflict.argtypes = [pointer] * 4 + [int32] * 4
+    conflict.argtypes = [pointer] * 5 + [int32] * 4
     conflict.restype = int32
     decide = handle.arena_decide
     decide.argtypes = [pointer] * 3 + [int32] * 3
@@ -137,7 +138,7 @@ def _build_and_load():
     backtrack.restype = None
     load = handle.arena_load
     load.argtypes = (
-        [pointer, pointer] + [int32] * 4 + [pointer, int32, int32] + [pointer] * 11
+        [pointer, pointer] + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 12
     )
     load.restype = int32
     attach = handle.arena_attach

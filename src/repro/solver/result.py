@@ -2,7 +2,8 @@
 
 A solve call returns :class:`SolveResult`, which carries the status, a
 verified model for SAT answers, the statistics snapshot, and (when proof
-logging is enabled) a DRUP-style proof trace for UNSAT answers.
+logging is enabled) a DRUP-style proof trace for UNSAT answers, with the
+hints that let the checker follow it.
 
 ``UNKNOWN`` is a first-class status: BerkMin's database management makes
 the solver incomplete in principle (Section 8 of the paper), and the
@@ -103,6 +104,12 @@ class SolveResult:
     #: ``"proof"`` (UNSAT answer RUP-checked), or ``None`` when no check
     #: ran.  Set by :func:`repro.reliability.verify_result` callers.
     verified: str | None = None
+    #: Parallel to :attr:`proof`: per step, the ids of the clauses that
+    #: make an addition RUP, in propagation order, or ``None``.  An id
+    #: ``-1 - i`` names input clause ``i``, an id ``s >= 0`` the clause
+    #: proof step ``s`` added.  The checker treats them as advice only
+    #: (see :mod:`repro.proof.rup`).
+    proof_hints: list[list[int] | None] | None = None
 
     @property
     def is_sat(self) -> bool:

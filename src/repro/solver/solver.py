@@ -77,6 +77,22 @@ are always RUP), learned clauses swept by elimination are logged as
 deletions, and the original clauses an elimination removes are *not*
 deleted from the proof — the checker's database stays a superset, which
 keeps every later inference checkable and makes restoration free.
+
+Proof hints
+-----------
+With proof logging on, every record knows its *proof id*, the name the
+checker gives the clause (:mod:`repro.proof.rup`): ``-1 - i`` for the
+input clause at position ``i`` of the clauses added so far, or the index
+of the proof step that added it.  The ids sit in ``clause_id``, a side
+array indexed like ``clause_act``, so they survive arena GC.  Beside an
+addition it can justify, the solver logs in ``proof_hints`` the ids of
+the clauses that make the step RUP, in propagation order: for a learned
+clause, the reasons minimization used and the records the first-UIP walk
+resolved on (BerkMin's responsible clauses, Section 4), each in trail
+order, then the conflicting record; for a level-0 unit, its reason; for
+a strengthened clause, the clause it replaces; for a NiVER resolvent,
+its two parents.  A record whose clause the proof cannot name carries
+:data:`NO_PROOF_ID`, which the checker treats as a missing hint.
 """
 
 from __future__ import annotations
@@ -110,6 +126,9 @@ _LEARNED = 1
 _PROTECTED = 2
 _DEAD = 4
 _LBD_SHIFT = 3
+#: The proof id of a record the proof cannot name: past any proof step,
+#: so a hint naming it sends the checker to full propagation.
+NO_PROOF_ID = 2**31 - 1
 
 
 class SolverInternalError(RuntimeError):
@@ -171,6 +190,7 @@ class Solver:
         self.arena_dead = 0  # dead words awaiting collection
         self.clause_act = array("d")
         self.clause_birth: list[int] = []
+        self.clause_id = array("i")  # proof ids, indexed like clause_act
         self.clauses: list[int] = []  # refs of the live original records
         self.learned = array("i")  # conflict-clause stack (refs), oldest first
         self.search_cursor = -1  # where the top-clause scan resumes
@@ -181,21 +201,23 @@ class Solver:
         self._simplified_trail = 0
 
         # Variable-elimination bookkeeping.  ``_eliminated`` stacks
-        # ``(variable, original DIMACS clauses)`` in elimination order for
-        # model reconstruction; ``_eliminated_mark`` is the per-variable
+        # ``(variable, original DIMACS clauses, their proof ids)`` in
+        # elimination order for model reconstruction and restoration;
+        # ``_eliminated_mark`` is the per-variable
         # membership test (a byte buffer, so the decision kernel reads
         # it too); ``_frozen`` holds the current call's assumption
         # variables (never eliminated).
-        self._eliminated: list[tuple[int, list[list[int]]]] = []
+        self._eliminated: list[tuple[int, list[list[int]], list[int]]] = []
         self._eliminated_mark = array("B", [0])
         self._frozen: frozenset[int] = frozenset()
 
         # The compiled kernels (None -> pure-Python fallbacks, identical
         # semantics), their call scratch (a BCP work queue of literals,
-        # the conflict call's output buffers, its per-level LBD marks,
-        # the out-params words) and the address table through which
-        # the hot ones reach the scratch and the per-variable and
-        # per-literal buffers.  ``REPRO_SAT_PURE`` is read per solver.
+        # the conflict call's output buffers and proof hints, its
+        # per-level LBD marks, the out-params words) and the address
+        # table through which the hot ones reach the scratch and the
+        # per-variable and per-literal buffers.  ``REPRO_SAT_PURE`` is
+        # read per solver.
         kernel = load_arena_kernel()
         self._kernel = kernel.propagate if kernel else None
         self._kernel_conflict = kernel.conflict if kernel else None
@@ -207,6 +229,7 @@ class Solver:
         self._scratch = array("i")
         self._learnt_out = array("i")
         self._clear_out = array("i")
+        self._hint_out = array("i")
         self._level_marks = array("i")
         self._tables = AddressTable() if kernel else None
         self._tables_address = self._tables.address if kernel else None
@@ -218,11 +241,16 @@ class Solver:
         self._num_assumptions = 0  # of the current/most recent solve call
         self._solve_started = time.perf_counter()
         # "full" verification needs a DRUP trace to check, so it implies
-        # proof logging even when the config flag is off.
+        # proof logging even when the config flag is off.  The hints run
+        # parallel to the trace: per step, the proof ids that make an
+        # addition RUP, or None (see the module docstring).
         self.proof: list[tuple[str, list[int]]] | None = (
             []
             if self.config.proof_logging or self.config.verification == VERIFY_FULL
             else None
+        )
+        self.proof_hints: list[list[int] | None] | None = (
+            None if self.proof is None else []
         )
         # Level-0 trail prefix already mirrored into the proof as unit
         # additions (see _flush_level0_proof_units).
@@ -234,6 +262,10 @@ class Solver:
         # only valid inside one _analyze call.
         self._learnt_buffer: list[int] = []
         self._to_clear_buffer: list[int] = []
+        self._walk_buffer: list[int] = []
+        # The proof hints of the clause the last conflict learned (None
+        # without proof logging), left by _analyze or _fused_conflict.
+        self._learnt_hints: list[int] | None = None
 
         # Observability.  ``trace`` is the structured event sink (None =
         # disabled; every emission site guards on it, and the BCP loop
@@ -264,13 +296,19 @@ class Solver:
     # Record primitives
     # ==================================================================
     def _push_record(
-        self, literals: list[int], learned: bool, lbd: int = 0, birth: int | None = None
+        self,
+        literals: list[int],
+        learned: bool,
+        lbd: int = 0,
+        birth: int | None = None,
+        proof_id: int = NO_PROOF_ID,
     ) -> int:
         """Append one clause record; returns its ref.
 
         Learned records draw (and advance) ``birth_counter`` unless an
         explicit ``birth`` is supplied (the snapshot-restore path, where
-        the counter is restored separately).
+        the counter is restored separately).  ``proof_id`` is the name
+        the proof gives the clause (see the module docstring).
         """
         arena = self.arena
         ref = len(arena)
@@ -280,6 +318,7 @@ class Solver:
         arena.extend((len(literals), flags, len(self.clause_act), 2, -1, 0, -1, 0))
         arena.extend(literals)
         self.clause_act.append(0)
+        self.clause_id.append(proof_id)
         if learned and birth is None:
             birth = self.birth_counter
             self.birth_counter += 1
@@ -352,11 +391,12 @@ class Solver:
         """Grow the kernels' scratch to fit; refresh their address table.
 
         One propagation implies, and one learnt clause or its marks
-        hold, at most one literal per variable; the LBD marks need one
-        word per decision level up to ``levels``.  A buffer that is too
-        small is replaced by one twice the size needed, so adding
-        variables a few at a time stays linear.  A no-op without the
-        kernels.
+        hold, at most one literal per variable, and its hints name at
+        most one record per variable plus the conflict; the LBD marks
+        need one word per decision level up to ``levels``.  A buffer
+        that is too small is replaced by one twice the size needed, so
+        adding variables a few at a time stays linear.  A no-op without
+        the kernels.
         """
         if self._tables is None:
             return
@@ -365,6 +405,7 @@ class Solver:
             self._scratch = array("i", bytes(8 * words))
             self._learnt_out = array("i", bytes(8 * words))
             self._clear_out = array("i", bytes(8 * words))
+            self._hint_out = array("i", bytes(8 * words))
         if len(self._level_marks) <= levels:
             self._level_marks = array("i", bytes(8 * (levels + 1)))
         self._tables.refresh(self)
@@ -412,11 +453,15 @@ class Solver:
         if self.current_level() > 0:
             self._backtrack(0)  # as the first add_clause would
         refs = array("i", bytes(4 * count))
+        ids = array("i", bytes(4 * count))
         units = array("i", bytes(4 * count))
         shortened = array("i", bytes(4 * count))
         pairs = array("i", bytes(8 * count))
         out = array("i", bytes(24))
         stats = self.stats
+        # clauses[index] is input clause len(_pristine) + index, whose
+        # proof id is -1 minus that.
+        id_base = -1 - len(self._pristine)
         start = offset = 0
         while start < count and self.ok:
             arena = self.arena
@@ -434,6 +479,7 @@ class Solver:
                 arena.buffer_info()[0],
                 used,
                 len(self.clause_act),
+                id_base,
                 self.watch_head.buffer_info()[0],
                 self.lit_value.buffer_info()[0],
                 self.assigns.buffer_info()[0],
@@ -441,6 +487,7 @@ class Solver:
                 self.reasons.buffer_info()[0],
                 self._seen.buffer_info()[0],
                 refs.buffer_info()[0],
+                ids.buffer_info()[0],
                 units.buffer_info()[0],
                 shortened.buffer_info()[0],
                 pairs.buffer_info()[0],
@@ -452,6 +499,7 @@ class Solver:
             self._pristine.extend(map(list, clauses[start:stop]))
             if records:
                 self.clause_act.frombytes(bytes(8 * records))
+                self.clause_id += ids[:records]
                 self.clause_birth += [0] * records
                 self.clauses += refs[:records].tolist()
                 stats.peak_clauses = max(
@@ -461,8 +509,12 @@ class Solver:
             if self.proof is not None:
                 # A repeated literal or level-0 stripping shortened these
                 # records; see add_clause.
+                clause_id = self.clause_id
                 for ref in shortened[:short_count]:
-                    self.log_proof_add(self._ref_literals(ref))
+                    slot = self.arena[ref + 2]
+                    clause_id[slot] = self.log_proof_add(
+                        self._ref_literals(ref), [clause_id[slot]]
+                    )
             self._add_binaries(pairs, pair_count)
             start = stop
             if stop < count:
@@ -491,6 +543,7 @@ class Solver:
             self._backtrack(0)
         self.stats.initial_clauses += 1
         self._pristine.append(literals)
+        proof_id = -len(self._pristine)  # input clause len(_pristine) - 1
 
         cleaned = clean_clause(literals)
         if cleaned is None:  # tautology
@@ -522,12 +575,12 @@ class Solver:
         if len(remaining) == 1:
             self._enqueue(remaining[0], None)
             return self.ok
-        if len(remaining) < len(literals):
+        if len(remaining) < len(literals) and self.proof is not None:
             # A repeated literal or level-0 stripping shortened the stored
             # form.  Log it (RUP via the level-0 units), so that a later
             # deletion names a clause the proof's database holds.
-            self.log_proof_add(remaining)
-        ref = self._push_record(remaining, learned=False)
+            proof_id = self.log_proof_add(remaining, [proof_id])
+        ref = self._push_record(remaining, learned=False, proof_id=proof_id)
         self.clauses.append(ref)
         self._attach_ref(ref)
         self.stats.peak_clauses = max(
@@ -743,9 +796,12 @@ class Solver:
         every *responsible* learned clause, ``var_activity`` per the
         configured sensitivity rule (Section 4), ``lit_activity`` on the
         literals of the deduced conflict clause (Section 7), and the
-        Chaff literal counters.  This is the pure-Python reference; with
-        the C kernels loaded the search runs :meth:`_fused_conflict`
-        instead.
+        Chaff literal counters.  With proof logging on it leaves the
+        clause's proof hints in ``_learnt_hints``: the reasons
+        minimization used, then the records the walk resolved on, each
+        in trail order, then the conflicting record.  This is the
+        pure-Python reference; with the C kernels loaded the search runs
+        :meth:`_fused_conflict` instead.
         """
         config = self.config
         seen = self._seen
@@ -753,9 +809,32 @@ class Solver:
         var_activity = self.var_activity
         bump_responsible = config.bump_responsible_clauses
         learnt, to_clear = self._analyze_resolve(conflict, len(self.trail_limits))
+        resolved = len(learnt)
 
         if config.clause_minimization and len(learnt) > 2:
             learnt = self._minimize(learnt)
+
+        if self.proof is None:
+            self._learnt_hints = None
+        else:
+            # Minimization marked its dropped literals 2; they sit below
+            # the current level, so a scan down the trail meets them last
+            # to first.
+            arena = self.arena
+            clause_id = self.clause_id
+            trail = self.trail
+            hints = []
+            dropped = resolved - len(learnt)
+            index = len(trail) - 1
+            while dropped and index >= 0:
+                variable = trail[index] >> 1
+                if seen[variable] == 2:
+                    hints.append(clause_id[arena[self.reasons[variable] + 2]])
+                    dropped -= 1
+                index -= 1
+            hints.reverse()
+            hints += [clause_id[arena[ref + 2]] for ref in reversed(self._walk_buffer)]
+            self._learnt_hints = hints
 
         # Backjump level: the deepest level among the non-asserting literals.
         if len(learnt) == 1:
@@ -786,27 +865,33 @@ class Solver:
 
         ``level`` is the conflict's decision level.  Returns ``(learnt,
         lbd, backtrack_level)`` with the assignments above the backjump
-        level undone; the caller records the clause next, which also
-        resets the top-clause cursor.
+        level undone, and leaves the proof hints in ``_learnt_hints`` as
+        :meth:`_analyze` does; the caller records the clause next, which
+        also resets the top-clause cursor.
         """
         config = self.config
         trail = self.trail
+        hinted = self.proof is not None
         size = self._kernel_conflict(
             self._tables_address,
             self.arena.buffer_info()[0],
             trail.buffer_info()[0],
             self.clause_act.buffer_info()[0],
+            self.clause_id.buffer_info()[0],
             conflict,
             len(trail),
             level,
-            config.bump_responsible_clauses | config.clause_minimization << 1,
+            config.bump_responsible_clauses
+            | config.clause_minimization << 1
+            | hinted << 2,
         )
         if size < 0:
             raise SolverInternalError("missing reason during conflict analysis")
-        backtrack_level, lbd, cut = self._kernel_out[:3]
+        backtrack_level, lbd, cut, hint_count = self._kernel_out
         del trail[cut:]
         del self.trail_limits[backtrack_level:]
         self.qhead = cut
+        self._learnt_hints = self._hint_out[:hint_count].tolist() if hinted else None
         return self._learnt_out[:size].tolist(), lbd, backtrack_level
 
     def _analyze_resolve(self, conflict: int, current_level: int):
@@ -814,9 +899,10 @@ class Solver:
 
         Returns ``(learnt, to_clear)`` with every variable in
         ``to_clear`` still marked in ``_seen``; :meth:`_analyze` owns the
-        tail.  The resolved-upon literal is skipped by variable
-        comparison rather than by position (watch chains forbid moving
-        it to slot 0).
+        tail.  The records walked, the conflicting one first, are left
+        in ``_walk_buffer``.  The resolved-upon literal is skipped by
+        variable comparison rather than by position (watch chains forbid
+        moving it to slot 0).
         """
         seen = self._seen
         levels = self.levels
@@ -832,6 +918,8 @@ class Solver:
         learnt.append(0)  # position 0 reserved for the asserting literal
         to_clear = self._to_clear_buffer
         to_clear.clear()
+        walked = self._walk_buffer
+        walked.clear()
 
         clause = conflict
         unresolved = 0
@@ -842,6 +930,7 @@ class Solver:
             if clause < 0:
                 raise SolverInternalError("missing reason during conflict analysis")
             ref = clause
+            walked.append(ref)
             if arena[ref + 1] & _LEARNED:
                 clause_act[arena[ref + 2]] += 1
             base = ref + _HDR
@@ -881,7 +970,8 @@ class Solver:
         A non-asserting literal is redundant when every literal of its
         reason clause is already in the learnt clause (or at level 0).
         Requires the ``seen`` flags of the learnt literals, which
-        :meth:`_analyze` has not cleared yet at the call site.
+        :meth:`_analyze` has not cleared yet at the call site; a dropped
+        literal's flag becomes 2, for the proof hints.
         """
         seen = self._seen
         levels = self.levels
@@ -901,27 +991,32 @@ class Solver:
                 if not seen[variable] and levels[variable] > 0:
                     redundant = False
                     break
-            if not redundant:
+            if redundant:
+                seen[literal >> 1] = 2
+            else:
                 minimized.append(literal)
         return minimized
 
     # ==================================================================
     # Learning and aging
     # ==================================================================
-    def _record_learned(self, learnt: list[int], lbd: int = 0) -> None:
+    def _record_learned(
+        self, learnt: list[int], lbd: int = 0, hints: list[int] | None = None
+    ) -> None:
         """Push the conflict clause and assert its first literal.
 
         ``lbd`` is the literal-block distance measured at conflict time
         (before backtracking erased the levels); it is stamped on the
         record so quality-based retention can filter by glue later.
+        ``hints`` go into the proof beside the clause.
         """
         self.stats.learned_total += 1
-        self.log_proof_add(learnt)
+        proof_id = self.log_proof_add(learnt, hints)
         if len(learnt) == 1:
             self.stats.learned_units += 1
             self._enqueue(learnt[0], None)
         else:
-            ref = self._push_record(learnt, learned=True, lbd=lbd)
+            ref = self._push_record(learnt, learned=True, lbd=lbd, proof_id=proof_id)
             self.learned.append(ref)
             self._attach_ref(ref)
             self._enqueue(learnt[0], ref)
@@ -1411,9 +1506,12 @@ class Solver:
                     # BCP at level 0 ran to fixpoint before the reduction, so
                     # a non-satisfied clause must retain >= 2 free literals.
                     raise AssertionError("level-0 simplification produced a short clause")
-                # Strengthening is add-then-delete in DRUP terms.
-                self.log_proof_add(stripped)
+                # Strengthening is add-then-delete in DRUP terms; the
+                # record then goes by the added clause's proof id.
+                slot = arena[ref + 2]
+                proof_id = self.log_proof_add(stripped, [self.clause_id[slot]])
                 self.log_proof_delete(ref)
+                self.clause_id[slot] = proof_id
                 for offset, literal in enumerate(stripped):
                     arena[base + offset] = literal
                 arena[ref] = len(stripped)
@@ -1471,9 +1569,11 @@ class Solver:
         old = self.arena
         old_act = self.clause_act
         old_birth = self.clause_birth
+        old_ids = self.clause_id
         new = array("i")
         new_act: list[int] = []
         new_birth: list[int] = []
+        new_ids = array("i")
 
         def move(refs: list[int]) -> list[int]:
             moved = []
@@ -1488,6 +1588,7 @@ class Solver:
                 new[new_ref + 2] = len(new_act)
                 new_act.append(old_act[act_idx])
                 new_birth.append(old_birth[act_idx])
+                new_ids.append(old_ids[act_idx])
                 moved.append(new_ref)
             return moved
 
@@ -1497,6 +1598,7 @@ class Solver:
         self.arena = new
         self.clause_act = array("d", new_act)
         self.clause_birth = new_birth
+        self.clause_id = new_ids
         self.arena_dead = 0
         self.stats.arena_collections += 1
         self.stats.arena_freed_words += freed
@@ -1509,15 +1611,22 @@ class Solver:
     # ==================================================================
     @staticmethod
     def _resolvents(
-        positive: list[list[int]], negative: list[list[int]], variable: int
+        positive: list[list[int]],
+        negative: list[list[int]],
+        variable: int,
+        parents: list[tuple[int, int]] | None = None,
     ) -> list[list[int]] | None:
         """All distinct non-tautological resolvents on ``variable`` of
-        DIMACS clauses; None when one of them is empty."""
+        DIMACS clauses; None when one of them is empty.
+
+        ``parents``, when given, receives the ``(positive, negative)``
+        indices of the pair that produced each resolvent.
+        """
         produced: list[list[int]] = []
         seen: set[tuple[int, ...]] = set()
-        for pos_clause in positive:
+        for pos_index, pos_clause in enumerate(positive):
             pos_rest = [literal for literal in pos_clause if literal != variable]
-            for neg_clause in negative:
+            for neg_index, neg_clause in enumerate(negative):
                 merged = clean_clause(
                     pos_rest + [literal for literal in neg_clause if literal != -variable]
                 )
@@ -1529,6 +1638,8 @@ class Solver:
                 if key not in seen:
                     seen.add(key)
                     produced.append(merged)
+                    if parents is not None:
+                        parents.append((pos_index, neg_index))
         return produced
 
     def _inprocess(self) -> None:
@@ -1542,8 +1653,9 @@ class Solver:
         clauses that mention an eliminated variable are deleted (always
         sound, and required so search never re-constrains the variable).
         DRUP: every resolvent is logged as an addition (single resolution
-        steps are RUP); the replaced original clauses are *not* logged as
-        deletions, keeping the checker's database a superset.
+        steps are RUP), hinted by its two parents; the replaced original
+        clauses are *not* logged as deletions, keeping the checker's
+        database a superset.
         """
         started = time.perf_counter()
         arena = self.arena
@@ -1587,13 +1699,19 @@ class Solver:
                 continue
             positive: list[list[int]] = []
             negative: list[list[int]] = []
+            positive_ids: list[int] = []
+            negative_ids: list[int] = []
             for ref in live:
                 dimacs = [decode_literal(lit) for lit in self._ref_literals(ref)]
+                proof_id = self.clause_id[arena[ref + 2]]
                 if variable in dimacs:
                     positive.append(dimacs)
+                    positive_ids.append(proof_id)
                 else:
                     negative.append(dimacs)
-            resolvents = self._resolvents(positive, negative, variable)
+                    negative_ids.append(proof_id)
+            parents: list[tuple[int, int]] = []
+            resolvents = self._resolvents(positive, negative, variable, parents)
             if resolvents is None:
                 # Impossible while every stored record has >= 2 literals
                 # (an empty resolvent needs two opposing unit clauses).
@@ -1607,11 +1725,15 @@ class Solver:
             for ref in live:
                 self._kill_ref(ref)
             eliminated_now.append(variable)
-            self._eliminated.append((variable, positive + negative))
+            self._eliminated.append(
+                (variable, positive + negative, positive_ids + negative_ids)
+            )
             self._eliminated_mark[variable] = True
-            for resolvent in resolvents:
+            for resolvent, (pos_index, neg_index) in zip(resolvents, parents):
                 encoded = [encode_literal(lit) for lit in resolvent]
-                self.log_proof_add(encoded)
+                proof_id = self.log_proof_add(
+                    encoded, [positive_ids[pos_index], negative_ids[neg_index]]
+                )
                 if len(encoded) == 1:
                     literal = encoded[0]
                     value = self.lit_value[literal]
@@ -1624,7 +1746,7 @@ class Solver:
                         conflicted = True
                         break
                 else:
-                    ref = self._push_record(encoded, learned=False)
+                    ref = self._push_record(encoded, learned=False, proof_id=proof_id)
                     self.clauses.append(ref)
                     for lit in resolvent:
                         occurrences.setdefault(abs(lit), []).append(ref)
@@ -1678,9 +1800,9 @@ class Solver:
 
         Re-adds the stored original clauses, reduced against the current
         level-0 assignments.  Unstripped re-adds need no proof action
-        (the clauses were never deleted from the DRUP database); a
-        stripped re-add is logged as an addition, which is RUP via the
-        level-0 units.
+        (the clauses were never deleted from the DRUP database) and keep
+        their proof ids; a stripped re-add is logged as an addition,
+        which is RUP via the level-0 units, hinted by the stored clause.
         """
         worklist = [variable]
         while worklist:
@@ -1692,9 +1814,9 @@ class Solver:
                 for index in range(len(self._eliminated) - 1, -1, -1)
                 if self._eliminated[index][0] == target
             )
-            _, stored = self._eliminated.pop(position)
+            _, stored, stored_ids = self._eliminated.pop(position)
             self._eliminated_mark[target] = False
-            for clause in stored:
+            for clause, proof_id in zip(stored, stored_ids):
                 # Stored clauses may mention variables eliminated later.
                 for literal in clause:
                     if self._eliminated_mark[abs(literal)]:
@@ -1716,11 +1838,11 @@ class Solver:
                     self.log_proof_add([])
                     return
                 if len(remaining) < len(encoded):
-                    self.log_proof_add(remaining)
+                    proof_id = self.log_proof_add(remaining, [proof_id])
                 if len(remaining) == 1:
                     self._enqueue(remaining[0], None)
                     continue
-                ref = self._push_record(remaining, learned=False)
+                ref = self._push_record(remaining, learned=False, proof_id=proof_id)
                 self.clauses.append(ref)
                 self._attach_ref(ref)
 
@@ -1728,10 +1850,21 @@ class Solver:
     # ==================================================================
     # Proof logging
     # ==================================================================
-    def log_proof_add(self, encoded_literals: Sequence[int]) -> None:
-        """Record a clause addition in the DRUP trace (no-op when logging is off)."""
-        if self.proof is not None:
-            self.proof.append(("a", [decode_literal(lit) for lit in encoded_literals]))
+    def log_proof_add(
+        self, encoded_literals: Sequence[int], hints: list[int] | None = None
+    ) -> int:
+        """Record a clause addition in the DRUP trace; returns its proof id.
+
+        ``hints`` are the proof ids of the clauses that make the addition
+        RUP, in propagation order.  A no-op returning
+        :data:`NO_PROOF_ID` when logging is off.
+        """
+        proof = self.proof
+        if proof is None:
+            return NO_PROOF_ID
+        proof.append(("a", [decode_literal(lit) for lit in encoded_literals]))
+        self.proof_hints.append(hints)
+        return len(proof) - 1
 
     def log_proof_delete(self, ref: int) -> None:
         """Record the deletion of record ``ref`` (no-op when logging is off)."""
@@ -1740,6 +1873,7 @@ class Solver:
             self.proof.append(
                 ("d", [decode_literal(lit) for lit in self._ref_literals(ref)])
             )
+            self.proof_hints.append(None)
 
     def _flush_level0_proof_units(self) -> None:
         """Log unlogged level-0 assignments as unit additions.
@@ -1752,14 +1886,19 @@ class Solver:
         step checkable — each unit is RUP at this moment because it was
         derived by unit propagation over clauses still in the checker's
         database.  Called from every deletion-logging site; idempotent
-        per literal.
+        per literal.  A unit still holding its reason is hinted by it.
         """
         end = self.trail_limits[0] if self.trail_limits else len(self.trail)
         proof = self.proof
+        hints = self.proof_hints
         while self._proof_level0_logged < end:
             literal = self.trail[self._proof_level0_logged]
             self._proof_level0_logged += 1
             proof.append(("a", [decode_literal(literal)]))
+            reason = self.reasons[literal >> 1]
+            hints.append(
+                None if reason < 0 else [self.clause_id[self.arena[reason + 2]]]
+            )
 
     # ==================================================================
     # Interruption (public API; the primitive the parallel engine uses)
@@ -1836,6 +1975,12 @@ class Solver:
         """Per-clause LBD stamps, parallel to :meth:`_learned_snapshot_rows`."""
         return [self.arena[ref + 1] >> _LBD_SHIFT for ref in self.learned]
 
+    def _proof_ids(self, refs) -> list[int]:
+        """The proof ids of records ``refs``."""
+        arena = self.arena
+        clause_id = self.clause_id
+        return [clause_id[arena[ref + 2]] for ref in refs]
+
     def _arena_snapshot_payload(self) -> dict:
         """The inprocessed database: active originals + elimination stack.
 
@@ -1847,10 +1992,12 @@ class Solver:
         """
         return {
             "active": [self._ref_literals(ref) for ref in self.clauses],
+            "active_ids": self._proof_ids(self.clauses),
             "eliminated": [
                 [variable, [list(clause) for clause in stored]]
-                for variable, stored in self._eliminated
+                for variable, stored, _ in self._eliminated
             ],
+            "eliminated_ids": [list(ids) for _, _, ids in self._eliminated],
         }
 
     def _install_arena_state(self, payload: dict) -> None:
@@ -1859,39 +2006,61 @@ class Solver:
         Called after formula load and validation, before the trail is
         replayed: the records built from the pristine formula are
         replaced wholesale by the snapshot's post-inprocessing database.
-        Level-0 assignments (from unit clauses) are untouched.
+        Level-0 assignments (from unit clauses) are untouched.  Proof
+        ids a checkpoint lacks become :data:`NO_PROOF_ID`.
         """
         size = 2 * (self.num_variables + 1)
         self.arena = array("i")
         self.arena_dead = 0
         self.clause_act = array("d")
         self.clause_birth = []
+        self.clause_id = array("i")
         self.clauses = []
         self.learned = array("i")
         self.watch_head = array("i", [-1]) * size
         self._refresh_tables()
         self.binary_implications = [[] for _ in range(size)]
-        for literals in payload["active"]:
-            ref = self._push_record([int(lit) for lit in literals], learned=False)
+        active = payload["active"]
+        active_ids = payload.get("active_ids") or [NO_PROOF_ID] * len(active)
+        for literals, proof_id in zip(active, active_ids):
+            ref = self._push_record(
+                [int(lit) for lit in literals], learned=False, proof_id=proof_id
+            )
             self.clauses.append(ref)
             self._attach_ref(ref)
-        self._eliminated = [
-            (int(variable), [[int(lit) for lit in clause] for clause in stored])
-            for variable, stored in payload["eliminated"]
+        eliminated = payload["eliminated"]
+        stored_ids = payload.get("eliminated_ids") or [
+            [NO_PROOF_ID] * len(stored) for _, stored in eliminated
         ]
-        for variable, _ in self._eliminated:
+        self._eliminated = [
+            (
+                int(variable),
+                [[int(lit) for lit in clause] for clause in stored],
+                list(ids),
+            )
+            for (variable, stored), ids in zip(eliminated, stored_ids)
+        ]
+        for variable, _, _ in self._eliminated:
             self._eliminated_mark[variable] = True
         self.search_cursor = -1
 
     def _restore_learned_clause(
-        self, ordered: list[int], activity: int, birth: int, protected: bool, lbd: int
+        self,
+        ordered: list[int],
+        activity: int,
+        birth: int,
+        protected: bool,
+        lbd: int,
+        proof_id: int = NO_PROOF_ID,
     ) -> None:
         """Re-attach one learned clause during snapshot restore.
 
         ``ordered`` already surfaces two non-false literals first (the
         restore loop's watch-ordering contract).
         """
-        ref = self._push_record(list(ordered), learned=True, lbd=lbd, birth=birth)
+        ref = self._push_record(
+            list(ordered), learned=True, lbd=lbd, birth=birth, proof_id=proof_id
+        )
         arena = self.arena
         if protected:
             arena[ref + 1] |= _PROTECTED
@@ -2073,10 +2242,12 @@ class Solver:
                     self.ok = False
                     self.log_proof_add([])
                 continue
-            ref = self._push_record(encoded, learned=True, lbd=max(lbd, 1))
+            proof_id = self.log_proof_add(encoded)
+            ref = self._push_record(
+                encoded, learned=True, lbd=max(lbd, 1), proof_id=proof_id
+            )
             self.learned.append(ref)
             self._attach_ref(ref)
-            self.log_proof_add(encoded)
             stats.shared_imported += 1
             attached += 1
         return attached
@@ -2214,7 +2385,7 @@ class Solver:
                                 "backjump": conflict_level - backtrack_level,
                             }
                         )
-                    self._record_learned(learnt, lbd)
+                    self._record_learned(learnt, lbd, self._learnt_hints)
                     share = self.share
                     if (
                         share is not None
@@ -2395,13 +2566,14 @@ class Solver:
         under_assumptions: bool = False,
         core: list[int] | None = None,
     ) -> SolveResult:
-        proof = None
+        proof = hints = None
         if (
             status is SolveStatus.UNSAT
             and not under_assumptions
             and self.proof is not None
         ):
             proof = list(self.proof)
+            hints = list(self.proof_hints)
         if self.trace is not None:
             event = {
                 "type": "solve_end",
@@ -2416,6 +2588,7 @@ class Solver:
             model=model,
             stats=self.stats,
             proof=proof,
+            proof_hints=hints,
             limit_reason=limit,
             under_assumptions=under_assumptions,
             core=core,
@@ -2435,7 +2608,7 @@ class Solver:
             variable: self.assigns[variable] == TRUE
             for variable in range(1, self.num_variables + 1)
         }
-        for variable, stored in reversed(self._eliminated):
+        for variable, stored, _ in reversed(self._eliminated):
             value = None
             for clause in stored:
                 clause_satisfied = False

@@ -126,20 +126,36 @@ def test_resume_requires_fresh_solver():
         restore_snapshot(used, snapshot)
 
 
-def test_proof_trace_survives_resume():
-    from repro.proof import check_rup_proof
+def test_proof_trace_survives_resume(monkeypatch):
+    from repro.proof import check_rup_proof, rup
 
     formula = pigeonhole_formula(5)
-    solver = Solver(formula, config_by_name("berkmin", proof_logging=True))
+    config = config_by_name("berkmin", proof_logging=True, inprocess_interval=1)
+    solver = Solver(formula, config)
     assert solver.solve(max_conflicts=80).is_unknown
     snapshot = capture_snapshot(solver)
     assert snapshot.proof  # the partial trace rides in the snapshot
+    assert len(snapshot.proof_hints) == len(snapshot.proof)
+    assert snapshot.learned_ids and "active_ids" in snapshot.arena
+    snapshot = type(snapshot).from_payload(snapshot.to_payload())  # as from a file
 
-    fresh = Solver(formula, config_by_name("berkmin", proof_logging=True))
+    fresh = Solver(formula, config)
     assert fresh.resume(snapshot)
     result = fresh.solve()
     assert result.is_unsat
     check_rup_proof(formula, result.proof)  # end-to-end checkable across the seam
+    # The resumed solver's hints name the restored clauses correctly:
+    # the checker follows every one without falling back.
+    fallbacks = []
+    full_check = rup._Database._full_check
+
+    def recording(database, literals):
+        fallbacks.append(len(database.step_cids))
+        return full_check(database, literals)
+
+    monkeypatch.setattr(rup._Database, "_full_check", recording)
+    check_rup_proof(formula, result.proof, hints=result.proof_hints)
+    assert fallbacks == []
 
 
 def test_proofless_snapshot_disables_proof_logging_with_warning():

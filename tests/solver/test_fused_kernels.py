@@ -10,6 +10,9 @@ there, before the kernel can write through a stale address.  The
 scenarios move the buffers mid-run (growth by ``add_clause``, a
 snapshot restore, arena GC during search), and each must end in the
 same state as a ``REPRO_SAT_PURE=1`` solver that ran the same steps.
+Records move too, so the proof hints logged after the move are checked
+to still name the clauses that make each step RUP: the checker must
+follow every one of them without falling back.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from collections import Counter
 
 import pytest
 
+from repro.cnf.formula import CnfFormula
 from repro.generators import pigeonhole_formula
 from repro.solver._kernel import TABLE_FIELDS, load_arena_kernel
 from repro.solver.config import berkmin_config
 from repro.solver.result import SolveStatus
 from repro.solver.solver import Solver
+
+from test_proof_hints import fallback_steps
 
 pytestmark = pytest.mark.skipif(
     load_arena_kernel() is None, reason="the C kernels did not load"
@@ -73,6 +79,8 @@ def _search_state(solver: Solver) -> dict:
             if not key.endswith("_seconds")
         },
         "proof": solver.proof,
+        "hints": solver.proof_hints,
+        "clause_id": solver.clause_id.tolist(),
         "trail": solver.trail.tolist(),
         "arena": solver.arena.tolist(),
         "learned": solver.learned.tolist(),
@@ -108,6 +116,8 @@ def test_growth_between_solves(monkeypatch):
     assert kernel.num_variables == base + 4000
     assert calls["_kernel_conflict"] > 300 and calls["_kernel_decide"] > 0
     _assert_same(kernel, pure)
+    grown = CnfFormula(kernel._pristine)
+    assert fallback_steps(grown, kernel.proof, kernel.proof_hints) == []
 
 
 def test_snapshot_restore_then_solve(monkeypatch):
@@ -128,6 +138,10 @@ def test_snapshot_restore_then_solve(monkeypatch):
         assert solver.solve().status is SolveStatus.UNSAT
     assert calls["_kernel_conflict"] > 0
     _assert_same(kernel, pure)
+    # The hints after the resume name restored records by the ids the
+    # snapshot carried.
+    assert len(kernel.proof) > len(snapshot.proof)
+    assert fallback_steps(formula, kernel.proof, kernel.proof_hints) == []
 
 
 def test_arena_gc_during_search(monkeypatch):
@@ -141,12 +155,14 @@ def test_arena_gc_during_search(monkeypatch):
         seed=4,
     )
     kernel, pure, calls = _pair(monkeypatch, config)
+    formula = pigeonhole_formula(6)
     for solver in (kernel, pure):
-        solver.add_formula(pigeonhole_formula(6))
+        solver.add_formula(formula)
         assert solver.solve().status is SolveStatus.UNSAT
     assert kernel.stats.arena_collections >= 10
     assert calls["_kernel_conflict"] > 0 and calls["_kernel_backtrack"] > 0
     _assert_same(kernel, pure)
+    assert fallback_steps(formula, kernel.proof, kernel.proof_hints) == []
 
 
 def test_repeated_assumptions_push_levels_past_the_variable_count(monkeypatch):

@@ -181,11 +181,12 @@ def test_kernel_and_pure_fallback_trajectories_identical():
     decisions, or propagations means the kernel took a different search
     path.  Counters can agree while a bump or the backjump swap differs,
     so with proof logging on the whole proof (learnt-literal order
-    included), the final activity vectors and every learned record's
-    LBD stamp must match too.  Every preset runs, so each kernel path is
-    compared: variable bumps from the learned clause only, wider
-    top-clause windows, global, VSIDS and random decisions.  Run in a
-    subprocess because kernel loading is cached per-process.
+    included) and its hints, the final activity vectors and every
+    learned record's LBD stamp must match too.  Every preset runs, so
+    each kernel path is compared: variable bumps from the learned clause
+    only, wider top-clause windows, global, VSIDS and random decisions,
+    and minimization's hints on one extra case.  Run in a subprocess
+    because kernel loading is cached per-process.
     """
     script = r"""
 import json
@@ -193,16 +194,24 @@ from repro.generators import pigeonhole_formula, planted_ksat
 from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
-cases = [("berkmin", pigeonhole_formula(6))]
+cases = [
+    ("berkmin", pigeonhole_formula(6), {}),
+    ("berkmin", pigeonhole_formula(6), {"clause_minimization": True}),
+]
 for name in sorted(CONFIG_FACTORIES):
-    cases.append((name, pigeonhole_formula(5)))
-    cases.append((name, planted_ksat(40, 160, 3, seed=2)))
+    cases.append((name, pigeonhole_formula(5), {}))
+    cases.append((name, planted_ksat(40, 160, 3, seed=2), {}))
 rows = []
-for name, formula in cases:
+for name, formula, overrides in cases:
     solver = Solver(
         formula,
         config=config_by_name(
-            name, restart_interval=20, inprocess_interval=1, seed=1, proof_logging=True
+            name,
+            restart_interval=20,
+            inprocess_interval=1,
+            seed=1,
+            proof_logging=True,
+            **overrides,
         ),
     )
     result = solver.solve()
@@ -215,6 +224,7 @@ for name, formula in cases:
             "propagations": solver.stats.propagations,
             "eliminated": solver.stats.eliminated_variables,
             "proof": solver.proof,
+            "hints": solver.proof_hints,
             "var_activity": solver.var_activity.tolist(),
             "lit_activity": solver.lit_activity.tolist(),
             "vsids": solver.vsids.tolist(),
@@ -284,9 +294,11 @@ def _loaded_state(solver: Solver) -> dict:
         "seen": solver._seen.tolist(),
         "clause_act": solver.clause_act.tolist(),
         "clause_birth": solver.clause_birth,
+        "clause_id": solver.clause_id.tolist(),
         "clauses": solver.clauses,
         "learned": solver.learned.tolist(),
         "proof": solver.proof,
+        "hints": solver.proof_hints,
         "pristine": solver._pristine,
         "num_variables": solver.num_variables,
         "ok": solver.ok,

@@ -2,12 +2,14 @@
 
 ``repro.proof.check_rup_proof`` must accept exactly the proofs the naive
 checker in ``rup_oracle`` accepts, and reject the others at the same
-step with the same :class:`ProofError` message.  The proofs come from
-three places:
+step with the same :class:`ProofError` message, whatever hints it is
+given; the oracle ignores hints.  The proofs come from four places:
 
 * every proof the proof tests and the 50-formula pool of
-  ``test_oracle_differential.py`` produce;
-* 600 seeded mutations of small real proofs;
+  ``test_oracle_differential.py`` produce, with the solver's hints;
+* 600 seeded mutations of small real proofs, keeping the solver's hints
+  (which then point at shifted steps);
+* 600 seeded mutations of the hints alone;
 * hand cases for the deletions that rebuild the top-level trail.
 """
 
@@ -21,7 +23,7 @@ from repro.cnf import shuffle_formula
 from repro.cnf.formula import CnfFormula
 from repro.experiments.suites import paper_suite
 from repro.generators.pigeonhole import pigeonhole_formula
-from repro.proof import ProofError, check_rup_proof
+from repro.proof import ProofError, check_rup_proof, rup
 from repro.solver import Solver
 from repro.solver.config import berkmin_config, chaff_config
 
@@ -32,26 +34,30 @@ from test_proof import _above_hole4
 ACCEPTED = "accepted"
 
 
-def _verdict(check, formula, proof, require_empty_clause):
+def _verdict(check, formula, proof, require_empty_clause, **hints):
     try:
-        check(formula, proof, require_empty_clause=require_empty_clause)
+        check(formula, proof, require_empty_clause=require_empty_clause, **hints)
     except ProofError as error:
         return str(error)
     return ACCEPTED
 
 
-def _same_verdict(formula, proof, require_empty_clause=True) -> str:
+def _same_verdict(formula, proof, require_empty_clause=True, hints=None) -> str:
     """Run both checkers; fail unless they agree.  Returns the verdict."""
     expected = _verdict(rup_oracle.check_rup_proof, formula, proof, require_empty_clause)
-    actual = _verdict(check_rup_proof, formula, proof, require_empty_clause)
-    assert actual == expected, (proof, expected, actual)
+    actual = _verdict(check_rup_proof, formula, proof, require_empty_clause, hints=hints)
+    assert actual == expected, (proof, hints, expected, actual)
     return expected
 
 
 def _unsat_proofs(formulas, config):
-    """The proofs of the UNSAT members of ``formulas``."""
+    """``(formula, proof, hints)`` of the UNSAT members of ``formulas``."""
     results = ((formula, Solver(formula, config=config).solve()) for formula in formulas)
-    return [(formula, result.proof) for formula, result in results if result.is_unsat]
+    return [
+        (formula, result.proof, result.proof_hints)
+        for formula, result in results
+        if result.is_unsat
+    ]
 
 
 def test_solver_proofs_get_the_oracles_verdict():
@@ -85,18 +91,22 @@ def test_solver_proofs_get_the_oracles_verdict():
         berkmin_config(restart_interval=20, inprocess_interval=2, proof_logging=True),
     )
     assert len(cases) > 30
-    for formula, proof in cases:
-        assert _same_verdict(formula, proof) == ACCEPTED
+    for formula, proof, hints in cases:
+        assert _same_verdict(formula, proof, hints=hints) == ACCEPTED
 
 
 # ---------------------------------------------------------------------------
 # Mutated proofs
 # ---------------------------------------------------------------------------
-def _drop_lemma(rng, formula, proof):
-    del proof[rng.choice([i for i, (kind, _) in enumerate(proof) if kind == "a"])]
+# Each mutation changes the proof and moves the hints with their steps,
+# so a hint naming a later step now names the wrong one.
+def _drop_lemma(rng, formula, proof, hints):
+    index = rng.choice([i for i, (kind, _) in enumerate(proof) if kind == "a"])
+    del proof[index]
+    del hints[index]
 
 
-def _flip_literal(rng, formula, proof):
+def _flip_literal(rng, formula, proof, hints):
     index = rng.choice([i for i, (_, clause) in enumerate(proof) if clause])
     kind, clause = proof[index]
     position = rng.randrange(len(clause))
@@ -105,23 +115,28 @@ def _flip_literal(rng, formula, proof):
     proof[index] = (kind, clause)
 
 
-def _delete_then_use(rng, formula, proof):
+def _delete_then_use(rng, formula, proof, hints):
     index = rng.choice([i for i, (kind, _) in enumerate(proof) if kind == "a"])
     proof.insert(index + 1, ("d", list(proof[index][1])))
+    hints.insert(index + 1, None)
 
 
-def _delete_original(rng, formula, proof):
-    proof.insert(rng.randrange(len(proof) + 1), ("d", list(rng.choice(formula.clauses))))
+def _delete_original(rng, formula, proof, hints):
+    index = rng.randrange(len(proof) + 1)
+    proof.insert(index, ("d", list(rng.choice(formula.clauses))))
+    hints.insert(index, None)
 
 
-def _duplicate_lemma(rng, formula, proof):
+def _duplicate_lemma(rng, formula, proof, hints):
     index = rng.choice([i for i, (kind, _) in enumerate(proof) if kind == "a"])
     proof.insert(index + 1, ("a", list(proof[index][1])))
+    hints.insert(index + 1, hints[index])
 
 
-def _swap_steps(rng, formula, proof):
+def _swap_steps(rng, formula, proof, hints):
     first, second = rng.sample(range(len(proof)), 2)
     proof[first], proof[second] = proof[second], proof[first]
+    hints[first], hints[second] = hints[second], hints[first]
 
 
 MUTATIONS = (
@@ -135,6 +150,20 @@ MUTATIONS = (
 
 
 def test_mutated_proofs_get_the_oracles_verdict():
+    bases = _mutation_bases()
+    rng = random.Random(20261017)
+    rejected = 0
+    for trial in range(600):
+        formula, proof, hints = bases[trial % len(bases)]
+        mutated, moved = list(proof), list(hints)
+        MUTATIONS[trial % len(MUTATIONS)](rng, formula, mutated, moved)
+        if _same_verdict(formula, mutated, hints=moved) != ACCEPTED:
+            rejected += 1
+    # Both verdicts occur, so the agreement is not vacuous.
+    assert 100 < rejected < 500
+
+
+def _mutation_bases():
     members = {
         instance.name: instance
         for benchmark_class in paper_suite("quick")
@@ -145,17 +174,144 @@ def test_mutated_proofs_get_the_oracles_verdict():
         berkmin_config(proof_logging=True),
     )
     assert len(bases) == 4
+    return bases
 
-    rng = random.Random(20261017)
+
+# ---------------------------------------------------------------------------
+# Mutated hints
+# ---------------------------------------------------------------------------
+# Each mutation changes the hints of one addition.  Two change the proof
+# too: a deletion of a clause the hints name, and a wrong hinted lemma.
+def _hinted_step(rng, proof, hints) -> int:
+    return rng.choice([i for i, ids in enumerate(hints) if ids and proof[i][1]])
+
+
+def _drop_hint(rng, formula, proof, hints):
+    index = _hinted_step(rng, proof, hints)
+    ids = list(hints[index])
+    del ids[rng.randrange(len(ids))]
+    hints[index] = ids
+
+
+def _reverse_hints(rng, formula, proof, hints):
+    index = _hinted_step(rng, proof, hints)
+    hints[index] = hints[index][::-1]
+
+
+def _name_a_deleted_clause(rng, formula, proof, hints):
+    """Delete a clause a step's hints name, just before that step."""
+    index = _hinted_step(rng, proof, hints)
+    named = rng.choice(hints[index])
+    clause = formula.clauses[-1 - named] if named < 0 else proof[named][1]
+    proof.insert(index, ("d", list(clause)))
+    hints.insert(index, None)
+    # Every step from ``index`` on moved one place.
+    hints[:] = [
+        None if ids is None else [i + 1 if i >= index else i for i in ids]
+        for ids in hints
+    ]
+
+
+def _name_past_the_end(rng, formula, proof, hints):
+    index = _hinted_step(rng, proof, hints)
+    ids = list(hints[index])
+    ids[rng.randrange(len(ids))] = rng.choice((index, index + 1, len(proof) + 7))
+    hints[index] = ids
+
+
+def _name_before_the_first_input(rng, formula, proof, hints):
+    index = _hinted_step(rng, proof, hints)
+    ids = list(hints[index])
+    ids[rng.randrange(len(ids))] = -1 - len(formula.clauses) - rng.randrange(3)
+    hints[index] = ids
+
+
+def _name_a_satisfied_clause(rng, formula, proof, hints):
+    """Put first an input clause that the negated lemma satisfies."""
+    index = _hinted_step(rng, proof, hints)
+    lemma = set(proof[index][1])
+    satisfied = [
+        position
+        for position, clause in enumerate(formula.clauses)
+        if any(-literal in lemma for literal in clause)
+    ]
+    if satisfied:
+        hints[index] = [-1 - rng.choice(satisfied)] + list(hints[index])
+    else:
+        hints[index] = hints[index][::-1]
+
+
+def _hints_on_a_wrong_lemma(rng, formula, proof, hints):
+    """Keep a step's hints but drop a literal from its lemma, or add a
+    made-up lemma carrying a real step's hints."""
+    index = _hinted_step(rng, proof, hints)
+    clause = list(proof[index][1])
+    if len(clause) > 1 and rng.random() < 0.5:
+        del clause[rng.randrange(len(clause))]
+        proof[index] = ("a", clause)
+    else:
+        variable = rng.randint(1, formula.num_variables)
+        proof.insert(index, ("a", [rng.choice((variable, -variable))]))
+        hints.insert(index, hints[index])
+
+
+HINT_MUTATIONS = (
+    _drop_hint,
+    _reverse_hints,
+    _name_a_deleted_clause,
+    _name_past_the_end,
+    _name_before_the_first_input,
+    _name_a_satisfied_clause,
+    _hints_on_a_wrong_lemma,
+)
+
+
+def test_mutated_hints_get_the_oracles_verdict(monkeypatch):
+    bases = _mutation_bases()
+    fallbacks = []
+    full_check = rup._Database._full_check
+
+    def recording(database, literals):
+        fallbacks.append(len(database.step_cids))
+        return full_check(database, literals)
+
+    monkeypatch.setattr(rup._Database, "_full_check", recording)
+    rng = random.Random(20261018)
     rejected = 0
-    for trial in range(600):
-        formula, proof = bases[trial % len(bases)]
-        mutated = list(proof)
-        MUTATIONS[trial % len(MUTATIONS)](rng, formula, mutated)
-        if _same_verdict(formula, mutated) != ACCEPTED:
+    for trial in range(700):
+        formula, proof, hints = bases[trial % len(bases)]
+        mutated, changed = list(proof), list(hints)
+        HINT_MUTATIONS[trial % len(HINT_MUTATIONS)](rng, formula, mutated, changed)
+        if _same_verdict(formula, mutated, hints=changed) != ACCEPTED:
             rejected += 1
-    # Both verdicts occur, so the agreement is not vacuous.
-    assert 100 < rejected < 500
+    # Both verdicts occur, and hints that lead nowhere fall back, so the
+    # agreement is not vacuous.
+    assert 50 < rejected < 350
+    assert len(fallbacks) > 300
+
+
+@pytest.mark.parametrize(
+    "hints",
+    [
+        None,
+        [],
+        [None],
+        [[]],
+        "not hints",
+        [["x"]],
+        [[1.5]],
+        [[10**30, -(10**30)]],
+        [[-1, -1, -1]],
+    ],
+)
+def test_malformed_hints_only_cost_a_fallback(hints):
+    formula = CnfFormula([[1, 2], [-1, 2], [1, -2], [-1, -2]])
+    proof = [("a", [2]), ("a", [])]
+    assert _same_verdict(formula, proof, hints=hints) == ACCEPTED
+    bogus = [("a", [3]), ("a", [])]
+    assert _same_verdict(formula, bogus, hints=hints) == (
+        "step 0: clause [3] is not a RUP consequence"
+    )
 
 
 # ---------------------------------------------------------------------------
