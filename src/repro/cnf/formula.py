@@ -124,3 +124,31 @@ class CnfFormula:
     def falsified_clauses(self, assignment: Mapping[int, bool]) -> list[list[int]]:
         """Return the clauses not satisfied by a complete ``assignment``."""
         return [clause for clause in self.clauses if not self.clause_satisfied(clause, assignment)]
+
+
+def unsatisfied_clause(
+    clauses: Iterable[list[int]], model: Mapping, num_variables: int
+) -> list[int] | None:
+    """The first clause ``model`` leaves unsatisfied, or ``None``.
+
+    A literal is true when ``model.get(abs(literal), False) == (literal >
+    0)``: a variable the model does not name reads false, and a value
+    that equals neither ``True`` nor ``False`` makes both of its literals
+    false.  The set of literals this calls true over variables
+    ``1..num_variables`` is built once, and a clause that meets it is
+    satisfied; every other clause is tested literal by literal as above,
+    so literals outside that range get the same verdict.
+    """
+    true: set[int] = set()
+    for variable in range(1, num_variables + 1):
+        value = model.get(variable, False)
+        if value == True:  # noqa: E712 - the per-literal test's comparison
+            true.add(variable)
+        if value == False:  # noqa: E712
+            true.add(-variable)
+    for clause in clauses:
+        if true.isdisjoint(clause) and not any(
+            model.get(abs(literal), False) == (literal > 0) for literal in clause
+        ):
+            return clause
+    return None

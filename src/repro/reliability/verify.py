@@ -23,7 +23,7 @@ result"`` and retried under the active
 
 from __future__ import annotations
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, unsatisfied_clause
 from repro.proof import ProofError, check_rup_proof
 from repro.solver.config import (
     VERIFICATION_LEVELS,
@@ -87,12 +87,9 @@ def verify_result(
         raise VerificationError(shape)
 
     if result.status is SolveStatus.SAT:
-        model = result.model
-        for clause in formula.clauses:
-            if not any(model.get(abs(lit), False) == (lit > 0) for lit in clause):
-                raise VerificationError(
-                    f"model does not satisfy clause {clause}"
-                )
+        clause = unsatisfied_clause(formula.clauses, result.model, formula.num_variables)
+        if clause is not None:
+            raise VerificationError(f"model does not satisfy clause {clause}")
         return "model"
 
     if result.status is SolveStatus.UNSAT and level == VERIFY_FULL:

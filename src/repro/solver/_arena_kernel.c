@@ -17,12 +17,13 @@
  * watch_head[lit] heads the chain of nodes watching encoded literal
  * `lit`.  Truth values: lit_value[q] is 1 (true), 0 (false) or -1.
  *
- * The per-variable and per-literal buffers, and the scratch the hot
- * kernels write their results to, reach the kernels through one
- * address table (`struct tables`).  The solver keeps it cached and
- * refreshes it wherever one of those buffers can move; the arena, the
- * trail, the learned-ref stack and the clause activities move on
- * append, so they are passed per call.
+ * The per-variable and per-literal buffers, and the scratch the kernels
+ * write their results to, reach the kernels through one address table
+ * (`struct tables`).  The solver keeps it cached and refreshes it
+ * wherever one of those buffers can move.  The arena, the trail and the
+ * learned-ref stack move on append: the single-step kernels take them per
+ * call, and the search loop (`arena_search`) reaches them, padded with
+ * room it may append into, through a second table (`struct room`).
  */
 
 #include <stdint.h>
@@ -57,29 +58,30 @@ struct tables {
 /* Propagate to fixpoint (BCP) over the watch chains.
  *
  * The work queue is the unpropagated tail of the trail itself
- * (`trail[qhead .. trail_len)`), continued by `t->implied`, where every
- * implied literal is appended.  Assignments (including their reasons)
- * are written straight into the shared buffers; the Python caller only
- * extends its trail with `implied[0 .. tail)` afterwards.
+ * (`trail[qhead .. trail_len)`), continued by `scratch`, where every
+ * implied literal is appended (the search loop passes the trail's own
+ * room, trail + trail_len).  Assignments (including their reasons) are
+ * written straight into the shared buffers.
  *
- * Returns the number of literals appended to `implied` (== the number
- * of propagations performed).  out[0] is the conflicting ref (-1 at
- * fixpoint).
+ * Returns the number of literals appended to `scratch` (== the number
+ * of propagations performed); *conflict_out is the conflicting ref (-1
+ * at fixpoint).
  */
-int32_t arena_propagate(
+static int32_t propagate(
     const struct tables *t,
     int32_t *arena,
     int32_t *trail,
     int32_t qhead,
     int32_t trail_len,
-    int32_t level)
+    int32_t level,
+    int32_t *scratch,
+    int32_t *conflict_out)
 {
     int32_t *watch_head = t->watch_head;
     int32_t *lit_value = t->lit_value;
     int32_t *assigns = t->assigns;
     int32_t *levels = t->levels;
     int32_t *reasons = t->reasons;
-    int32_t *scratch = t->implied;
     int32_t head = qhead; /* consumes trail first, then scratch */
     int32_t scratch_head = 0;
     int32_t tail = 0;
@@ -162,8 +164,43 @@ int32_t arena_propagate(
         }
         if (conflict >= 0) break;
     }
-    t->out[0] = conflict;
+    *conflict_out = conflict;
     return tail;
+}
+
+/* BCP for callers outside the search loop: the implied literals go to
+ * `t->implied`, and the Python caller extends its trail with them.
+ * out[0] is the conflicting ref (-1 at fixpoint).
+ */
+int32_t arena_propagate(
+    const struct tables *t,
+    int32_t *arena,
+    int32_t *trail,
+    int32_t qhead,
+    int32_t trail_len,
+    int32_t level)
+{
+    return propagate(t, arena, trail, qhead, trail_len, level, t->implied, &t->out[0]);
+}
+
+/* Assign `literal` true at `level` with `reason` (-1: none) and append it
+ * to the trail (Solver._enqueue).
+ */
+static void assign(
+    const struct tables *t,
+    int32_t *trail,
+    int32_t *trail_len,
+    int32_t literal,
+    int32_t reason,
+    int32_t level)
+{
+    int32_t variable = literal >> 1;
+    t->assigns[variable] = (literal & 1) ^ 1;
+    t->lit_value[literal] = 1;
+    t->lit_value[literal ^ 1] = 0;
+    t->levels[variable] = level;
+    t->reasons[variable] = reason;
+    trail[(*trail_len)++] = literal;
 }
 
 /* Unassign one trail literal. */
@@ -189,8 +226,9 @@ void arena_backtrack(
         undo(t, trail[index]);
 }
 
-/* One conflict, from analysis to backtrack (Solver._analyze followed by
- * Solver._backtrack, whose pure-Python loops are the reference).
+/* One conflict of the search loop, from analysis to backtrack
+ * (Solver._analyze followed by Solver._backtrack, whose pure-Python loops
+ * are the reference).
  *
  * In order: the first-UIP resolution walk, bumping clause_act of every
  * responsible learned record and, with options bit 0, var_activity once
@@ -217,7 +255,7 @@ void arena_backtrack(
  * out[1] the LBD, out[2] the trail length after the backtrack and out[3]
  * the number of hints.
  */
-int32_t arena_conflict(
+static int32_t analyze(
     const struct tables *t,
     int32_t *arena,
     int32_t *trail,
@@ -570,21 +608,23 @@ int32_t arena_load(
  * From learned-stack index `start` down, collect the first `window`
  * records (at least one) with no true literal; the most active free
  * variable among their literals wins, the first one met on ties,
- * scanning the topmost record first.  out[0] is the stack index of the
- * topmost record collected and out[1] the ref of the record the winner
- * was met in.  With start < 0, or when every record down to the bottom
- * is satisfied, out[0] is -1 and the winner is the most active free
- * variable that is not eliminated, the smallest on ties.
+ * scanning the topmost record first.  *topmost_out is the stack index of
+ * the topmost record collected and *ref_out the ref of the record the
+ * winner was met in.  With start < 0, or when every record down to the
+ * bottom is satisfied, *topmost_out is -1 and the winner is the most
+ * active free variable that is not eliminated, the smallest on ties.
  *
  * Returns the winning variable, or -1 when there is none.
  */
-int32_t arena_decide(
+static int32_t decide(
     const struct tables *t,
     int32_t *arena,
     int32_t *learned,
     int32_t start,
     int32_t window,
-    int32_t num_variables)
+    int32_t num_variables,
+    int32_t *topmost_out,
+    int32_t *ref_out)
 {
     int32_t *lit_value = t->lit_value;
     int32_t *assigns = t->assigns;
@@ -621,8 +661,8 @@ int32_t arena_decide(
         if (++collected >= window)
             break;
     }
-    t->out[0] = topmost;
-    t->out[1] = best_ref;
+    *topmost_out = topmost;
+    *ref_out = best_ref;
     if (topmost >= 0)
         return best;
 
@@ -635,4 +675,358 @@ int32_t arena_decide(
         }
     }
     return best;
+}
+
+/* The search loop (Solver.solve's, whose pure-Python steps are the
+ * reference) runs until an event the solver must handle.  The state it
+ * reads and leaves is one int64 vector shared with the solver, indexed
+ * by the S_* words below; repro/solver/_kernel.py names them in this
+ * order.
+ */
+enum {
+    S_EXIT,                 /* out: why the loop returned (EXIT_*) */
+    S_RESUME,               /* in: where it resumes (RESUME_*) */
+    S_LITERAL,              /* in: the literal RESUME_DECISION or RESUME_ASSUME
+                               enqueues; out: the last decision literal */
+    S_OPTIONS,              /* in: OPT_* bits */
+    S_TRAIL_LEN,            /* in/out: the trail and its propagation frontier */
+    S_QHEAD,
+    S_LEVELS,               /* in/out: decision levels (trail_limits entries) */
+    S_LEARNED_LEN,          /* in/out: the learned-ref stack */
+    S_ARENA_LEN,            /* in/out: arena words in use */
+    S_RECORDS,              /* in/out: entries of the per-record side arrays */
+    S_CURSOR,               /* in/out: Solver.search_cursor */
+    S_BIRTH,                /* in/out: Solver.birth_counter */
+    S_CONFLICTS,            /* in/out: SolverStats counters */
+    S_DECISIONS,
+    S_PROPAGATIONS,
+    S_LEARNED_TOTAL,
+    S_LEARNED_UNITS,
+    S_TOP_DECISIONS,
+    S_MAX_LEVEL,
+    S_PEAK_CLAUSES,
+    S_PROOF_STEP,           /* in/out: the proof id the next logged step gets */
+    S_NUM_CLAUSES,          /* in: live original records */
+    S_NUM_VARIABLES,        /* in */
+    S_WINDOW,               /* in: config.top_clause_window */
+    S_ASSUMPTIONS,          /* in: assumption levels of this solve call */
+    S_CONFLICT_STOP,        /* in: exit after the conflict reaching this count */
+    S_DECISION_STOP,        /* in: exit before a decision at this count */
+    S_BASE_DECISIONS,       /* in: decisions when the solve call began */
+    S_CLAUSE_STOP,          /* in: exit after a conflict at this many clauses */
+    S_TRAIL_ROOM,           /* in: the length of each room buffer */
+    S_LEVEL_ROOM,
+    S_LEARNED_ROOM,
+    S_ARENA_ROOM,
+    S_RECORD_ROOM,
+    S_LOG_ROOM,
+    S_PAIR_ROOM,
+    S_SKIN_ROOM,
+    S_LOG_LEN,              /* out: words written to each log this call */
+    S_PAIR_LEN,
+    S_SKIN_LEN,
+    S_CHOICE,               /* out: what EXIT_CHOOSE asks for (CHOOSE_*) */
+    S_VARIABLE,             /* out: its variable and, for CHOOSE_TOP, */
+    S_REF,                  /*      the top clause the variable was met in */
+    S_DISTANCE,             /* out: the last scan's skin distance, or -1 */
+    S_CONFLICT_LEVEL,       /* out: the last conflict's decision level, */
+    S_LEARNT_SIZE,          /*      learnt-clause size (the literals stay */
+    S_LBD,                  /*      in t->learnt), LBD and backjump level */
+    S_BACKJUMP,
+    S_WORDS
+};
+
+/* Why arena_search returned. */
+enum {
+    EXIT_UNSAT,             /* a conflict at level 0 */
+    EXIT_SAT,               /* no free variable is left */
+    EXIT_CONFLICT,          /* after a conflict whose post-conflict work is due */
+    EXIT_PREDECIDE,         /* before a decision: a level-0 import, an assumption
+                               level, the decision budget or a 512-decision mark */
+    EXIT_CHOOSE,            /* the solver chooses the decision literal */
+    EXIT_DECIDED,           /* after a decision (step mode) */
+    EXIT_ROOM,              /* a room buffer cannot take one more step */
+    EXIT_NO_REASON          /* analysis met a missing reason */
+};
+
+/* Where it resumes: the top (propagation), the decision scan after
+ * EXIT_PREDECIDE, or the enqueue of the literal the solver chose for a
+ * decision or an assumption level.
+ */
+enum { RESUME_TOP, RESUME_DECIDE, RESUME_DECISION, RESUME_ASSUME };
+
+/* What EXIT_CHOOSE asks for: the phase on S_VARIABLE of top clause S_REF
+ * (Section 7), the formula-level phase of S_VARIABLE, or a whole decision
+ * under a strategy the loop does not run (vsids, random).
+ */
+enum { CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_STRATEGY };
+
+/* S_OPTIONS bits; the low three are analyze's options. */
+#define OPT_BUMP_RESPONSIBLE 1  /* var_activity bumps over responsible clauses */
+#define OPT_MINIMIZE 2     /* self-subsumption minimization */
+#define OPT_HINTS 4        /* proof hints; the loop logs every learnt clause */
+#define OPT_TOP_CLAUSE 8   /* berkmin decisions (else global) */
+#define OPT_DECIDE 16      /* the berkmin or global scan runs here */
+#define OPT_SYMMETRIZE 32  /* the symmetrize phase runs here */
+#define OPT_STEP 64        /* exit after every conflict and decision */
+#define OPT_SHARE 128      /* exit before a decision at level 0 */
+
+#define LBD_SHIFT 3
+#define NO_PROOF_ID 2147483647
+
+/* The buffers the loop appends to, each padded by the solver with room
+ * (their lengths are the S_*_ROOM words).  The logs start empty every
+ * call and the solver drains them at every exit.
+ */
+struct room {
+    int32_t *arena;
+    int32_t *trail;
+    int32_t *trail_limits;
+    int32_t *learned;
+    double *clause_act;
+    int32_t *clause_id;
+    int32_t *clause_birth;
+    int32_t *proof_log;  /* per learnt clause: size, hint count, literals, hints */
+    int32_t *pairs;      /* the literal pairs of learnt binary records */
+    int32_t *skin;       /* the skin distance of every top-clause decision */
+};
+
+/* Run the search from S_RESUME until an exit; returns the exit code.
+ *
+ * Each pass propagates.  A conflict at level 0 ends the search; any
+ * other is analyzed and backtracked (analyze) and its clause recorded as
+ * Solver._record_learned does: the proof-log entry, then a unit at the
+ * backjump level, or the record, its watches, its side-array entries and
+ * its asserting literal.  At a fixpoint the loop decides: the berkmin or
+ * global scan (decide), then the symmetrize phase, and enqueues the
+ * literal at a new level.  It returns before the pass when a room buffer
+ * could not take one more worst-case step, and at every event listed
+ * under EXIT_*, leaving the state as the reference steps leave it there.
+ */
+int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
+{
+    int32_t *arena = r->arena;
+    int32_t *trail = r->trail;
+    int32_t *limits = r->trail_limits;
+    int32_t *learned = r->learned;
+    int32_t *learnt = t->learnt;
+    const int32_t options = (int32_t) s[S_OPTIONS];
+    const int32_t num_variables = (int32_t) s[S_NUM_VARIABLES];
+    const int32_t window = (int32_t) s[S_WINDOW];
+    const int32_t assumptions = (int32_t) s[S_ASSUMPTIONS];
+    const int64_t num_clauses = s[S_NUM_CLAUSES];
+    const int64_t conflict_stop = s[S_CONFLICT_STOP];
+    const int64_t decision_stop = s[S_DECISION_STOP];
+    const int64_t base_decisions = s[S_BASE_DECISIONS];
+    const int64_t clause_stop = s[S_CLAUSE_STOP];
+    /* What one more step may write, worst case. */
+    const int64_t record_words = HDR + (int64_t) num_variables;
+    const int64_t log_words = (options & OPT_HINTS) ? 3 + 2 * (int64_t) num_variables : 0;
+    int32_t resume = (int32_t) s[S_RESUME];
+    int32_t literal = (int32_t) s[S_LITERAL];
+    int32_t trail_len = (int32_t) s[S_TRAIL_LEN];
+    int32_t qhead = (int32_t) s[S_QHEAD];
+    int32_t levels = (int32_t) s[S_LEVELS];
+    int32_t learned_len = (int32_t) s[S_LEARNED_LEN];
+    int32_t arena_len = (int32_t) s[S_ARENA_LEN];
+    int32_t records = (int32_t) s[S_RECORDS];
+    int32_t cursor = (int32_t) s[S_CURSOR];
+    int64_t birth = s[S_BIRTH];
+    int64_t conflicts = s[S_CONFLICTS];
+    int64_t decisions = s[S_DECISIONS];
+    int64_t propagations = s[S_PROPAGATIONS];
+    int64_t learned_total = s[S_LEARNED_TOTAL];
+    int64_t learned_units = s[S_LEARNED_UNITS];
+    int64_t top_decisions = s[S_TOP_DECISIONS];
+    int64_t max_level = s[S_MAX_LEVEL];
+    int64_t peak = s[S_PEAK_CLAUSES];
+    int64_t proof_step = s[S_PROOF_STEP];
+    int64_t log_len = 0, pair_len = 0, skin_len = 0;
+    int32_t code;
+
+    for (;; resume = RESUME_TOP) {
+        if (resume == RESUME_ASSUME) {
+            limits[levels++] = trail_len;
+            if (t->lit_value[literal] == -1)
+                assign(t, trail, &trail_len, literal, -1, levels);
+            continue;
+        }
+        if (resume == RESUME_TOP) {
+            if (s[S_ARENA_ROOM] - arena_len < record_words
+                    || s[S_LEARNED_ROOM] - learned_len < 1
+                    || s[S_RECORD_ROOM] - records < 1
+                    || s[S_LOG_ROOM] - log_len < log_words
+                    || s[S_PAIR_ROOM] - pair_len < 2
+                    || s[S_SKIN_ROOM] - skin_len < 1) {
+                code = EXIT_ROOM;
+                break;
+            }
+            int32_t conflict;
+            int32_t implied = propagate(
+                t, arena, trail, qhead, trail_len, levels, trail + trail_len, &conflict);
+            trail_len += implied;
+            qhead = trail_len;
+            propagations += implied;
+            if (conflict >= 0) {
+                conflicts++;
+                if (levels == 0) {
+                    code = EXIT_UNSAT;
+                    break;
+                }
+                int32_t size = analyze(
+                    t, arena, trail, r->clause_act, r->clause_id, conflict,
+                    trail_len, levels,
+                    options & (OPT_BUMP_RESPONSIBLE | OPT_MINIMIZE | OPT_HINTS));
+                if (size < 0) {
+                    code = EXIT_NO_REASON;
+                    break;
+                }
+                int32_t backjump = t->out[0];
+                int32_t lbd = t->out[1];
+                s[S_CONFLICT_LEVEL] = levels;
+                s[S_LEARNT_SIZE] = size;
+                s[S_LBD] = lbd;
+                s[S_BACKJUMP] = backjump;
+                trail_len = qhead = t->out[2];
+                levels = backjump;
+
+                learned_total++;
+                int32_t proof_id = NO_PROOF_ID;
+                if (options & OPT_HINTS) {
+                    int32_t hint_count = t->out[3];
+                    int32_t *entry = r->proof_log + log_len;
+                    entry[0] = size;
+                    entry[1] = hint_count;
+                    for (int32_t index = 0; index < size; index++)
+                        entry[2 + index] = learnt[index];
+                    for (int32_t index = 0; index < hint_count; index++)
+                        entry[2 + size + index] = t->hints[index];
+                    log_len += 2 + size + hint_count;
+                    proof_id = (int32_t) proof_step++;
+                }
+                if (size == 1) {
+                    learned_units++;
+                    assign(t, trail, &trail_len, learnt[0], -1, levels);
+                } else {
+                    int32_t ref = arena_len;
+                    arena[ref] = size;
+                    arena[ref + 1] = (lbd << LBD_SHIFT) | FLAG_LEARNED;
+                    arena[ref + 2] = records;
+                    arena[ref + 3] = 2;
+                    for (int32_t index = 0; index < size; index++)
+                        arena[ref + HDR + index] = learnt[index];
+                    arena_len = ref + HDR + size;
+                    attach(arena, t->watch_head, ref);
+                    r->clause_act[records] = 0.0;
+                    r->clause_id[records] = proof_id;
+                    r->clause_birth[records] = (int32_t) birth++;
+                    records++;
+                    learned[learned_len++] = ref;
+                    if (size == 2) {
+                        r->pairs[pair_len++] = learnt[0];
+                        r->pairs[pair_len++] = learnt[1];
+                    }
+                    assign(t, trail, &trail_len, learnt[0], ref, levels);
+                    propagations++;
+                }
+                cursor = learned_len - 1;
+                if (num_clauses + learned_len > peak)
+                    peak = num_clauses + learned_len;
+                if ((options & OPT_STEP) || conflicts >= conflict_stop
+                        || num_clauses + learned_len >= clause_stop) {
+                    code = EXIT_CONFLICT;
+                    break;
+                }
+                continue;
+            }
+            if ((levels == 0 && (options & OPT_SHARE)) || levels < assumptions
+                    || decisions >= decision_stop
+                    || (decisions > base_decisions
+                        && (decisions - base_decisions) % 512 == 0)) {
+                code = EXIT_PREDECIDE;
+                break;
+            }
+        }
+        if (resume != RESUME_DECISION) {
+            if (!(options & OPT_DECIDE)) {
+                s[S_CHOICE] = CHOOSE_STRATEGY;
+                s[S_DISTANCE] = -1;
+                code = EXIT_CHOOSE;
+                break;
+            }
+            int32_t top = learned_len - 1;
+            int32_t start = !(options & OPT_TOP_CLAUSE) ? -1 : cursor < top ? cursor : top;
+            int32_t topmost, ref;
+            int32_t variable = decide(
+                t, arena, learned, start, window, num_variables, &topmost, &ref);
+            if (topmost < 0) {
+                if (options & OPT_TOP_CLAUSE)
+                    cursor = -1;
+                s[S_DISTANCE] = -1;
+                if (variable < 0) {
+                    code = EXIT_SAT;
+                    break;
+                }
+                s[S_CHOICE] = CHOOSE_FORMULA;
+                s[S_VARIABLE] = variable;
+                code = EXIT_CHOOSE;
+                break;
+            }
+            cursor = topmost;
+            top_decisions++;
+            r->skin[skin_len++] = top - topmost;
+            s[S_DISTANCE] = top - topmost;
+            literal = -1;
+            if ((options & OPT_SYMMETRIZE) && variable >= 0) {
+                /* Branch first on the value whose refutation would raise
+                 * the less active literal's count (Section 7). */
+                double positive = t->lit_activity[2 * variable];
+                double negative = t->lit_activity[2 * variable + 1];
+                if (positive < negative)
+                    literal = 2 * variable + 1;
+                else if (negative < positive)
+                    literal = 2 * variable;
+            }
+            if (literal < 0) { /* a tie draws from the solver's rng */
+                s[S_CHOICE] = CHOOSE_TOP;
+                s[S_VARIABLE] = variable;
+                s[S_REF] = ref;
+                code = EXIT_CHOOSE;
+                break;
+            }
+        }
+        decisions++;
+        limits[levels++] = trail_len;
+        assign(t, trail, &trail_len, literal, -1, levels);
+        if (levels > max_level)
+            max_level = levels;
+        s[S_LITERAL] = literal;
+        if (options & OPT_STEP) {
+            code = EXIT_DECIDED;
+            break;
+        }
+    }
+
+    s[S_EXIT] = code;
+    s[S_TRAIL_LEN] = trail_len;
+    s[S_QHEAD] = qhead;
+    s[S_LEVELS] = levels;
+    s[S_LEARNED_LEN] = learned_len;
+    s[S_ARENA_LEN] = arena_len;
+    s[S_RECORDS] = records;
+    s[S_CURSOR] = cursor;
+    s[S_BIRTH] = birth;
+    s[S_CONFLICTS] = conflicts;
+    s[S_DECISIONS] = decisions;
+    s[S_PROPAGATIONS] = propagations;
+    s[S_LEARNED_TOTAL] = learned_total;
+    s[S_LEARNED_UNITS] = learned_units;
+    s[S_TOP_DECISIONS] = top_decisions;
+    s[S_MAX_LEVEL] = max_level;
+    s[S_PEAK_CLAUSES] = peak;
+    s[S_PROOF_STEP] = proof_step;
+    s[S_LOG_LEN] = log_len;
+    s[S_PAIR_LEN] = pair_len;
+    s[S_SKIN_LEN] = skin_len;
+    return code;
 }

@@ -1,18 +1,24 @@
 """Build-on-demand loader for the solver's C kernels.
 
-The engine's propagation, conflict (analysis through backtrack),
-decision-scan, backtracking, formula loading and watch-rebuilding loops
-have C twins (``_arena_kernel.c``) that run over the very same
-``array`` buffers — same record layout, same watch chains, same
-circular replacement scan — so a solve produces an identical trajectory
-and a load the identical state whether or not the kernels are
-available.  This module compiles it once per source revision with the
-system C compiler into a cached shared object and hands back its
-``ctypes`` entry points.
+The engine's search loop (propagation, conflict analysis through
+backtrack, clause recording, the BerkMin decision scan and the
+symmetrized phase), and its propagation, backtracking, formula loading
+and watch-rebuilding steps, have C twins (``_arena_kernel.c``) that run
+over the very same ``array`` buffers — same record layout, same watch
+chains, same circular replacement scan — so a solve produces an
+identical trajectory and a load the identical state whether or not the
+kernels are available.  This module compiles it once per source
+revision with the system C compiler into a cached shared object and
+hands back its ``ctypes`` entry points.
 
 The hot entry points take the solver's per-variable and per-literal
 buffers through one :class:`AddressTable` instead of one argument
-each; the solver refreshes it wherever one of them can move.
+each; the solver refreshes it wherever one of them can move.  The
+search loop, ``arena_search``, runs until an event the solver must
+handle (see ``Solver.solve``).  It appends to the buffers of a second
+table (:data:`ROOM_FIELDS`), which the solver pads with room before the
+call, and it reads and leaves its counters and lengths in one int64
+vector, whose words the ``S_*`` constants below name.
 
 Loading is strictly best-effort: no compiler, a failed compile, a
 read-only cache directory, or ``REPRO_SAT_PURE=1`` in the environment
@@ -38,8 +44,7 @@ class ArenaKernel(NamedTuple):
     """The compiled entry points (see ``_arena_kernel.c``)."""
 
     propagate: object  # BCP to fixpoint over the watch chains
-    conflict: object  # first-UIP analysis, bumps, proof hints, backjump, backtrack
-    decide: object  # BerkMin top-clause or most-active-free scan
+    search: object  # the conflict-decision loop, up to the next exit
     backtrack: object  # bulk assignment undo
     load: object  # bulk formula load at level 0
     attach: object  # watch threading for a list of refs
@@ -66,24 +71,74 @@ TABLE_FIELDS = (
     "_kernel_out",
 )
 
+#: The solver attributes behind the fields of ``struct room``: the
+#: buffers ``arena_search`` appends to, padded with room while a search
+#: runs, then its proof-log, binary-pair and skin-distance logs.
+ROOM_FIELDS = (
+    "arena",
+    "trail",
+    "trail_limits",
+    "learned",
+    "clause_act",
+    "clause_id",
+    "clause_birth",
+    "_proof_log",
+    "_pair_log",
+    "_skin_log",
+)
+
+# The words of the search state (the S_* enum in _arena_kernel.c, in its
+# order; see the comments there).
+(
+    S_EXIT, S_RESUME, S_LITERAL, S_OPTIONS,
+    S_TRAIL_LEN, S_QHEAD, S_LEVELS, S_LEARNED_LEN, S_ARENA_LEN, S_RECORDS,
+    S_CURSOR, S_BIRTH,
+    S_CONFLICTS, S_DECISIONS, S_PROPAGATIONS, S_LEARNED_TOTAL, S_LEARNED_UNITS,
+    S_TOP_DECISIONS, S_MAX_LEVEL, S_PEAK_CLAUSES,
+    S_PROOF_STEP, S_NUM_CLAUSES, S_NUM_VARIABLES, S_WINDOW, S_ASSUMPTIONS,
+    S_CONFLICT_STOP, S_DECISION_STOP, S_BASE_DECISIONS, S_CLAUSE_STOP,
+    S_TRAIL_ROOM, S_LEVEL_ROOM, S_LEARNED_ROOM, S_ARENA_ROOM, S_RECORD_ROOM,
+    S_LOG_ROOM, S_PAIR_ROOM, S_SKIN_ROOM,
+    S_LOG_LEN, S_PAIR_LEN, S_SKIN_LEN,
+    S_CHOICE, S_VARIABLE, S_REF, S_DISTANCE,
+    S_CONFLICT_LEVEL, S_LEARNT_SIZE, S_LBD, S_BACKJUMP,
+    S_WORDS,
+) = range(49)
+# Why the search returned (EXIT_*), where it resumes (RESUME_*), what an
+# EXIT_CHOOSE asks for (CHOOSE_*), and the S_OPTIONS bits (OPT_*).
+(
+    EXIT_UNSAT, EXIT_SAT, EXIT_CONFLICT, EXIT_PREDECIDE, EXIT_CHOOSE,
+    EXIT_DECIDED, EXIT_ROOM, EXIT_NO_REASON,
+) = range(8)
+RESUME_TOP, RESUME_DECIDE, RESUME_DECISION, RESUME_ASSUME = range(4)
+CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_STRATEGY = range(3)
+OPT_BUMP_RESPONSIBLE = 1
+OPT_MINIMIZE = 2
+OPT_HINTS = 4
+OPT_TOP_CLAUSE = 8
+OPT_DECIDE = 16
+OPT_SYMMETRIZE = 32
+OPT_STEP = 64
+OPT_SHARE = 128
+
 
 class AddressTable:
-    """The buffer addresses the hot kernels read (``struct tables``).
+    """The buffer addresses a kernel reads (``struct tables`` or ``struct room``).
 
     ``address`` is what the kernels take; :meth:`refresh` re-reads
-    every address from ``owner``'s attributes named in
-    :data:`TABLE_FIELDS` and must run whenever one of them can have
-    moved.
+    every address from ``owner``'s attributes named in ``fields`` and
+    must run whenever one of them can have moved.
     """
 
-    __slots__ = ("slots", "address")
+    __slots__ = ("fields", "slots", "address")
 
-    def __init__(self) -> None:
-        self.slots = (ctypes.c_void_p * len(TABLE_FIELDS))()
+    def __init__(self, fields: tuple[str, ...]) -> None:
+        self.fields = fields
+        self.slots = (ctypes.c_void_p * len(fields))()
         self.address = ctypes.addressof(self.slots)
 
     def refresh(self, owner) -> None:
-        self.slots[:] = [getattr(owner, name).buffer_info()[0] for name in TABLE_FIELDS]
+        self.slots[:] = [getattr(owner, name).buffer_info()[0] for name in self.fields]
 
 
 #: Cached (once-per-process) load result; ``False`` means "not tried".
@@ -127,12 +182,9 @@ def _build_and_load():
     propagate = handle.arena_propagate
     propagate.argtypes = [pointer] * 3 + [int32] * 3
     propagate.restype = int32
-    conflict = handle.arena_conflict
-    conflict.argtypes = [pointer] * 5 + [int32] * 4
-    conflict.restype = int32
-    decide = handle.arena_decide
-    decide.argtypes = [pointer] * 3 + [int32] * 3
-    decide.restype = int32
+    search = handle.arena_search
+    search.argtypes = [pointer] * 3
+    search.restype = int32
     backtrack = handle.arena_backtrack
     backtrack.argtypes = [pointer, pointer, int32, int32]
     backtrack.restype = None
@@ -144,7 +196,7 @@ def _build_and_load():
     attach = handle.arena_attach
     attach.argtypes = [pointer, pointer, pointer, int32, pointer]
     attach.restype = int32
-    return ArenaKernel(propagate, conflict, decide, backtrack, load, attach)
+    return ArenaKernel(propagate, search, backtrack, load, attach)
 
 
 def load_arena_kernel():

@@ -97,17 +97,80 @@ its two parents.  A record whose clause the proof cannot name carries
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, unsatisfied_clause
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
 from repro.cnf.simplify import clean_clause
 from repro.solver import config as cfg
-from repro.solver._kernel import AddressTable, load_arena_kernel
+from repro.solver._kernel import (
+    CHOOSE_FORMULA,
+    CHOOSE_TOP,
+    EXIT_CHOOSE,
+    EXIT_CONFLICT,
+    EXIT_DECIDED,
+    EXIT_PREDECIDE,
+    EXIT_ROOM,
+    EXIT_SAT,
+    EXIT_UNSAT,
+    OPT_BUMP_RESPONSIBLE,
+    OPT_DECIDE,
+    OPT_HINTS,
+    OPT_MINIMIZE,
+    OPT_SHARE,
+    OPT_STEP,
+    OPT_SYMMETRIZE,
+    OPT_TOP_CLAUSE,
+    RESUME_ASSUME,
+    RESUME_DECIDE,
+    RESUME_DECISION,
+    RESUME_TOP,
+    ROOM_FIELDS,
+    S_ARENA_LEN,
+    S_ASSUMPTIONS,
+    S_BACKJUMP,
+    S_BASE_DECISIONS,
+    S_BIRTH,
+    S_CHOICE,
+    S_CLAUSE_STOP,
+    S_CONFLICT_LEVEL,
+    S_CONFLICT_STOP,
+    S_CONFLICTS,
+    S_CURSOR,
+    S_DECISION_STOP,
+    S_DISTANCE,
+    S_LBD,
+    S_LEARNED_LEN,
+    S_LEARNT_SIZE,
+    S_LEVELS,
+    S_LITERAL,
+    S_LOG_LEN,
+    S_NUM_CLAUSES,
+    S_NUM_VARIABLES,
+    S_OPTIONS,
+    S_PAIR_LEN,
+    S_PEAK_CLAUSES,
+    S_PROOF_STEP,
+    S_QHEAD,
+    S_RECORDS,
+    S_REF,
+    S_RESUME,
+    S_SKIN_LEN,
+    S_SKIN_ROOM,
+    S_TRAIL_LEN,
+    S_TRAIL_ROOM,
+    S_VARIABLE,
+    S_WINDOW,
+    S_WORDS,
+    TABLE_FIELDS,
+    AddressTable,
+    load_arena_kernel,
+)
 from repro.solver.config import (
     PROPAGATION_ARENA,
     VERIFICATION_LEVELS,
@@ -129,6 +192,22 @@ _LBD_SHIFT = 3
 #: The proof id of a record the proof cannot name: past any proof step,
 #: so a hint naming it sends the checker to full propagation.
 NO_PROOF_ID = 2**31 - 1
+#: A count no search reaches: the search state's "no budget" bound.
+_NEVER = 2**62
+
+
+def _count_at(bound, strict: bool = False) -> int:
+    """The least whole count at (``strict``: past) ``bound``, within ±_NEVER."""
+    if bound >= _NEVER or bound <= -_NEVER:
+        return _NEVER if bound > 0 else -_NEVER
+    return math.floor(bound) + 1 if strict else math.ceil(bound)
+
+
+def _pad(buffer: array, length: int) -> None:
+    """Extend ``buffer`` with zeros to ``length`` items; never shrinks it."""
+    missing = length - len(buffer)
+    if missing > 0:
+        buffer.frombytes(bytes(buffer.itemsize * missing))
 
 
 class SolverInternalError(RuntimeError):
@@ -137,6 +216,16 @@ class SolverInternalError(RuntimeError):
 
 class Solver:
     """A configurable CDCL SAT solver reproducing BerkMin and its ablations."""
+
+    #: Room the search loop gets past the contents of the arena (words,
+    #: at least two worst-case records) and of the learned stack and the
+    #: per-record side arrays (entries) whenever it runs out.
+    _ROOM_WORDS = 1 << 16
+    _ROOM_RECORDS = 1 << 10
+    #: Length of the binary-pair and skin-distance logs; the search loop
+    #: exits at least every 128 conflicts and 512 decisions, so they
+    #: rarely fill.
+    _LOG_WORDS = 1 << 11
 
     def __init__(
         self,
@@ -183,13 +272,13 @@ class Solver:
         self.binary_implications: list[list[int]] = [[], []]
 
         self.trail = array("i")  # encoded literals in assignment order
-        self.trail_limits: list[int] = []  # trail index at each decision level
+        self.trail_limits = array("i")  # trail index at each decision level
         self.qhead = 0  # propagation frontier within the trail
 
         self.arena = array("i")
         self.arena_dead = 0  # dead words awaiting collection
         self.clause_act = array("d")
-        self.clause_birth: list[int] = []
+        self.clause_birth = array("i")  # birth_counter stamps, indexed like clause_act
         self.clause_id = array("i")  # proof ids, indexed like clause_act
         self.clauses: list[int] = []  # refs of the live original records
         self.learned = array("i")  # conflict-clause stack (refs), oldest first
@@ -213,15 +302,14 @@ class Solver:
 
         # The compiled kernels (None -> pure-Python fallbacks, identical
         # semantics), their call scratch (a BCP work queue of literals,
-        # the conflict call's output buffers and proof hints, its
+        # the conflict step's output buffers and proof hints, its
         # per-level LBD marks, the out-params words) and the address
         # table through which the hot ones reach the scratch and the
         # per-variable and per-literal buffers.  ``REPRO_SAT_PURE`` is
         # read per solver.
         kernel = load_arena_kernel()
         self._kernel = kernel.propagate if kernel else None
-        self._kernel_conflict = kernel.conflict if kernel else None
-        self._kernel_decide = kernel.decide if kernel else None
+        self._kernel_search = kernel.search if kernel else None
         self._kernel_backtrack = kernel.backtrack if kernel else None
         self._kernel_load = kernel.load if kernel else None
         self._kernel_attach = kernel.attach if kernel else None
@@ -231,9 +319,22 @@ class Solver:
         self._clear_out = array("i")
         self._hint_out = array("i")
         self._level_marks = array("i")
-        self._tables = AddressTable() if kernel else None
+        self._tables = AddressTable(TABLE_FIELDS) if kernel else None
         self._tables_address = self._tables.address if kernel else None
         self._size_scratch(1)
+        # The search loop's state words (both engines leave the ones
+        # solve() reads at an exit there), its room table and logs (see
+        # _open_room), and whether the room is open.
+        self._state = array("q", bytes(8 * S_WORDS))
+        self._state_address = self._state.buffer_info()[0]
+        self._room = AddressTable(ROOM_FIELDS) if kernel else None
+        self._room_open = False
+        self._search_options = 0
+        self._level_room = 0
+        self._proof_log = array("i")
+        self._pair_log = array("i", bytes(4 * self._LOG_WORDS))
+        self._skin_log = array("i", bytes(4 * self._LOG_WORDS))
+        self._pure_learnt: list[int] = []
 
         self.ok = True  # False once the formula is refuted outright
         self._interrupted = False  # set by interrupt(), honoured in solve()
@@ -264,7 +365,7 @@ class Solver:
         self._to_clear_buffer: list[int] = []
         self._walk_buffer: list[int] = []
         # The proof hints of the clause the last conflict learned (None
-        # without proof logging), left by _analyze or _fused_conflict.
+        # without proof logging), left by _analyze.
         self._learnt_hints: list[int] | None = None
 
         # Observability.  ``trace`` is the structured event sink (None =
@@ -500,7 +601,7 @@ class Solver:
             if records:
                 self.clause_act.frombytes(bytes(8 * records))
                 self.clause_id += ids[:records]
-                self.clause_birth += [0] * records
+                self.clause_birth.frombytes(bytes(4 * records))
                 self.clauses += refs[:records].tolist()
                 stats.peak_clauses = max(
                     stats.peak_clauses, len(self.clauses) + len(self.learned)
@@ -800,8 +901,8 @@ class Solver:
         clause's proof hints in ``_learnt_hints``: the reasons
         minimization used, then the records the walk resolved on, each
         in trail order, then the conflicting record.  This is the
-        pure-Python reference; with the C kernels loaded the search runs
-        :meth:`_fused_conflict` instead.
+        pure-Python reference; with the C kernels loaded the search loop
+        (``arena_search``) runs its C twin.
         """
         config = self.config
         seen = self._seen
@@ -859,40 +960,6 @@ class Solver:
         for variable in to_clear:
             seen[variable] = False
         return learnt, backtrack_level
-
-    def _fused_conflict(self, conflict: int, level: int) -> tuple[list[int], int, int]:
-        """:meth:`_analyze`, the LBD and :meth:`_backtrack` in one kernel call.
-
-        ``level`` is the conflict's decision level.  Returns ``(learnt,
-        lbd, backtrack_level)`` with the assignments above the backjump
-        level undone, and leaves the proof hints in ``_learnt_hints`` as
-        :meth:`_analyze` does; the caller records the clause next, which
-        also resets the top-clause cursor.
-        """
-        config = self.config
-        trail = self.trail
-        hinted = self.proof is not None
-        size = self._kernel_conflict(
-            self._tables_address,
-            self.arena.buffer_info()[0],
-            trail.buffer_info()[0],
-            self.clause_act.buffer_info()[0],
-            self.clause_id.buffer_info()[0],
-            conflict,
-            len(trail),
-            level,
-            config.bump_responsible_clauses
-            | config.clause_minimization << 1
-            | hinted << 2,
-        )
-        if size < 0:
-            raise SolverInternalError("missing reason during conflict analysis")
-        backtrack_level, lbd, cut, hint_count = self._kernel_out
-        del trail[cut:]
-        del self.trail_limits[backtrack_level:]
-        self.qhead = cut
-        self._learnt_hints = self._hint_out[:hint_count].tolist() if hinted else None
-        return self._learnt_out[:size].tolist(), lbd, backtrack_level
 
     def _analyze_resolve(self, conflict: int, current_level: int):
         """The first-UIP resolution walk of :meth:`_analyze`.
@@ -1060,12 +1127,8 @@ class Solver:
         """The next decision literal per ``config.decision_strategy``."""
         strategy = self.config.decision_strategy
         if strategy == cfg.DECISION_BERKMIN:
-            if self._kernel_decide is not None:
-                return self._fused_decision(True)
             return self._berkmin_decision()
         if strategy == cfg.DECISION_GLOBAL:
-            if self._kernel_decide is not None:
-                return self._fused_decision(False)
             return self._global_decision()
         if strategy == cfg.DECISION_VSIDS:
             return self._vsids_decision()
@@ -1106,7 +1169,8 @@ class Solver:
         the most active free variable across that many unsatisfied top
         clauses wins; phase is decided on the topmost clause holding it.
         This is the pure-Python reference; with the C kernels loaded the
-        search runs :meth:`_fused_decision` instead.
+        search loop (``arena_search``) runs its C twin, and the phase
+        choice here only on a symmetrize tie or under another phase.
         """
         learned = self.learned
         top = len(learned) - 1
@@ -1143,32 +1207,6 @@ class Solver:
                     best_variable = variable
                     best_ref = ref
         return self._top_clause_literal(best_variable, best_ref)
-
-    def _fused_decision(self, top_clause: bool) -> int | None:
-        """A ``berkmin`` (``top_clause``) or ``global`` decision, one kernel call.
-
-        The kernel runs :meth:`_berkmin_decision`'s scan, from the same
-        cursor, or :meth:`_most_active_free`'s; the phase choice and the
-        counting stay here.
-        """
-        learned = self.learned
-        top = len(learned) - 1
-        variable = self._kernel_decide(
-            self._tables_address,
-            self.arena.buffer_info()[0],
-            learned.buffer_info()[0],
-            min(self.search_cursor, top) if top_clause else -1,
-            self.config.top_clause_window,
-            self.num_variables,
-        )
-        index = self._kernel_out[0]
-        if index >= 0:
-            self.search_cursor = index
-            self._note_top_clause_decision(top - index)
-            return self._top_clause_literal(variable, self._kernel_out[1])
-        if top_clause:
-            self.search_cursor = -1
-        return self._formula_decision(variable if variable >= 0 else None)
 
     def _note_top_clause_decision(self, distance: int) -> None:
         """Count a decision on the unsatisfied clause ``distance`` below the top."""
@@ -1572,7 +1610,7 @@ class Solver:
         old_ids = self.clause_id
         new = array("i")
         new_act: list[int] = []
-        new_birth: list[int] = []
+        new_birth = array("i")
         new_ids = array("i")
 
         def move(refs: list[int]) -> list[int]:
@@ -1907,9 +1945,15 @@ class Solver:
         """Ask the running (or next) ``solve`` call to stop cooperatively.
 
         Safe to call from another thread or from an ``on_progress``
-        callback.  The search stops at the next decision/conflict
-        boundary and returns ``UNKNOWN`` with ``limit_reason
-        == "interrupted"``; the flag is cleared once honoured, so a later
+        callback.  A request from the callback is honoured at the end of
+        the step it was made in: after that conflict's post-conflict
+        work (a restart due there included), or after that decision.  A
+        request from another thread is honoured at the next point where
+        the search returns to Python; the search loop returns there at
+        least at every progress mark, so within 128 conflicts or 512
+        decisions (the pure-Python engine returns after every step).
+        The call then returns ``UNKNOWN`` with ``limit_reason ==
+        "interrupted"``; the flag is cleared once honoured, so a later
         ``solve`` call runs normally.
         """
         self._interrupted = True
@@ -2013,7 +2057,7 @@ class Solver:
         self.arena = array("i")
         self.arena_dead = 0
         self.clause_act = array("d")
-        self.clause_birth = []
+        self.clause_birth = array("i")
         self.clause_id = array("i")
         self.clauses = []
         self.learned = array("i")
@@ -2253,6 +2297,234 @@ class Solver:
         return attached
 
     # ==================================================================
+    # The search loop's two engines and the kernel's room
+    # ==================================================================
+    # solve() drives the search through one of two engines with the same
+    # exit contract: the C loop (``arena_search``), which runs many steps
+    # per call and returns only at an event solve() must handle, and the
+    # pure-Python step below, its reference, which returns after every
+    # step.  Either takes where to resume (RESUME_*), the literal a
+    # resumed decision or assumption level enqueues, and the step flag,
+    # and returns the exit (EXIT_*), leaving in ``_state`` the words
+    # solve() reads at that exit.
+    def _set_up_search(
+        self, assumptions: int, max_level: int, max_decisions, max_clauses
+    ) -> None:
+        """The kernel's options, room and state words fixed for one solve call."""
+        config = self.config
+        options = OPT_HINTS if self.proof is not None else 0
+        if config.bump_responsible_clauses:
+            options |= OPT_BUMP_RESPONSIBLE
+        if config.clause_minimization:
+            options |= OPT_MINIMIZE
+        if config.decision_strategy == cfg.DECISION_BERKMIN:
+            options |= OPT_DECIDE | OPT_TOP_CLAUSE
+        elif config.decision_strategy == cfg.DECISION_GLOBAL:
+            options |= OPT_DECIDE
+        if config.top_clause_phase == cfg.PHASE_SYMMETRIZE:
+            options |= OPT_SYMMETRIZE
+        if self.share is not None:
+            options |= OPT_SHARE
+        self._search_options = options
+        self._level_room = max_level + 1
+        state = self._state
+        base = self.stats.decisions
+        state[S_WINDOW] = config.top_clause_window
+        state[S_ASSUMPTIONS] = assumptions
+        state[S_BASE_DECISIONS] = base
+        state[S_DECISION_STOP] = (
+            _NEVER if max_decisions is None else min(_NEVER, base + _count_at(max_decisions))
+        )
+        state[S_CLAUSE_STOP] = (
+            _NEVER if max_clauses is None else _count_at(max_clauses, strict=True)
+        )
+
+    def _run_pure(self, resume: int, literal: int, step: bool) -> int:
+        """One step of the search in pure Python (``step`` changes nothing)."""
+        state = self._state
+        stats = self.stats
+        if resume == RESUME_ASSUME:
+            self.trail_limits.append(len(self.trail))
+            if self.lit_value[literal] == UNASSIGNED:
+                self._enqueue(literal, None)
+            resume = RESUME_TOP
+        if resume == RESUME_TOP:
+            conflict = self._propagate()
+            level = len(self.trail_limits)
+            if conflict is None:
+                state[S_LEVELS] = level
+                return EXIT_PREDECIDE
+            stats.conflicts += 1
+            if level == 0:
+                return EXIT_UNSAT
+            learnt, backjump = self._analyze(conflict)
+            levels = self.levels
+            # The LBD (distinct decision levels among the learnt
+            # literals) feeds the conflict event and the glue stamp.
+            lbd = len({levels[lit >> 1] for lit in learnt})
+            self._backtrack(backjump)
+            self._record_learned(learnt, lbd, self._learnt_hints)
+            self._pure_learnt = learnt
+            state[S_CONFLICT_LEVEL] = level
+            state[S_LEARNT_SIZE] = len(learnt)
+            state[S_LBD] = lbd
+            state[S_BACKJUMP] = backjump
+            state[S_LEARNED_LEN] = len(self.learned)
+            return EXIT_CONFLICT
+        if resume == RESUME_DECIDE:
+            literal = self._choose()
+            if literal is None:
+                return EXIT_SAT
+        stats.decisions += 1
+        self.trail_limits.append(len(self.trail))
+        self._enqueue(literal, None)
+        level = len(self.trail_limits)
+        if level > stats.max_decision_level:
+            stats.max_decision_level = level
+        state[S_LEVELS] = level
+        state[S_LITERAL] = literal
+        state[S_DISTANCE] = -1
+        return EXIT_DECIDED
+
+    def _run_kernel(self, resume: int, literal: int, step: bool) -> int:
+        """Run ``arena_search`` from ``resume`` to its next exit.
+
+        Opens the room when it is closed.  Before returning the exit,
+        brings the counters and scalars, and the views the kernel cannot
+        write (the binary implication lists, the skin histogram and the
+        proof), up to the loop's state.
+        """
+        state = self._state
+        if not self._room_open:
+            self._open_room()
+        state[S_RESUME] = resume
+        state[S_LITERAL] = literal
+        state[S_OPTIONS] = self._search_options | OPT_STEP if step else self._search_options
+        proof = self.proof
+        if proof is not None:
+            state[S_PROOF_STEP] = len(proof)
+        code = self._kernel_search(
+            self._tables_address, self._room.address, self._state_address
+        )
+        stats = self.stats
+        (
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+            stats.learned_total,
+            stats.learned_units,
+            stats.top_clause_decisions,
+            stats.max_decision_level,
+            stats.peak_clauses,
+        ) = state[S_CONFLICTS : S_PEAK_CLAUSES + 1]
+        self.qhead = state[S_QHEAD]
+        self.search_cursor = state[S_CURSOR]
+        self.birth_counter = state[S_BIRTH]
+        count = state[S_PAIR_LEN]
+        if count:
+            self._add_binaries(self._pair_log, count >> 1)
+        count = state[S_SKIN_LEN]
+        if count:
+            for distance in self._skin_log[:count]:
+                stats.record_skin_distance(distance)
+        count = state[S_LOG_LEN]
+        if count:
+            # Each entry: size, hint count, the literals, the hints.
+            log = self._proof_log[:count].tolist()
+            hints = self.proof_hints
+            index = 0
+            while index < count:
+                size = log[index]
+                start = index + 2
+                index = start + size + log[index + 1]
+                proof.append(("a", [decode_literal(lit) for lit in log[start : start + size]]))
+                hints.append(log[start + size : index])
+        return code
+
+    def _open_room(self) -> None:
+        """Load the kernel's state from the solver and pad the room buffers.
+
+        While the room is open, the trail, ``trail_limits``, the learned
+        stack, the arena and the per-record side arrays run past their
+        contents, whose lengths are the state's words; solve() closes it
+        (:meth:`_close_room`) before any code that reads them.
+        """
+        state = self._state
+        stats = self.stats
+        state[S_TRAIL_LEN] = len(self.trail)
+        state[S_QHEAD] = self.qhead
+        state[S_LEVELS] = len(self.trail_limits)
+        state[S_LEARNED_LEN] = len(self.learned)
+        state[S_ARENA_LEN] = len(self.arena)
+        state[S_RECORDS] = len(self.clause_act)
+        state[S_CURSOR] = self.search_cursor
+        state[S_BIRTH] = self.birth_counter
+        state[S_CONFLICTS : S_PEAK_CLAUSES + 1] = array(
+            "q",
+            (
+                stats.conflicts,
+                stats.decisions,
+                stats.propagations,
+                stats.learned_total,
+                stats.learned_units,
+                stats.top_clause_decisions,
+                stats.max_decision_level,
+                stats.peak_clauses,
+            ),
+        )
+        state[S_NUM_CLAUSES] = len(self.clauses)
+        state[S_NUM_VARIABLES] = self.num_variables
+        self._room_open = True
+        self._pad_room()
+
+    def _pad_room(self) -> None:
+        """Give each room buffer room for many more steps; refresh the room table.
+
+        The trail holds at most one literal per variable and the level
+        limits at most ``_level_room`` levels, so they are padded to
+        that once; the learned stack, the side arrays and the arena get
+        fresh room whenever the kernel exits for lack of it.
+        """
+        state = self._state
+        records = state[S_RECORDS] + self._ROOM_RECORDS
+        record_words = _HDR + self.num_variables  # the largest record
+        _pad(self.trail, self.num_variables)
+        _pad(self.trail_limits, self._level_room)
+        _pad(self.learned, state[S_LEARNED_LEN] + self._ROOM_RECORDS)
+        _pad(self.arena, state[S_ARENA_LEN] + max(self._ROOM_WORDS, 2 * record_words))
+        for side in (self.clause_act, self.clause_id, self.clause_birth):
+            _pad(side, records)
+        if self.proof is not None:  # entries of at most 3 + 2 * num_variables words
+            _pad(self._proof_log, max(self._ROOM_WORDS, 2 * (record_words + self.num_variables)))
+        self._room.refresh(self)
+        state[S_TRAIL_ROOM : S_SKIN_ROOM + 1] = array(
+            "q",
+            (
+                len(self.trail),
+                len(self.trail_limits),
+                len(self.learned),
+                len(self.arena),
+                len(self.clause_act),
+                len(self._proof_log),
+                len(self._pair_log),
+                len(self._skin_log),
+            ),
+        )
+
+    def _close_room(self) -> None:
+        """Cut the room buffers back to their contents; a no-op when closed."""
+        if not self._room_open:
+            return
+        self._room_open = False
+        state = self._state
+        del self.trail[state[S_TRAIL_LEN] :]
+        del self.trail_limits[state[S_LEVELS] :]
+        del self.learned[state[S_LEARNED_LEN] :]
+        del self.arena[state[S_ARENA_LEN] :]
+        for side in (self.clause_act, self.clause_id, self.clause_birth):
+            del side[state[S_RECORDS] :]
+
+    # ==================================================================
     # Main loop
     # ==================================================================
     def solve(
@@ -2282,10 +2554,22 @@ class Solver:
                 insurance; raises :class:`SolverInternalError` on failure).
             on_progress: optional callback invoked with the live
                 :class:`SolverStats` every 128 conflicts and every 512
-                decisions *made during this call*.  It may call
-                :meth:`interrupt` to stop the search cooperatively (the
-                parallel engine's cancellation hook); exceptions it
-                raises propagate to the caller.
+                decisions *made during this call*: after the conflict
+                whose count (since the call began) is a multiple of 128,
+                before any restart due there; and before a decision
+                whenever the decisions made so far are a nonzero multiple
+                of 512, so at one count it can fire again after each
+                conflict that intervenes.  It may call :meth:`interrupt`
+                to stop the search cooperatively (the parallel engine's
+                cancellation hook), and it may read any solver state or
+                take a :meth:`snapshot`; exceptions it raises propagate
+                to the caller.
+
+        The search runs as one loop, in C when the kernels loaded, that
+        returns to this method only at the events it handles: the
+        answer, a decision left to Python, post-conflict work (a
+        restart, an activity decay, a budget or a progress mark), a
+        level-0 import, an assumption level, or room run out.
 
         The call is not re-entrant: invoking ``solve`` again on the same
         instance from ``on_progress`` (or another thread) raises
@@ -2346,57 +2630,83 @@ class Solver:
             if len(self._level_marks) <= max_level:
                 self._size_scratch(max_level)
             self._backtrack(0)
+            self._set_up_search(
+                len(assumption_literals), max_level, max_decisions, max_clauses
+            )
             scheduler = RestartScheduler(self.config)
-            conflicts_since_restart = 0
+            restart_base = stats.conflicts
+            decay = self.config.activity_decay_interval
+            share = self.share
+            state = self._state
+            # The kernel runs many steps per call and exits only where
+            # this loop has work; the pure engine exits after every step.
+            # With a trace or a share client attached, the kernel exits
+            # after every conflict and decision too (step mode), and
+            # while an interrupt is pending, at the end of the step.
+            search = self._run_pure if self._kernel_search is None else self._run_kernel
+            step = trace is not None or share is not None
 
+            def conflict_stop() -> int:
+                """The first conflict count at which the block below has work."""
+                conflicts = stats.conflicts
+                stop = min(
+                    base_conflicts + 128 * ((conflicts - base_conflicts) // 128 + 1),
+                    restart_base + _count_at(scheduler.current_interval),
+                )
+                if decay > 0:
+                    stop = min(stop, (conflicts // decay + 1) * decay)
+                if max_conflicts is not None:
+                    stop = min(stop, base_conflicts + _count_at(max_conflicts))
+                return stop
+
+            state[S_CONFLICT_STOP] = conflict_stop()
+            resume = RESUME_TOP
+            literal = 0
             while True:
-                if self._interrupted:
+                if resume == RESUME_TOP and self._interrupted:
                     self._interrupted = False
                     return self._result(SolveStatus.UNKNOWN, limit="interrupted")
-                conflict = self._propagate()
-                if conflict is not None:
-                    stats.conflicts += 1
-                    conflicts_since_restart += 1
-                    conflict_level = len(self.trail_limits)
-                    if conflict_level == 0:
-                        self.ok = False
-                        self.log_proof_add([])
-                        return self._result(SolveStatus.UNSAT)
-                    # The LBD (distinct decision levels among the learnt
-                    # literals) feeds both the conflict trace event and
-                    # the glue stamp on the recorded clause.
-                    if self._kernel_conflict is not None:
-                        learnt, lbd, backtrack_level = self._fused_conflict(
-                            conflict, conflict_level
-                        )
+                code = search(resume, literal, step or self._interrupted)
+                resume = RESUME_TOP
+                if code == EXIT_CHOOSE:
+                    # A decision the kernel leaves to Python: a top-clause
+                    # phase it does not run or a symmetrize tie (both may
+                    # draw from the rng), a formula-level phase (nb_two
+                    # reads the binary implication lists), or a whole
+                    # vsids or random decision.
+                    choice = state[S_CHOICE]
+                    if choice == CHOOSE_TOP:
+                        literal = self._top_clause_literal(state[S_VARIABLE], state[S_REF])
+                    elif choice == CHOOSE_FORMULA:
+                        literal = self._formula_decision(state[S_VARIABLE])
                     else:
-                        learnt, backtrack_level = self._analyze(conflict)
-                        levels = self.levels
-                        lbd = len({levels[lit >> 1] for lit in learnt})
-                        self._backtrack(backtrack_level)
+                        literal = self._choose()
+                        if literal is None:
+                            return self._sat_result(verify)
+                    resume = RESUME_DECISION
+                elif code == EXIT_CONFLICT:
+                    # The learnt clause is recorded and asserted.
+                    lbd = state[S_LBD]
                     if trace is not None:
                         trace.emit(
                             {
                                 "type": "conflict",
                                 "conflicts": stats.conflicts,
-                                "level": conflict_level,
-                                "learned_len": len(learnt),
+                                "level": state[S_CONFLICT_LEVEL],
+                                "learned_len": state[S_LEARNT_SIZE],
                                 "lbd": lbd,
-                                "backjump": conflict_level - backtrack_level,
+                                "backjump": state[S_CONFLICT_LEVEL] - state[S_BACKJUMP],
                             }
                         )
-                    self._record_learned(learnt, lbd, self._learnt_hints)
-                    share = self.share
-                    if (
-                        share is not None
-                        and lbd <= share.export_max_lbd
-                        and share.export([decode_literal(lit) for lit in learnt], lbd)
-                    ):
-                        stats.shared_exported += 1
-                    if (
-                        self.config.activity_decay_interval > 0
-                        and stats.conflicts % self.config.activity_decay_interval == 0
-                    ):
+                    if share is not None and lbd <= share.export_max_lbd:
+                        learnt = (
+                            self._pure_learnt
+                            if self._kernel_search is None
+                            else self._learnt_out[: state[S_LEARNT_SIZE]]
+                        )
+                        if share.export([decode_literal(lit) for lit in learnt], lbd):
+                            stats.shared_exported += 1
+                    if decay > 0 and stats.conflicts % decay == 0:
                         self._decay_activities()
                     if (
                         max_conflicts is not None
@@ -2405,7 +2715,7 @@ class Solver:
                         return self._result(SolveStatus.UNKNOWN, limit="conflict budget")
                     if (
                         max_clauses is not None
-                        and len(self.clauses) + len(self.learned) > max_clauses
+                        and len(self.clauses) + state[S_LEARNED_LEN] > max_clauses
                     ):
                         return self._result(SolveStatus.UNKNOWN, limit="memory budget")
                     # Counters elapsed *since this call*: a resumed solve
@@ -2413,6 +2723,7 @@ class Solver:
                     # must not fire the hook on its first conflict.
                     if (stats.conflicts - base_conflicts) % 128 == 0:
                         if on_progress is not None:
+                            self._close_room()
                             on_progress(stats)
                         if (
                             max_seconds is not None
@@ -2421,9 +2732,10 @@ class Solver:
                             return self._result(
                                 SolveStatus.UNKNOWN, limit="time budget"
                             )
-                    if scheduler.should_restart(conflicts_since_restart):
-                        conflicts_since_restart = 0
+                    if scheduler.should_restart(stats.conflicts - restart_base):
+                        restart_base = stats.conflicts
                         scheduler.on_restart()
+                        self._close_room()
                         if trace is not None:
                             event = {
                                 "type": "restart",
@@ -2437,84 +2749,95 @@ class Solver:
                             trace.emit(event)
                         if not self._restart():
                             return self._result(SolveStatus.UNSAT)
-                    continue
-
-                level = self.current_level()
-                if level == 0 and self.share is not None:
-                    # Propagation is complete and no conflict: the one
-                    # spot where attaching peer clauses is provably sound
-                    # (the RUP probe runs at level 0 on a settled trail).
-                    # Reached after every restart *and* every unit-learnt
-                    # backjump, so imports land while they can still
-                    # prune instead of waiting out a restart interval.
-                    self._import_shared()
-                    if not self.ok:
-                        # An imported RUP unit closed the search.
-                        return self._result(SolveStatus.UNSAT)
-                if level < len(assumption_literals):
-                    literal = assumption_literals[level]
-                    value = self._value(literal)
-                    if value == FALSE:
-                        return self._result(
-                            SolveStatus.UNSAT,
-                            under_assumptions=True,
-                            core=self._failed_assumption_core(literal),
-                        )
-                    self.trail_limits.append(len(self.trail))
-                    if value == UNASSIGNED:
-                        self._enqueue(literal, None)
-                    continue
-
-                if (
-                    max_decisions is not None
-                    and stats.decisions - base_decisions >= max_decisions
-                ):
-                    return self._result(SolveStatus.UNKNOWN, limit="decision budget")
-                # Guard against the 0 % 512 == 0 trap: before the first
-                # decision of this call the hook (and the clock) must not
-                # run on every loop iteration.
-                decided = stats.decisions - base_decisions
-                if decided and decided % 512 == 0:
-                    if on_progress is not None:
-                        on_progress(stats)
+                    state[S_CONFLICT_STOP] = conflict_stop()
+                elif code == EXIT_PREDECIDE:
+                    level = state[S_LEVELS]
+                    if level == 0 and share is not None:
+                        # Propagation is complete and no conflict: the one
+                        # spot where attaching peer clauses is provably
+                        # sound (the RUP probe runs at level 0 on a
+                        # settled trail).  Reached after every restart
+                        # *and* every unit-learnt backjump, so imports
+                        # land while they can still prune instead of
+                        # waiting out a restart interval.
+                        self._close_room()
+                        self._import_shared()
+                        if not self.ok:
+                            # An imported RUP unit closed the search.
+                            return self._result(SolveStatus.UNSAT)
+                    if level < len(assumption_literals):
+                        literal = assumption_literals[level]
+                        if self.lit_value[literal] == FALSE:
+                            self._close_room()
+                            return self._result(
+                                SolveStatus.UNSAT,
+                                under_assumptions=True,
+                                core=self._failed_assumption_core(literal),
+                            )
+                        resume = RESUME_ASSUME
+                        continue
                     if (
-                        max_seconds is not None
-                        and time.perf_counter() - start_time > max_seconds
+                        max_decisions is not None
+                        and stats.decisions - base_decisions >= max_decisions
                     ):
-                        return self._result(SolveStatus.UNKNOWN, limit="time budget")
-
-                literal = self._choose()
-                if literal is None:
-                    model = self._extract_model()
-                    if verify:
-                        self._verify_model(model)
-                    return self._result(SolveStatus.SAT, model=model)
-                stats.decisions += 1
-                self.trail_limits.append(len(self.trail))
-                self._enqueue(literal, None)
-                if trace is not None:
-                    trace.emit(
-                        {
-                            "type": "decision",
-                            "conflicts": stats.conflicts,
-                            "decisions": stats.decisions,
-                            "level": self.current_level(),
-                            "literal": decode_literal(literal),
-                            "source": self.last_decision_source or "global",
-                            "skin_distance": self.last_skin_distance,
-                        }
-                    )
-                if self.current_level() > stats.max_decision_level:
-                    stats.max_decision_level = self.current_level()
+                        return self._result(SolveStatus.UNKNOWN, limit="decision budget")
+                    # Guard against the 0 % 512 == 0 trap: before the first
+                    # decision of this call the hook (and the clock) must
+                    # not run on every loop iteration.
+                    decided = stats.decisions - base_decisions
+                    if decided and decided % 512 == 0:
+                        if on_progress is not None:
+                            self._close_room()
+                            on_progress(stats)
+                        if (
+                            max_seconds is not None
+                            and time.perf_counter() - start_time > max_seconds
+                        ):
+                            return self._result(SolveStatus.UNKNOWN, limit="time budget")
+                    resume = RESUME_DECIDE
+                elif code == EXIT_DECIDED:
+                    if trace is not None:
+                        if state[S_DISTANCE] >= 0:  # a top-clause decision
+                            self.last_decision_source = "top_clause"
+                            self.last_skin_distance = state[S_DISTANCE]
+                        trace.emit(
+                            {
+                                "type": "decision",
+                                "conflicts": stats.conflicts,
+                                "decisions": stats.decisions,
+                                "level": state[S_LEVELS],
+                                "literal": decode_literal(state[S_LITERAL]),
+                                "source": self.last_decision_source or "global",
+                                "skin_distance": self.last_skin_distance,
+                            }
+                        )
+                elif code == EXIT_ROOM:
+                    self._pad_room()
+                elif code == EXIT_SAT:
+                    return self._sat_result(verify)
+                elif code == EXIT_UNSAT:
+                    self.ok = False
+                    self.log_proof_add([])
+                    return self._result(SolveStatus.UNSAT)
+                else:
+                    raise SolverInternalError("missing reason during conflict analysis")
         except MemoryError:
             # Degrade instead of dying: the answer is honest (UNKNOWN) and
             # the process survives.  The instance's internal state may be
             # mid-operation, so discard it rather than re-solving.
             return self._result(SolveStatus.UNKNOWN, limit="memory budget")
         finally:
+            self._close_room()
             self._in_solve = False
             stats.solve_time_seconds += time.perf_counter() - start_time
 
+
+    def _sat_result(self, verify: bool) -> SolveResult:
+        """The SAT answer for the current assignment, its model checked."""
+        model = self._extract_model()
+        if verify:
+            self._verify_model(model)
+        return self._result(SolveStatus.SAT, model=model)
 
     def _failed_assumption_core(self, failed_literal: int) -> list[int]:
         """A subset of the assumptions that already contradicts the formula.
@@ -2632,9 +2955,9 @@ class Solver:
 
     def _verify_model(self, model: dict[int, bool]) -> None:
         """Check the model against every clause ever added (pristine copies)."""
-        for clause in self._pristine:
-            if not any(model.get(abs(lit), False) == (lit > 0) for lit in clause):
-                raise SolverInternalError(f"model does not satisfy clause {clause}")
+        clause = unsatisfied_clause(self._pristine, model, self.num_variables)
+        if clause is not None:
+            raise SolverInternalError(f"model does not satisfy clause {clause}")
 
 
 def solve_formula(

@@ -1,10 +1,12 @@
 """Unit tests for CnfFormula."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, unsatisfied_clause
 
 
 def test_empty_formula():
@@ -93,3 +95,36 @@ def test_evaluate_matches_python_semantics(clauses, partial_model):
         for clause in clauses
     )
     assert formula.evaluate(model) == expected
+
+
+def _unsatisfied_by_expression(clauses, model):
+    """The per-literal model check both checkers ran before the set."""
+    for clause in clauses:
+        if not any(model.get(abs(lit), False) == (lit > 0) for lit in clause):
+            return clause
+    return None
+
+
+def test_unsatisfied_clause_matches_the_per_literal_expression():
+    """Differential over random models: besides booleans, values that are
+    ints, floats, None or strings, negative keys, absent variables, and
+    clauses naming variables past ``num_variables`` or literal 0."""
+    rng = random.Random(7)
+    values = (True, False, 1, 0, 1.0, 0.0, 2, -1, None, "x", "", 0.5)
+    checked = 0
+    for _ in range(3000):
+        num_variables = rng.randint(0, 8)
+        reach = num_variables + 2
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(0, reach) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        model = {}
+        for variable in range(-reach, reach + 1):
+            if rng.random() < 0.6:
+                model[variable] = rng.choice(values)
+        expected = _unsatisfied_by_expression(clauses, model)
+        found = unsatisfied_clause(clauses, model, num_variables)
+        assert found is expected, (clauses, model, num_variables)
+        checked += expected is not None
+    assert checked > 500  # both verdicts occur often

@@ -3,10 +3,10 @@
 Two layers of enforcement, both fast enough for tier-1:
 
 * a **static guard** — the bytecode of the search's hot loops
-  (propagation, conflict analysis, backtracking, enqueue, and the
-  kernel-driving conflict and decision steps) must never
-  reference the trace/metrics machinery at all, so they cannot pay even
-  a ``None``-check per propagation;
+  (propagation, conflict analysis, backtracking, enqueue, and the two
+  search engines: the caller of the C loop and the pure-Python step)
+  must never reference the trace/metrics machinery at all, so they
+  cannot pay even a ``None``-check per propagation;
 * an **A/B timing smoke** — solving the same pinned instance with
   tracing disabled must stay within 3% of the propagation rate of an
   identical solve with a sink attached, and enabling a sink must not
@@ -46,8 +46,8 @@ _FORBIDDEN_NAMES = (
         "_analyze_resolve",
         "_backtrack",
         "_enqueue",
-        "_fused_conflict",
-        "_fused_decision",
+        "_run_kernel",
+        "_run_pure",
     ],
 )
 def test_bcp_hot_loops_never_touch_the_telemetry_layer(loop):

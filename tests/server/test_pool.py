@@ -403,42 +403,49 @@ def test_budget_unknown_keeps_the_worker(pool_factory):
 
 def test_tick_that_finds_a_crashed_worker_does_not_block():
     # Three attempts crash at entry; each tick that finds one dead must
-    # read its channel without waiting.  The fastest of the three is
-    # bounded, so one slow scheduling slice cannot fail the test.
+    # read its channel without waiting.  A tick that launches an attempt
+    # may also reap it, if it crashes fast enough, so the test times only
+    # the ticks that find an attempt it saw and joined dead beforehand,
+    # and never joins attempt 3, the healthy one, which stays alive as a
+    # persistent worker.  The fastest measured tick is bounded, so one
+    # slow scheduling slice cannot fail the test.
+    crashing = 3
     service = SolverService(
         pool_size=1,
-        retry=RetryPolicy(max_attempts=4, backoff=0.01),
+        retry=RetryPolicy(max_attempts=crashing + 1, backoff=0.01),
         fault_plan=FaultPlan(
-            specs=tuple(FaultSpec("crash", worker=0, attempt=a) for a in range(3))
+            specs=tuple(FaultSpec("crash", worker=0, attempt=a) for a in range(crashing))
         ),
     )
     replies: list[dict] = []
     ticks: list[float] = []
+    observed: set[int] = set()
     stop = time.monotonic() + 30.0
     try:
         service.handle(Request(op="solve", request_id=1, clauses=[[1, 2]]),
                        "client", replies.append)
-        for _ in range(3):
-            while not service.pool.active:  # launch the next attempt
-                assert time.monotonic() < stop, "no attempt was launched"
-                service.tick()
-                time.sleep(0.005)
-            (slot,) = service.pool.active.values()
-            slot.process.join(10.0)  # dead before the measured tick
-            assert slot.process.exitcode == 3
-            started = time.perf_counter()
-            service.tick()
-            ticks.append(time.perf_counter() - started)
-        assert service.pool.retries == 3
         while not replies:
             assert time.monotonic() < stop, "the retried request never answered"
+            slots = list(service.pool.active.values())
+            if slots and slots[0].attempt < crashing:
+                (slot,) = slots
+                observed.add(slot.attempt)
+                slot.process.join(10.0)  # dead before the measured tick
+                assert slot.process.exitcode == 3
+                started = time.perf_counter()
+                service.tick()
+                ticks.append(time.perf_counter() - started)
+                assert slot.attempt not in {s.attempt for s in service.pool.active.values()}
+                continue
             service.tick()
             time.sleep(0.005)
+        assert service.pool.retries == crashing
     finally:
         service.close()
+    assert ticks, "no attempt was seen before the tick that reaped it"
+    assert len(ticks) == len(observed)
     assert min(ticks) < 0.05, ticks
     assert replies[0]["kind"] == "result" and replies[0]["status"] == "SAT"
-
 
 def test_close_stops_waiting_once_every_attempt_has_posted(pool_factory):
     pool = pool_factory(size=2)

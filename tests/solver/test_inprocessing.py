@@ -28,8 +28,6 @@ from repro.reliability.verify import verify_result
 from repro.solver._kernel import load_arena_kernel
 from repro.solver.config import (
     CONFIG_FACTORIES,
-    DECISION_BERKMIN,
-    DECISION_GLOBAL,
     berkmin_config,
     config_by_name,
 )
@@ -176,33 +174,53 @@ def test_add_formula_after_elimination_restores_touched_variables():
 def test_kernel_and_pure_fallback_trajectories_identical():
     """REPRO_SAT_PURE=1 must not change a single counter, for any preset.
 
-    The pure-Python propagate/analyze/backtrack/decision paths are the
-    semantics reference for the C kernels; a divergence in conflicts,
-    decisions, or propagations means the kernel took a different search
-    path.  Counters can agree while a bump or the backjump swap differs,
-    so with proof logging on the whole proof (learnt-literal order
-    included) and its hints, the final activity vectors and every
-    learned record's LBD stamp must match too.  Every preset runs, so
-    each kernel path is compared: variable bumps from the learned clause
-    only, wider top-clause windows, global, VSIDS and random decisions,
-    and minimization's hints on one extra case.  Run in a subprocess
-    because kernel loading is cached per-process.
+    The pure-Python search step is the semantics reference for the C
+    search loop, under the same exit contract; a divergence in any
+    counter means the kernel took a different search path.  Counters
+    can agree while a bump or the backjump swap differs, so with proof
+    logging on the whole proof (learnt-literal order included) and its
+    hints, the final activity vectors, every learned record's LBD stamp
+    and birth, the learned stack and the top-clause cursor must match
+    too.  Every preset runs, so each kernel path is compared: variable
+    bumps from the learned clause only, wider top-clause windows,
+    global, VSIDS and random decisions, and minimization's hints on one
+    extra case.  Other cases stop mid-run at each kind of exit: a
+    conflict budget, a decision budget, an ``on_progress`` hook that
+    interrupts at its third call (its ``(conflicts, decisions)`` record
+    must match), and assumption levels (a core, and a model).  With a
+    ``RingBufferSink`` attached the event lists must match, and the
+    counts must equal those of the same solve untraced.  Run in a
+    subprocess because kernel loading is cached per-process.
     """
     script = r"""
 import json
 from repro.generators import pigeonhole_formula, planted_ksat
+from repro.generators.hanoi import hanoi_formula
+from repro.observability import RingBufferSink
 from repro.solver.config import CONFIG_FACTORIES, config_by_name
 from repro.solver.solver import Solver
 
+hole5, hole6 = pigeonhole_formula(5), pigeonhole_formula(6)
+planted = planted_ksat(40, 160, 3, seed=2)
 cases = [
-    ("berkmin", pigeonhole_formula(6), {}),
-    ("berkmin", pigeonhole_formula(6), {"clause_minimization": True}),
+    ("berkmin", hole6, {}, {}),
+    ("berkmin", hole6, {"clause_minimization": True}, {}),
+    ("berkmin", hole6, {}, {"max_conflicts": 300}),
+    ("berkmin", hole6, {}, {"max_decisions": 700}),
+    ("berkmin", hole6, {}, {"hook": True}),
+    ("berkmin", hanoi_formula(4), {}, {"hook": True}),
+    ("random_decision", hole6, {}, {"hook": True}),
+    ("berkmin", hole5, {}, {"assumptions": [1, 2]}),
+    ("berkmin", planted, {}, {"assumptions": [1, -2, 3]}),
+    ("berkmin", hole6, {}, {"trace": True}),
+    ("chaff", planted, {}, {"trace": True}),
 ]
 for name in sorted(CONFIG_FACTORIES):
-    cases.append((name, pigeonhole_formula(5), {}))
-    cases.append((name, planted_ksat(40, 160, 3, seed=2), {}))
+    cases.append((name, hole5, {}, {}))
+    cases.append((name, planted, {}, {}))
 rows = []
-for name, formula, overrides in cases:
+for name, formula, overrides, run in cases:
+    ring = RingBufferSink(capacity=1 << 20) if run.get("trace") else None
     solver = Solver(
         formula,
         config=config_by_name(
@@ -211,25 +229,52 @@ for name, formula, overrides in cases:
             inprocess_interval=1,
             seed=1,
             proof_logging=True,
+            trace=ring,
             **overrides,
         ),
     )
-    result = solver.solve()
+    marks = []
+
+    def on_progress(stats):
+        marks.append((stats.conflicts, stats.decisions))
+        if len(marks) == 3:
+            solver.interrupt()
+
+    result = solver.solve(
+        run.get("assumptions", ()),
+        max_conflicts=run.get("max_conflicts"),
+        max_decisions=run.get("max_decisions"),
+        on_progress=on_progress if run.get("hook") else None,
+    )
     rows.append(
         {
             "preset": name,
+            "run": sorted(run),
             "status": result.status.name,
-            "conflicts": solver.stats.conflicts,
-            "decisions": solver.stats.decisions,
-            "propagations": solver.stats.propagations,
-            "eliminated": solver.stats.eliminated_variables,
+            "limit": result.limit_reason,
+            "core": result.core,
+            "model": sorted(result.model.items()) if result.model else None,
+            "stats": {
+                key: value
+                for key, value in vars(solver.stats).items()
+                if not key.endswith("_seconds")
+            },
+            "marks": marks,
             "proof": solver.proof,
             "hints": solver.proof_hints,
             "var_activity": solver.var_activity.tolist(),
             "lit_activity": solver.lit_activity.tolist(),
             "vsids": solver.vsids.tolist(),
             "clause_act": solver.clause_act.tolist(),
+            "clause_birth": solver.clause_birth.tolist(),
             "lbds": solver._learned_lbds(),
+            "learned": solver.learned.tolist(),
+            "search_cursor": solver.search_cursor,
+            "birth_counter": solver.birth_counter,
+            "events": None if ring is None else [
+                {key: value for key, value in event.items() if not key.endswith("_ms")}
+                for event in ring.events
+            ],
         }
     )
 print(json.dumps(rows))
@@ -250,9 +295,28 @@ print(json.dumps(rows))
     for case, (kernel, pure) in enumerate(zip(outputs["0"], outputs["1"])):
         for field in kernel:
             assert kernel[field] == pure[field], (
-                f"case {case} ({kernel['preset']}): kernel and pure fallback "
-                f"diverged in {field}"
+                f"case {case} ({kernel['preset']}, {kernel['run']}): kernel and "
+                f"pure fallback diverged in {field}"
             )
+    rows = outputs["0"]
+    # The stopped runs stopped where they were told to.
+    assert [row["limit"] for row in rows[2:7]] == [
+        "conflict budget",
+        "decision budget",
+        "interrupted",
+        "interrupted",
+        "interrupted",
+    ]
+    assert all(len(row["marks"]) == 3 for row in rows[4:7])
+    # Marks at 512 decisions, one of them the interrupting one.
+    assert rows[5]["marks"][1][1] == 512 and rows[6]["marks"][2][1] == 512
+    assert rows[7]["core"] and rows[8]["model"]
+    # Tracing changes nothing: hole6's traced counts are its untraced ones.
+    traced, untraced = rows[9], rows[0]
+    assert traced["stats"] == untraced["stats"] and traced["proof"] == untraced["proof"]
+    kinds = Counter(event["type"] for event in traced["events"])
+    assert kinds["conflict"] == traced["stats"]["conflicts"] - 1  # the last is at level 0
+    assert kinds["decision"] == traced["stats"]["decisions"]
 
 
 def _random_load_formula(rng: random.Random) -> CnfFormula:
@@ -359,36 +423,33 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
 
 def test_every_preset_runs_the_c_kernels():
     """No preset may drop loading, conflicts, backtracking or (under the
-    ``berkmin`` and ``global`` strategies) its decision scan to Python."""
+    ``berkmin`` and ``global`` strategies) its decision scan to Python:
+    the search runs in ``arena_search``, so the pure-Python steps it
+    replaces are never called."""
     if load_arena_kernel() is None:
         pytest.skip("the C kernels did not load")
-    attributes = ("_kernel_load", "_kernel_conflict", "_kernel_backtrack", "_kernel_decide")
+    attributes = ("_kernel_load", "_kernel_search", "_kernel_backtrack")
+    references = ("_analyze", "_record_learned", "_berkmin_decision", "_global_decision")
     for name in sorted(CONFIG_FACTORIES):
-        # Conflicts backtrack inside the conflict call; restarts use
-        # the backtrack kernel, so restart often enough to reach it.
+        # Restarts use the backtrack kernel, so restart often enough to
+        # reach it.
         config = config_by_name(name, restart_interval=50)
         solver = Solver(config=config)
         calls = Counter()
-        for attribute in attributes:
+        for attribute in attributes + references:
 
-            def counted(*args, _kernel=getattr(solver, attribute), _name=attribute):
+            def counted(*args, _step=getattr(solver, attribute), _name=attribute):
                 calls[_name] += 1
-                return _kernel(*args)
+                return _step(*args)
 
             setattr(solver, attribute, counted)
         solver.add_formula(pigeonhole_formula(5))
         assert solver.solve().status is SolveStatus.UNSAT
         assert calls["_kernel_load"] > 0, f"{name} loaded in Python"
-        assert calls["_kernel_conflict"] == solver.stats.conflicts - 1, (
-            f"{name} analyzed in Python"  # the last conflict is at level 0
-        )
+        assert calls["_kernel_search"] > 0, f"{name} searched in Python"
         assert calls["_kernel_backtrack"] > 0, f"{name} backtracked in Python"
-        if config.decision_strategy in (DECISION_BERKMIN, DECISION_GLOBAL):
-            assert calls["_kernel_decide"] == solver.stats.decisions, (
-                f"{name} decided in Python"
-            )
-        else:
-            assert calls["_kernel_decide"] == 0
+        for reference in references:
+            assert calls[reference] == 0, f"{name} ran {reference} in Python"
 
 
 def test_arena_session_retention_and_incremental_adds():
