@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="LBD",
         help="largest LBD a lane exports to the bus (implies --share; "
-        "default: the config's glue tier)",
+        "default: 3, the glue tier)",
     )
     solve.add_argument(
         "--verify",
@@ -1011,14 +1011,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0 if batch.all_definite else 1
 
 
-def _parse_session_stream(lines) -> list[tuple[str, list[int], int]]:
-    """Parse an iCNF-style command stream into (kind, literals, lineno).
+def _parse_session_stream(lines) -> list[tuple[str, list, int]]:
+    """Parse an iCNF-style command stream into (kind, payload, lineno).
 
-    ``kind`` is ``"add"`` (a clause) or ``"solve"`` (an ``a ... 0``
-    line whose literals are the assumptions).  ``p`` headers and ``c``
+    ``kind`` is ``"add"``, whose payload is the clauses of a run of
+    consecutive clause lines, or ``"solve"``, whose payload is the
+    assumptions of one ``a ... 0`` line.  ``p`` headers and ``c``
     comments are skipped; every command line must end in ``0``.
     """
-    commands: list[tuple[str, list[int], int]] = []
+    commands: list[tuple[str, list, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] in "cp":
@@ -1038,7 +1039,13 @@ def _parse_session_stream(lines) -> list[tuple[str, list[int], int]]:
             raise DimacsError(
                 f"session stream line {lineno}: literal 0 inside a command"
             )
-        commands.append((kind, literals[:-1], lineno))
+        payload = literals[:-1]
+        if kind == "solve":
+            commands.append((kind, payload, lineno))
+        elif commands and commands[-1][0] == "add":
+            commands[-1][1].append(payload)
+        else:
+            commands.append((kind, [payload], lineno))
     return commands
 
 
@@ -1071,11 +1078,11 @@ def _cmd_session(args: argparse.Namespace) -> int:
     unknowns = 0
     try:
         with SolverSession(config=config, **session_kwargs) as session:
-            for kind, literals, lineno in commands:
+            for kind, payload, lineno in commands:
                 if kind == "add":
-                    session.add_clause(literals)
+                    session.add_clauses(payload)
                     continue
-                result = session.solve(assumptions=literals, **limits)
+                result = session.solve(assumptions=payload, **limits)
                 prefix = f"c query {session.calls} (line {lineno})"
                 if result.status is SolveStatus.SAT:
                     print(f"{prefix}: s SATISFIABLE")

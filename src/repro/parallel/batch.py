@@ -48,12 +48,7 @@ from repro.parallel.pool import Job, JobPool
 from repro.parallel.worker import TELEMETRY_SECONDS, strip_for_worker
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import RetryPolicy
-from repro.solver.config import (
-    VERIFICATION_LEVELS,
-    SolverConfig,
-    berkmin_config,
-    config_by_name,
-)
+from repro.solver.config import SolverConfig, resolve_config
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import SolverStats, aggregate_stats
 
@@ -232,17 +227,7 @@ def solve_batch(
     ``"stalled (no heartbeat)"``, ``"corrupted result"``, ``"time
     budget"``) and the full attempt history on ``result.attempts``.
     """
-    if config is None:
-        config = berkmin_config()
-    elif isinstance(config, str):
-        config = config_by_name(config)
-    if verification is None:
-        verification = config.verification
-    if verification not in VERIFICATION_LEVELS:
-        raise ValueError(
-            f"unknown verification level {verification!r}; "
-            f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-        )
+    config, verification = resolve_config(config, verification)
     worker_config = strip_for_worker(config, verification)
 
     items: list[CnfFormula] = [

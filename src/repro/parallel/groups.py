@@ -37,13 +37,7 @@ from repro.reliability.faults import (
     execute_entry_fault,
 )
 from repro.reliability.verify import VerificationError, check_result_shape, verify_result
-from repro.solver.config import (
-    VERIFICATION_LEVELS,
-    VERIFY_OFF,
-    SolverConfig,
-    berkmin_config,
-    config_by_name,
-)
+from repro.solver.config import VERIFY_OFF, SolverConfig, resolve_config
 from repro.solver.result import SolveResult, SolveStatus
 
 
@@ -243,17 +237,7 @@ def solve_grouped(
             list of step results.
     """
     started = time.perf_counter()
-    if config is None:
-        config = berkmin_config()
-    elif isinstance(config, str):
-        config = config_by_name(config)
-    if verification is None:
-        verification = config.verification
-    if verification not in VERIFICATION_LEVELS:
-        raise ValueError(
-            f"unknown verification level {verification!r}; "
-            f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-        )
+    config, verification = resolve_config(config, verification)
     worker_config = strip_for_worker(config, verification)
 
     normalized = [_normalize_steps(group) for group in groups]

@@ -39,17 +39,14 @@ from repro.cnf.formula import CnfFormula
 from repro.parallel.pool import DEADLINE_EXPIRED, Job, JobPool
 from repro.parallel.sharing import (
     DEFAULT_QUARANTINE_THRESHOLD,
+    DEFAULT_SHARE_MAX_LBD,
     DEFAULT_VERIFY_FRACTION,
     ClauseBus,
 )
 from repro.parallel.worker import TELEMETRY_SECONDS, strip_for_worker
 from repro.reliability.faults import FaultPlan
 from repro.reliability.retry import RetryPolicy, as_retry_policy
-from repro.solver.config import (
-    VERIFICATION_LEVELS,
-    SolverConfig,
-    config_by_name,
-)
+from repro.solver.config import SolverConfig, config_by_name, resolve_config
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import aggregate_stats
 
@@ -138,8 +135,9 @@ class PortfolioSolver:
             lane accumulating ``quarantine_threshold`` *hard* rejections
             is quarantined — purged fleet-wide and relaunched under the
             retry policy.
-        share_max_lbd: export LBD bound (defaults to the first
-            configuration's ``share_max_lbd`` field, the glue tier).
+        share_max_lbd: the largest LBD a lane exports (``None``:
+            :data:`~repro.parallel.sharing.DEFAULT_SHARE_MAX_LBD`, the
+            glue tier).
         share_verify_fraction: fraction of accepted clauses given the
             parent's bounded semantic spot-check.
         quarantine_threshold: hard rejections before a lane is
@@ -178,14 +176,7 @@ class PortfolioSolver:
         self.jobs = jobs if jobs is not None else len(self.configs)
         self.grace_seconds = grace_seconds
         self.retry = as_retry_policy(retry)
-        if verification is None:
-            verification = self.configs[0].verification
-        if verification not in VERIFICATION_LEVELS:
-            raise ValueError(
-                f"unknown verification level {verification!r}; "
-                f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-            )
-        self.verification = verification
+        _, self.verification = resolve_config(self.configs[0], verification)
         self.stall_seconds = stall_seconds
         self.max_memory_mb = max_memory_mb
         self.fault_plan = fault_plan
@@ -196,8 +187,7 @@ class PortfolioSolver:
         self.trace = trace
         self.share = bool(share)
         self.share_max_lbd = (
-            share_max_lbd if share_max_lbd is not None
-            else self.configs[0].share_max_lbd
+            DEFAULT_SHARE_MAX_LBD if share_max_lbd is None else share_max_lbd
         )
         self.share_verify_fraction = share_verify_fraction
         self.quarantine_threshold = quarantine_threshold

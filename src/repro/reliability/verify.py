@@ -25,11 +25,7 @@ from __future__ import annotations
 
 from repro.cnf.formula import CnfFormula, unsatisfied_clause
 from repro.proof import ProofError, check_rup_proof
-from repro.solver.config import (
-    VERIFICATION_LEVELS,
-    VERIFY_FULL,
-    VERIFY_OFF,
-)
+from repro.solver.config import VERIFY_FULL, VERIFY_OFF, check_verification
 from repro.solver.result import SolveResult, SolveStatus
 
 
@@ -75,11 +71,7 @@ def verify_result(
     :class:`~repro.proof.ProofCheckTimeout` propagates — the answer is
     then neither verified nor refuted.
     """
-    if level not in VERIFICATION_LEVELS:
-        raise ValueError(
-            f"unknown verification level {level!r}; "
-            f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-        )
+    check_verification(level)
     if level == VERIFY_OFF:
         return None
     shape = check_result_shape(result)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.solver.result import SolveResult, SolveStatus
+from repro.solver.result import SolveResult
 
 #: Upper bound on one request/reply line, shared by server and clients.
 #: Big enough for ~million-literal formulas, small enough to stop an
@@ -194,17 +194,3 @@ def refusal_reply(request_id, kind: str, reason: str) -> dict:
 def error_reply(request_id, message: str) -> dict:
     """Build an ``error`` reply for a malformed or unservable request."""
     return {"id": request_id, "kind": "error", "error": message}
-
-
-def stored_to_result(kind: str, stored: dict) -> SolveResult:
-    """Rehydrate an :class:`AnswerCache` hit into a :class:`SolveResult`."""
-    status = stored["status"]
-    if not isinstance(status, SolveStatus):
-        status = SolveStatus(status)
-    return SolveResult(
-        status=status,
-        model=dict(stored["model"]) if stored.get("model") else None,
-        core=list(stored["core"]) if stored.get("core") is not None else None,
-        under_assumptions=bool(stored.get("under_assumptions", False)),
-        verified=stored.get("verified"),
-    )

@@ -49,20 +49,9 @@ from repro.reliability.retry import RetryPolicy
 from repro.server.admission import AdmissionController
 from repro.server.breaker import REASON_QUARANTINED, CircuitBreaker
 from repro.server.ops import DEFAULT_LATENCY_OBJECTIVE, ServiceOps, prometheus_text
-from repro.server.protocol import (
-    Request,
-    error_reply,
-    refusal_reply,
-    result_reply,
-    stored_to_result,
-)
-from repro.session.cache import AnswerCache
-from repro.solver.config import (
-    VERIFICATION_LEVELS,
-    SolverConfig,
-    berkmin_config,
-    config_by_name,
-)
+from repro.server.protocol import Request, error_reply, refusal_reply, result_reply
+from repro.session.cache import AnswerCache, stored_result
+from repro.solver.config import SolverConfig, config_by_name, resolve_config
 
 #: Reason carried by refusals issued while the service drains.
 REASON_DRAINING = "server draining"
@@ -131,17 +120,7 @@ class SolverService:
         ops: ServiceOps | None = None,
         latency_objective: float = DEFAULT_LATENCY_OBJECTIVE,
     ) -> None:
-        if config is None:
-            config = berkmin_config()
-        elif isinstance(config, str):
-            config = config_by_name(config)
-        if verification is None:
-            verification = config.verification
-        if verification not in VERIFICATION_LEVELS:
-            raise ValueError(
-                f"unknown verification level {verification!r}; "
-                f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-            )
+        config, verification = resolve_config(config, verification)
         self.config = config
         self.verification = verification
         self.default_timeout = default_timeout
@@ -261,7 +240,7 @@ class SolverService:
             ops.end(rid, span, status="cache-hit")
             self._send(
                 send,
-                result_reply(request_id, stored_to_result(kind, stored), cached=kind),
+                result_reply(request_id, stored_result(stored), cached=kind),
                 rid,
             )
             return

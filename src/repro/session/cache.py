@@ -72,6 +72,28 @@ def _entry_bytes(entry: dict) -> int:
     return total
 
 
+def stored_result(stored: dict, **fields) -> SolveResult:
+    """Rehydrate an :meth:`AnswerCache.lookup` hit into a :class:`SolveResult`.
+
+    The answer (status, model, core, proof and its hints, the verified
+    tag) comes from ``stored``; ``fields`` set what an entry does not
+    hold, such as the caller's stats and timing.  An empty stored model
+    stays an empty model.
+    """
+    model = stored.get("model")
+    core = stored.get("core")
+    return SolveResult(
+        status=stored["status"],
+        model=None if model is None else dict(model),
+        core=None if core is None else list(core),
+        under_assumptions=bool(stored.get("under_assumptions", False)),
+        proof=stored.get("proof"),
+        proof_hints=stored.get("proof_hints"),
+        verified=stored.get("verified"),
+        **fields,
+    )
+
+
 class AnswerCache:
     """Result memoisation shared by one or more sessions.
 

@@ -38,19 +38,19 @@ stream and call counter.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections.abc import Iterable, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from repro.checkpoint.envelope import read_checkpoint_file, write_checkpoint_file
 from repro.checkpoint.snapshot import (
     SolverSnapshot,
-    canonical_fingerprint,
     capture_snapshot,
     restore_snapshot,
 )
 from repro.cnf.formula import CnfFormula
-from repro.session.cache import AnswerCache
+from repro.session.cache import AnswerCache, stored_result
 from repro.solver.config import VERIFY_OFF, SolverConfig, config_by_name
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.solver import Solver
@@ -101,6 +101,8 @@ class SolverSession:
         self.closed = False
         self.last_result: SolveResult | None = None
         self._fingerprint: str | None = None
+        # The canonical encoding of every clause added so far, sorted.
+        self._encodings: list[bytes] = []
         if self.solver.trace is not None:
             self.solver.trace.emit(
                 {
@@ -136,9 +138,25 @@ class SolverSession:
 
     @property
     def fingerprint(self) -> str:
-        """Canonical (order-insensitive) fingerprint of the current clause set."""
+        """Canonical (order-insensitive) fingerprint of the current clause set.
+
+        The value of
+        :func:`~repro.checkpoint.snapshot.canonical_fingerprint` over
+        every clause added so far.  Each clause's canonical encoding is
+        kept once made, so after an add only the clauses added since
+        are encoded before the encodings are sorted and hashed.
+        """
         if self._fingerprint is None:
-            self._fingerprint = canonical_fingerprint(self.solver._pristine)
+            encodings = self._encodings
+            encodings += [
+                " ".join(map(str, sorted(clause))).encode()
+                for clause in islice(self.solver._pristine, len(encodings), None)
+            ]
+            encodings.sort()
+            digest = hashlib.blake2b(b";".join(encodings), digest_size=16)
+            if encodings:
+                digest.update(b";")
+            self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
     # ------------------------------------------------------------------
@@ -157,13 +175,12 @@ class SolverSession:
         return self.solver.add_clause(dimacs_literals)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
-        """Add many clauses; returns False once the formula is refuted."""
+        """Add many clauses in one :meth:`Solver.add_clauses
+        <repro.solver.solver.Solver.add_clauses>` call; returns False
+        once the formula is refuted."""
         self._check_open()
         self._fingerprint = None
-        ok = True
-        for clause in clauses:
-            ok = self.solver.add_clause(clause)
-        return ok
+        return self.solver.add_clauses(clauses)
 
     # ------------------------------------------------------------------
     # Solving
@@ -190,7 +207,13 @@ class SolverSession:
             if hit is not None:
                 kind, stored = hit
                 stats.cache_hits += 1
-                result = self._result_from_cache(stored, assumptions, started)
+                result = stored_result(
+                    stored,
+                    stats=stats,
+                    config_name=self.config.name,
+                    wall_seconds=time.perf_counter() - started,
+                    num_assumptions=len(assumptions),
+                )
                 self._emit_solve(call, result, served_by=kind)
                 self.last_result = result
                 return result
@@ -267,28 +290,8 @@ class SolverSession:
         return self.solver.retain_learned_by_lbd(self.retain_max_lbd)
 
     # ------------------------------------------------------------------
-    # Cache plumbing
+    # Telemetry
     # ------------------------------------------------------------------
-    def _result_from_cache(
-        self, stored: dict, assumptions: list[int], started: float
-    ) -> SolveResult:
-        status = stored["status"]
-        under = bool(stored.get("under_assumptions", False))
-        model = stored.get("model")
-        return SolveResult(
-            status=status,
-            model=dict(model) if model is not None else None,
-            stats=self.solver.stats,
-            proof=stored.get("proof"),
-            proof_hints=stored.get("proof_hints"),
-            under_assumptions=under,
-            core=list(stored["core"]) if stored.get("core") is not None else None,
-            config_name=self.config.name,
-            wall_seconds=time.perf_counter() - started,
-            num_assumptions=len(assumptions),
-            verified=stored.get("verified"),
-        )
-
     def _emit_solve(self, call: int, result: SolveResult, *, served_by: str) -> None:
         trace = self.solver.trace
         if trace is None:
@@ -353,8 +356,7 @@ class SolverSession:
             cache=cache,
             retain_max_lbd=meta.get("retain_max_lbd", DEFAULT_RETAIN_MAX_LBD),
         )
-        for clause in meta["pristine"]:
-            session.solver.add_clause([int(literal) for literal in clause])
+        session.solver.add_clauses(meta["pristine"])
         restore_snapshot(session.solver, SolverSnapshot.from_payload(payload["solver"]))
         session.calls = int(meta["calls"])
         session._fingerprint = None

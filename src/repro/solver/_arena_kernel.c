@@ -453,32 +453,36 @@ int32_t arena_attach(
     return binaries;
 }
 
-/* Load clauses first .. count-1 of a formula at decision level 0, doing
- * for each what Solver.add_clause does there: drop a tautology, remove
- * repeated literals (first occurrence kept), skip a clause a level-0
- * literal satisfies, strip level-0-false literals, assign a unit, or
- * write an original record and thread both of its watches.
+/* Load clauses first .. count-1 of a batch at decision level 0, doing
+ * for each what Solver._add_clause, the per-clause reference, does
+ * there: drop a tautology, remove repeated literals (first occurrence
+ * kept), skip a clause a level-0 literal satisfies, strip level-0-false
+ * literals, assign a unit, or write an original record and thread both
+ * of its watches.
  *
  * `lits` holds the DIMACS literals of every clause back to back, `sizes`
  * the clause lengths; clause `first` starts at lits[offset].  Records are
  * written from arena[arena_len], which the caller has sized for the worst
- * case; activity indices count up from `act_idx`.  `seen` is the
- * per-variable mark buffer, zero on entry and on return.
+ * case; activity indices count up from `act_idx`.  The per-variable and
+ * per-literal buffers come from `t`; its `seen` marks are zero on entry
+ * and on return.
  *
- * The scan stops at a clause it cannot finish — a literal 0 or a
- * variable past `num_variables`, or a clause that strips to empty — and
- * returns that clause's index (count when every clause was loaded); the
- * caller runs add_clause on it and resumes after it.  Outputs: the refs
- * of new records in `refs` and their proof ids in `ids` (`id_base -
- * index` for the clause at `index`, the proof's id of an input clause),
- * the assigned unit literals in `units` (the trail's continuation), the
- * refs of records shorter than their input clause in `shortened` (each
- * needs a proof line), the literal pairs of binary records in `pairs`,
- * and in out[0 .. 5) the new arena length and the counts of refs, units,
+ * The scan stops at a clause it cannot finish — a literal 0, a variable
+ * past `num_variables` or an eliminated one (the reference restores it),
+ * or a clause that strips to empty — and returns that clause's index
+ * (count when every clause was loaded); the caller runs the reference on
+ * it and resumes after it.  Outputs: the refs of new records in `refs`
+ * and their proof ids in `ids` (`id_base - index` for the clause at
+ * `index`, the proof's id of an input clause), the assigned unit
+ * literals in `units` (the trail's continuation), the refs of records
+ * shorter than their input clause in `shortened` (each needs a proof
+ * line), the literal pairs of binary records in `pairs`, and in
+ * out[0 .. 5) the new arena length and the counts of refs, units,
  * shortened refs and pairs; out[5] is the offset in `lits` of the clause
  * the scan stopped at.
  */
 int32_t arena_load(
+    const struct tables *t,
     int32_t *lits,
     int32_t *sizes,
     int32_t first,
@@ -489,12 +493,6 @@ int32_t arena_load(
     int32_t arena_len,
     int32_t act_idx,
     int32_t id_base,
-    int32_t *watch_head,
-    int32_t *lit_value,
-    int32_t *assigns,
-    int32_t *levels,
-    int32_t *reasons,
-    int32_t *seen,
     int32_t *refs,
     int32_t *ids,
     int32_t *units,
@@ -502,21 +500,26 @@ int32_t arena_load(
     int32_t *pairs,
     int32_t *out)
 {
+    int32_t *watch_head = t->watch_head;
+    int32_t *lit_value = t->lit_value;
+    int32_t *seen = t->seen;
+    uint8_t *eliminated = t->eliminated;
     int32_t ref_count = 0, unit_count = 0, short_count = 0, pair_count = 0;
     int32_t clause = first;
 
     for (; clause < count; clause++) {
         int32_t size = sizes[clause];
         int32_t *source = lits + offset;
-        int32_t in_range = 1;
+        int32_t loadable = 1;
         for (int32_t index = 0; index < size; index++) {
             int32_t literal = source[index];
-            if (literal == 0 || literal > num_variables || literal < -num_variables) {
-                in_range = 0;
+            if (literal == 0 || literal > num_variables || literal < -num_variables
+                || eliminated[literal < 0 ? -literal : literal]) {
+                loadable = 0;
                 break;
             }
         }
-        if (!in_range)
+        if (!loadable)
             break;
 
         /* Encode into the next record's literal area, deduplicating. */
@@ -562,15 +565,15 @@ int32_t arena_load(
             continue;
         }
         if (remaining == 0)
-            break; /* refutes the formula: add_clause logs it */
+            break; /* refutes the formula: the reference logs it */
         if (remaining == 1) {
             int32_t literal = body[0];
             int32_t variable = literal >> 1;
-            assigns[variable] = (literal & 1) ^ 1;
+            t->assigns[variable] = (literal & 1) ^ 1;
             lit_value[literal] = 1;
             lit_value[literal ^ 1] = 0;
-            levels[variable] = 0;
-            reasons[variable] = -1;
+            t->levels[variable] = 0;
+            t->reasons[variable] = -1;
             units[unit_count++] = literal;
             offset += size;
             continue;

@@ -2,7 +2,7 @@
 
 The engine's search loop (propagation, conflict analysis through
 backtrack, clause recording, the BerkMin decision scan and the
-symmetrized phase), and its propagation, backtracking, formula loading
+symmetrized phase), and its propagation, backtracking, clause loading
 and watch-rebuilding steps, have C twins (``_arena_kernel.c``) that run
 over the very same ``array`` buffers — same record layout, same watch
 chains, same circular replacement scan — so a solve produces an
@@ -46,7 +46,7 @@ class ArenaKernel(NamedTuple):
     propagate: object  # BCP to fixpoint over the watch chains
     search: object  # the conflict-decision loop, up to the next exit
     backtrack: object  # bulk assignment undo
-    load: object  # bulk formula load at level 0
+    load: object  # bulk clause load at level 0
     attach: object  # watch threading for a list of refs
 
 
@@ -190,7 +190,7 @@ def _build_and_load():
     backtrack.restype = None
     load = handle.arena_load
     load.argtypes = (
-        [pointer, pointer] + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 12
+        [pointer] * 3 + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 6
     )
     load.restype = int32
     attach = handle.arena_attach

@@ -145,14 +145,6 @@ class SolverConfig:
     # Section 8 policy.
     glue_keep_max_lbd: int = 3
 
-    # -- cooperative clause sharing (see repro.parallel.sharing) -----------
-    # Source-side export filter for the portfolio clause bus: only learned
-    # clauses whose measured LBD is at most this bound are exported to the
-    # other lanes (the glue tier — sharing junk clauses costs every lane).
-    # Read only when a share client is attached by the parallel engine;
-    # inert for sequential solves.
-    share_max_lbd: int = 3
-
     # -- trusted results ---------------------------------------------------
     # Post-solve answer verification level ("off" | "sat" | "full"); the
     # parallel engines inherit it as their default gate and `solve_formula`
@@ -390,6 +382,36 @@ def config_by_name(name: str, **overrides) -> SolverConfig:
         known = ", ".join(sorted(CONFIG_FACTORIES))
         raise ValueError(f"unknown configuration {name!r}; known: {known}") from None
     return factory(**overrides)
+
+
+def check_verification(level: str) -> str:
+    """Return ``level``, or raise :class:`ValueError` unless it is one of
+    :data:`VERIFICATION_LEVELS`."""
+    if level not in VERIFICATION_LEVELS:
+        raise ValueError(
+            f"unknown verification level {level!r}; "
+            f"expected one of {', '.join(VERIFICATION_LEVELS)}"
+        )
+    return level
+
+
+def resolve_config(
+    config: SolverConfig | str | None, verification: str | None = None
+) -> tuple[SolverConfig, str]:
+    """The configuration and verification level a run uses.
+
+    ``config`` is a :class:`SolverConfig`, a registry name, or ``None``
+    for :func:`berkmin_config`; ``verification`` defaults to the
+    configuration's own level.  An unknown name or level raises
+    :class:`ValueError`.
+    """
+    if config is None:
+        config = berkmin_config()
+    elif isinstance(config, str):
+        config = config_by_name(config)
+    if verification is None:
+        verification = config.verification
+    return config, check_verification(verification)
 
 
 def available_configs() -> dict[str, str]:

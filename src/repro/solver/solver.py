@@ -21,6 +21,21 @@ Usage::
 The solver is incremental: clauses may be added between ``solve`` calls
 and assumptions passed per call, MiniSat-style.
 
+Clause intake
+-------------
+Clauses enter through :meth:`Solver.add_clauses`; ``Solver(formula)``
+and :meth:`Solver.add_formula` are entries into it, and
+:meth:`Solver.add_clause` is a batch of one.  Every clause gets the
+level-0 reduction of the paper's Section 8 "automatic removal" on its
+way in: a clause satisfied at level 0 is dropped and its false literals
+are stripped.  A batch is one call to the ``arena_load`` kernel, which
+does that work in place.  The per-clause Python reference, which is
+also what runs without the kernels and what a single clause goes
+through, takes only a clause the kernel stops at (one naming an
+eliminated variable, or one that refutes the formula).  Restoring an
+eliminated variable re-adds its stored clauses through the reference's
+own reduce-and-attach step.
+
 Clause storage
 --------------
 Every clause — original or learned — lives in one contiguous list of
@@ -98,11 +113,12 @@ its two parents.  A record whose clause the proof cannot name carries
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from repro.cnf.formula import CnfFormula, unsatisfied_clause
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
@@ -173,7 +189,6 @@ from repro.solver._kernel import (
 )
 from repro.solver.config import (
     PROPAGATION_ARENA,
-    VERIFICATION_LEVELS,
     VERIFY_FULL,
     SolverConfig,
     berkmin_config,
@@ -238,11 +253,7 @@ class Solver:
                 f"propagation mode {self.config.propagation!r} was removed; "
                 f"the flat-buffer engine ({PROPAGATION_ARENA!r}) is the only one"
             )
-        if self.config.verification not in VERIFICATION_LEVELS:
-            raise ValueError(
-                f"unknown verification level {self.config.verification!r}; "
-                f"expected one of {', '.join(VERIFICATION_LEVELS)}"
-            )
+        cfg.check_verification(self.config.verification)
         self.rng = random.Random(self.config.seed)
         self.stats = SolverStats()
 
@@ -519,29 +530,53 @@ class Solver:
     def add_formula(self, formula: CnfFormula) -> bool:
         """Load every clause of ``formula``; returns False if refuted outright.
 
-        With the C kernels loaded, the clauses go through
-        :meth:`_load_bulk`; whatever it leaves (all of them on the pure
-        path) goes through :meth:`add_clause`.  Both leave the identical
-        state.
+        :meth:`add_clauses` over ``formula.clauses``, with the tables
+        grown to ``formula.num_variables`` instead of to the largest
+        variable the clauses name (which would take a pass over them).
         """
         self.ensure_variables(formula.num_variables)
-        clauses = list(formula.clauses)
-        loaded = 0
-        if self._kernel_load is not None and not self._eliminated:
-            loaded = self._load_bulk(clauses)
-        for clause in clauses[loaded:]:
-            self.add_clause(clause)
+        return self._add_clauses(formula.clauses, sized=True)
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
+        """Add clauses given as signed DIMACS literals; False once refuted.
+
+        The one intake path (see "Clause intake" in the module
+        docstring); it leaves the state a loop of :meth:`add_clause`
+        would.  Clauses may be added between solve calls; the solver
+        backtracks to level 0 first.  A clause holding literal 0 raises
+        :class:`ValueError` (a non-integer, :class:`TypeError`) before it
+        changes anything; the clauses before it stay added.
+        """
+        return self._add_clauses(list(clauses), sized=False)
+
+    def add_clause(self, dimacs_literals: Iterable[int]) -> bool:
+        """Add one clause given as signed DIMACS literals.
+
+        :meth:`add_clauses` of one clause, which has nothing to batch,
+        so it goes straight to the per-clause reference.
+        """
+        self._add_clause(dimacs_literals)
         return self.ok
 
-    def _load_bulk(self, clauses: list[Sequence[int]]) -> int:
+    def _add_clauses(self, clauses: list, sized: bool) -> bool:
+        loaded = 0
+        if self._kernel_load is not None:
+            loaded = self._load_bulk(clauses, sized)
+        for clause in islice(clauses, loaded, None):
+            self._add_clause(clause)
+        return self.ok
+
+    def _load_bulk(self, clauses: list[Sequence[int]], sized: bool) -> int:
         """Load clauses with the kernel; returns how many were loaded.
 
-        One ``arena_load`` call does :meth:`add_clause`'s level-0 work
-        for a run of clauses in place.  A clause it cannot finish (a
-        literal past the tables, or one that refutes the formula) goes
-        through :meth:`add_clause`, and the kernel resumes after it.
-        Loading stops early, leaving the rest to the caller, once the
-        formula is refuted or when the clauses do not fit int32 buffers.
+        Unless ``sized``, the tables first grow to the largest variable
+        the clauses name.  One ``arena_load`` call does
+        :meth:`_add_clause`'s work for a run of clauses in place; a
+        clause it cannot finish goes through :meth:`_add_clause`, and
+        the kernel resumes after it.  Loading stops, leaving the rest to
+        the caller, once the formula is refuted, and loads nothing when
+        the clauses do not fit int32 buffers or, unsized, hold a literal
+        0 (so the tables grow no further than a loop of the reference).
         """
         try:
             sizes = array("i", map(len, clauses))
@@ -551,8 +586,12 @@ class Solver:
         count = len(sizes)
         if not count or sum(sizes) != len(flat):  # the kernel reads flat by the sizes
             return 0
+        if not sized:
+            if 0 in flat:
+                return 0
+            self.ensure_variables(max(max(flat, default=0), -min(flat, default=0)))
         if self.current_level() > 0:
-            self._backtrack(0)  # as the first add_clause would
+            self._backtrack(0)  # as the first _add_clause would
         refs = array("i", bytes(4 * count))
         ids = array("i", bytes(4 * count))
         units = array("i", bytes(4 * count))
@@ -571,6 +610,7 @@ class Solver:
             # dropped.  The tail is cut back to what was written.
             arena.frombytes(bytes(4 * (_HDR * (count - start) + len(flat) - offset)))
             stop = self._kernel_load(
+                self._tables_address,
                 flat.buffer_info()[0],
                 sizes.buffer_info()[0],
                 start,
@@ -581,12 +621,6 @@ class Solver:
                 used,
                 len(self.clause_act),
                 id_base,
-                self.watch_head.buffer_info()[0],
-                self.lit_value.buffer_info()[0],
-                self.assigns.buffer_info()[0],
-                self.levels.buffer_info()[0],
-                self.reasons.buffer_info()[0],
-                self._seen.buffer_info()[0],
                 refs.buffer_info()[0],
                 ids.buffer_info()[0],
                 units.buffer_info()[0],
@@ -609,7 +643,7 @@ class Solver:
             self.trail.extend(units[:unit_count])
             if self.proof is not None:
                 # A repeated literal or level-0 stripping shortened these
-                # records; see add_clause.
+                # records; see _attach_clause.
                 clause_id = self.clause_id
                 for ref in shortened[:short_count]:
                     slot = self.arena[ref + 2]
@@ -619,7 +653,7 @@ class Solver:
             self._add_binaries(pairs, pair_count)
             start = stop
             if stop < count:
-                self.add_clause(clauses[stop])
+                self._add_clause(clauses[stop])
                 start += 1
                 offset += sizes[stop]
         return start
@@ -632,62 +666,66 @@ class Solver:
             implications[first].append(second)
             implications[second].append(first)
 
-    def add_clause(self, dimacs_literals: Iterable[int]) -> bool:
-        """Add one clause given as signed DIMACS literals.
+    def _add_clause(self, dimacs_literals: Iterable[int]) -> None:
+        """The per-clause reference of the loader, at level 0.
 
-        Returns False when the clause (together with level-0 assignments)
-        refutes the formula.  Clauses may be added between solve calls;
-        the solver backtracks to level 0 first.
+        Rejects literal 0 (and non-integers) before it changes anything,
+        grows the tables and records the input clause; a tautology stops
+        there.  Otherwise every eliminated variable the clause names is
+        restored ("restore on touch") and, unless the formula is refuted
+        already, :meth:`_attach_clause` takes the deduplicated clause.
         """
-        literals = list(dimacs_literals)
+        literals = list(map(operator.index, dimacs_literals))
+        if 0 in literals:
+            raise ValueError("0 is not a DIMACS literal (it terminates clauses)")
         if self.current_level() > 0:
             self._backtrack(0)
+        self.ensure_variables(max(map(abs, literals), default=0))
         self.stats.initial_clauses += 1
         self._pristine.append(literals)
-        proof_id = -len(self._pristine)  # input clause len(_pristine) - 1
-
         cleaned = clean_clause(literals)
         if cleaned is None:  # tautology
-            return self.ok
-        self.ensure_variables(max((abs(lit) for lit in cleaned), default=0))
-        # Restore on touch: a new clause naming an eliminated variable
-        # brings that variable (and, transitively, any eliminated
-        # variable its stored clauses mention) back into the search.
+            return
         for literal in cleaned:
             if self._eliminated_mark[abs(literal)]:
                 self._restore_variable(abs(literal))
-        if not self.ok:
-            return False
+        if self.ok:
+            self._attach_clause(cleaned, len(literals), -len(self._pristine))
 
-        # Reduce against permanent (level-0) assignments.
+    def _attach_clause(self, literals: list[int], size: int, proof_id: int) -> None:
+        """Reduce one clause against the level-0 assignments and attach it.
+
+        ``literals`` are distinct, non-complementary DIMACS literals; the
+        input clause had ``size`` of them and has proof id ``proof_id``.
+        A clause a level-0 literal satisfies is dropped and false
+        literals are stripped.  Nothing left refutes the formula (the
+        empty clause, RUP, is logged); one literal is assigned; more
+        become an original record, logged when shorter than ``size``
+        (RUP via the level-0 units) so a later deletion names a clause
+        the proof's database holds.
+        """
+        lit_value = self.lit_value
         remaining: list[int] = []
-        for literal in (encode_literal(lit) for lit in cleaned):
-            value = self.lit_value[literal]
+        for literal in map(encode_literal, literals):
+            value = lit_value[literal]
             if value == TRUE:
-                return self.ok  # already satisfied forever
+                return
             if value == UNASSIGNED:
                 remaining.append(literal)
         if not remaining:
-            # Refuted at add time: every literal is false under level-0
-            # assignments, so the empty clause is RUP over the database.
             self.ok = False
             self.log_proof_add([])
-            return False
-        if len(remaining) == 1:
+        elif len(remaining) == 1:
             self._enqueue(remaining[0], None)
-            return self.ok
-        if len(remaining) < len(literals) and self.proof is not None:
-            # A repeated literal or level-0 stripping shortened the stored
-            # form.  Log it (RUP via the level-0 units), so that a later
-            # deletion names a clause the proof's database holds.
-            proof_id = self.log_proof_add(remaining, [proof_id])
-        ref = self._push_record(remaining, learned=False, proof_id=proof_id)
-        self.clauses.append(ref)
-        self._attach_ref(ref)
-        self.stats.peak_clauses = max(
-            self.stats.peak_clauses, len(self.clauses) + len(self.learned)
-        )
-        return self.ok
+        else:
+            if len(remaining) < size and self.proof is not None:
+                proof_id = self.log_proof_add(remaining, [proof_id])
+            ref = self._push_record(remaining, learned=False, proof_id=proof_id)
+            self.clauses.append(ref)
+            self._attach_ref(ref)
+            self.stats.peak_clauses = max(
+                self.stats.peak_clauses, len(self.clauses) + len(self.learned)
+            )
 
     # ==================================================================
     # Assignment primitives
@@ -1836,11 +1874,10 @@ class Solver:
     def _restore_variable(self, variable: int) -> None:
         """Un-eliminate ``variable`` (and transitively its dependencies).
 
-        Re-adds the stored original clauses, reduced against the current
-        level-0 assignments.  Unstripped re-adds need no proof action
-        (the clauses were never deleted from the DRUP database) and keep
-        their proof ids; a stripped re-add is logged as an addition,
-        which is RUP via the level-0 units, hinted by the stored clause.
+        Re-adds the stored original clauses through
+        :meth:`_attach_clause` under their own proof ids: the proof
+        never deleted them, so a re-add needs no proof line unless it
+        is stripped.
         """
         worklist = [variable]
         while worklist:
@@ -1859,31 +1896,7 @@ class Solver:
                 for literal in clause:
                     if self._eliminated_mark[abs(literal)]:
                         worklist.append(abs(literal))
-                encoded = [encode_literal(lit) for lit in clause]
-                remaining: list[int] = []
-                satisfied = False
-                for literal in encoded:
-                    value = self.lit_value[literal]
-                    if value == TRUE:
-                        satisfied = True
-                        break
-                    if value == UNASSIGNED:
-                        remaining.append(literal)
-                if satisfied:
-                    continue
-                if not remaining:
-                    self.ok = False
-                    self.log_proof_add([])
-                    return
-                if len(remaining) < len(encoded):
-                    proof_id = self.log_proof_add(remaining, [proof_id])
-                if len(remaining) == 1:
-                    self._enqueue(remaining[0], None)
-                    continue
-                ref = self._push_record(remaining, learned=False, proof_id=proof_id)
-                self.clauses.append(ref)
-                self._attach_ref(ref)
-
+                self._attach_clause(clause, len(clause), proof_id)
 
     # ==================================================================
     # Proof logging

@@ -11,7 +11,6 @@ from repro.server.protocol import (
     parse_request,
     refusal_reply,
     result_reply,
-    stored_to_result,
 )
 from repro.solver.result import AttemptRecord, SolveResult, SolveStatus
 
@@ -110,17 +109,3 @@ def test_encode_reply_is_one_json_line():
     blob = encode_reply(error_reply(None, "bad"))
     assert blob.endswith(b"\n") and blob.count(b"\n") == 1
     assert json.loads(blob)["kind"] == "error"
-
-
-def test_stored_to_result_rehydrates_cache_hits():
-    stored = {
-        "status": SolveStatus.UNSAT,
-        "core": [2, 3],
-        "under_assumptions": True,
-        "verified": "proof",
-    }
-    result = stored_to_result("exact", stored)
-    assert result.status is SolveStatus.UNSAT
-    assert result.core == [2, 3]
-    assert result.under_assumptions
-    assert result.verified == "proof"

@@ -87,6 +87,30 @@ def test_repeat_request_is_answered_from_the_cache():
     assert cache["hits"] >= 1
 
 
+def test_cache_hit_replies_as_the_miss_did():
+    """The empty formula's model is empty, and a cache hit must say so
+    too, not drop the ``model`` key."""
+
+    async def scenario():
+        service = make_service(pool_size=1)
+        server = await serve(service)
+        try:
+            async with AsyncSolverClient(port=server.port) as client:
+                return [
+                    await asyncio.wait_for(client.solve([], timeout=10.0), timeout=60.0)
+                    for _ in range(2)
+                ]
+        finally:
+            await server.shutdown()
+
+    miss, hit = run(scenario())
+    assert miss["cached"] is None and hit["cached"] == "exact"
+    assert miss["model"] == []
+    for reply in (miss, hit):
+        del reply["id"], reply["cached"], reply["wall_seconds"]
+    assert hit == miss
+
+
 def test_overload_is_an_explicit_busy_not_a_hang():
     async def scenario():
         service = make_service(

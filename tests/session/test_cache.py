@@ -1,6 +1,7 @@
 """AnswerCache semantics: exact, core-subsumption, and model-reuse hits."""
 
 from repro.session import AnswerCache, SolverSession
+from repro.session.cache import stored_result
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import SolverStats
 
@@ -122,3 +123,23 @@ def test_eviction_counters_mirror_into_session_stats():
         session.solve(assumptions=[2])  # evicts the first exact entry
     assert cache.evictions >= 1
     assert session.stats.cache_evictions == cache.evictions
+
+
+def test_stored_result_rehydrates_cache_hits():
+    stored = {
+        "status": SolveStatus.UNSAT,
+        "core": [2, 3],
+        "under_assumptions": True,
+        "verified": "proof",
+    }
+    result = stored_result(stored)
+    assert result.status is SolveStatus.UNSAT
+    assert result.core == [2, 3]
+    assert result.under_assumptions
+    assert result.verified == "proof"
+    assert result.model is None
+    # An empty model (the empty formula's) stays a model.
+    cache = AnswerCache()
+    cache.store(FP, [], _sat_result({}))
+    kind, stored = cache.lookup(FP, [])
+    assert kind == "exact" and stored_result(stored).model == {}

@@ -1,5 +1,7 @@
 """Lifecycle, retention, and snapshot behavior of SolverSession."""
 
+import random
+
 import pytest
 
 from repro.checkpoint.snapshot import canonical_fingerprint
@@ -73,6 +75,110 @@ def test_fingerprint_is_order_insensitive_and_invalidated():
         session.add_clause([-1, 3])
         assert session.fingerprint != before
         assert session.fingerprint == fp_a
+
+
+def test_incremental_fingerprint_matches_canonical_fingerprint(tmp_path):
+    """The session encodes each clause once and re-sorts; its fingerprint
+    must stay byte-identical to ``canonical_fingerprint`` over every
+    clause added so far, through duplicates, reorderings and a restore."""
+    rng = random.Random(28)
+    for case in range(40):
+        session = SolverSession(None, cache=None)
+        assert session.fingerprint == canonical_fingerprint([])
+        added: list[list[int]] = []
+        for step in range(rng.randint(1, 6)):
+            batch = []
+            for _ in range(rng.randint(0, 5)):
+                if added and rng.random() < 0.3:
+                    clause = list(rng.choice(added))
+                    rng.shuffle(clause)  # a duplicate, literals reordered
+                else:
+                    clause = [
+                        rng.choice((1, -1)) * rng.randint(1, 9)
+                        for _ in range(rng.randint(0, 4))
+                    ]
+                batch.append(clause)
+            if rng.random() < 0.5:
+                session.add_clauses(batch)
+            else:
+                for clause in batch:
+                    session.add_clause(clause)
+            added += batch
+            assert session.fingerprint == canonical_fingerprint(added), (case, step)
+            if rng.random() < 0.3:
+                session.solve(max_conflicts=50)
+        path = tmp_path / f"case{case}.rsck"
+        session.save(path)
+        restored = SolverSession.load(path, cache=None)
+        assert restored.fingerprint == session.fingerprint
+        restored.add_clause([1, -2])
+        assert restored.fingerprint == canonical_fingerprint(added + [[1, -2]])
+
+
+def test_rejected_clause_leaves_no_trace(tmp_path):
+    """A clause with literal 0 raises before it changes anything: the
+    batch keeps the clauses before it, and the saved session loads."""
+    with SolverSession(XOR_CHAIN, berkmin_config(proof_logging=True)) as session:
+        with pytest.raises(ValueError):
+            session.add_clauses([[3, 4], [1, 0, -2], [5]])
+        with pytest.raises(ValueError):
+            session.add_clause([0])
+        assert session.solver._pristine == XOR_CHAIN + [[3, 4]]
+        assert session.stats.initial_clauses == len(XOR_CHAIN) + 1
+        assert session.fingerprint == canonical_fingerprint(XOR_CHAIN + [[3, 4]])
+        session.add_clause([-3, -4])
+        proof_ids = sorted(session.solver.clause_id)
+        assert proof_ids == [-6, -5, -4, -3, -2, -1]
+        path = tmp_path / "session.rsck"
+        session.save(path)
+    resumed = SolverSession.load(path)
+    try:
+        assert resumed.fingerprint == session.fingerprint
+        assert resumed.solve(assumptions=[1, 3]).status is SolveStatus.SAT
+    finally:
+        resumed.close()
+
+
+def test_bmc_step_loads_through_the_kernel():
+    """A BMC step added to a session that has searched and eliminated
+    variables is one ``arena_load`` batch: only a clause naming a
+    variable still eliminated when the kernel reaches it goes to the
+    per-clause reference, which restores that variable."""
+    from repro.bench import _bmc_steps
+    from repro.circuits.sequential import counter_circuit
+
+    steps = _bmc_steps(counter_circuit(4, 12, with_enable=True), 11)
+    config = berkmin_config(restart_interval=10, inprocess_interval=1, seed=3)
+    with SolverSession(None, config, cache=None) as session:
+        for clauses, activation in steps[:-1]:
+            session.add_clauses(clauses)
+            session.solve([activation])
+        solver = session.solver
+        if solver._kernel_load is None:
+            pytest.skip("the C kernels did not load")
+        clauses, activation = steps[-1]
+        eliminated = {variable for variable, _, _ in solver._eliminated}
+        naming = [c for c in clauses if any(abs(lit) in eliminated for lit in c)]
+        assert naming, "test premise: the step names eliminated variables"
+        loads, fallbacks = [], []
+        load, reference = solver._kernel_load, solver._add_clause
+
+        def counted_load(*args):
+            loads.append(args)
+            return load(*args)
+
+        def counted_reference(clause):
+            mark = solver._eliminated_mark
+            fallbacks.append(any(mark[abs(literal)] for literal in clause))
+            return reference(clause)
+
+        solver._kernel_load = counted_load
+        solver._add_clause = counted_reference
+        session.add_clauses(clauses)
+        assert loads and fallbacks and all(fallbacks)
+        assert len(fallbacks) <= len(naming) < len(clauses)
+        assert not any(solver._eliminated_mark[abs(lit)] for c in naming for lit in c)
+        assert session.solve([activation]).status is SolveStatus.UNSAT
 
 
 def test_retention_filters_by_lbd(queens_clauses):

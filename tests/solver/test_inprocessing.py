@@ -370,6 +370,23 @@ def _loaded_state(solver: Solver) -> dict:
     }
 
 
+def _random_batch(rng: random.Random, solver: Solver) -> list[list[int]]:
+    """Clauses to add to a solver that has searched: over its variables
+    and two new ones, with repeats and tautologies, mostly naming a
+    variable elimination took out when there is one."""
+    eliminated = [variable for variable, _, _ in solver._eliminated]
+    batch = []
+    for _ in range(rng.randint(1, 12)):
+        clause = [
+            rng.choice((1, -1)) * rng.randint(1, solver.num_variables + 2)
+            for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4)) or rng.choice((0, 2)))
+        ]
+        if eliminated and rng.random() < 0.7:
+            clause.append(rng.choice((1, -1)) * rng.choice(eliminated))
+        batch.append(clause)
+    return batch
+
+
 def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
     """Loading through ``arena_load``, under ``REPRO_SAT_PURE=1`` and one
     ``add_clause`` at a time must leave the same solver, bit for bit.
@@ -377,9 +394,15 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
     Every default-suite member (two reshuffles each) and a few hundred
     random small formulas, with proof logging on and off; the solves
     that follow must match too (suite members under a conflict budget).
+    Inprocessing runs at every restart, so those solves eliminate
+    variables; a batch added after them (``add_clauses`` with and
+    without the kernels, or one ``add_clause`` at a time) names some of
+    them, and must leave the same solver, and the same next solve,
+    again.  Every proof passes the checker.
     """
     from repro.cnf.shuffle import shuffle_formula
     from repro.experiments.suites import paper_suite
+    from repro.proof import check_rup_proof
 
     rng = random.Random(21)
     cases = [
@@ -390,26 +413,33 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
     ]
     cases += [(_random_load_formula(rng), None) for _ in range(300)]
 
-    def load(formula, way, proof_logging):
-        config = berkmin_config(proof_logging=proof_logging, seed=3)
+    def make(way, proof_logging):
+        config = berkmin_config(
+            proof_logging=proof_logging, seed=3, restart_interval=50, inprocess_interval=1
+        )
         with monkeypatch.context() as patch:
             if way == "pure":
                 patch.setenv("REPRO_SAT_PURE", "1")
-            solver = Solver(config=config)
+            return Solver(config=config)
+
+    def add(solver, way, clauses):
         if way == "clause":
-            solver.ensure_variables(formula.num_variables)
-            for clause in formula.clauses:
+            for clause in clauses:
                 solver.add_clause(clause)
         else:
-            solver.add_formula(formula)
-        return solver
+            solver.add_clauses(clauses)
 
-    kernel_loads = 0
+    ways = ("kernel", "pure", "clause")
+    kernel_loads = eliminated = 0
     for formula, budget in cases:
         for proof_logging in (False, True):
-            solvers = [
-                load(formula, way, proof_logging) for way in ("kernel", "pure", "clause")
-            ]
+            solvers = [make(way, proof_logging) for way in ways]
+            for solver, way in zip(solvers, ways):
+                if way == "clause":
+                    solver.ensure_variables(formula.num_variables)
+                    add(solver, way, formula.clauses)
+                else:
+                    solver.add_formula(formula)
             kernel_loads += solvers[0]._kernel_load is not None
             states = [_loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], formula.clauses[:8]
@@ -417,8 +447,28 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
             assert len({result.status for result in results}) == 1
             states = [_loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], formula.clauses[:8]
+
+            eliminated += bool(solvers[0]._eliminated)
+            batch = _random_batch(rng, solvers[0])
+            for solver, way in zip(solvers, ways):
+                add(solver, way, batch)
+            states = [_loaded_state(solver) for solver in solvers]
+            assert states[0] == states[1] == states[2], batch
+            results = [solver.solve(max_conflicts=budget) for solver in solvers]
+            assert len({result.status for result in results}) == 1
+            states = [_loaded_state(solver) for solver in solvers]
+            assert states[0] == states[1] == states[2], batch
+            if proof_logging:
+                solver = solvers[0]
+                assert check_rup_proof(
+                    CnfFormula(solver._pristine),
+                    solver.proof,
+                    hints=solver.proof_hints,
+                    require_empty_clause=results[0].status is SolveStatus.UNSAT,
+                )
     if load_arena_kernel() is not None:
         assert kernel_loads == 2 * len(cases)
+    assert eliminated >= 40  # the batches do meet eliminated variables
 
 
 def test_every_preset_runs_the_c_kernels():
