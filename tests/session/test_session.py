@@ -139,6 +139,23 @@ def test_rejected_clause_leaves_no_trace(tmp_path):
         resumed.close()
 
 
+def test_session_whose_top_variable_is_in_a_tautology_reloads_warm(tmp_path):
+    """Loading and re-adding size the solver alike: the tables cover a
+    variable that only a tautology names either way, so the saved
+    snapshot fits the reloaded session."""
+    import warnings
+
+    path = tmp_path / "session.rsck"
+    with SolverSession([[2, 3], [4, -4]]) as session:
+        session.solve()
+        session.save(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resumed = SolverSession.load(path)
+    assert resumed.solver.num_variables == session.solver.num_variables == 4
+    resumed.close()
+
+
 def test_bmc_step_loads_through_the_kernel():
     """A BMC step added to a session that has searched and eliminated
     variables is one ``arena_load`` batch: only a clause naming a
