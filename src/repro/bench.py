@@ -8,7 +8,7 @@ each.  Every UNSAT instance is solved once more at
 reported next to the search time.
 
 The harness doubles as a correctness gate: every SAT model is verified
-(``solve(verify=True)`` raises on a bad model), every UNSAT proof must
+(``solve()`` raises on a bad model), every UNSAT proof must
 pass the checker, and the agreement stage
 solves two small pinned instances under every paper configuration and
 checks each status against the independent DPLL baseline
@@ -238,7 +238,7 @@ def check_config_agreement(config_names=None) -> dict:
         "instances": [instance.name for instance in _AGREEMENT_INSTANCES],
         "pairs_checked": checked,
         "statuses_match_oracle": True,  # every status equals DPLL's
-        "models_verified": True,  # solve(verify=True) raises on a bad model
+        "models_verified": True,  # solve() raises on a bad model
     }
 
 

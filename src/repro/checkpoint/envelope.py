@@ -44,7 +44,7 @@ from repro.checkpoint.io import atomic_write_bytes
 #: First four bytes of every checkpoint file ("Repro-Sat ChecKpoint").
 CHECKPOINT_MAGIC = b"RSCK"
 #: Current format version; bump on any payload-schema break.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct("<4sHHQI")  # magic, version, flags, length, payload CRC
 _HEADER_CRC = struct.Struct("<I")

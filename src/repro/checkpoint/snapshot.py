@@ -41,7 +41,7 @@ import hashlib
 import os
 import warnings
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from repro.checkpoint.envelope import (
@@ -50,7 +50,7 @@ from repro.checkpoint.envelope import (
     write_checkpoint_file,
 )
 from repro.cnf.literals import FALSE, TRUE, UNASSIGNED
-from repro.solver.solver import NO_PROOF_ID
+from repro.solver.solver import MAX_VARIABLES
 from repro.solver.stats import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -140,23 +140,17 @@ class SolverSnapshot:
     #: DRUP trace carried across the resume (``None`` when logging was off).
     proof: list[tuple[str, list[int]]] | None
     #: LBD stamped on each learned clause at conflict time, parallel to
-    #: :attr:`learned` (0 = never measured).  Checkpoints written before
-    #: LBD tracking restore as all zeros.
-    learned_lbd: list[int] = field(default_factory=list)
+    #: :attr:`learned` (0 = never measured).
+    learned_lbd: list[int]
     #: The live post-inprocessing original database and the
     #: eliminated-variable stack for model reconstruction, with their
-    #: proof ids.  ``None`` in checkpoints written without it; those
-    #: restore over the pristine formula, which implies every clause the
-    #: payload would carry, so the resume stays sound, just cold on the
-    #: inprocessing work.
-    arena: dict | None = None
+    #: proof ids.
+    arena: dict
     #: The proof id of each learned clause, parallel to :attr:`learned`.
-    #: Checkpoints written without them restore as
-    #: :data:`~repro.solver.solver.NO_PROOF_ID`, which only costs the
-    #: checker its hints.
-    learned_ids: list[int] = field(default_factory=list)
-    #: The hints beside :attr:`proof`, one entry per step.
-    proof_hints: list[list[int] | None] | None = None
+    learned_ids: list[int]
+    #: The hints beside :attr:`proof`, one entry per step (``None`` with
+    #: no proof).
+    proof_hints: list[list[int] | None] | None
 
     @property
     def conflicts(self) -> int:
@@ -210,11 +204,11 @@ class SolverSnapshot:
                 birth_counter=int(payload["birth_counter"]),
                 rng_state=payload["rng_state"],
                 stats=dict(payload["stats"]),
-                proof=payload.get("proof"),
-                learned_lbd=[int(v) for v in payload.get("learned_lbd") or []],
-                arena=payload.get("arena"),
-                learned_ids=[int(v) for v in payload.get("learned_ids") or []],
-                proof_hints=_hint_rows(payload.get("proof_hints")),
+                proof=payload["proof"],
+                learned_lbd=[int(v) for v in payload["learned_lbd"]],
+                arena=payload["arena"],
+                learned_ids=[int(v) for v in payload["learned_ids"]],
+                proof_hints=_hint_rows(payload["proof_hints"]),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(f"malformed snapshot payload: {error}") from error
@@ -277,9 +271,11 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
     Returns True on a warm resume; returns False — after a
     :class:`CheckpointWarning` — whenever the snapshot does not fit
     (wrong formula, wrong sizes, undecodable RNG state), leaving the
-    solver in its pristine cold-start state.  Raises :class:`ValueError`
-    only for caller errors: resuming onto a solver that has already
-    searched or carries foreign learned clauses.
+    solver in its pristine cold-start state.  A snapshot of the same
+    formula whose solver had grown past the formula's variables (an
+    assumption or a solve named a new one) grows ``solver`` to match.
+    Raises :class:`ValueError` only for caller errors: resuming onto a
+    solver that has already searched or carries foreign learned clauses.
     """
     if solver.learned or solver.stats.conflicts or solver.stats.decisions:
         raise ValueError(
@@ -295,19 +291,19 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
             "checkpoint belongs to a different formula "
             f"(hash {snapshot.formula_hash[:12]}…)"
         )
-    if snapshot.num_variables != solver.num_variables:
+    if not solver.num_variables <= snapshot.num_variables <= MAX_VARIABLES:
         return _cold_start(
             f"variable count mismatch ({snapshot.num_variables} in checkpoint, "
             f"{solver.num_variables} in formula)"
         )
-    per_variable = solver.num_variables + 1
+    per_variable = snapshot.num_variables + 1
     per_literal = 2 * per_variable
     if (
         len(snapshot.var_activity) != per_variable
         or len(snapshot.lit_activity) != per_literal
         or len(snapshot.vsids) != per_literal
     ):
-        return _cold_start("activity table sizes do not match the formula")
+        return _cold_start("activity table sizes do not match the variable count")
     maximum_literal = per_literal - 1
     for literal in snapshot.level0_trail:
         if not 2 <= literal <= maximum_literal:
@@ -317,25 +313,30 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
             return _cold_start("learned clause shorter than two literals")
         if any(not 2 <= literal <= maximum_literal for literal in literals):
             return _cold_start("learned clause literal out of range")
+    learned_count = len(snapshot.learned)
+    if not len(snapshot.learned_lbd) == len(snapshot.learned_ids) == learned_count:
+        return _cold_start("learned clause LBDs or proof ids do not match the clauses")
     if not _proof_ids_fit(snapshot.learned_ids):
         return _cold_start("learned clause proof id out of range")
+    if snapshot.proof is not None and (
+        snapshot.proof_hints is None or len(snapshot.proof_hints) != len(snapshot.proof)
+    ):
+        return _cold_start("proof hints do not match the proof")
     try:
         probe = solver.rng.__class__()
         probe.setstate(_as_rng_state(snapshot.rng_state))
     except (TypeError, ValueError) as error:
         return _cold_start(f"undecodable RNG state ({error})")
-    install_arena = snapshot.arena is not None
-    if install_arena:
-        defect = _validate_arena_payload(snapshot.arena, maximum_literal)
-        if defect is not None:
-            return _cold_start(defect)
+    defect = _validate_arena_payload(snapshot.arena, maximum_literal)
+    if defect is not None:
+        return _cold_start(defect)
 
-    # ---- inprocessed database ----------------------------------------
+    # ---- tables and inprocessed database -----------------------------
     # The snapshot's database may differ from the pristine formula's
     # (inprocessing eliminated variables and swapped in resolvents);
     # swap it in before any clause-dependent work below.
-    if install_arena:
-        solver._install_arena_state(snapshot.arena)
+    solver.ensure_variables(snapshot.num_variables)
+    solver._install_arena_state(snapshot.arena)
 
     # ---- heuristic memory --------------------------------------------
     # Slice-assign in place: anything holding a reference to these
@@ -366,10 +367,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
             solver.proof_hints = None
         else:
             solver.proof = [(op, list(literals)) for op, literals in snapshot.proof]
-            hints = snapshot.proof_hints
-            if hints is None or len(hints) != len(solver.proof):  # no hints saved
-                hints = [None] * len(solver.proof)
-            solver.proof_hints = _hint_rows(hints)
+            solver.proof_hints = _hint_rows(snapshot.proof_hints)
 
     # ---- permanent assignments ---------------------------------------
     # The snapshot's level-0 trail is a propagation fixpoint of the
@@ -391,11 +389,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
     # ---- learned clauses ---------------------------------------------
     lit_value = solver.lit_value
     lbds = snapshot.learned_lbd
-    if len(lbds) != len(snapshot.learned):  # pre-LBD checkpoint
-        lbds = [0] * len(snapshot.learned)
     proof_ids = snapshot.learned_ids
-    if len(proof_ids) != len(snapshot.learned):  # checkpoint without proof ids
-        proof_ids = [NO_PROOF_ID] * len(snapshot.learned)
     for position, (literals, activity, birth, protected) in enumerate(snapshot.learned):
         ordered = list(literals)
         # Records watch positions 0 and 1; under the restored
@@ -483,16 +477,15 @@ def _validate_arena_payload(payload, maximum_literal: int) -> str | None:
             return "arena eliminated variable out of range"
         if not isinstance(stored, list):
             return "arena eliminated clause list malformed"
-    # Proof ids are optional (absent in older checkpoints) but must match.
     active_ids = payload.get("active_ids")
-    if active_ids is not None and not (
+    if not (
         isinstance(active_ids, list)
         and len(active_ids) == len(active)
         and _proof_ids_fit(active_ids)
     ):
         return "arena active proof ids malformed"
     eliminated_ids = payload.get("eliminated_ids")
-    if eliminated_ids is not None and not (
+    if not (
         isinstance(eliminated_ids, list)
         and len(eliminated_ids) == len(eliminated)
         and all(

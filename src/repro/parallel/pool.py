@@ -128,8 +128,6 @@ class Job:
     #: Completion callback ``fn(job)`` invoked (inside :meth:`poll`)
     #: exactly once, after ``job.result`` is set.
     on_done: object | None = None
-    #: Key used for fault-plan lookups (defaults to ``job_id``).
-    fault_key: int | None = None
     #: Opaque formula identity for the caller (e.g. the service's
     #: canonical fingerprint feeding its circuit breaker).
     fingerprint: str | None = None
@@ -211,7 +209,7 @@ class JobPool:
         stall_seconds: heartbeat watchdog window (None disables).
         max_memory_mb: per-worker ``RLIMIT_AS`` ceiling.
         fault_plan: deterministic fault injection (lookups keyed by
-            ``job.fault_key``).
+            ``job.job_id``).
         checkpoint_interval: conflicts between periodic checkpoint
             writes for jobs that carry a ``checkpoint_path``.
         trace: optional :class:`~repro.observability.TraceSink`, the
@@ -278,8 +276,6 @@ class JobPool:
             raise RuntimeError("this JobPool is draining; no new jobs")
         if job.job_id in self.jobs:
             raise ValueError(f"duplicate job_id {job.job_id}")
-        if job.fault_key is None:
-            job.fault_key = job.job_id
         self.jobs[job.job_id] = job
         self.pending.append(job)
         return job
@@ -613,7 +609,7 @@ class JobPool:
             remaining = job.kill_at - now
             limits["max_seconds"] = max(min(limits["max_seconds"], remaining), 0.01)
         fault = (
-            self.fault_plan.lookup(job.fault_key, attempt)
+            self.fault_plan.lookup(job.job_id, attempt)
             if self.fault_plan is not None
             else None
         )

@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections.abc import Iterable, Sequence
-from itertools import chain, islice
+from itertools import islice
 
 from repro.checkpoint.envelope import read_checkpoint_file, write_checkpoint_file
 from repro.checkpoint.snapshot import (
@@ -254,14 +254,13 @@ class SolverSession:
 
         The clause lists are the copies the solver made as each clause
         was added, so they are shared rather than copied again, and
-        their literals are not re-checked; ``num_variables`` is the
-        largest variable named, as :class:`CnfFormula` would count it.
+        their literals are not re-checked.  ``num_variables`` is the
+        solver's, which bounds every variable a clause names (the
+        checkers only size their tables by it), so no call pays a pass
+        over the literals.
         """
-        pristine = self.solver._pristine
         formula = CnfFormula.__new__(CnfFormula)
-        formula.__setstate__(
-            (max(map(abs, chain.from_iterable(pristine)), default=0), "", pristine)
-        )
+        formula.__setstate__((self.solver.num_variables, "", self.solver._pristine))
         return formula
 
     def unsat_core(self) -> list[int] | None:
@@ -354,7 +353,7 @@ class SolverSession:
             None,
             config,
             cache=cache,
-            retain_max_lbd=meta.get("retain_max_lbd", DEFAULT_RETAIN_MAX_LBD),
+            retain_max_lbd=meta["retain_max_lbd"],
         )
         session.solver.add_clauses(meta["pristine"])
         restore_snapshot(session.solver, SolverSnapshot.from_payload(payload["solver"]))

@@ -414,7 +414,7 @@ static int32_t analyze(
 
 /* Link both watch slots of one record at the head of their literals'
  * chains, each blocker seeded with the companion watch (Python's
- * Solver._attach_ref, minus the binary implication lists).
+ * Solver._attach_ref).
  */
 static void attach(int32_t *arena, int32_t *watch_head, int32_t ref)
 {
@@ -429,28 +429,12 @@ static void attach(int32_t *arena, int32_t *watch_head, int32_t ref)
 }
 
 /* Thread the watches of refs[0 .. count) in order (the rebuild after a
- * database reduction or an arena GC).  The literal pair of every binary
- * record goes to `pairs`; returns the number of pairs, which the caller
- * appends to its binary implication lists.
+ * database reduction or an arena GC).
  */
-int32_t arena_attach(
-    int32_t *arena,
-    int32_t *watch_head,
-    int32_t *refs,
-    int32_t count,
-    int32_t *pairs)
+void arena_attach(int32_t *arena, int32_t *watch_head, int32_t *refs, int32_t count)
 {
-    int32_t binaries = 0;
-    for (int32_t index = 0; index < count; index++) {
-        int32_t ref = refs[index];
-        attach(arena, watch_head, ref);
-        if (arena[ref] == 2) {
-            pairs[2 * binaries] = arena[ref + HDR];
-            pairs[2 * binaries + 1] = arena[ref + HDR + 1];
-            binaries++;
-        }
-    }
-    return binaries;
+    for (int32_t index = 0; index < count; index++)
+        attach(arena, watch_head, refs[index]);
 }
 
 /* Load clauses first .. count-1 of a batch at decision level 0, doing
@@ -476,10 +460,9 @@ int32_t arena_attach(
  * `index`, the proof's id of an input clause), the assigned unit
  * literals in `units` (the trail's continuation), the refs of records
  * shorter than their input clause in `shortened` (each needs a proof
- * line), the literal pairs of binary records in `pairs`, and in
- * out[0 .. 5) the new arena length and the counts of refs, units,
- * shortened refs and pairs; out[5] is the offset in `lits` of the clause
- * the scan stopped at.
+ * line), and in out[0 .. 4) the new arena length and the counts of
+ * refs, units and shortened refs; out[4] is the offset in `lits` of the
+ * clause the scan stopped at.
  */
 int32_t arena_load(
     const struct tables *t,
@@ -497,14 +480,13 @@ int32_t arena_load(
     int32_t *ids,
     int32_t *units,
     int32_t *shortened,
-    int32_t *pairs,
     int32_t *out)
 {
     int32_t *watch_head = t->watch_head;
     int32_t *lit_value = t->lit_value;
     int32_t *seen = t->seen;
     uint8_t *eliminated = t->eliminated;
-    int32_t ref_count = 0, unit_count = 0, short_count = 0, pair_count = 0;
+    int32_t ref_count = 0, unit_count = 0, short_count = 0;
     int32_t clause = first;
 
     for (; clause < count; clause++) {
@@ -585,11 +567,6 @@ int32_t arena_load(
         arena[ref + 2] = act_idx++;
         arena[ref + 3] = 2;
         attach(arena, watch_head, ref);
-        if (remaining == 2) {
-            pairs[2 * pair_count] = body[0];
-            pairs[2 * pair_count + 1] = body[1];
-            pair_count++;
-        }
         ids[ref_count] = id_base - clause;
         refs[ref_count++] = ref;
         arena_len = ref + HDR + remaining;
@@ -599,8 +576,7 @@ int32_t arena_load(
     out[1] = ref_count;
     out[2] = unit_count;
     out[3] = short_count;
-    out[4] = pair_count;
-    out[5] = offset;
+    out[4] = offset;
     return clause;
 }
 
@@ -680,6 +656,57 @@ static int32_t decide(
     return best;
 }
 
+/* The number of live binary records on `literal`'s watch chain, newest
+ * first (a binary record's watch nodes never move); its partners in the
+ * first `room` of them go to partners[0 ..).
+ */
+static int64_t binaries(
+    const int32_t *arena,
+    const int32_t *watch_head,
+    int32_t literal,
+    int32_t *partners,
+    int64_t room)
+{
+    int64_t count = 0;
+    for (int32_t node = watch_head[literal]; node != -1;) {
+        int32_t ref = node >> 1;
+        int32_t slot = node & 1;
+        if (arena[ref] == 2 && !(arena[ref + 1] & FLAG_DEAD)) {
+            if (count < room)
+                partners[count] = arena[ref + HDR + 1 - slot];
+            count++;
+        }
+        node = arena[ref + 4 + 2 * slot];
+    }
+    return count;
+}
+
+/* BerkMin's nb_two cost of `literal` (phase.nb_two, the reference): its
+ * binary records, plus for each partner v the binary records of the
+ * complement of v, summed oldest record first and stopped once past
+ * `threshold`.  The partners are kept in t->implied; returns -1 when
+ * more of them would have to be kept than its num_variables + 2 words.
+ */
+static int64_t nb_two(
+    const struct tables *t,
+    const int32_t *arena,
+    int32_t literal,
+    int64_t threshold,
+    int32_t num_variables)
+{
+    int32_t *partners = t->implied;
+    int64_t room = (int64_t) num_variables + 2;
+    int64_t count = binaries(arena, t->watch_head, literal, partners, room);
+    if (count > threshold)
+        return count;
+    if (count > room)
+        return -1;
+    int64_t total = count;
+    for (int64_t index = count - 1; index >= 0 && total <= threshold; index--)
+        total += binaries(arena, t->watch_head, partners[index] ^ 1, partners, 0);
+    return total;
+}
+
 /* The search loop (Solver.solve's, whose pure-Python steps are the
  * reference) runs until an event the solver must handle.  The state it
  * reads and leaves is one int64 vector shared with the solver, indexed
@@ -712,6 +739,7 @@ enum {
     S_NUM_CLAUSES,          /* in: live original records */
     S_NUM_VARIABLES,        /* in */
     S_WINDOW,               /* in: config.top_clause_window */
+    S_NB_TWO_THRESHOLD,     /* in: config.nb_two_threshold */
     S_ASSUMPTIONS,          /* in: assumption levels of this solve call */
     S_CONFLICT_STOP,        /* in: exit after the conflict reaching this count */
     S_DECISION_STOP,        /* in: exit before a decision at this count */
@@ -723,11 +751,10 @@ enum {
     S_ARENA_ROOM,
     S_RECORD_ROOM,
     S_LOG_ROOM,
-    S_PAIR_ROOM,
     S_SKIN_ROOM,
     S_LOG_LEN,              /* out: words written to each log this call */
-    S_PAIR_LEN,
     S_SKIN_LEN,
+    S_FORMULA_DECISIONS,    /* out: formula-level decisions this call */
     S_CHOICE,               /* out: what EXIT_CHOOSE asks for (CHOOSE_*) */
     S_VARIABLE,             /* out: its variable and, for CHOOSE_TOP, */
     S_REF,                  /*      the top clause the variable was met in */
@@ -759,10 +786,11 @@ enum {
 enum { RESUME_TOP, RESUME_DECIDE, RESUME_DECISION, RESUME_ASSUME };
 
 /* What EXIT_CHOOSE asks for: the phase on S_VARIABLE of top clause S_REF
- * (Section 7), the formula-level phase of S_VARIABLE, or a whole decision
+ * (Section 7), the formula-level phase of S_VARIABLE, the draw between
+ * the phases of S_VARIABLE, whose nb_two costs tie, or a whole decision
  * under a strategy the loop does not run (vsids, random).
  */
-enum { CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_STRATEGY };
+enum { CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_TIE, CHOOSE_STRATEGY };
 
 /* S_OPTIONS bits; the low three are analyze's options. */
 #define OPT_BUMP_RESPONSIBLE 1  /* var_activity bumps over responsible clauses */
@@ -773,6 +801,7 @@ enum { CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_STRATEGY };
 #define OPT_SYMMETRIZE 32  /* the symmetrize phase runs here */
 #define OPT_STEP 64        /* exit after every conflict and decision */
 #define OPT_SHARE 128      /* exit before a decision at level 0 */
+#define OPT_NB_TWO 256     /* the nb_two formula phase runs here */
 
 #define LBD_SHIFT 3
 #define NO_PROOF_ID 2147483647
@@ -790,7 +819,6 @@ struct room {
     int32_t *clause_id;
     int32_t *clause_birth;
     int32_t *proof_log;  /* per learnt clause: size, hint count, literals, hints */
-    int32_t *pairs;      /* the literal pairs of learnt binary records */
     int32_t *skin;       /* the skin distance of every top-clause decision */
 };
 
@@ -801,8 +829,9 @@ struct room {
  * Solver._record_learned does: the proof-log entry, then a unit at the
  * backjump level, or the record, its watches, its side-array entries and
  * its asserting literal.  At a fixpoint the loop decides: the berkmin or
- * global scan (decide), then the symmetrize phase, and enqueues the
- * literal at a new level.  It returns before the pass when a room buffer
+ * global scan (decide), then the symmetrize phase on a top clause or the
+ * nb_two phase at the formula level, and enqueues the literal at a new
+ * level.  It returns before the pass when a room buffer
  * could not take one more worst-case step, and at every event listed
  * under EXIT_*, leaving the state as the reference steps leave it there.
  */
@@ -816,6 +845,7 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
     const int32_t options = (int32_t) s[S_OPTIONS];
     const int32_t num_variables = (int32_t) s[S_NUM_VARIABLES];
     const int32_t window = (int32_t) s[S_WINDOW];
+    const int64_t threshold = s[S_NB_TWO_THRESHOLD];
     const int32_t assumptions = (int32_t) s[S_ASSUMPTIONS];
     const int64_t num_clauses = s[S_NUM_CLAUSES];
     const int64_t conflict_stop = s[S_CONFLICT_STOP];
@@ -844,7 +874,7 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
     int64_t max_level = s[S_MAX_LEVEL];
     int64_t peak = s[S_PEAK_CLAUSES];
     int64_t proof_step = s[S_PROOF_STEP];
-    int64_t log_len = 0, pair_len = 0, skin_len = 0;
+    int64_t log_len = 0, skin_len = 0, formula_decisions = 0;
     int32_t code;
 
     for (;; resume = RESUME_TOP) {
@@ -859,7 +889,6 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
                     || s[S_LEARNED_ROOM] - learned_len < 1
                     || s[S_RECORD_ROOM] - records < 1
                     || s[S_LOG_ROOM] - log_len < log_words
-                    || s[S_PAIR_ROOM] - pair_len < 2
                     || s[S_SKIN_ROOM] - skin_len < 1) {
                 code = EXIT_ROOM;
                 break;
@@ -925,10 +954,6 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
                     r->clause_birth[records] = (int32_t) birth++;
                     records++;
                     learned[learned_len++] = ref;
-                    if (size == 2) {
-                        r->pairs[pair_len++] = learnt[0];
-                        r->pairs[pair_len++] = learnt[1];
-                    }
                     assign(t, trail, &trail_len, learnt[0], ref, levels);
                     propagations++;
                 }
@@ -962,6 +987,7 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
             int32_t topmost, ref;
             int32_t variable = decide(
                 t, arena, learned, start, window, num_variables, &topmost, &ref);
+            literal = -1;
             if (topmost < 0) {
                 if (options & OPT_TOP_CLAUSE)
                     cursor = -1;
@@ -970,30 +996,44 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
                     code = EXIT_SAT;
                     break;
                 }
+                formula_decisions++;
                 s[S_CHOICE] = CHOOSE_FORMULA;
-                s[S_VARIABLE] = variable;
-                code = EXIT_CHOOSE;
-                break;
-            }
-            cursor = topmost;
-            top_decisions++;
-            r->skin[skin_len++] = top - topmost;
-            s[S_DISTANCE] = top - topmost;
-            literal = -1;
-            if ((options & OPT_SYMMETRIZE) && variable >= 0) {
-                /* Branch first on the value whose refutation would raise
-                 * the less active literal's count (Section 7). */
-                double positive = t->lit_activity[2 * variable];
-                double negative = t->lit_activity[2 * variable + 1];
-                if (positive < negative)
-                    literal = 2 * variable + 1;
-                else if (negative < positive)
-                    literal = 2 * variable;
-            }
-            if (literal < 0) { /* a tie draws from the solver's rng */
+                if (options & OPT_NB_TWO) {
+                    /* Falsify the literal with the larger cost, so that
+                     * the branch propagates the most (Section 7).  The
+                     * solver draws on a tie, and scores a literal with
+                     * too many partners to keep itself. */
+                    int64_t positive = nb_two(t, arena, 2 * variable, threshold, num_variables);
+                    int64_t negative = nb_two(t, arena, 2 * variable + 1, threshold, num_variables);
+                    if (positive >= 0 && negative >= 0) {
+                        if (positive > negative)
+                            literal = 2 * variable + 1;
+                        else if (negative > positive)
+                            literal = 2 * variable;
+                        else
+                            s[S_CHOICE] = CHOOSE_TIE;
+                    }
+                }
+            } else {
+                cursor = topmost;
+                top_decisions++;
+                r->skin[skin_len++] = top - topmost;
+                s[S_DISTANCE] = top - topmost;
                 s[S_CHOICE] = CHOOSE_TOP;
-                s[S_VARIABLE] = variable;
                 s[S_REF] = ref;
+                if ((options & OPT_SYMMETRIZE) && variable >= 0) {
+                    /* Branch first on the value whose refutation would
+                     * raise the less active literal's count (Section 7). */
+                    double positive = t->lit_activity[2 * variable];
+                    double negative = t->lit_activity[2 * variable + 1];
+                    if (positive < negative)
+                        literal = 2 * variable + 1;
+                    else if (negative < positive)
+                        literal = 2 * variable;
+                }
+            }
+            if (literal < 0) { /* the solver chooses, as S_CHOICE says */
+                s[S_VARIABLE] = variable;
                 code = EXIT_CHOOSE;
                 break;
             }
@@ -1029,7 +1069,7 @@ int32_t arena_search(const struct tables *t, const struct room *r, int64_t *s)
     s[S_PEAK_CLAUSES] = peak;
     s[S_PROOF_STEP] = proof_step;
     s[S_LOG_LEN] = log_len;
-    s[S_PAIR_LEN] = pair_len;
     s[S_SKIN_LEN] = skin_len;
+    s[S_FORMULA_DECISIONS] = formula_decisions;
     return code;
 }

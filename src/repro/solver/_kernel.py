@@ -1,13 +1,13 @@
 """Build-on-demand loader for the solver's C kernels.
 
 The engine's search loop (propagation, conflict analysis through
-backtrack, clause recording, the BerkMin decision scan and the
-symmetrized phase), and its propagation, backtracking, clause loading
-and watch-rebuilding steps, have C twins (``_arena_kernel.c``) that run
-over the very same ``array`` buffers — same record layout, same watch
-chains, same circular replacement scan — so a solve produces an
-identical trajectory and a load the identical state whether or not the
-kernels are available.  This module compiles it once per source
+backtrack, clause recording, the BerkMin decision scan, the
+symmetrized and ``nb_two`` phases), and its propagation, backtracking,
+clause loading and watch-rebuilding steps, have C twins
+(``_arena_kernel.c``) that run over the very same ``array`` buffers —
+same record layout, same watch chains, same circular replacement scan
+— so a solve produces an identical trajectory and a load the identical
+state whether or not the kernels are available.  This module compiles it once per source
 revision with the system C compiler into a cached shared object and
 hands back its ``ctypes`` entry points.
 
@@ -73,7 +73,7 @@ TABLE_FIELDS = (
 
 #: The solver attributes behind the fields of ``struct room``: the
 #: buffers ``arena_search`` appends to, padded with room while a search
-#: runs, then its proof-log, binary-pair and skin-distance logs.
+#: runs, then its proof-log and skin-distance logs.
 ROOM_FIELDS = (
     "arena",
     "trail",
@@ -83,7 +83,6 @@ ROOM_FIELDS = (
     "clause_id",
     "clause_birth",
     "_proof_log",
-    "_pair_log",
     "_skin_log",
 )
 
@@ -95,11 +94,11 @@ ROOM_FIELDS = (
     S_CURSOR, S_BIRTH,
     S_CONFLICTS, S_DECISIONS, S_PROPAGATIONS, S_LEARNED_TOTAL, S_LEARNED_UNITS,
     S_TOP_DECISIONS, S_MAX_LEVEL, S_PEAK_CLAUSES,
-    S_PROOF_STEP, S_NUM_CLAUSES, S_NUM_VARIABLES, S_WINDOW, S_ASSUMPTIONS,
-    S_CONFLICT_STOP, S_DECISION_STOP, S_BASE_DECISIONS, S_CLAUSE_STOP,
+    S_PROOF_STEP, S_NUM_CLAUSES, S_NUM_VARIABLES, S_WINDOW, S_NB_TWO_THRESHOLD,
+    S_ASSUMPTIONS, S_CONFLICT_STOP, S_DECISION_STOP, S_BASE_DECISIONS, S_CLAUSE_STOP,
     S_TRAIL_ROOM, S_LEVEL_ROOM, S_LEARNED_ROOM, S_ARENA_ROOM, S_RECORD_ROOM,
-    S_LOG_ROOM, S_PAIR_ROOM, S_SKIN_ROOM,
-    S_LOG_LEN, S_PAIR_LEN, S_SKIN_LEN,
+    S_LOG_ROOM, S_SKIN_ROOM,
+    S_LOG_LEN, S_SKIN_LEN, S_FORMULA_DECISIONS,
     S_CHOICE, S_VARIABLE, S_REF, S_DISTANCE,
     S_CONFLICT_LEVEL, S_LEARNT_SIZE, S_LBD, S_BACKJUMP,
     S_WORDS,
@@ -111,7 +110,7 @@ ROOM_FIELDS = (
     EXIT_DECIDED, EXIT_ROOM, EXIT_NO_REASON,
 ) = range(8)
 RESUME_TOP, RESUME_DECIDE, RESUME_DECISION, RESUME_ASSUME = range(4)
-CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_STRATEGY = range(3)
+CHOOSE_TOP, CHOOSE_FORMULA, CHOOSE_TIE, CHOOSE_STRATEGY = range(4)
 OPT_BUMP_RESPONSIBLE = 1
 OPT_MINIMIZE = 2
 OPT_HINTS = 4
@@ -120,6 +119,7 @@ OPT_DECIDE = 16
 OPT_SYMMETRIZE = 32
 OPT_STEP = 64
 OPT_SHARE = 128
+OPT_NB_TWO = 256
 
 
 class AddressTable:
@@ -190,12 +190,12 @@ def _build_and_load():
     backtrack.restype = None
     load = handle.arena_load
     load.argtypes = (
-        [pointer] * 3 + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 6
+        [pointer] * 3 + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 5
     )
     load.restype = int32
     attach = handle.arena_attach
-    attach.argtypes = [pointer, pointer, pointer, int32, pointer]
-    attach.restype = int32
+    attach.argtypes = [pointer, pointer, pointer, int32]
+    attach.restype = None
     return ArenaKernel(propagate, search, backtrack, load, attach)
 
 

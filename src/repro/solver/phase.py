@@ -11,7 +11,9 @@ read the clause record, so they live with the engine as
 decisions (every conflict clause satisfied), implemented here, maximize
 expected BCP power through the ``nb_two`` cost function — a count of
 binary clauses in the literal's neighbourhood — and falsify the literal
-with the larger value.
+with the larger value, read off the watch chains
+(:meth:`repro.solver.solver.Solver._binary_partners`).  This is the
+pure-Python reference of the C search loop's own ``nb_two`` phase.
 """
 
 from __future__ import annotations
@@ -33,12 +35,9 @@ def formula_literal(solver: "Solver", variable: int) -> int:
     if heuristic == cfg.FORMULA_PHASE_NB_TWO:
         positive_score = nb_two(solver, positive)
         negative_score = nb_two(solver, negative)
-        if positive_score > negative_score:
-            falsified = positive
-        elif negative_score > positive_score:
-            falsified = negative
-        else:
-            falsified = solver.rng.choice((positive, negative))
+        if positive_score == negative_score:
+            return nb_two_tie(solver, variable)
+        falsified = positive if positive_score > negative_score else negative
         # Assign the value that sets the chosen literal to 0, i.e. make its
         # complement true: that is what maximizes immediate BCP.
         return falsified ^ 1
@@ -52,6 +51,13 @@ def formula_literal(solver: "Solver", variable: int) -> int:
     raise ValueError(f"unknown formula phase heuristic {heuristic!r}")
 
 
+def nb_two_tie(solver: "Solver", variable: int) -> int:
+    """The first branch on ``variable`` when its literals' ``nb_two`` tie:
+    falsify one drawn from the solver's rng."""
+    positive = 2 * variable
+    return solver.rng.choice((positive, positive + 1)) ^ 1
+
+
 def nb_two(solver: "Solver", literal: int) -> int:
     """BerkMin's binary-clause neighbourhood cost function.
 
@@ -60,16 +66,16 @@ def nb_two(solver: "Solver", literal: int) -> int:
     a one-step estimate of the unit propagations triggered by setting
     ``l`` to 0.  Computation stops once the paper's threshold (default
     100) is exceeded, since past that point the exact value no longer
-    changes the comparison.
+    changes the comparison; that exit makes the value depend on the
+    order of the sum, oldest record first in both engines.
     """
     threshold = solver.config.nb_two_threshold
-    implications = solver.binary_implications
-    partners = implications[literal]
+    partners = solver._binary_partners(literal)
     total = len(partners)
     if total > threshold:
         return total
     for other in partners:
-        total += len(implications[other ^ 1])
+        total += len(solver._binary_partners(other ^ 1))
         if total > threshold:
             return total
     return total

@@ -126,6 +126,7 @@ from repro.cnf.simplify import clean_clause
 from repro.solver import config as cfg
 from repro.solver._kernel import (
     CHOOSE_FORMULA,
+    CHOOSE_TIE,
     CHOOSE_TOP,
     EXIT_CHOOSE,
     EXIT_CONFLICT,
@@ -138,6 +139,7 @@ from repro.solver._kernel import (
     OPT_DECIDE,
     OPT_HINTS,
     OPT_MINIMIZE,
+    OPT_NB_TWO,
     OPT_SHARE,
     OPT_STEP,
     OPT_SYMMETRIZE,
@@ -160,16 +162,17 @@ from repro.solver._kernel import (
     S_CURSOR,
     S_DECISION_STOP,
     S_DISTANCE,
+    S_FORMULA_DECISIONS,
     S_LBD,
     S_LEARNED_LEN,
     S_LEARNT_SIZE,
     S_LEVELS,
     S_LITERAL,
     S_LOG_LEN,
+    S_NB_TWO_THRESHOLD,
     S_NUM_CLAUSES,
     S_NUM_VARIABLES,
     S_OPTIONS,
-    S_PAIR_LEN,
     S_PEAK_CLAUSES,
     S_PROOF_STEP,
     S_QHEAD,
@@ -193,7 +196,7 @@ from repro.solver.config import (
     SolverConfig,
     berkmin_config,
 )
-from repro.solver.phase import formula_literal
+from repro.solver.phase import formula_literal, nb_two_tie
 from repro.solver.restart import RestartScheduler
 from repro.solver.result import SolveResult, SolveStatus
 from repro.solver.stats import SolverStats
@@ -209,6 +212,9 @@ _LBD_SHIFT = 3
 NO_PROOF_ID = 2**31 - 1
 #: A count no search reaches: the search state's "no budget" bound.
 _NEVER = 2**62
+#: The largest variable the solver takes: the encoded literals of larger
+#: ones (2 * variable + 1) do not fit its int32 buffers.
+MAX_VARIABLES = 2**30 - 1
 
 
 def _count_at(bound, strict: bool = False) -> int:
@@ -237,9 +243,8 @@ class Solver:
     #: per-record side arrays (entries) whenever it runs out.
     _ROOM_WORDS = 1 << 16
     _ROOM_RECORDS = 1 << 10
-    #: Length of the binary-pair and skin-distance logs; the search loop
-    #: exits at least every 128 conflicts and 512 decisions, so they
-    #: rarely fill.
+    #: Length of the skin-distance log; the search loop exits at least
+    #: every 512 decisions, so it never fills.
     _LOG_WORDS = 1 << 11
 
     def __init__(
@@ -277,10 +282,6 @@ class Solver:
         # watch_head[q] heads literal q's chain of watch nodes
         # ((ref << 1) | slot); the chain links live inside the records.
         self.watch_head = array("i", [-1, -1])
-        # binary_implications[q] lists the partners of q in binary
-        # clauses — the occurrence index behind the nb_two phase
-        # heuristic (binary records propagate through the chains).
-        self.binary_implications: list[list[int]] = [[], []]
 
         self.trail = array("i")  # encoded literals in assignment order
         self.trail_limits = array("i")  # trail index at each decision level
@@ -343,7 +344,6 @@ class Solver:
         self._search_options = 0
         self._level_room = 0
         self._proof_log = array("i")
-        self._pair_log = array("i", bytes(4 * self._LOG_WORDS))
         self._skin_log = array("i", bytes(4 * self._LOG_WORDS))
         self._pure_learnt: list[int] = []
 
@@ -441,18 +441,15 @@ class Solver:
         """Index one record for propagation.
 
         Links both watch slots at the head of their literals' chains,
-        each blocker seeded with the companion watch.  Binary records
-        propagate through the chains like everything else, but also
-        feed the flat implication arrays the phase heuristics score
-        with (``nb_two`` / ``formula_literal``).
+        each blocker seeded with the companion watch.  A binary record's
+        nodes never move from there (it has no replacement literal), so
+        the chains also list the binary clauses for the ``nb_two``
+        phase heuristic (:meth:`_binary_partners`).
         """
         arena = self.arena
         base = ref + _HDR
         first = arena[base]
         second = arena[base + 1]
-        if arena[ref] == 2:
-            self.binary_implications[first].append(second)
-            self.binary_implications[second].append(first)
         head = self.watch_head
         arena[ref + 4] = head[first]
         arena[ref + 5] = second
@@ -470,6 +467,19 @@ class Solver:
         base = ref + _HDR
         return self.arena[base : base + self.arena[ref]].tolist()
 
+    def _binary_partners(self, literal: int) -> list[int]:
+        """The partners of ``literal`` in live binary records, oldest first
+        (its watch chain lists them newest first; see :meth:`_attach_ref`)."""
+        arena = self.arena
+        partners = []
+        node = self.watch_head[literal]
+        while node != -1:
+            ref, slot = node >> 1, node & 1
+            if arena[ref] == 2 and not arena[ref + 1] & _DEAD:
+                partners.append(arena[ref + _HDR + 1 - slot])
+            node = arena[ref + 4 + 2 * slot]
+        return partners[::-1]
+
     # ==================================================================
     # Clause loading
     # ==================================================================
@@ -477,27 +487,36 @@ class Solver:
         """Grow all per-variable and per-literal tables to hold ``count`` vars.
 
         Each table grows in place by one whole-array extension, so every
-        holder of a table keeps its reference.
+        holder of a table keeps its reference.  All or nothing: a count
+        past :data:`MAX_VARIABLES` raises :class:`ValueError` before
+        anything changes, and a :class:`MemoryError` cuts every table
+        back before it propagates, so ``num_variables`` always matches
+        the tables.
         """
-        grow = count - self.num_variables
-        if grow <= 0:
+        old = self.num_variables
+        if count <= old:
             return
-        self.num_variables = count
-        unassigned = array("i", [UNASSIGNED])
-        self.assigns += unassigned * grow
-        self.levels += array("i", bytes(4 * grow))
-        self.reasons += array("i", [-1]) * grow
-        self.var_activity += array("d", bytes(8 * grow))
-        self._seen += array("i", bytes(4 * grow))
-        self._eliminated_mark += array("B", bytes(grow))
-        self.lit_value += unassigned * (2 * grow)
-        self.lit_activity += array("d", bytes(16 * grow))
-        self.vsids += array("d", bytes(16 * grow))
-        self.binary_implications += [[] for _ in range(2 * grow)]
-        self.watch_head += array("i", [-1]) * (2 * grow)
-        # Outside solve() no decision level exceeds the variable count
-        # plus one (_probe_rup's); solve() widens for assumptions.
-        self._size_scratch(count + 1)
+        if count > MAX_VARIABLES:
+            raise ValueError(f"variable {count} is past the largest, {MAX_VARIABLES}")
+        tables = (  # (table, fill, entries per variable)
+            (self.assigns, UNASSIGNED, 1), (self.levels, 0, 1), (self.reasons, -1, 1),
+            (self.var_activity, 0, 1), (self._seen, 0, 1), (self._eliminated_mark, 0, 1),
+            (self.lit_value, UNASSIGNED, 2), (self.lit_activity, 0, 2), (self.vsids, 0, 2),
+            (self.watch_head, -1, 2),
+        )
+        try:
+            for table, fill, width in tables:
+                table += array(table.typecode, [fill]) * (width * (count - old))
+            self.num_variables = count
+            # Outside solve() no decision level exceeds the variable count
+            # plus one (_probe_rup's); solve() widens for assumptions.
+            self._size_scratch(count + 1)
+        except MemoryError:
+            self.num_variables = old
+            for table, _, width in tables:
+                del table[width * (old + 1) :]
+            self._refresh_tables()
+            raise
 
     def _size_scratch(self, levels: int) -> None:
         """Grow the kernels' scratch to fit; refresh their address table.
@@ -507,17 +526,16 @@ class Solver:
         most one record per variable plus the conflict; the LBD marks
         need one word per decision level up to ``levels``.  A buffer
         that is too small is replaced by one twice the size needed, so
-        adding variables a few at a time stays linear.  A no-op without
-        the kernels.
+        adding variables a few at a time stays linear; the four
+        per-variable ones are replaced together.  A no-op without the
+        kernels.
         """
         if self._tables is None:
             return
         words = self.num_variables + 2
         if len(self._scratch) < words:
-            self._scratch = array("i", bytes(8 * words))
-            self._learnt_out = array("i", bytes(8 * words))
-            self._clear_out = array("i", bytes(8 * words))
-            self._hint_out = array("i", bytes(8 * words))
+            fresh = [array("i", bytes(8 * words)) for _ in range(4)]
+            self._scratch, self._learnt_out, self._clear_out, self._hint_out = fresh
         if len(self._level_marks) <= levels:
             self._level_marks = array("i", bytes(8 * (levels + 1)))
         self._tables.refresh(self)
@@ -576,7 +594,9 @@ class Solver:
         the kernel resumes after it.  Loading stops, leaving the rest to
         the caller, once the formula is refuted, and loads nothing when
         the clauses do not fit int32 buffers or, unsized, hold a literal
-        0 (so the tables grow no further than a loop of the reference).
+        0 or a variable past :data:`MAX_VARIABLES` (so the reference
+        raises at that clause, and the tables grow no further than a
+        loop of it would grow them).
         """
         try:
             sizes = array("i", map(len, clauses))
@@ -587,17 +607,17 @@ class Solver:
         if not count or sum(sizes) != len(flat):  # the kernel reads flat by the sizes
             return 0
         if not sized:
-            if 0 in flat:
+            largest = max(max(flat, default=0), -min(flat, default=0))
+            if 0 in flat or largest > MAX_VARIABLES:
                 return 0
-            self.ensure_variables(max(max(flat, default=0), -min(flat, default=0)))
+            self.ensure_variables(largest)
         if self.current_level() > 0:
             self._backtrack(0)  # as the first _add_clause would
         refs = array("i", bytes(4 * count))
         ids = array("i", bytes(4 * count))
         units = array("i", bytes(4 * count))
         shortened = array("i", bytes(4 * count))
-        pairs = array("i", bytes(8 * count))
-        out = array("i", bytes(24))
+        out = array("i", bytes(20))
         stats = self.stats
         # clauses[index] is input clause len(_pristine) + index, whose
         # proof id is -1 minus that.
@@ -625,10 +645,9 @@ class Solver:
                 ids.buffer_info()[0],
                 units.buffer_info()[0],
                 shortened.buffer_info()[0],
-                pairs.buffer_info()[0],
                 out.buffer_info()[0],
             )
-            arena_len, records, unit_count, short_count, pair_count, offset = out
+            arena_len, records, unit_count, short_count, offset = out
             del arena[arena_len:]
             stats.initial_clauses += stop - start
             self._pristine.extend(map(list, clauses[start:stop]))
@@ -650,21 +669,12 @@ class Solver:
                     clause_id[slot] = self.log_proof_add(
                         self._ref_literals(ref), [clause_id[slot]]
                     )
-            self._add_binaries(pairs, pair_count)
             start = stop
             if stop < count:
                 self._add_clause(clauses[stop])
                 start += 1
                 offset += sizes[stop]
         return start
-
-    def _add_binaries(self, pairs: array, count: int) -> None:
-        """Append ``count`` binary literal pairs to the implication lists."""
-        implications = self.binary_implications
-        end = 2 * count
-        for first, second in zip(pairs[0:end:2], pairs[1:end:2]):
-            implications[first].append(second)
-            implications[second].append(first)
 
     def _add_clause(self, dimacs_literals: Iterable[int]) -> None:
         """The per-clause reference of the loader, at level 0.
@@ -1256,10 +1266,7 @@ class Solver:
 
     def _global_decision(self) -> int | None:
         """Globally most active free variable, phase by ``formula_phase``."""
-        return self._formula_decision(self._most_active_free())
-
-    def _formula_decision(self, variable: int | None) -> int | None:
-        """The formula-level decision on ``variable`` (None: every one assigned)."""
+        variable = self._most_active_free()
         if variable is None:
             return None
         self.stats.formula_decisions += 1
@@ -1416,8 +1423,7 @@ class Solver:
         retained assignments — every clause satisfied at level 0 is
         removed and level-0-false literals are stripped from the
         survivors, the paper's memory-compaction step; and a rebuild of
-        the watch chains and binary implication arrays from the
-        surviving refs.
+        the watch chains from the surviving refs.
         """
         if self.current_level() != 0:
             raise AssertionError("database reduction requires decision level 0")
@@ -1597,36 +1603,30 @@ class Solver:
         return survivors
 
     def _rebuild_from_refs(self) -> None:
-        """Recompute the watch chains and binary arrays from the ref lists.
+        """Recompute the watch chains from the ref lists.
 
-        Rebuilding (rather than patching) keeps the binary indexes exact
-        under any deletion policy: a dropped learned binary, or a longer
-        clause strengthened to binary by level-0 stripping, ends up with
-        exactly the entries :meth:`_attach_ref` gives it.  With the C
-        kernels loaded, ``arena_attach`` threads the watches (originals
-        first, then learned, as below) and only the binary appends run
-        here.
+        Rebuilding (rather than patching) leaves no dead record on any
+        chain, and links a clause that level-0 stripping shortened to
+        two literals like any binary record, so the chains list exactly
+        the live binary clauses ``nb_two`` counts.  With the C kernels
+        loaded, ``arena_attach`` threads the watches (originals first,
+        then learned, as below).
         """
-        size = 2 * (self.num_variables + 1)
-        self.watch_head = array("i", [-1]) * size
+        self.watch_head = array("i", [-1]) * (2 * (self.num_variables + 1))
         self._refresh_tables()
-        self.binary_implications = [[] for _ in range(size)]
         if self._kernel_attach is None:
             for ref in self.clauses:
                 self._attach_ref(ref)
             for ref in self.learned:
                 self._attach_ref(ref)
             return
-        pairs = array("i", bytes(8 * max(len(self.clauses), len(self.learned))))
         for refs in (array("i", self.clauses), self.learned):
-            count = self._kernel_attach(
+            self._kernel_attach(
                 self.arena.buffer_info()[0],
                 self.watch_head.buffer_info()[0],
                 refs.buffer_info()[0],
                 len(refs),
-                pairs.buffer_info()[0],
             )
-            self._add_binaries(pairs, count)
 
     def _maybe_collect(self) -> int:
         """Compact the arena when at least ``arena_gc_fraction`` is dead."""
@@ -2063,10 +2063,8 @@ class Solver:
         Called after formula load and validation, before the trail is
         replayed: the records built from the pristine formula are
         replaced wholesale by the snapshot's post-inprocessing database.
-        Level-0 assignments (from unit clauses) are untouched.  Proof
-        ids a checkpoint lacks become :data:`NO_PROOF_ID`.
+        Level-0 assignments (from unit clauses) are untouched.
         """
-        size = 2 * (self.num_variables + 1)
         self.arena = array("i")
         self.arena_dead = 0
         self.clause_act = array("d")
@@ -2074,28 +2072,22 @@ class Solver:
         self.clause_id = array("i")
         self.clauses = []
         self.learned = array("i")
-        self.watch_head = array("i", [-1]) * size
+        self.watch_head = array("i", [-1]) * (2 * (self.num_variables + 1))
         self._refresh_tables()
-        self.binary_implications = [[] for _ in range(size)]
-        active = payload["active"]
-        active_ids = payload.get("active_ids") or [NO_PROOF_ID] * len(active)
-        for literals, proof_id in zip(active, active_ids):
+        for literals, proof_id in zip(payload["active"], payload["active_ids"]):
             ref = self._push_record(
                 [int(lit) for lit in literals], learned=False, proof_id=proof_id
             )
             self.clauses.append(ref)
             self._attach_ref(ref)
-        eliminated = payload["eliminated"]
-        stored_ids = payload.get("eliminated_ids") or [
-            [NO_PROOF_ID] * len(stored) for _, stored in eliminated
-        ]
+        eliminated = zip(payload["eliminated"], payload["eliminated_ids"])
         self._eliminated = [
             (
                 int(variable),
                 [[int(lit) for lit in clause] for clause in stored],
                 list(ids),
             )
-            for (variable, stored), ids in zip(eliminated, stored_ids)
+            for (variable, stored), ids in eliminated
         ]
         for variable, _, _ in self._eliminated:
             self._eliminated_mark[variable] = True
@@ -2336,6 +2328,8 @@ class Solver:
             options |= OPT_DECIDE
         if config.top_clause_phase == cfg.PHASE_SYMMETRIZE:
             options |= OPT_SYMMETRIZE
+        if config.formula_phase == cfg.FORMULA_PHASE_NB_TWO:
+            options |= OPT_NB_TWO
         if self.share is not None:
             options |= OPT_SHARE
         self._search_options = options
@@ -2343,6 +2337,7 @@ class Solver:
         state = self._state
         base = self.stats.decisions
         state[S_WINDOW] = config.top_clause_window
+        state[S_NB_TWO_THRESHOLD] = config.nb_two_threshold
         state[S_ASSUMPTIONS] = assumptions
         state[S_BASE_DECISIONS] = base
         state[S_DECISION_STOP] = (
@@ -2404,8 +2399,7 @@ class Solver:
 
         Opens the room when it is closed.  Before returning the exit,
         brings the counters and scalars, and the views the kernel cannot
-        write (the binary implication lists, the skin histogram and the
-        proof), up to the loop's state.
+        write (the skin histogram and the proof), up to the loop's state.
         """
         state = self._state
         if not self._room_open:
@@ -2433,9 +2427,7 @@ class Solver:
         self.qhead = state[S_QHEAD]
         self.search_cursor = state[S_CURSOR]
         self.birth_counter = state[S_BIRTH]
-        count = state[S_PAIR_LEN]
-        if count:
-            self._add_binaries(self._pair_log, count >> 1)
+        stats.formula_decisions += state[S_FORMULA_DECISIONS]
         count = state[S_SKIN_LEN]
         if count:
             for distance in self._skin_log[:count]:
@@ -2519,7 +2511,6 @@ class Solver:
                 len(self.arena),
                 len(self.clause_act),
                 len(self._proof_log),
-                len(self._pair_log),
                 len(self._skin_log),
             ),
         )
@@ -2548,7 +2539,6 @@ class Solver:
         max_decisions: int | None = None,
         max_seconds: float | None = None,
         max_clauses: int | None = None,
-        verify: bool = True,
         on_progress=None,
     ) -> SolveResult:
         """Run the CDCL search.
@@ -2563,8 +2553,6 @@ class Solver:
                 budget"`` instead of growing without bound.  A raised
                 ``MemoryError`` inside the search loop degrades to the
                 same answer rather than killing the process.
-            verify: check SAT models against every added clause (cheap
-                insurance; raises :class:`SolverInternalError` on failure).
             on_progress: optional callback invoked with the live
                 :class:`SolverStats` every 128 conflicts and every 512
                 decisions *made during this call*: after the conflict
@@ -2582,7 +2570,9 @@ class Solver:
         returns to this method only at the events it handles: the
         answer, a decision left to Python, post-conflict work (a
         restart, an activity decay, a budget or a progress mark), a
-        level-0 import, an assumption level, or room run out.
+        level-0 import, an assumption level, or room run out.  A SAT
+        model is checked against every clause added (a failure raises
+        :class:`SolverInternalError`).
 
         The call is not re-entrant: invoking ``solve`` again on the same
         instance from ``on_progress`` (or another thread) raises
@@ -2683,19 +2673,22 @@ class Solver:
                 resume = RESUME_TOP
                 if code == EXIT_CHOOSE:
                     # A decision the kernel leaves to Python: a top-clause
-                    # phase it does not run or a symmetrize tie (both may
-                    # draw from the rng), a formula-level phase (nb_two
-                    # reads the binary implication lists), or a whole
-                    # vsids or random decision.
+                    # phase it does not run or a symmetrize tie, a
+                    # formula-level phase other than nb_two or an nb_two
+                    # tie (all may draw from the rng; the kernel counted
+                    # these decisions), or a whole vsids or random decision.
                     choice = state[S_CHOICE]
+                    variable = state[S_VARIABLE]
                     if choice == CHOOSE_TOP:
-                        literal = self._top_clause_literal(state[S_VARIABLE], state[S_REF])
+                        literal = self._top_clause_literal(variable, state[S_REF])
                     elif choice == CHOOSE_FORMULA:
-                        literal = self._formula_decision(state[S_VARIABLE])
+                        literal = formula_literal(self, variable)
+                    elif choice == CHOOSE_TIE:
+                        literal = nb_two_tie(self, variable)
                     else:
                         literal = self._choose()
                         if literal is None:
-                            return self._sat_result(verify)
+                            return self._sat_result()
                     resume = RESUME_DECISION
                 elif code == EXIT_CONFLICT:
                     # The learnt clause is recorded and asserted.
@@ -2810,6 +2803,7 @@ class Solver:
                     resume = RESUME_DECIDE
                 elif code == EXIT_DECIDED:
                     if trace is not None:
+                        # Only decisions Python's heuristics made are stamped.
                         if state[S_DISTANCE] >= 0:  # a top-clause decision
                             self.last_decision_source = "top_clause"
                             self.last_skin_distance = state[S_DISTANCE]
@@ -2824,10 +2818,11 @@ class Solver:
                                 "skin_distance": self.last_skin_distance,
                             }
                         )
+                        self.last_decision_source = self.last_skin_distance = None
                 elif code == EXIT_ROOM:
                     self._pad_room()
                 elif code == EXIT_SAT:
-                    return self._sat_result(verify)
+                    return self._sat_result()
                 elif code == EXIT_UNSAT:
                     self.ok = False
                     self.log_proof_add([])
@@ -2845,11 +2840,10 @@ class Solver:
             stats.solve_time_seconds += time.perf_counter() - start_time
 
 
-    def _sat_result(self, verify: bool) -> SolveResult:
+    def _sat_result(self) -> SolveResult:
         """The SAT answer for the current assignment, its model checked."""
         model = self._extract_model()
-        if verify:
-            self._verify_model(model)
+        self._verify_model(model)
         return self._result(SolveStatus.SAT, model=model)
 
     def _failed_assumption_core(self, failed_literal: int) -> list[int]:

@@ -203,3 +203,34 @@ def test_resume_from_path_degrades_on_corruption(tmp_path):
     with pytest.warns(CheckpointWarning):
         assert solver.resume(str(path)) is False
     assert solver.solve().is_unsat
+
+
+def test_snapshot_of_a_solver_grown_by_an_assumption_resumes_warm():
+    """An assumption naming a variable past the formula's grows the
+    solver; a fresh solver for the formula grows to match on resume."""
+    formula = pigeonhole_formula(7)
+    solver = Solver(formula, config_by_name("berkmin"))
+    assert solver.solve(assumptions=[59], max_conflicts=300).is_unknown
+    snapshot = capture_snapshot(solver)
+    assert snapshot.num_variables == 59 > formula.num_variables
+    fresh = Solver(formula, config_by_name("berkmin"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fresh.resume(snapshot)
+    assert fresh.num_variables == 59
+    assert fresh.solve().is_unsat
+
+
+def test_snapshot_with_too_few_or_too_many_variables_cold_starts():
+    from dataclasses import replace
+
+    from repro.solver.solver import MAX_VARIABLES
+
+    formula = pigeonhole_formula(5)
+    snapshot = capture_snapshot(_partial_solver(formula))
+    for count in (formula.num_variables - 1, MAX_VARIABLES + 1):
+        fresh = Solver(formula, config_by_name("berkmin"))
+        with pytest.warns(CheckpointWarning, match="variable count mismatch"):
+            assert fresh.resume(replace(snapshot, num_variables=count)) is False
+        assert fresh.num_variables == formula.num_variables
+        assert fresh.solve().is_unsat

@@ -67,7 +67,9 @@ def test_golden_trace_export_is_unchanged(monkeypatch, tmp_path, capsys):
 # The service's live event stream, pinned
 # ----------------------------------------------------------------------
 HOLE3 = [list(clause) for clause in pigeonhole_formula(3).clauses]
-HOLE9 = [list(clause) for clause in pigeonhole_formula(9).clauses]
+#: A solve that outlasts the scripted run's 1.5 s of ticks by seconds,
+#: so the drain always interrupts it.
+HOLE10 = [list(clause) for clause in pigeonhole_formula(10).clauses]
 
 
 def _answer(service, request, budget_seconds=60.0):
@@ -85,9 +87,9 @@ def scripted_service_run():
     """The eight-request service run behind ``service_spans.jsonl``.
 
     A clean solve, a crash followed by a retry, an exact cache hit, a
-    ping, a stats request, an unknown config, then a hole9 solve with a
+    ping, a stats request, an unknown config, then a hole10 solve with a
     request queued behind it: the queued one expires in the queue and
-    the drain interrupts hole9.  Returns ``(events, service)``.
+    the drain interrupts hole10.  Returns ``(events, service)``.
     """
     ring = RingBufferSink(capacity=65536)
     service = SolverService(
@@ -109,7 +111,7 @@ def scripted_service_run():
         )
         late: list = []
         service.handle(
-            Request(op="solve", request_id=7, clauses=HOLE9), "golden", late.append
+            Request(op="solve", request_id=7, clauses=HOLE10), "golden", late.append
         )
         service.handle(
             Request(op="solve", request_id=8, clauses=[[5], [6]], timeout=0.05),

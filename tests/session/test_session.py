@@ -156,6 +156,23 @@ def test_session_whose_top_variable_is_in_a_tautology_reloads_warm(tmp_path):
     resumed.close()
 
 
+def test_session_grown_by_an_assumption_reloads_warm(tmp_path):
+    """An assumption naming a variable no clause names grows the
+    solver past the clauses; the reloaded session grows to match."""
+    import warnings
+
+    path = tmp_path / "session.rsck"
+    with SolverSession([[1, 2], [-1, 2]]) as session:
+        session.solve(assumptions=[5])
+        session.save(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resumed = SolverSession.load(path)
+    assert resumed.solver.num_variables == session.solver.num_variables == 5
+    assert resumed.solve(assumptions=[-5]).is_sat
+    resumed.close()
+
+
 def test_bmc_step_loads_through_the_kernel():
     """A BMC step added to a session that has searched and eliminated
     variables is one ``arena_load`` batch: only a clause naming a

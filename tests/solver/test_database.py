@@ -107,17 +107,15 @@ def test_reduction_rebuilds_watches_and_binaries():
     solver = Solver(CnfFormula([[1], [-1, 2, 3], [3, 4, 5]]))
     solver._propagate()
     solver._reduce_database()
-    # [-1, 2, 3] became the binary [2, 3]: the implication arrays the
-    # nb_two heuristic scores with must know.
-    assert len(solver.binary_implications[encode_literal(2)]) == 1
-    assert len(solver.binary_implications[encode_literal(3)]) == 1
-    assert solver.binary_implications[encode_literal(2)] == [encode_literal(3)]
-    assert solver.binary_implications[encode_literal(3)] == [encode_literal(2)]
+    # [-1, 2, 3] became the binary [2, 3]: the partners the nb_two
+    # heuristic reads off the watch chains must list it.
+    assert solver._binary_partners(encode_literal(2)) == [encode_literal(3)]
+    assert solver._binary_partners(encode_literal(3)) == [encode_literal(2)]
     for ref in solver.clauses:
         first, second = solver._ref_literals(ref)[:2]
         if solver.arena[ref] == 2:
-            assert second in solver.binary_implications[first]
-            assert first in solver.binary_implications[second]
+            assert second in solver._binary_partners(first)
+            assert first in solver._binary_partners(second)
         # Every record is watched by both slots, on its first two literals.
         assert ref << 1 in _chain(solver, first)
         assert (ref << 1) | 1 in _chain(solver, second)
@@ -179,26 +177,36 @@ def test_chaff_config_uses_limited_keeping():
 
 
 def test_forced_binary_deletion_updates_implication_arrays(push_learned):
-    """A policy-deleted learned binary clause must vanish from the binary
-    indexes (paper defaults always keep length-2 clauses, but
-    limited_keeping_length=1 forces the case)."""
+    """A policy-deleted learned binary clause must vanish from the
+    partners nb_two reads (paper defaults always keep length-2 clauses,
+    but limited_keeping_length=1 forces the case)."""
     solver = _fresh_solver(limited_keeping_config(limited_keeping_length=1))
     binary = push_learned(solver, [5, 6])
     push_learned(solver, [7, 8, 9])  # topmost (never removed) shields the binary
     lit5, lit6 = encode_literal(5), encode_literal(6)
-    assert solver.binary_implications[lit5] == [lit6]
-    assert len(solver.binary_implications[lit5]) == 1
+    assert solver._binary_partners(lit5) == [lit6]
+    assert solver._binary_partners(lit6) == [lit5]
 
     solver._reduce_database()
 
     assert binary not in solver.learned
     assert solver.arena[binary + 1] & _DEAD
-    assert solver.binary_implications[lit5] == []
-    assert solver.binary_implications[lit6] == []
-    assert len(solver.binary_implications[lit5]) == 0
-    assert len(solver.binary_implications[lit6]) == 0
+    assert solver._binary_partners(lit5) == []
+    assert solver._binary_partners(lit6) == []
     chains = _chain(solver, lit5) + _chain(solver, lit6)
     assert not any(node >> 1 == binary for node in chains)
+
+
+def test_dead_binary_record_is_no_partner(push_learned):
+    """A killed record stays on the chains until a walk or a rebuild
+    unlinks it, so the partner walk skips dead records itself."""
+    solver = _fresh_solver()
+    binary = push_learned(solver, [5, 6])
+    push_learned(solver, [5, 7])
+    lit5 = encode_literal(5)
+    solver._kill_ref(binary)
+    assert any(node >> 1 == binary for node in _chain(solver, lit5))
+    assert solver._binary_partners(lit5) == [encode_literal(7)]
 
 
 def test_solves_correctly_after_forced_binary_deletions(monkeypatch):

@@ -30,6 +30,7 @@ import pytest
 from repro.cnf.formula import CnfFormula
 from repro.generators import pigeonhole_formula
 from repro.solver import _kernel
+from repro.solver import solver as solver_module
 from repro.solver._kernel import ROOM_FIELDS, TABLE_FIELDS, load_arena_kernel
 from repro.solver.config import berkmin_config
 from repro.solver.result import SolveStatus
@@ -55,7 +56,6 @@ _LENGTHS_AND_ROOMS = {
     "clause_id": (_kernel.S_RECORDS, _kernel.S_RECORD_ROOM),
     "clause_birth": (_kernel.S_RECORDS, _kernel.S_RECORD_ROOM),
     "_proof_log": (_kernel.S_LOG_LEN, _kernel.S_LOG_ROOM),
-    "_pair_log": (_kernel.S_PAIR_LEN, _kernel.S_PAIR_ROOM),
     "_skin_log": (_kernel.S_SKIN_LEN, _kernel.S_SKIN_ROOM),
 }
 
@@ -97,6 +97,21 @@ def _count_calls(
             return result
 
         setattr(solver, attribute, wrapped)
+
+
+def _note_choices(solver: Solver) -> Counter:
+    """Count what each EXIT_CHOOSE of ``solver``'s search loop asks for."""
+    choices = Counter()
+    search = solver._kernel_search
+
+    def noted_search(*args):
+        code = search(*args)
+        if code == _kernel.EXIT_CHOOSE:
+            choices[solver._state[_kernel.S_CHOICE]] += 1
+        return code
+
+    solver._kernel_search = noted_search
+    return choices
 
 
 def _pair(monkeypatch, config, exits: Counter | None = None):
@@ -249,11 +264,12 @@ def test_room_that_runs_out_every_few_conflicts(monkeypatch, words, records):
 @pytest.mark.parametrize(
     "overrides", [{}, dict(restart_interval=20, inprocess_interval=1)]
 )
-def test_search_calls_are_bounded_by_exits(overrides):
+def test_search_calls_are_bounded_by_exits(monkeypatch, overrides):
     """hole7 under ``berkmin``: the loop returns to Python only for a
-    formula-level decision, a symmetrize tie, a progress mark (the hook
-    counts them), a restart, an activity decay, or room, plus the last
-    answer; and no step runs in the pure-Python engine."""
+    symmetrize tie, an nb_two tie (the only formula-level decisions it
+    hands over), a progress mark (the hook counts them), a restart, an
+    activity decay, or room, plus the last answer; and no step runs in
+    the pure-Python engine."""
     config = berkmin_config(**overrides)
     solver = Solver(config=config)
     calls = Counter()
@@ -266,16 +282,24 @@ def test_search_calls_are_bounded_by_exits(overrides):
         ties["ties"] += 1
         return phase(*args)
 
+    def counted_tie(*args, _tie=solver_module.nb_two_tie):
+        ties["nb_two"] += 1
+        return _tie(*args)
+
+    choices = _note_choices(solver)
     solver._top_clause_literal = counted_phase
+    monkeypatch.setattr(solver_module, "nb_two_tie", counted_tie)
     solver._run_pure = None  # any call fails
     marks = []
     solver.add_formula(pigeonhole_formula(7))
     result = solver.solve(on_progress=lambda stats: marks.append(stats.conflicts))
     assert result.status is SolveStatus.UNSAT
     stats = solver.stats
+    formula_exits = choices[_kernel.CHOOSE_FORMULA] + choices[_kernel.CHOOSE_TIE]
+    assert formula_exits == ties["nb_two"] < stats.formula_decisions
     decays = stats.conflicts // config.activity_decay_interval
     bound = (
-        stats.formula_decisions
+        ties["nb_two"]
         + ties["ties"]
         + len(marks)
         + stats.restarts
@@ -285,6 +309,28 @@ def test_search_calls_are_bounded_by_exits(overrides):
     )
     assert calls["_kernel_search"] <= bound, (dict(exits), bound)
     assert calls["_kernel_search"] < (stats.conflicts + stats.decisions) / 10
+
+
+def test_nb_two_past_the_kernels_partner_scratch_is_scored_in_python(monkeypatch):
+    """A literal with more binary partners than the loop keeps
+    (``num_variables + 2``; repeated clauses here) below the threshold
+    goes back to Python, which scores it the same way; the loop branches
+    on every other formula-level decision itself."""
+    kernel, pure, _ = _pair(monkeypatch, berkmin_config(seed=1, proof_logging=True))
+    choices = _note_choices(kernel)
+    # Literal 1 has 16 partners, past the 12 the loop keeps for ten
+    # variables.
+    formula = CnfFormula(
+        [[1, 2]] * 16
+        + [[-1, 3], [-3, 4], [-4, -2], [2, 3, 4], [5, -6], [5, 7], [-6, 8]]
+        + [[6, 9, 10], [-8, -9, 7], [9, -10]]
+    )
+    for solver in (kernel, pure):
+        solver.add_formula(formula)
+        assert solver.solve().status is SolveStatus.SAT
+    assert choices == {_kernel.CHOOSE_FORMULA: 1}
+    assert kernel.stats.formula_decisions > 1
+    _assert_same(kernel, pure)
 
 
 def test_search_contract_matches_the_kernel_source():
@@ -300,6 +346,6 @@ def test_search_contract_matches_the_kernel_source():
         names = [name.strip() for name in body.split(",") if name.strip()]
         assert [getattr(_kernel, name) for name in names] == list(range(len(names)))
     options = re.findall(r"#define (OPT_\w+) (\d+)", code)
-    assert len(options) == 8
+    assert len(options) == 9
     for name, value in options:
         assert getattr(_kernel, name) == int(value), name

@@ -45,7 +45,7 @@ def test_eliminated_variable_model_reconstruction():
     # low-occurrence candidates.
     formula = pigeonhole_formula(8, 8)
     solver = Solver(formula, config=berkmin_config(**_AGGRESSIVE))
-    result = solver.solve()  # verify=True re-checks the model internally
+    result = solver.solve()  # solve() re-checks the model internally
     assert result.status is SolveStatus.SAT
     assert solver.stats.eliminated_variables > 0
     # The model must cover every variable — including eliminated ones,
@@ -121,29 +121,6 @@ def test_checkpoint_roundtrip_across_compaction(tmp_path):
     assert len(resumed._eliminated) == len(solver._eliminated)
     result = resumed.solve()
     assert result.status is SolveStatus.UNSAT
-
-
-def test_snapshot_without_arena_payload_resumes_over_pristine_formula(tmp_path):
-    """A checkpoint with no inprocessed-database payload (as written
-    before the payload existed) restores its learned clauses over the
-    pristine formula — which implies every clause the payload would
-    carry — and still answers correctly."""
-    from dataclasses import replace
-
-    from repro.checkpoint.snapshot import save_checkpoint, try_load_checkpoint
-
-    formula = pigeonhole_formula(6)
-    donor = Solver(formula, config=berkmin_config(seed=4, **_AGGRESSIVE))
-    donor.solve(max_conflicts=500)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(donor, path)
-
-    receiver = Solver(formula, config=berkmin_config(seed=4))
-    snapshot = replace(try_load_checkpoint(path), arena=None)
-    assert receiver.resume(snapshot)
-    assert not receiver._eliminated  # nothing installed from a payload
-    assert len(receiver.learned) == len(donor.learned)
-    assert receiver.solve().status is SolveStatus.UNSAT
 
 
 def test_inject_lemma_rejects_eliminated_variables():
@@ -349,7 +326,6 @@ def _loaded_state(solver: Solver) -> dict:
     return {
         "arena": solver.arena.tolist(),
         "watch_head": solver.watch_head.tolist(),
-        "binary_implications": solver.binary_implications,
         "trail": solver.trail.tolist(),
         "lit_value": solver.lit_value.tolist(),
         "assigns": solver.assigns.tolist(),

@@ -58,8 +58,8 @@ def test_propagation_respects_decision():
 
 def _check_watch_invariants(solver):
     """Every live record is watched on its first two literals, once per
-    watch slot; binary records appear exactly once in each of their
-    literals' implication arrays."""
+    watch slot; binary records appear exactly once among the partners
+    each of their literals lists for nb_two."""
     from collections import Counter
 
     from repro.solver.solver import _DEAD
@@ -86,8 +86,8 @@ def _check_watch_invariants(solver):
     assert sum(watched.values()) == 2 * (len(solver.clauses) + len(solver.learned))
     actual_entries = Counter(
         (literal, implied)
-        for literal, implied_list in enumerate(solver.binary_implications)
-        for implied in implied_list
+        for literal in range(len(solver.watch_head))
+        for implied in solver._binary_partners(literal)
     )
     assert actual_entries == expected_entries
 
@@ -131,10 +131,12 @@ def test_binary_occurrence_maps_track_attachments():
     solver = Solver(formula)
     # Two binary clauses -> four directed entries.
     positive_one = 2
-    assert len(solver.binary_implications[positive_one]) == 1
+    assert solver._binary_partners(positive_one) == [4]  # [1, 2]
     negative_one = 3
-    assert len(solver.binary_implications[negative_one]) == 1
-    total_entries = sum(len(partners) for partners in solver.binary_implications)
+    assert solver._binary_partners(negative_one) == [6]  # [-1, 3]
+    total_entries = sum(
+        len(solver._binary_partners(literal)) for literal in range(len(solver.watch_head))
+    )
     assert total_entries == 4
 
 

@@ -163,3 +163,80 @@ def test_add_formula_after_construction():
     result = solver.solve()
     assert result.is_sat
     assert result.model[1] is True
+
+
+def _table_lengths(solver):
+    return [
+        len(getattr(solver, name))
+        for name in (
+            "assigns", "levels", "reasons", "var_activity", "_seen",
+            "_eliminated_mark", "lit_value", "lit_activity", "vsids", "watch_head",
+        )
+    ]
+
+
+def test_variable_past_the_int32_literals_is_rejected_before_any_change():
+    """A variable whose encoded literal cannot fit the int32 buffers
+    raises ValueError and leaves the solver as it was, so it answers
+    the clauses added after."""
+    solver = Solver()
+    lengths = _table_lengths(solver)
+    with pytest.raises(ValueError):
+        solver.add_clause([1, 2**40])
+    with pytest.raises(ValueError):
+        solver.add_clauses([[1, 2**40]])
+    assert solver.num_variables == 0 and _table_lengths(solver) == lengths
+    assert solver.add_clauses([[3, 4], [-3, 5]])
+    result = solver.solve()
+    assert result.is_sat
+    assert CnfFormula([[3, 4], [-3, 5]]).evaluate(result.model)
+
+
+def test_bulk_add_stops_at_the_clause_naming_a_variable_past_the_bound(monkeypatch):
+    """Within int32 range the bound holds too (lowered here, so that no
+    test grows tables to it): a batch loads up to the clause naming a
+    variable past it, which raises."""
+    from repro.solver import solver as solver_module
+
+    monkeypatch.setattr(solver_module, "MAX_VARIABLES", 10)
+    solver = Solver()
+    with pytest.raises(ValueError):
+        solver.add_clauses([[1, 2], [-11, 3], [4]])
+    assert solver.num_variables == 2 and solver.stats.initial_clauses == 1
+    with pytest.raises(ValueError):
+        solver.ensure_variables(11)
+    assert solver.num_variables == 2
+
+
+@pytest.mark.parametrize("failing_step", ["table", "scratch"])
+def test_memory_error_while_growing_leaves_the_tables_unchanged(monkeypatch, failing_step):
+    """Growth is all or nothing: a MemoryError part way (here in the
+    third table's extension, or in the kernels' scratch after every
+    table grew) cuts every table back to the old variable count."""
+    from repro.solver import solver as solver_module
+
+    solver = Solver(CnfFormula([[1, 2], [-1, 2]]))
+    lengths = _table_lengths(solver)
+    if failing_step == "table":
+        real_array = solver_module.array
+        made = []
+
+        def array(*args):
+            made.append(args)
+            if len(made) == 3:
+                raise MemoryError
+            return real_array(*args)
+
+        monkeypatch.setattr(solver_module, "array", array)
+    else:
+
+        def size_scratch(levels):
+            raise MemoryError
+
+        monkeypatch.setattr(solver, "_size_scratch", size_scratch)
+    with pytest.raises(MemoryError):
+        solver.ensure_variables(40)
+    monkeypatch.undo()
+    assert solver.num_variables == 2 and _table_lengths(solver) == lengths
+    assert solver.add_clauses([[-2, 3], [-3, -2]])
+    assert solver.solve().is_unsat
