@@ -49,8 +49,8 @@ from repro.checkpoint.envelope import (
     read_checkpoint_file,
     write_checkpoint_file,
 )
-from repro.cnf.literals import FALSE, TRUE, UNASSIGNED
-from repro.solver.solver import MAX_VARIABLES
+from repro.cnf.formula import words_to_clauses
+from repro.cnf.literals import FALSE, MAX_VARIABLES, TRUE, UNASSIGNED
 from repro.solver.stats import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -232,7 +232,7 @@ def capture_snapshot(solver: "Solver") -> SolverSnapshot:
         proof = [(op, list(literals)) for op, literals in solver.proof]
         hints = _hint_rows(solver.proof_hints)
     return SolverSnapshot(
-        formula_hash=formula_fingerprint(solver._pristine),
+        formula_hash=formula_fingerprint(words_to_clauses(solver._pristine)),
         config_name=solver.config.name,
         seed=solver.config.seed,
         num_variables=solver.num_variables,
@@ -286,7 +286,7 @@ def restore_snapshot(solver: "Solver", snapshot: SolverSnapshot) -> bool:
         raise ValueError("resume requires decision level 0")
 
     # ---- validate everything before mutating anything ----------------
-    if snapshot.formula_hash != formula_fingerprint(solver._pristine):
+    if snapshot.formula_hash != formula_fingerprint(words_to_clauses(solver._pristine)):
         return _cold_start(
             "checkpoint belongs to a different formula "
             f"(hash {snapshot.formula_hash[:12]}…)"

@@ -92,6 +92,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cnf.dimacs import DimacsError, parse_dimacs_file, write_dimacs_file
+from repro.cnf.literals import MAX_VARIABLES
 from repro.proof import check_rup_proof
 from repro.solver.config import (
     CONFIG_FACTORIES,
@@ -1017,7 +1018,8 @@ def _parse_session_stream(lines) -> list[tuple[str, list, int]]:
     ``kind`` is ``"add"``, whose payload is the clauses of a run of
     consecutive clause lines, or ``"solve"``, whose payload is the
     assumptions of one ``a ... 0`` line.  ``p`` headers and ``c``
-    comments are skipped; every command line must end in ``0``.
+    comments are skipped; every command line must end in ``0`` and name
+    no variable past :data:`~repro.cnf.literals.MAX_VARIABLES`.
     """
     commands: list[tuple[str, list, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -1038,6 +1040,12 @@ def _parse_session_stream(lines) -> list[tuple[str, list, int]]:
         if 0 in literals[:-1]:
             raise DimacsError(
                 f"session stream line {lineno}: literal 0 inside a command"
+            )
+        largest = max(map(abs, literals))
+        if largest > MAX_VARIABLES:
+            raise DimacsError(
+                f"session stream line {lineno}: variable {largest} is past the "
+                f"largest, {MAX_VARIABLES}"
             )
         payload = literals[:-1]
         if kind == "solve":

@@ -9,12 +9,22 @@ accept in practice:
 * clauses terminated by ``0``, possibly spanning several lines or
   sharing a line;
 * ``%`` / trailing ``0`` end markers emitted by some generators.
+
+It is strict about one bound: a header or literal naming a variable past
+:data:`~repro.cnf.literals.MAX_VARIABLES` is an error.
+
+The formula it returns keeps the clauses as words (see
+:mod:`repro.cnf.formula`) until someone reads ``formula.clauses``.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from collections.abc import Iterator
+
 from repro.cnf.formula import CnfFormula
+from repro.cnf.literals import MAX_VARIABLES
 
 
 class DimacsError(ValueError):
@@ -24,70 +34,106 @@ class DimacsError(ValueError):
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF ``text`` into a :class:`CnfFormula`.
 
-    One pass over the lines sorts out comments, the header and clause
-    lines; the clause lines are then converted with one ``map(int, ...)``
-    and split at the zeros.  An error names the first offending line,
-    in file order.
+    The lines up to the first clause line are read one by one; the rest,
+    the body, is converted as a whole.  Only a body holding something
+    other than integers in range (a comment, a header, ``%`` or a bad
+    token) is sorted out line by line as well.  An error names the first
+    offending line, in file order.
     """
-    declared_variables: int | None = None
-    declared_clauses: int | None = None
+    header: list[int] = []  # the declared variable and clause counts
     comments: list[str] = []
-    body: list[str] = []  # clause lines
-    body_numbers: list[int] = []  # and their line numbers
-    ended = False
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        head = line[0]
-        if head == "c":
-            comments.append(line[1:].strip())
-            continue
-        if head == "%":
-            # SATLIB-style end marker; everything after it is ignored.
-            ended = True
-            continue
-        if ended:
-            continue
-        if head == "p":
-            try:
-                if declared_variables is not None:
-                    raise DimacsError(f"line {line_number}: duplicate problem header")
-                declared_variables, declared_clauses = _parse_header(line, line_number)
-            except DimacsError:
-                _raise_on_bad_token(body, body_numbers)  # an earlier line's error wins
-                raise
-            continue
-        body.append(line)
-        body_numbers.append(line_number)
-
-    try:
-        values = list(map(int, " ".join(body).split()))
-    except ValueError:
-        _raise_on_bad_token(body, body_numbers)
-        raise
-    clauses: list[list[int]] = []
-    start = 0
-    for _ in range(values.count(0)):
-        end = values.index(0, start)
-        clauses.append(values[start:end])
-        start = end + 1
-    if start < len(values):
-        # Tolerate a missing final terminator.
-        clauses.append(values[start:])
-
-    formula = CnfFormula(comment="\n".join(comments))
-    # Every literal is a nonzero int by construction, so the clauses are
-    # stored without CnfFormula.add_clause's per-literal check.
-    formula.clauses = clauses
-    formula.num_variables = max(
-        declared_variables or 0, max(values, default=0), -min(values, default=0)
-    )
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    start, line_number = _read_lines(text, 0, 1, header, comments, None)
+    values = _integers(text[start:].split())
+    if values is None:
+        clause_lines: list[tuple[int, str]] = []
+        _read_lines(text, start, line_number, header, comments, clause_lines)
+        values = _integers(" ".join(line for _, line in clause_lines).split())
+        if values is None:
+            _raise_on_bad_token(clause_lines)
+    numbers, largest = values
+    if numbers and numbers[-1]:
+        numbers.append(0)  # tolerate a missing final terminator
+    num_clauses = numbers.count(0)
+    comment = "\n".join(comments)
+    if header and header[1] != num_clauses:
         # Header mismatches are common in the wild; record rather than fail.
-        formula.comment += f"\n(header declared {declared_clauses} clauses, file has {len(clauses)})"
-    return formula
+        comment += f"\n(header declared {header[1]} clauses, file has {num_clauses})"
+    return CnfFormula.from_words(
+        array("i", numbers), num_clauses, max(header[0] if header else 0, largest), comment
+    )
+
+
+def _lines(text: str, offset: int) -> Iterator[tuple[int, str]]:
+    """The lines of ``text`` from ``offset`` as ``str.splitlines`` cuts
+    them (line ends kept), each with its offset.  Every ``\\n`` ends a
+    line, so splitting up to each one leaves the cuts unchanged."""
+    while offset < len(text):
+        stop = text.find("\n", offset) + 1 or len(text)
+        for line in text[offset:stop].splitlines(True):
+            yield offset, line
+            offset += len(line)
+
+
+def _read_lines(
+    text: str,
+    offset: int,
+    line_number: int,
+    header: list[int],
+    comments: list[str],
+    clause_lines: list[tuple[int, str]] | None,
+) -> tuple[int, int]:
+    """Sort the lines from ``offset`` (line ``line_number``) one by one.
+
+    Comments go to ``comments`` and the header's counts to ``header``.
+    With ``clause_lines`` ``None``, stop at the first clause line and
+    return its offset and number; otherwise append every clause line,
+    with its number, and return the end.  A header error raises, unless
+    a clause line before it holds a bad token (an earlier line's error
+    wins).
+    """
+    ended = False
+    for offset, raw_line in _lines(text, offset):
+        line = raw_line.strip()
+        if line:
+            head = line[0]
+            if head == "c":
+                comments.append(line[1:].strip())
+            elif head == "%":
+                # SATLIB-style end marker; everything after it is ignored.
+                ended = True
+            elif ended:
+                pass
+            elif head == "p":
+                try:
+                    if header:
+                        raise DimacsError(f"line {line_number}: duplicate problem header")
+                    header += _parse_header(line, line_number)
+                except DimacsError:
+                    _raise_on_bad_token(clause_lines or ())
+                    raise
+            elif clause_lines is None:
+                return offset, line_number
+            else:
+                clause_lines.append((line_number, line))
+        line_number += 1
+    return len(text), line_number
+
+
+def _integers(tokens: list[str]) -> tuple[list[int], int] | None:
+    """The integers ``tokens`` spell and the largest variable they name,
+    or ``None`` when a token is not an integer or names a variable past
+    :data:`MAX_VARIABLES`.
+
+    A body repeats few distinct tokens, so each is converted once.
+    """
+    try:
+        value_of = {token: int(token) for token in set(tokens)}
+    except ValueError:
+        return None
+    largest = max(map(abs, value_of.values()), default=0)
+    if largest > MAX_VARIABLES:
+        return None
+    return list(map(value_of.__getitem__, tokens)), largest
 
 
 def _parse_header(line: str, line_number: int) -> tuple[int, int]:
@@ -102,17 +148,27 @@ def _parse_header(line: str, line_number: int) -> tuple[int, int]:
         raise DimacsError(f"line {line_number}: non-integer header field") from exc
     if variables < 0 or clauses < 0:
         raise DimacsError(f"line {line_number}: negative header field")
+    if variables > MAX_VARIABLES:
+        raise DimacsError(
+            f"line {line_number}: {variables} variables, past the largest, {MAX_VARIABLES}"
+        )
     return variables, clauses
 
 
-def _raise_on_bad_token(lines: list[str], numbers: list[int]) -> None:
-    """Raise for the first token of ``lines`` that is not an integer."""
-    for line, line_number in zip(lines, numbers):
+def _raise_on_bad_token(lines) -> None:
+    """Raise for the first token of the numbered ``lines`` that is not an
+    integer or names a variable past :data:`MAX_VARIABLES`."""
+    for line_number, line in lines:
         for token in line.split():
             try:
-                int(token)
+                value = int(token)
             except ValueError as exc:
                 raise DimacsError(f"line {line_number}: bad token {token!r}") from exc
+            if abs(value) > MAX_VARIABLES:
+                raise DimacsError(
+                    f"line {line_number}: variable {abs(value)} is past the largest, "
+                    f"{MAX_VARIABLES}"
+                )
 
 
 def parse_dimacs_file(path: str | os.PathLike) -> CnfFormula:

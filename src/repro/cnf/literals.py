@@ -18,6 +18,12 @@ TRUE = 1
 FALSE = 0
 UNASSIGNED = -1
 
+#: The largest variable a formula may name: the encoded literals of larger
+#: ones (``2 * variable + 1``) do not fit the solver's int32 buffers.  The
+#: DIMACS reader, the session stream and the service reject input past
+#: it, and the solver refuses to grow its tables past it.
+MAX_VARIABLES = 2**30 - 1
+
 
 def encode_literal(dimacs_literal: int) -> int:
     """Convert a DIMACS literal to its encoded form.

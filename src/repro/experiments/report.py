@@ -40,9 +40,10 @@ Sat-Solver* (Goldberg & Novikov, DATE 2002 / DAM 155, 2007).
 **How to read this file.**  The paper's numbers are seconds on
 2002 hardware (PentiumIII-700 for Tables 1-5, UltraSPARC-80/450MHz for
 Tables 6-10) running hand-tuned C++ against the original DIMACS/Velev
-CNFs.  The reproduction runs pure Python against scaled stand-in
-instances (see DESIGN.md's substitution table) under per-instance
-conflict budgets.  Absolute times are therefore not comparable; the
+CNFs.  The reproduction runs Python with C kernels for the search
+loop (the pure-Python loops are the reference they must match, step for
+step) against scaled stand-in instances (see DESIGN.md's substitution
+table) under per-instance conflict budgets.  Absolute times are therefore not comparable; the
 claims being reproduced are the *shapes*: which configuration wins each
 class, roughly by what factor (in conflicts, the machine-independent
 unit), and which configurations abort.

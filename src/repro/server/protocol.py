@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.cnf.literals import MAX_VARIABLES
 from repro.solver.result import SolveResult
 
 #: Upper bound on one request/reply line, shared by server and clients.
@@ -83,6 +84,10 @@ def _require_literals(value, label: str) -> list[int]:
     for item in value:
         if isinstance(item, bool) or not isinstance(item, int) or item == 0:
             raise ProtocolError(f"{label}: literals must be nonzero integers")
+        if abs(item) > MAX_VARIABLES:
+            raise ProtocolError(
+                f"{label}: literals must name variables up to {MAX_VARIABLES}"
+            )
         literals.append(item)
     return literals
 

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from collections.abc import Iterable, Sequence
-from itertools import islice
 
 from repro.checkpoint.envelope import read_checkpoint_file, write_checkpoint_file
 from repro.checkpoint.snapshot import (
@@ -49,7 +49,7 @@ from repro.checkpoint.snapshot import (
     capture_snapshot,
     restore_snapshot,
 )
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.session.cache import AnswerCache, stored_result
 from repro.solver.config import VERIFY_OFF, SolverConfig, config_by_name
 from repro.solver.result import SolveResult, SolveStatus
@@ -101,8 +101,10 @@ class SolverSession:
         self.closed = False
         self.last_result: SolveResult | None = None
         self._fingerprint: str | None = None
-        # The canonical encoding of every clause added so far, sorted.
+        # The canonical encoding of every clause added so far, sorted,
+        # and how many of the solver's input words they cover.
         self._encodings: list[bytes] = []
+        self._encoded_words = 0
         if self.solver.trace is not None:
             self.solver.trace.emit(
                 {
@@ -148,10 +150,12 @@ class SolverSession:
         """
         if self._fingerprint is None:
             encodings = self._encodings
+            pristine = self.solver._pristine
             encodings += [
                 " ".join(map(str, sorted(clause))).encode()
-                for clause in islice(self.solver._pristine, len(encodings), None)
+                for clause in words_to_clauses(pristine[self._encoded_words :])
             ]
+            self._encoded_words = len(pristine)
             encodings.sort()
             digest = hashlib.blake2b(b";".join(encodings), digest_size=16)
             if encodings:
@@ -252,16 +256,17 @@ class SolverSession:
     def _pristine_formula(self) -> CnfFormula:
         """Every clause added so far, as the verification gate's formula.
 
-        The clause lists are the copies the solver made as each clause
-        was added, so they are shared rather than copied again, and
+        A copy of the words the solver recorded as each clause was
+        added; the gate builds the clause lists when it reads them, and
         their literals are not re-checked.  ``num_variables`` is the
         solver's, which bounds every variable a clause names (the
         checkers only size their tables by it), so no call pays a pass
         over the literals.
         """
-        formula = CnfFormula.__new__(CnfFormula)
-        formula.__setstate__((self.solver.num_variables, "", self.solver._pristine))
-        return formula
+        solver = self.solver
+        return CnfFormula.from_words(
+            array("i", solver._pristine), solver._pristine_clauses, solver.num_variables
+        )
 
     def unsat_core(self) -> list[int] | None:
         """Failed-assumption core of the most recent solve call.
@@ -322,7 +327,7 @@ class SolverSession:
             {
                 "session": {
                     "calls": self.calls,
-                    "pristine": [list(clause) for clause in self.solver._pristine],
+                    "pristine": words_to_clauses(self.solver._pristine),
                     "config_name": self.config.name,
                     "retain_max_lbd": self.retain_max_lbd,
                 },

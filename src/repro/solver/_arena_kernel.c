@@ -437,40 +437,38 @@ void arena_attach(int32_t *arena, int32_t *watch_head, int32_t *refs, int32_t co
         attach(arena, watch_head, refs[index]);
 }
 
-/* Load clauses first .. count-1 of a batch at decision level 0, doing
- * for each what Solver._add_clause, the per-clause reference, does
- * there: drop a tautology, remove repeated literals (first occurrence
- * kept), skip a clause a level-0 literal satisfies, strip level-0-false
- * literals, assign a unit, or write an original record and thread both
- * of its watches.
+/* Load the clauses of words[offset .. length) at decision level 0,
+ * doing for each what Solver._add_clause, the per-clause reference,
+ * does there: drop a tautology, remove repeated literals (first
+ * occurrence kept), skip a clause a level-0 literal satisfies, strip
+ * level-0-false literals, assign a unit, or write an original record and
+ * thread both of its watches.
  *
- * `lits` holds the DIMACS literals of every clause back to back, `sizes`
- * the clause lengths; clause `first` starts at lits[offset].  Records are
- * written from arena[arena_len], which the caller has sized for the worst
- * case; activity indices count up from `act_idx`.  The per-variable and
- * per-literal buffers come from `t`; its `seen` marks are zero on entry
- * and on return.
+ * `words` holds the clauses as the DIMACS body does: each clause's
+ * literals, then a 0.  Records are written from arena[arena_len], which
+ * the caller has sized for the worst case; activity indices count up
+ * from `act_idx`.  The per-variable and per-literal buffers come from
+ * `t`; its `seen` marks are zero on entry and on return.
  *
- * The scan stops at a clause it cannot finish — a literal 0, a variable
- * past `num_variables` or an eliminated one (the reference restores it),
- * or a clause that strips to empty — and returns that clause's index
- * (count when every clause was loaded); the caller runs the reference on
- * it and resumes after it.  Outputs: the refs of new records in `refs`
- * and their proof ids in `ids` (`id_base - index` for the clause at
- * `index`, the proof's id of an input clause), the assigned unit
- * literals in `units` (the trail's continuation), the refs of records
- * shorter than their input clause in `shortened` (each needs a proof
- * line), and in out[0 .. 4) the new arena length and the counts of
- * refs, units and shortened refs; out[4] is the offset in `lits` of the
- * clause the scan stopped at.
+ * The scan stops at a clause it cannot finish — a variable past
+ * `num_variables` or an eliminated one (the reference restores it), or a
+ * clause that strips to empty — and returns the number of clauses it
+ * finished before it; the caller runs the reference on that clause and
+ * resumes after its terminator.  Outputs: the refs of new records in
+ * `refs` and their proof ids in `ids` (`id_base - index` for the
+ * clause at `index` of this call, the proof's id of an input clause),
+ * the assigned unit literals in `units` (the trail's continuation), the
+ * refs of records shorter than their input clause in `shortened` (each
+ * needs a proof line), and in out[0 .. 4) the new arena length and the
+ * counts of refs, units and shortened refs; out[4] and out[5] are the
+ * offsets of the first literal and of the terminator of the clause the
+ * scan stopped at (both `length` when it loaded every clause).
  */
 int32_t arena_load(
     const struct tables *t,
-    int32_t *lits,
-    int32_t *sizes,
-    int32_t first,
-    int32_t count,
+    const int32_t *words,
     int32_t offset,
+    int32_t length,
     int32_t num_variables,
     int32_t *arena,
     int32_t arena_len,
@@ -487,19 +485,17 @@ int32_t arena_load(
     int32_t *seen = t->seen;
     uint8_t *eliminated = t->eliminated;
     int32_t ref_count = 0, unit_count = 0, short_count = 0;
-    int32_t clause = first;
+    int32_t clause = 0;
+    int32_t size = 0;
 
-    for (; clause < count; clause++) {
-        int32_t size = sizes[clause];
-        int32_t *source = lits + offset;
+    for (; offset < length; clause++, offset += size + 1) {
+        const int32_t *source = words + offset;
         int32_t loadable = 1;
-        for (int32_t index = 0; index < size; index++) {
-            int32_t literal = source[index];
-            if (literal == 0 || literal > num_variables || literal < -num_variables
-                || eliminated[literal < 0 ? -literal : literal]) {
+        for (size = 0; offset + size < length && source[size] != 0; size++) {
+            int32_t literal = source[size];
+            if (literal > num_variables || literal < -num_variables
+                || eliminated[literal < 0 ? -literal : literal])
                 loadable = 0;
-                break;
-            }
         }
         if (!loadable)
             break;
@@ -524,10 +520,8 @@ int32_t arena_load(
         }
         for (int32_t index = 0; index < kept; index++)
             seen[body[index] >> 1] = 0;
-        if (tautology) {
-            offset += size;
+        if (tautology)
             continue;
-        }
 
         /* Reduce against the level-0 assignments. */
         int32_t remaining = 0;
@@ -542,10 +536,8 @@ int32_t arena_load(
             if (value == -1)
                 body[remaining++] = literal;
         }
-        if (satisfied) {
-            offset += size;
+        if (satisfied)
             continue;
-        }
         if (remaining == 0)
             break; /* refutes the formula: the reference logs it */
         if (remaining == 1) {
@@ -557,7 +549,6 @@ int32_t arena_load(
             t->levels[variable] = 0;
             t->reasons[variable] = -1;
             units[unit_count++] = literal;
-            offset += size;
             continue;
         }
         if (remaining < size)
@@ -570,13 +561,13 @@ int32_t arena_load(
         ids[ref_count] = id_base - clause;
         refs[ref_count++] = ref;
         arena_len = ref + HDR + remaining;
-        offset += size;
     }
     out[0] = arena_len;
     out[1] = ref_count;
     out[2] = unit_count;
     out[3] = short_count;
-    out[4] = offset;
+    out[4] = offset < length ? offset : length;
+    out[5] = offset < length ? offset + size : length;
     return clause;
 }
 

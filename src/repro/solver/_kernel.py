@@ -189,9 +189,7 @@ def _build_and_load():
     backtrack.argtypes = [pointer, pointer, int32, int32]
     backtrack.restype = None
     load = handle.arena_load
-    load.argtypes = (
-        [pointer] * 3 + [int32] * 4 + [pointer] + [int32] * 3 + [pointer] * 5
-    )
+    load.argtypes = [pointer] * 2 + [int32] * 3 + [pointer] + [int32] * 3 + [pointer] * 5
     load.restype = int32
     attach = handle.arena_attach
     attach.argtypes = [pointer, pointer, pointer, int32]

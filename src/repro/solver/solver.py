@@ -28,13 +28,20 @@ and :meth:`Solver.add_formula` are entries into it, and
 :meth:`Solver.add_clause` is a batch of one.  Every clause gets the
 level-0 reduction of the paper's Section 8 "automatic removal" on its
 way in: a clause satisfied at level 0 is dropped and its false literals
-are stripped.  A batch is one call to the ``arena_load`` kernel, which
-does that work in place.  The per-clause Python reference, which is
-also what runs without the kernels and what a single clause goes
-through, takes only a clause the kernel stops at (one naming an
-eliminated variable, or one that refutes the formula).  Restoring an
-eliminated variable re-adds its stored clauses through the reference's
-own reduce-and-attach step.
+are stripped.  A batch travels as *words* (:mod:`repro.cnf.formula`):
+zero-terminated int32 clauses, the DIMACS body itself.  A parsed
+formula hands over the reader's words, and a list batch is flattened
+once.  The batch is one call to the ``arena_load`` kernel, which counts
+the clauses and does that work in place, and the solver keeps a copy of
+the words (``_pristine``) as its record of its input.  The per-clause
+Python reference, which is also what runs without the kernels and what
+a single clause goes through, takes only a clause the kernel stops at
+(one naming an eliminated variable, or one that refutes the formula).
+Restoring an eliminated variable re-adds its stored clauses through the
+reference's own reduce-and-attach step.  A literal 0 or a non-integer
+in a list batch, or a variable past
+:data:`~repro.cnf.literals.MAX_VARIABLES`, raises at that clause, with
+the clauses before it added.
 
 Clause storage
 --------------
@@ -118,10 +125,21 @@ import random
 import time
 from array import array
 from collections.abc import Iterable, Sequence
-from itertools import chain, islice
 
-from repro.cnf.formula import CnfFormula, unsatisfied_clause
-from repro.cnf.literals import FALSE, TRUE, UNASSIGNED, decode_literal, encode_literal
+from repro.cnf.formula import (
+    CnfFormula,
+    clauses_to_words,
+    unsatisfied_word_clause,
+    words_to_clauses,
+)
+from repro.cnf.literals import (
+    FALSE,
+    MAX_VARIABLES,
+    TRUE,
+    UNASSIGNED,
+    decode_literal,
+    encode_literal,
+)
 from repro.cnf.simplify import clean_clause
 from repro.solver import config as cfg
 from repro.solver._kernel import (
@@ -212,9 +230,6 @@ _LBD_SHIFT = 3
 NO_PROOF_ID = 2**31 - 1
 #: A count no search reaches: the search state's "no budget" bound.
 _NEVER = 2**62
-#: The largest variable the solver takes: the encoded literals of larger
-#: ones (2 * variable + 1) do not fit its int32 buffers.
-MAX_VARIABLES = 2**30 - 1
 
 
 def _count_at(bound, strict: bool = False) -> int:
@@ -367,8 +382,10 @@ class Solver:
         # Level-0 trail prefix already mirrored into the proof as unit
         # additions (see _flush_level0_proof_units).
         self._proof_level0_logged = 0
-        # Pristine copies of every added clause, for model verification.
-        self._pristine: list[list[int]] = []
+        # The solver's own copy of every input clause, as words
+        # (repro.cnf.formula), for model verification, and their count.
+        self._pristine = array("i")
+        self._pristine_clauses = 0
         # Scratch buffers reused by the pure-Python analysis so the
         # per-conflict hot path allocates nothing.  Their contents are
         # only valid inside one _analyze call.
@@ -551,9 +568,19 @@ class Solver:
         :meth:`add_clauses` over ``formula.clauses``, with the tables
         grown to ``formula.num_variables`` instead of to the largest
         variable the clauses name (which would take a pass over them).
+        A formula that still keeps its words (a parsed one) is loaded
+        from them, and its lists stay unbuilt.
         """
         self.ensure_variables(formula.num_variables)
-        return self._add_clauses(formula.clauses, sized=True)
+        words = formula.words
+        if words is None:
+            return self._add_clauses(formula.clauses, sized=True)
+        if self._kernel_load is None:
+            for clause in words_to_clauses(words):
+                self._add_clause(clause)
+        else:
+            self._load_words(words)
+        return self.ok
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
         """Add clauses given as signed DIMACS literals; False once refuted.
@@ -562,8 +589,10 @@ class Solver:
         docstring); it leaves the state a loop of :meth:`add_clause`
         would.  Clauses may be added between solve calls; the solver
         backtracks to level 0 first.  A clause holding literal 0 raises
-        :class:`ValueError` (a non-integer, :class:`TypeError`) before it
-        changes anything; the clauses before it stay added.
+        :class:`ValueError` (a non-integer, :class:`TypeError`; a
+        variable past :data:`~repro.cnf.literals.MAX_VARIABLES`,
+        :class:`ValueError`) before it changes anything; the clauses
+        before it stay added.
         """
         return self._add_clauses(list(clauses), sized=False)
 
@@ -577,80 +606,84 @@ class Solver:
         return self.ok
 
     def _add_clauses(self, clauses: list, sized: bool) -> bool:
-        loaded = 0
-        if self._kernel_load is not None:
-            loaded = self._load_bulk(clauses, sized)
-        for clause in islice(clauses, loaded, None):
+        """Load a list batch: flattened into words once, unless it holds
+        something the words cannot (a literal 0, a non-integer, a
+        variable past :data:`~repro.cnf.literals.MAX_VARIABLES`), a
+        clause that is not a list or tuple (it may read only once), or
+        the kernels are off; then the reference takes every clause, and
+        raises at the first bad one.  Unless ``sized``, the tables first
+        grow to the largest variable the clauses name.
+        """
+        words = None
+        if self._kernel_load is not None and {list, tuple}.issuperset(map(type, clauses)):
+            try:
+                words = clauses_to_words(clauses)
+            except (TypeError, OverflowError):
+                pass
+        if words is not None and words.count(0) == len(clauses):
+            largest = 0 if sized else max(max(words, default=0), -min(words, default=0))
+            if largest <= MAX_VARIABLES:
+                self.ensure_variables(largest)
+                self._load_words(words)
+                return self.ok
+        for clause in clauses:
             self._add_clause(clause)
         return self.ok
 
-    def _load_bulk(self, clauses: list[Sequence[int]], sized: bool) -> int:
-        """Load clauses with the kernel; returns how many were loaded.
+    def _load_words(self, words: array) -> None:
+        """Load the zero-terminated clauses of ``words`` with the kernel.
 
-        Unless ``sized``, the tables first grow to the largest variable
-        the clauses name.  One ``arena_load`` call does
-        :meth:`_add_clause`'s work for a run of clauses in place; a
-        clause it cannot finish goes through :meth:`_add_clause`, and
-        the kernel resumes after it.  Loading stops, leaving the rest to
-        the caller, once the formula is refuted, and loads nothing when
-        the clauses do not fit int32 buffers or, unsized, hold a literal
-        0 or a variable past :data:`MAX_VARIABLES` (so the reference
-        raises at that clause, and the tables grow no further than a
-        loop of it would grow them).
+        One ``arena_load`` call does :meth:`_add_clause`'s work for a run
+        of clauses in place; a clause it cannot finish goes through
+        :meth:`_add_clause`, and the kernel resumes after it.  Once the
+        formula is refuted, the reference takes the rest.  Each run's
+        words are copied into ``_pristine``; ``words`` is only read.
         """
-        try:
-            sizes = array("i", map(len, clauses))
-            flat = array("i", chain.from_iterable(clauses))
-        except (TypeError, OverflowError):
-            return 0
-        count = len(sizes)
-        if not count or sum(sizes) != len(flat):  # the kernel reads flat by the sizes
-            return 0
-        if not sized:
-            largest = max(max(flat, default=0), -min(flat, default=0))
-            if 0 in flat or largest > MAX_VARIABLES:
-                return 0
-            self.ensure_variables(largest)
+        if not words:
+            return
         if self.current_level() > 0:
             self._backtrack(0)  # as the first _add_clause would
-        refs = array("i", bytes(4 * count))
-        ids = array("i", bytes(4 * count))
-        units = array("i", bytes(4 * count))
-        shortened = array("i", bytes(4 * count))
-        out = array("i", bytes(20))
+        # A unit clause takes at least two words and a record's clause
+        # three, which bounds every output.
+        size = len(words) // 2 + 1
+        refs = array("i", bytes(4 * size))
+        ids = array("i", bytes(4 * size))
+        units = array("i", bytes(4 * size))
+        shortened = array("i", bytes(4 * size))
+        out = array("i", bytes(24))
         stats = self.stats
-        # clauses[index] is input clause len(_pristine) + index, whose
-        # proof id is -1 minus that.
-        id_base = -1 - len(self._pristine)
-        start = offset = 0
-        while start < count and self.ok:
+        length = len(words)
+        offset = 0
+        while offset < length and self.ok:
             arena = self.arena
             used = len(arena)
-            # Room for the worst case: every clause a record, no literal
-            # dropped.  The tail is cut back to what was written.
-            arena.frombytes(bytes(4 * (_HDR * (count - start) + len(flat) - offset)))
-            stop = self._kernel_load(
+            # Room for the worst case: every clause of three words or
+            # more a record, no literal dropped, and the header of the
+            # clause being read.  The tail is cut back to what was
+            # written.
+            scanned = length - offset
+            arena.frombytes(bytes(4 * (_HDR * (scanned // 3 + 1) + scanned)))
+            loaded = self._kernel_load(
                 self._tables_address,
-                flat.buffer_info()[0],
-                sizes.buffer_info()[0],
-                start,
-                count,
+                words.buffer_info()[0],
                 offset,
+                length,
                 self.num_variables,
                 arena.buffer_info()[0],
                 used,
                 len(self.clause_act),
-                id_base,
+                -1 - self._pristine_clauses,
                 refs.buffer_info()[0],
                 ids.buffer_info()[0],
                 units.buffer_info()[0],
                 shortened.buffer_info()[0],
                 out.buffer_info()[0],
             )
-            arena_len, records, unit_count, short_count, offset = out
+            arena_len, records, unit_count, short_count, stop, end = out
             del arena[arena_len:]
-            stats.initial_clauses += stop - start
-            self._pristine.extend(map(list, clauses[start:stop]))
+            stats.initial_clauses += loaded
+            self._pristine += words[offset:stop]
+            self._pristine_clauses += loaded
             if records:
                 self.clause_act.frombytes(bytes(8 * records))
                 self.clause_id += ids[:records]
@@ -669,12 +702,12 @@ class Solver:
                     clause_id[slot] = self.log_proof_add(
                         self._ref_literals(ref), [clause_id[slot]]
                     )
-            start = stop
-            if stop < count:
-                self._add_clause(clauses[stop])
-                start += 1
-                offset += sizes[stop]
-        return start
+            offset = stop
+            if stop < length:
+                self._add_clause(words[stop:end])
+                offset = end + 1
+        for clause in words_to_clauses(words[offset:]):
+            self._add_clause(clause)
 
     def _add_clause(self, dimacs_literals: Iterable[int]) -> None:
         """The per-clause reference of the loader, at level 0.
@@ -692,7 +725,9 @@ class Solver:
             self._backtrack(0)
         self.ensure_variables(max(map(abs, literals), default=0))
         self.stats.initial_clauses += 1
-        self._pristine.append(literals)
+        self._pristine.extend(literals)
+        self._pristine.append(0)
+        self._pristine_clauses += 1
         cleaned = clean_clause(literals)
         if cleaned is None:  # tautology
             return
@@ -700,7 +735,7 @@ class Solver:
             if self._eliminated_mark[abs(literal)]:
                 self._restore_variable(abs(literal))
         if self.ok:
-            self._attach_clause(cleaned, len(literals), -len(self._pristine))
+            self._attach_clause(cleaned, len(literals), -self._pristine_clauses)
 
     def _attach_clause(self, literals: list[int], size: int, proof_id: int) -> None:
         """Reduce one clause against the level-0 assignments and attach it.
@@ -2961,8 +2996,9 @@ class Solver:
         return model
 
     def _verify_model(self, model: dict[int, bool]) -> None:
-        """Check the model against every clause ever added (pristine copies)."""
-        clause = unsatisfied_clause(self._pristine, model, self.num_variables)
+        """Check the model against every clause ever added (the solver's
+        own copy of its input, whose variables ``num_variables`` bounds)."""
+        clause = unsatisfied_word_clause(self._pristine, model, self.num_variables)
         if clause is not None:
             raise SolverInternalError(f"model does not satisfy clause {clause}")
 

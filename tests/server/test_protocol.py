@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cnf.literals import MAX_VARIABLES
 from repro.server.protocol import (
     ProtocolError,
     encode_reply,
@@ -68,6 +69,19 @@ def test_protocol_errors_never_echo_payload():
     with pytest.raises(ProtocolError) as excinfo:
         parse_request('{"op": "solve", "id": 1, "clauses": [["secret-literal"]]}')
     assert "secret-literal" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("field", ["clauses", "assumptions"])
+def test_literals_past_the_variable_bound_are_rejected(field):
+    literal = -(MAX_VARIABLES + 1)
+    value = [[1, literal]] if field == "clauses" else [literal]
+    line = json.dumps({"op": "solve", "id": 1, "clauses": [[1]], field: value})
+    with pytest.raises(ProtocolError) as excinfo:
+        parse_request(line)
+    assert str(MAX_VARIABLES + 1) not in str(excinfo.value)
+    assert f"literals must name variables up to {MAX_VARIABLES}" in str(excinfo.value)
+    at_the_bound = json.dumps({"op": "solve", "id": 1, "clauses": [[1, -MAX_VARIABLES]]})
+    assert parse_request(at_the_bound).clauses == [[1, -MAX_VARIABLES]]
 
 
 def test_result_reply_sat_carries_sorted_dimacs_model():

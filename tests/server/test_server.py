@@ -1,6 +1,7 @@
 """End-to-end service tests: asyncio server + client over a real socket."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -180,6 +181,41 @@ def test_bad_requests_get_error_replies_not_disconnects():
     assert unknown_config["kind"] == "error"
     assert "frobnicate" in unknown_config["error"]
     assert still_alive["kind"] == "pong"
+
+
+def test_a_literal_past_the_variable_bound_is_an_error_before_admission():
+    """The request is refused as malformed: no worker launches and the
+    breaker records nothing (the pool would otherwise crash and retry a
+    worker growing tables past int32)."""
+    from repro.observability import RingBufferSink
+
+    ring = RingBufferSink()
+
+    async def scenario():
+        service = make_service(pool_size=1, trace=ring)
+        server = await serve(service)
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b'{"op": "solve", "id": 7, "clauses": [[1, -2000000000]]}\n')
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            async with AsyncSolverClient(port=server.port) as client:
+                alive = await asyncio.wait_for(client.ping(), timeout=10.0)
+        finally:
+            await server.shutdown()
+        return service, json.loads(reply), alive
+
+    service, reply, alive = run(scenario())
+    assert reply["kind"] == "error"
+    assert "literals must name variables up to" in reply["error"]
+    assert "2000000000" not in reply["error"]
+    assert alive["kind"] == "pong"
+    kinds = {event["type"] for event in ring.events}
+    assert not kinds & {"worker_start", "worker_retry", "worker_fault", "job_end"}
+    assert service.breaker.summary()["tracked"] == 0
+    assert service.pool.retries == 0 and not service.pool.jobs
 
 
 def test_connection_the_server_closes_reaches_eof_while_a_worker_idles():

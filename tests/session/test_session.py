@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.checkpoint.snapshot import canonical_fingerprint
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.observability import RingBufferSink
 from repro.session import (
     DEFAULT_RETAIN_MAX_LBD,
@@ -123,7 +123,7 @@ def test_rejected_clause_leaves_no_trace(tmp_path):
             session.add_clauses([[3, 4], [1, 0, -2], [5]])
         with pytest.raises(ValueError):
             session.add_clause([0])
-        assert session.solver._pristine == XOR_CHAIN + [[3, 4]]
+        assert words_to_clauses(session.solver._pristine) == XOR_CHAIN + [[3, 4]]
         assert session.stats.initial_clauses == len(XOR_CHAIN) + 1
         assert session.fingerprint == canonical_fingerprint(XOR_CHAIN + [[3, 4]])
         session.add_clause([-3, -4])

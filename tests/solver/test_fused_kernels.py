@@ -27,7 +27,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.generators import pigeonhole_formula
 from repro.solver import _kernel
 from repro.solver import solver as solver_module
@@ -62,7 +62,9 @@ _LENGTHS_AND_ROOMS = {
 
 def _stale(solver: Solver, table, fields) -> list[str]:
     live = [getattr(solver, name).buffer_info()[0] for name in fields]
-    return [name for name, old, new in zip(fields, list(table.slots), live) if old != new]
+    # A NULL c_void_p slot reads back as None; an empty buffer's address is 0.
+    cached = [address or 0 for address in table.slots]
+    return [name for name, old, new in zip(fields, cached, live) if old != new]
 
 
 def _check_room(solver: Solver, when: str) -> None:
@@ -160,7 +162,16 @@ def _assert_same(kernel: Solver, pure: Solver) -> None:
 def test_growth_between_solves(monkeypatch):
     """``add_clause`` naming new variables grows every table between two
     solves; the second solve must read the grown ones."""
-    config = berkmin_config(restart_interval=50, proof_logging=True, seed=2)
+    _growth_between_solves(monkeypatch, proof_logging=True)
+
+
+def test_growth_between_solves_without_proof_logging(monkeypatch):
+    """The same with the proof log empty: its NULL slot is not stale."""
+    _growth_between_solves(monkeypatch, proof_logging=False)
+
+
+def _growth_between_solves(monkeypatch, proof_logging: bool) -> None:
+    config = berkmin_config(restart_interval=50, proof_logging=proof_logging, seed=2)
     kernel, pure, calls = _pair(monkeypatch, config)
     formula = pigeonhole_formula(6)
     base = formula.num_variables
@@ -174,8 +185,9 @@ def test_growth_between_solves(monkeypatch):
     assert kernel.num_variables == base + 4000
     assert kernel.stats.conflicts > 300 and calls["_kernel_search"] > 0
     _assert_same(kernel, pure)
-    grown = CnfFormula(kernel._pristine)
-    assert fallback_steps(grown, kernel.proof, kernel.proof_hints) == []
+    if proof_logging:
+        grown = CnfFormula(words_to_clauses(kernel._pristine))
+        assert fallback_steps(grown, kernel.proof, kernel.proof_hints) == []
 
 
 def test_snapshot_restore_then_solve(monkeypatch):

@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.generators import pigeonhole_formula
 from repro.reliability.verify import verify_result
 from repro.solver._kernel import load_arena_kernel
@@ -33,6 +33,8 @@ from repro.solver.config import (
 )
 from repro.solver.result import SolveStatus
 from repro.solver.solver import Solver
+
+from tests.conftest import loaded_state
 
 #: Aggressive knobs: inprocess on every restart, restart early, collect
 #: the arena as soon as 5% of its words are dead.
@@ -317,35 +319,6 @@ def _random_load_formula(rng: random.Random) -> CnfFormula:
     return formula
 
 
-def _loaded_state(solver: Solver) -> dict:
-    stats = {
-        key: value
-        for key, value in vars(solver.stats).items()
-        if not key.endswith("_seconds")
-    }
-    return {
-        "arena": solver.arena.tolist(),
-        "watch_head": solver.watch_head.tolist(),
-        "trail": solver.trail.tolist(),
-        "lit_value": solver.lit_value.tolist(),
-        "assigns": solver.assigns.tolist(),
-        "levels": solver.levels.tolist(),
-        "reasons": solver.reasons.tolist(),
-        "seen": solver._seen.tolist(),
-        "clause_act": solver.clause_act.tolist(),
-        "clause_birth": solver.clause_birth,
-        "clause_id": solver.clause_id.tolist(),
-        "clauses": solver.clauses,
-        "learned": solver.learned.tolist(),
-        "proof": solver.proof,
-        "hints": solver.proof_hints,
-        "pristine": solver._pristine,
-        "num_variables": solver.num_variables,
-        "ok": solver.ok,
-        "stats": stats,
-    }
-
-
 def _random_batch(rng: random.Random, solver: Solver) -> list[list[int]]:
     """Clauses to add to a solver that has searched: over its variables
     and two new ones, with repeats and tautologies, mostly naming a
@@ -417,27 +390,27 @@ def test_kernel_pure_and_clause_by_clause_loads_identical(monkeypatch):
                 else:
                     solver.add_formula(formula)
             kernel_loads += solvers[0]._kernel_load is not None
-            states = [_loaded_state(solver) for solver in solvers]
+            states = [loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], formula.clauses[:8]
             results = [solver.solve(max_conflicts=budget) for solver in solvers]
             assert len({result.status for result in results}) == 1
-            states = [_loaded_state(solver) for solver in solvers]
+            states = [loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], formula.clauses[:8]
 
             eliminated += bool(solvers[0]._eliminated)
             batch = _random_batch(rng, solvers[0])
             for solver, way in zip(solvers, ways):
                 add(solver, way, batch)
-            states = [_loaded_state(solver) for solver in solvers]
+            states = [loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], batch
             results = [solver.solve(max_conflicts=budget) for solver in solvers]
             assert len({result.status for result in results}) == 1
-            states = [_loaded_state(solver) for solver in solvers]
+            states = [loaded_state(solver) for solver in solvers]
             assert states[0] == states[1] == states[2], batch
             if proof_logging:
                 solver = solvers[0]
                 assert check_rup_proof(
-                    CnfFormula(solver._pristine),
+                    CnfFormula(words_to_clauses(solver._pristine)),
                     solver.proof,
                     hints=solver.proof_hints,
                     require_empty_clause=results[0].status is SolveStatus.UNSAT,

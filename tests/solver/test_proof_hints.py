@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cnf import shuffle_formula
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.experiments.suites import paper_suite
 from repro.proof import check_rup_proof, rup
 from repro.solver import Solver
@@ -96,7 +96,7 @@ def test_hints_name_input_clauses_added_between_solves():
     solver.add_clause([-extra, 1, 2])
     result = solver.solve()
     assert result.is_unsat
-    grown = CnfFormula(solver._pristine)
+    grown = CnfFormula(words_to_clauses(solver._pristine))
     assert fallback_steps(grown, result.proof, result.proof_hints) == []
 
 

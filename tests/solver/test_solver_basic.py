@@ -3,7 +3,7 @@ incrementality, assumptions, model verification."""
 
 import pytest
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import CnfFormula, words_to_clauses
 from repro.solver import (
     SolveStatus,
     Solver,
@@ -206,6 +206,16 @@ def test_bulk_add_stops_at_the_clause_naming_a_variable_past_the_bound(monkeypat
     with pytest.raises(ValueError):
         solver.ensure_variables(11)
     assert solver.num_variables == 2
+
+
+def test_a_batch_of_one_shot_clauses_loads_like_lists():
+    """Clauses that read only once go through the reference, so a bad
+    clause after them leaves them added as they were."""
+    solver = Solver()
+    with pytest.raises(ValueError):
+        solver.add_clauses([iter([1, 2]), (literal for literal in [-1]), [3, 0]])
+    assert words_to_clauses(solver._pristine) == [[1, 2], [-1]]
+    assert solver.stats.initial_clauses == 2
 
 
 @pytest.mark.parametrize("failing_step", ["table", "scratch"])

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.cnf.dimacs import parse_dimacs_file, write_dimacs_file
 from repro.cnf.formula import CnfFormula
+from repro.cnf.literals import MAX_VARIABLES
 from repro.generators.pigeonhole import pigeonhole_formula
 
 
@@ -374,3 +375,26 @@ def test_session_command_rejects_malformed_stream(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "must end in 0" in err
+
+
+def test_a_variable_past_the_bound_is_a_one_line_error(tmp_path, capsys):
+    """Files and session streams naming a variable the solver's int32
+    buffers cannot hold end in one ``repro-sat: error:`` line, exit 2."""
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 2000000000 1\n1 -2000000000 0\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"repro-sat: error: line 1: 2000000000 variables, past the largest, {MAX_VARIABLES}"
+    ]
+    path.write_text("p cnf 2 1\n1 -2000000000 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert "line 2: variable 2000000000 is past the largest" in capsys.readouterr().err
+    stream = tmp_path / "huge.icnf"
+    stream.write_text("1 2 0\na 1 0\n1 -2000000000 0\n")
+    assert main(["session", str(stream)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "repro-sat: error: session stream line 3: variable 2000000000 is past the "
+        f"largest, {MAX_VARIABLES}"
+    ]
